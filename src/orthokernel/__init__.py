@@ -19,7 +19,6 @@ from .errors import (
 )
 from .linalg import (
     QQ,
-    AffineSolutionSet,
     LinearSubspace,
     QuadraticSpace,
     bilinear_eval,
@@ -28,9 +27,7 @@ from .linalg import (
     is_positive_definite,
     is_symmetric,
     mat_inverse,
-    matrix_kernel,
     rref_basis,
-    solve_affine,
     subspace_intersect,
     subspace_sum,
     xi_complement,
@@ -51,12 +48,10 @@ from .ortho import (
     isometry_compose,
     isometry_equal,
     make_perp_pair,
-    orthoadjacent,
     orthocomplement_in,
     perp_g,
     perp_go,
     perp_m,
-    perp_points,
     perp_subspaces,
     perp_x,
     reflection,
@@ -88,7 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineIsometry",
-    "AffineSolutionSet",
     "AffineSubspace",
     "ALL_PROPERTY_IDS",
     "CORE_PROPERTY_IDS",
@@ -127,15 +121,12 @@ __all__ = [
     "line_perp_ground_truth",
     "make_perp_pair",
     "mat_inverse",
-    "matrix_kernel",
     "meet",
-    "orthoadjacent",
     "orthocomplement_in",
     "parallel",
     "perp_g",
     "perp_go",
     "perp_m",
-    "perp_points",
     "perp_subspaces",
     "perp_x",
     "reconstruct_line_perp",
@@ -144,7 +135,6 @@ __all__ = [
     "rref_basis",
     "run_property",
     "run_suite",
-    "solve_affine",
     "subspace_intersect",
     "subspace_sum",
     "translate_through",

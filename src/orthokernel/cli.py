@@ -23,7 +23,6 @@ from .generators import (
     space_of,
     trial_rng,
 )
-from .linalg import matrix_to_wire
 from .ortho import TypedPerpParams, make_perp_pair
 from .properties import (
     ALL_PROPERTY_IDS,
@@ -117,6 +116,8 @@ def _report_payload(config: dict, reports: Sequence[PropertyReport]) -> dict:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise InputError("--jobs must be at least 1")
     seed = _resolve_seed(args.seed)
     props = _parse_props(args.props)
     forms = _parse_forms(args.form)
@@ -161,6 +162,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise InputError("--count must be at least 1")
     seed = _resolve_seed(args.seed)
     params = _parse_params(args, required=True)
     if params.k1 > params.k2:
@@ -208,6 +211,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    if args.pairs < 1:
+        raise InputError("--pairs must be at least 1")
     seed = _resolve_seed(args.seed)
     params = _parse_params(args, required=True)
     if not params.satisfiable_in(args.dim):

@@ -30,7 +30,6 @@ from .linalg import (
     rref_basis,
     vec_sub,
     vector,
-    vector_from_wire,
     vector_to_wire,
     zero_subspace,
 )
@@ -143,8 +142,8 @@ class AffineSubspace:
     @classmethod
     def from_wire(cls, space: QuadraticSpace, data: dict) -> "AffineSubspace":
         try:
-            point = vector_from_wire(data["point"])
-            rows = [vector_from_wire(r) for r in data["basis"]]
+            point = vector(data["point"])
+            rows = [vector(r) for r in data["basis"]]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed flat payload: {exc}") from exc
         if len(point) != space.dim or any(len(r) != space.dim for r in rows):

@@ -24,7 +24,6 @@ from .linalg import (
     Vector,
     _subspace_from_int_rows,
     full_subspace,
-    matrix_from_wire,
     subspace_sum,
     xi_complement,
 )
@@ -72,18 +71,6 @@ class GenConfig:
         elif not isinstance(self.form, tuple):
             raise InputError("form must be a name or a matrix of rational strings")
 
-    def with_form(self, form: FormSpec) -> "GenConfig":
-        return GenConfig(
-            dim=self.dim,
-            form=form,
-            numerator_bound=self.numerator_bound,
-            denominator_bound=self.denominator_bound,
-            seed=self.seed,
-            retries=self.retries,
-            perp_params=self.perp_params,
-            sample_count=self.sample_count,
-        )
-
 
 def form_label(form: FormSpec) -> str:
     return form if isinstance(form, str) else "custom"
@@ -105,7 +92,12 @@ def resolve_space(dim: int, form: FormSpec) -> QuadraticSpace:
         return QuadraticSpace.diagonal([QQ(i) for i in range(1, dim + 1)])
     if form == "tridiag":
         return QuadraticSpace(dim, tridiagonal_form(dim))
-    return QuadraticSpace.from_matrix(matrix_from_wire(form))
+    space = QuadraticSpace.from_matrix(form)
+    if space.dim != dim:
+        raise InputError(
+            f"form matrix is {space.dim} x {space.dim}, expected {dim} x {dim}"
+        )
+    return space
 
 
 def space_of(cfg: GenConfig) -> QuadraticSpace:
@@ -176,25 +168,22 @@ def gen_pair_with_meet_dim(
     )
 
 
-def random_point_of(flat: AffineSubspace, rng: random.Random, bound: int = 3) -> Vector:
+def random_point_of(flat: AffineSubspace, rng: random.Random) -> Vector:
     """A random member point: base plus a small combination of directions."""
     p = list(flat.point)
     for row in flat.direction.int_rows:
-        c = rng.randint(-bound, bound)
+        c = rng.randint(-3, 3)
         if c:
             p = [x + c * y for x, y in zip(p, row)]
     return tuple(p)
 
 
-def sub_flat(
-    flat: AffineSubspace, k: int, rng: random.Random, through: Optional[Vector] = None
-) -> AffineSubspace:
-    """A random k-dimensional subflat, optionally through a given point."""
+def sub_flat(flat: AffineSubspace, k: int, rng: random.Random) -> AffineSubspace:
+    """A random k-dimensional subflat."""
     if not 0 <= k <= flat.dim:
         raise InputError(f"cannot take a {k}-dimensional subflat of dim {flat.dim}")
-    base = through if through is not None else random_point_of(flat, rng)
     return AffineSubspace.make(
-        flat.space, base, rand_subspace_of(flat.direction, k, rng)
+        flat.space, random_point_of(flat, rng), rand_subspace_of(flat.direction, k, rng)
     )
 
 
@@ -232,44 +221,34 @@ def flat_between(
 
 
 def gen_perp_to(
-    cfg: GenConfig,
-    a: AffineSubspace,
-    q: Vector,
-    rng: random.Random,
-    m: Optional[int] = None,
-    k: Optional[int] = None,
+    cfg: GenConfig, a: AffineSubspace, q: Vector, rng: random.Random
 ) -> AffineSubspace:
-    """A flat C through q with A ∩ C of dimension m and C perp-g A.
+    """A random flat C through q with C perp-g A.
 
-    C's direction is an m-dimensional piece of A's direction extended inside
-    the xi-complement of A's whole direction, which makes the complement of
-    the meet inside C orthogonal to all of A.  Requires q ∈ A, dim(A) ≥ 1,
-    and head room dim(A) < n.
+    C's direction is an m-dimensional piece of A's direction, m < dim(A),
+    extended inside the xi-complement of A's whole direction, which makes
+    the complement of the meet inside C orthogonal to all of A.  Requires
+    q ∈ A, dim(A) ≥ 1, and head room dim(A) < n.
     """
     space = a.space
     n = space.dim
     room = n - a.dim
     if room < 1:
         raise InputError("ambient space leaves no orthogonal head room")
-    if m is None:
-        m = rng.randint(0, a.dim - 1)
-    if k is None:
-        k = rng.randint(m + 1, m + room)
-    if not (0 <= m < min(k, a.dim) and k - m <= room):
-        raise InputError(f"infeasible perp draw (m={m}, k={k}) against dim {a.dim}")
+    m = rng.randint(0, a.dim - 1)
+    k = rng.randint(m + 1, m + room)
     dir_m = rand_subspace_of(a.direction, m, rng, cfg.retries)
     comp = xi_complement(space, a.direction, full_subspace(n))
     wing = rand_subspace_of(comp, k - m, rng, cfg.retries)
     return AffineSubspace.make(space, q, subspace_sum(dir_m, wing))
 
 
-def rand_params(rng: random.Random, n: int, kmax: Optional[int] = None) -> TypedPerpParams:
+def rand_params(rng: random.Random, n: int) -> TypedPerpParams:
     """A uniform-ish satisfiable dimension type for ambient dimension n."""
     if n < 2:
         raise InputError("typed pairs need ambient dimension at least 2")
-    top = min(n - 1, kmax) if kmax is not None else n - 1
-    k1 = rng.randint(1, top)
-    k2 = rng.randint(k1, top)
+    k1 = rng.randint(1, n - 1)
+    k2 = rng.randint(k1, n - 1)
     m = rng.randint(max(0, k1 + k2 - n), k1 - 1)
     return TypedPerpParams(m, k1, k2)
 

@@ -43,11 +43,6 @@ def scalar(x: Scalarish) -> QQ:
     raise InputError(f"not a rational: {x!r}")
 
 
-def format_scalar(q: QQ) -> str:
-    """Wire format: "p/q", with "/q" omitted when the denominator is 1."""
-    return str(q)
-
-
 def vector(entries: Iterable[Scalarish]) -> Vector:
     return tuple(scalar(x) for x in entries)
 
@@ -330,58 +325,6 @@ def _echelon_kernel(
     return out
 
 
-def matrix_kernel(rows: Iterable[Sequence[QQ]], ncols: int) -> LinearSubspace:
-    """Kernel {x : A x = 0} of a rational matrix, as a canonical subspace."""
-    int_rows = []
-    for r in rows:
-        if len(r) != ncols:
-            raise InputError(f"row has length {len(r)}, expected {ncols}")
-        int_rows.append(_int_row(r))
-    return _subspace_from_int_rows(_int_kernel(int_rows, ncols), ncols)
-
-
-# ---------------------------------------------------------------------------
-# affine systems
-
-
-@dataclass(frozen=True)
-class AffineSolutionSet:
-    """Solution set of A x = b: one particular point plus the kernel of A."""
-
-    point: Vector
-    kernel: LinearSubspace
-
-
-def solve_affine(a: Sequence[Sequence[QQ]], b: Sequence[QQ]) -> Optional[AffineSolutionSet]:
-    """Solve A x = b exactly; None iff the system is inconsistent."""
-    m = len(a)
-    if len(b) != m:
-        raise InputError(f"matrix has {m} rows but right-hand side has {len(b)}")
-    ncols = len(a[0]) if m else 0
-    aug = []
-    for row, t in zip(a, b):
-        if len(row) != ncols:
-            raise InputError("ragged matrix")
-        aug.append(_int_row(list(row) + [t]))
-    rref_rows, pivots = _rref_int(aug, pivot_limit=ncols)
-    for row in rref_rows:
-        if row[ncols] and not any(row[:ncols]):
-            return None
-    point = [QQ(0)] * ncols
-    for row, c in zip(rref_rows, pivots):
-        point[c] = QQ(row[ncols], row[c])
-    coeff_rows = [list(row[:ncols]) for row in rref_rows]
-    kernel = _subspace_from_int_rows(_int_kernel(coeff_rows, ncols), ncols)
-    return AffineSolutionSet(tuple(point), kernel)
-
-
-def solve_unique(a: Sequence[Sequence[QQ]], b: Sequence[QQ]) -> Vector:
-    sol = solve_affine(a, b)
-    if sol is None or not sol.kernel.is_zero:
-        raise PreconditionError("system has no unique solution")
-    return sol.point
-
-
 def mat_inverse(m: Matrix) -> Matrix:
     n = len(m)
     if any(len(r) != n for r in m):
@@ -549,16 +492,5 @@ def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -
 
 
 def vector_to_wire(v: Vector) -> list[str]:
-    return [format_scalar(x) for x in v]
-
-
-def vector_from_wire(data: Sequence[Scalarish]) -> Vector:
-    return vector(data)
-
-
-def matrix_to_wire(m: Matrix) -> list[list[str]]:
-    return [vector_to_wire(r) for r in m]
-
-
-def matrix_from_wire(data: Sequence[Sequence[Scalarish]]) -> Matrix:
-    return matrix(data)
+    """Wire format: "p/q" strings, with "/q" omitted when the denominator is 1."""
+    return [str(x) for x in v]

@@ -28,7 +28,6 @@ from .flats import (
     _meet_parts,
     contains,
     is_subflat,
-    meet,
 )
 from .linalg import (
     QQ,
@@ -40,7 +39,6 @@ from .linalg import (
     _mat_mul_int,
     _rref_int,
     _subspace_from_int_rows,
-    bilinear_eval,
     full_subspace,
     identity_matrix,
     mat_inverse,
@@ -58,17 +56,6 @@ DEFAULT_RETRIES = 64
 
 # ---------------------------------------------------------------------------
 # the orthogonality relations
-
-
-def perp_points(
-    space: QuadraticSpace,
-    a: Sequence[QQ],
-    b: Sequence[QQ],
-    c: Sequence[QQ],
-    d: Sequence[QQ],
-) -> bool:
-    """Point-pair orthogonality: xi(b-a, d-c) = 0; degenerate pairs pass."""
-    return bilinear_eval(space, vec_sub(vector(b), vector(a)), vec_sub(vector(d), vector(c))) == 0
 
 
 def _perp_dirs(space: QuadraticSpace, d1: LinearSubspace, d2: LinearSubspace) -> bool:
@@ -195,13 +182,6 @@ def perp_m(x1: AffineSubspace, x2: AffineSubspace, params: TypedPerpParams) -> b
         return False
     # m < k1, k2 already rules out inclusions
     return _complement_perp(x1, x2, parts[1])
-
-
-def orthoadjacent(x1: AffineSubspace, x2: AffineSubspace, k: int) -> bool:
-    """The (k-1, k, k) instance of the typed relation."""
-    if k < 1:
-        raise InputError("k must be at least 1")
-    return perp_m(x1, x2, TypedPerpParams(k - 1, k, k))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +331,6 @@ def rand_subspace_of(
     k: int,
     rng: random.Random,
     retries: int = DEFAULT_RETRIES,
-    coeff_bound: int = 3,
 ) -> LinearSubspace:
     """A random k-dimensional subspace of w (small integer combinations)."""
     if not 0 <= k <= w.rank:
@@ -364,7 +343,7 @@ def rand_subspace_of(
         return w
     for _ in range(retries):
         coeffs = [
-            [rng.randint(-coeff_bound, coeff_bound) for _ in range(w.rank)]
+            [rng.randint(-3, 3) for _ in range(w.rank)]
             for _ in range(k)
         ]
         cand = _subspace_from_int_rows(_mat_mul_int(coeffs, w.int_rows), w.ambient_dim)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from typing import Callable, Optional, Sequence
 
@@ -88,6 +88,7 @@ class TrialContext:
 
 
 TrialFn = Callable[[TrialContext], Optional[dict]]
+Relation = Callable[[AffineSubspace, AffineSubspace], bool]
 
 
 def _wire(value):
@@ -159,13 +160,17 @@ def _p_sym(ctx: TrialContext) -> Optional[dict]:
     return None
 
 
-def _p_meet_nonempty(ctx: TrialContext) -> Optional[dict]:
+def _meet_nonempty_check(ctx: TrialContext, rel: Relation, name: str) -> Optional[dict]:
     a, b = _mixed_pair(ctx)
     if ctx.rng.random() < 0.3:
         b = translate_through(b, gen_point(ctx.cfg, ctx.rng))
-    if perp_g(a, b) and meet(a, b) is None:
-        return _ce("perp_g held for a disjoint pair", a=a, b=b)
+    if rel(a, b) and meet(a, b) is None:
+        return _ce(f"{name} held for a disjoint pair", a=a, b=b)
     return None
+
+
+def _p_meet_nonempty(ctx: TrialContext) -> Optional[dict]:
+    return _meet_nonempty_check(ctx, perp_g, "perp_g")
 
 
 def _p_par(ctx: TrialContext) -> Optional[dict]:
@@ -186,12 +191,6 @@ def _p_noinc(ctx: TrialContext) -> Optional[dict]:
     if perp_g(a, b) or perp_g(b, a):
         return _ce("perp_g held for nested flats", a=a, b=b)
     return None
-
-
-def _complement_clauses(
-    b: AffineSubspace, cand: AffineSubspace, a: AffineSubspace, c: AffineSubspace
-) -> bool:
-    return meet(b, cand) == a and perp_g(b, cand) and join(b, cand) == c
 
 
 def _chain(ctx: TrialContext):
@@ -215,10 +214,9 @@ def _sampled_alternative(
     return AffineSubspace.make(ctx.space, a.point, direction)
 
 
-def _uniq_check(ctx: TrialContext, use_go: bool) -> Optional[dict]:
+def _uniq_check(ctx: TrialContext, rel: Relation) -> Optional[dict]:
     a, b, c = _chain(ctx)
     bp = unique_complement(a, b, c)
-    rel = perp_go if use_go else perp_g
 
     def clauses(cand: AffineSubspace) -> bool:
         return meet(b, cand) == a and rel(b, cand) and join(b, cand) == c
@@ -237,7 +235,7 @@ def _uniq_check(ctx: TrialContext, use_go: bool) -> Optional[dict]:
 
 
 def _p_uniq(ctx: TrialContext) -> Optional[dict]:
-    return _uniq_check(ctx, use_go=False)
+    return _uniq_check(ctx, perp_g)
 
 
 def _p_pointmeet(ctx: TrialContext) -> Optional[dict]:
@@ -347,24 +345,40 @@ def _p_sqcup(ctx: TrialContext) -> Optional[dict]:
     return None
 
 
-def _p_cosik2(ctx: TrialContext) -> Optional[dict]:
-    params = rand_params(ctx.rng, ctx.space.dim)
-    a, b = _pair_from_params(ctx, params)
+def _restriction_check(
+    ctx: TrialContext, a: AffineSubspace, b: AffineSubspace,
+    rel: Relation, name: str, margin: int,
+) -> Optional[dict]:
+    """a rel b survives shrinking b to a flat c with a ∩ b ⊆ c ⊆ b; margin 1
+    keeps c off the meet, for a relation that fails on nested flats."""
     mm = meet(a, b)
-    c = flat_between(ctx.cfg, mm, b, ctx.rng.randint(mm.dim + 1, b.dim), ctx.rng)
-    if perp_g(a, b) and not perp_g(a, c):
-        return _ce("restriction above the meet lost perp_g", a=a, b=b, c=c)
+    c = flat_between(ctx.cfg, mm, b, ctx.rng.randint(mm.dim + margin, b.dim), ctx.rng)
+    if rel(a, b) and not rel(a, c):
+        return _ce(f"restriction above the meet lost {name}", a=a, b=b, c=c)
     return None
+
+
+def _piece_join_check(
+    ctx: TrialContext, a: AffineSubspace, b: AffineSubspace,
+    rel: Relation, name: str, margin: int,
+) -> Optional[dict]:
+    """a rel b survives joining b with a flat c with a ∩ b ⊆ c ⊆ a; margin 1
+    keeps c off a, for a relation that fails on nested flats."""
+    mm = meet(a, b)
+    c = flat_between(ctx.cfg, mm, a, ctx.rng.randint(mm.dim, a.dim - margin), ctx.rng)
+    if rel(a, b) and not rel(a, join(b, c)):
+        return _ce(f"join with a piece of a lost {name}", a=a, b=b, c=c)
+    return None
+
+
+def _p_cosik2(ctx: TrialContext) -> Optional[dict]:
+    a, b = _pair_from_params(ctx, rand_params(ctx.rng, ctx.space.dim))
+    return _restriction_check(ctx, a, b, perp_g, "perp_g", margin=1)
 
 
 def _p_cosik(ctx: TrialContext) -> Optional[dict]:
-    params = rand_params(ctx.rng, ctx.space.dim)
-    a, b = _pair_from_params(ctx, params)
-    mm = meet(a, b)
-    c = flat_between(ctx.cfg, mm, a, ctx.rng.randint(mm.dim, a.dim - 1), ctx.rng)
-    if perp_g(a, b) and not perp_g(a, join(b, c)):
-        return _ce("join with a piece of a lost perp_g", a=a, b=b, c=c)
-    return None
+    a, b = _pair_from_params(ctx, rand_params(ctx.rng, ctx.space.dim))
+    return _piece_join_check(ctx, a, b, perp_g, "perp_g", margin=1)
 
 
 def _p_meetprop(ctx: TrialContext) -> Optional[dict]:
@@ -394,12 +408,7 @@ def _p_axo_a(ctx: TrialContext) -> Optional[dict]:
 
 
 def _p_axo_b(ctx: TrialContext) -> Optional[dict]:
-    a, b = _mixed_pair(ctx)
-    if ctx.rng.random() < 0.3:
-        b = translate_through(b, gen_point(ctx.cfg, ctx.rng))
-    if perp_go(a, b) and meet(a, b) is None:
-        return _ce("perp_go held for a disjoint pair", a=a, b=b)
-    return None
+    return _meet_nonempty_check(ctx, perp_go, "perp_go")
 
 
 def _go_pair(ctx: TrialContext):
@@ -418,7 +427,7 @@ def _p_axo_c(ctx: TrialContext) -> Optional[dict]:
 
 
 def _p_axo_d(ctx: TrialContext) -> Optional[dict]:
-    return _uniq_check(ctx, use_go=True)
+    return _uniq_check(ctx, perp_go)
 
 
 def _p_axo_e(ctx: TrialContext) -> Optional[dict]:
@@ -443,20 +452,12 @@ def _p_axo_e(ctx: TrialContext) -> Optional[dict]:
 
 def _p_axo_f(ctx: TrialContext) -> Optional[dict]:
     a, b = _go_pair(ctx)
-    mm = meet(a, b)
-    c = flat_between(ctx.cfg, mm, b, ctx.rng.randint(mm.dim, b.dim), ctx.rng)
-    if perp_go(a, b) and not perp_go(a, c):
-        return _ce("restriction above the meet lost perp_go", a=a, b=b, c=c)
-    return None
+    return _restriction_check(ctx, a, b, perp_go, "perp_go", margin=0)
 
 
 def _p_axo_g(ctx: TrialContext) -> Optional[dict]:
     a, b = _go_pair(ctx)
-    mm = meet(a, b)
-    c = flat_between(ctx.cfg, mm, a, ctx.rng.randint(mm.dim, a.dim), ctx.rng)
-    if perp_go(a, b) and not perp_go(a, join(b, c)):
-        return _ce("join with a piece of a lost perp_go", a=a, b=b, c=c)
-    return None
+    return _piece_join_check(ctx, a, b, perp_go, "perp_go", margin=0)
 
 
 def _p_axo_h(ctx: TrialContext) -> Optional[dict]:
@@ -813,5 +814,5 @@ def run_suite(
     reports = []
     for pid in sorted(set(property_ids)):
         for form in forms:
-            reports.append(run_property(pid, cfg.with_form(form), trials, jobs))
+            reports.append(run_property(pid, replace(cfg, form=form), trials, jobs))
     return reports

@@ -36,7 +36,6 @@ from .flats import (
     translate_through,
 )
 from .linalg import (
-    QuadraticSpace,
     Vector,
     _subspace_from_int_rows,
     bilinear_eval,
@@ -156,7 +155,6 @@ def decide_perp0(
     oracle: PerpOracle,
     mode: ReconstructionMode,
     rng: Optional[random.Random] = None,
-    retries: int = DEFAULT_RETRIES,
 ) -> bool:
     """Decide point-meet orthogonality of (y1, x2) through the typed oracle.
 
@@ -176,7 +174,7 @@ def decide_perp0(
     sample_rng = rng if rng is not None else random.Random(mode.seed)
     for _ in range(mode.samples):
         candidate = None
-        for _ in range(retries):
+        for _ in range(DEFAULT_RETRIES):
             t_dir = rand_subspace_of(x2.direction, params.m, sample_rng)
             t = AffineSubspace.make(y1.space, q, t_dir)
             x1 = join(y1, t)

@@ -89,6 +89,20 @@ def test_check_form_file(capsys, tmp_path):
     assert payload["reports"][0]["form"] == "custom"
 
 
+def test_check_form_file_of_other_dim_exits_two(capsys, tmp_path):
+    form_file = tmp_path / "form.json"
+    form_file.write_text('[["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]')
+    report_file = tmp_path / "report.json"
+    code, _, err = run_cli(
+        capsys,
+        "check", "--dim", "5", "--trials", "4", "--props", "P-SYM",
+        "--form", str(form_file), "--json", str(report_file),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "3 x 3" in err
+    assert not report_file.exists()
+
+
 def test_check_json_report_schema(capsys, tmp_path):
     report_file = tmp_path / "report.json"
     code, _, _ = run_cli(
@@ -312,6 +326,26 @@ def test_reconstruct_unsatisfiable_exits_two(capsys):
         "--m", "1", "--k1", "2", "--k2", "2",
     )
     assert code == 2 and "unsatisfiable" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["witness", "--dim", "3", "--m", "0", "--k1", "1", "--k2", "1",
+          "--count", "-1"], "--count"),
+        (["check", "--dim", "2", "--trials", "8", "--props", "P-SYM",
+          "--form", "identity", "--jobs", "0"], "--jobs"),
+        (["reconstruct", "--dim", "2", "--m", "0", "--k1", "1", "--k2", "1",
+          "--pairs", "-1"], "--pairs"),
+        (["reconstruct", "--dim", "2", "--m", "0", "--k1", "1", "--k2", "1",
+          "--pairs", "0"], "--pairs"),
+    ],
+)
+def test_nonpositive_counts_exit_two(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and flag in err
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,16 @@ from orthokernel.linalg import (
     QuadraticSpace,
     bilinear_eval,
     determinant,
-    format_scalar,
     full_subspace,
     is_positive_definite,
     is_symmetric,
     mat_inverse,
     mat_mul,
-    matrix_from_wire,
-    matrix_to_wire,
     rref_basis,
     scalar,
-    solve_affine,
-    solve_unique,
     subspace_intersect,
     subspace_sum,
-    vector_from_wire,
+    vector,
     vector_to_wire,
     xi_complement,
     zero_subspace,
@@ -54,19 +49,10 @@ def test_scalar_parses_wire_strings():
     assert scalar(QQ(1, 2)) == QQ(1, 2)
 
 
-def test_format_scalar_omits_unit_denominator():
-    assert format_scalar(QQ(-3, 7)) == "-3/7"
-    assert format_scalar(QQ(8, 2)) == "4"
-
-
 def test_vector_wire_round_trip():
-    v = qv("1/2", -3, 0)
-    assert vector_from_wire(vector_to_wire(v)) == v
-
-
-def test_matrix_wire_round_trip():
-    m = ((QQ(2), QQ(1)), (QQ(1), QQ(2)))
-    assert matrix_from_wire(matrix_to_wire(m)) == m
+    v = qv("1/2", -3, 0, "8/2")
+    assert vector_to_wire(v) == ["1/2", "-3", "0", "4"]
+    assert vector(vector_to_wire(v)) == v
 
 
 def test_scalar_rejects_garbage():
@@ -119,51 +105,6 @@ def test_grassmann_dimension_formula(us, vs):
     total = subspace_sum(a, b)
     common = subspace_intersect(a, b)
     assert total.rank + common.rank == a.rank + b.rank
-
-
-# ---------------------------------------------------------------------------
-# solve_affine
-
-
-def test_solve_identity_system():
-    sol = solve_affine(((QQ(1), QQ(0)), (QQ(0), QQ(1))), qv(3, 4))
-    assert sol.point == qv(3, 4) and sol.kernel.rank == 0
-
-
-def test_solve_underdetermined_system():
-    sol = solve_affine(((QQ(1), QQ(1)),), qv(1))
-    assert sol.point == qv(1, 0)
-    assert sol.kernel.basis == (qv(1, -1),)
-
-
-def test_solve_inconsistent_system():
-    assert solve_affine(((QQ(1), QQ(0)), (QQ(1), QQ(0))), qv(0, 1)) is None
-
-
-def test_solve_rejects_shape_mismatch():
-    with pytest.raises(InputError):
-        solve_affine(((QQ(1), QQ(0)),), qv(1, 2))
-
-
-def test_solve_unique_requires_zero_kernel():
-    with pytest.raises(PreconditionError):
-        solve_unique(((QQ(1), QQ(1)),), qv(1))
-
-
-@given(
-    st.lists(vec_strategy(3), min_size=1, max_size=3),
-    vec_strategy(3),
-)
-def test_solve_round_trip(rows, x):
-    b = tuple(sum(r[j] * x[j] for j in range(3)) for r in rows)
-    sol = solve_affine(rows, b)
-    assert sol is not None
-    assert all(
-        sum(r[j] * sol.point[j] for j in range(3)) == bi for r, bi in zip(rows, b)
-    )
-    # the full solution set is point + kernel, so x must reduce into it
-    diff = tuple(xi - pi for xi, pi in zip(x, sol.point))
-    assert sol.kernel.contains_vector(diff)
 
 
 # ---------------------------------------------------------------------------

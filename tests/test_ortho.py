@@ -35,12 +35,10 @@ from orthokernel.ortho import (
     isometry_compose,
     isometry_equal,
     make_perp_pair,
-    orthoadjacent,
     orthocomplement_in,
     perp_g,
     perp_go,
     perp_m,
-    perp_points,
     perp_subspaces,
     perp_x,
     rand_point,
@@ -66,19 +64,7 @@ def plane(space, point, d1, d2):
 
 
 # ---------------------------------------------------------------------------
-# point and subspace orthogonality
-
-
-def test_perp_points_degenerate_pair(q2):
-    assert perp_points(q2, qv(0, 0), qv(0, 0), qv(1, 2), qv(3, 4))
-
-
-def test_perp_points_perpendicular_axes(q2):
-    assert perp_points(q2, qv(0, 0), qv(1, 0), qv(0, 0), qv(0, 1))
-
-
-def test_perp_points_oblique(q2):
-    assert not perp_points(q2, qv(0, 0), qv(1, 0), qv(0, 0), qv(1, 1))
+# subspace orthogonality
 
 
 def test_perp_subspaces_axes(q3):
@@ -210,24 +196,6 @@ def test_perp_m_axes(q3):
     x_axis = line(q3, (0, 0, 0), (1, 0, 0))
     y_axis = line(q3, (0, 0, 0), (0, 1, 0))
     assert perp_m(x_axis, y_axis, TypedPerpParams(0, 1, 1))
-
-
-def test_orthoadjacent_planes(q3):
-    xy = plane(q3, (0, 0, 0), (1, 0, 0), (0, 1, 0))
-    xz = plane(q3, (0, 0, 0), (1, 0, 0), (0, 0, 1))
-    assert orthoadjacent(xy, xz, 2)
-    shifted = plane(q3, (0, 0, 1), (1, 0, 0), (0, 1, 0))
-    assert not orthoadjacent(xy, shifted, 2)
-    assert orthoadjacent(
-        line(q3, (0, 0, 0), (1, 0, 0)), line(q3, (0, 0, 0), (0, 1, 0)), 1
-    )
-
-
-def test_orthoadjacent_rejects_nonpositive_k(q3):
-    with pytest.raises(InputError):
-        orthoadjacent(
-            line(q3, (0, 0, 0), (1, 0, 0)), line(q3, (0, 0, 0), (0, 1, 0)), 0
-        )
 
 
 def test_typed_params_validation():

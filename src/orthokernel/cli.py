@@ -73,7 +73,7 @@ def _parse_forms(value: str) -> list:
             rows = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read form matrix from {value}: {exc}") from exc
-        if not isinstance(rows, list):
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise InputError("form file must hold a matrix (list of rows)")
         return [tuple(tuple(str(x) for x in row) for row in rows)]
     raise InputError(

@@ -719,6 +719,7 @@ class PropertyReport:
 
 
 def _run_slice(property_id: str, cfg: GenConfig, start: int, stop: int):
+    t0 = time.perf_counter()
     fn = REGISTRY[property_id]
     space = space_of(cfg)
     counters: Counter = Counter()
@@ -731,7 +732,7 @@ def _run_slice(property_id: str, cfg: GenConfig, start: int, stop: int):
             violations += 1
             if first is None:
                 first = {"trial": t, **result}
-    return violations, first, counters
+    return violations, first, counters, time.perf_counter() - t0
 
 
 def _run_slice_star(args):
@@ -748,45 +749,27 @@ def _notes_for(property_id: str, counters: Counter) -> Optional[str]:
     return None
 
 
-def run_property(
-    property_id: str, cfg: GenConfig, trials: int, jobs: int = 1
-) -> PropertyReport:
-    """Run one property for `trials` seeded instances and summarize.
-
-    Worker count never changes the outcome: per-trial seeds are derived
-    from the trial index and slices aggregate in index order.
-    """
-    if property_id not in REGISTRY:
-        raise InputError(f"unknown property id: {property_id!r}")
-    if trials < 1:
-        raise InputError("trials must be positive")
-    if cfg.dim < 2:
-        raise InputError("property trials need ambient dimension at least 2")
-    start_time = time.perf_counter()
-    if jobs <= 1 or trials < 4 * jobs:
-        violations, first, counters = _run_slice(property_id, cfg, 0, trials)
-    else:
-        bounds = [trials * i // jobs for i in range(jobs + 1)]
-        tasks = [
-            (property_id, cfg, bounds[i], bounds[i + 1]) for i in range(jobs)
-        ]
-        with get_context("fork").Pool(jobs) as pool:
-            parts = pool.map(_run_slice_star, tasks)
-        violations = sum(p[0] for p in parts)
-        first = next((p[1] for p in parts if p[1] is not None), None)
-        counters = Counter()
-        for p in parts:
-            counters.update(p[2])
-    elapsed_ms = int((time.perf_counter() - start_time) * 1000)
+def _fold(property_id: str, cfg: GenConfig, trials: int, parts) -> PropertyReport:
+    """One report row from its slices, taken in trial-index order."""
+    counters: Counter = Counter()
+    for part in parts:
+        counters.update(part[2])
     return PropertyReport(
         property_id=property_id,
         form=form_label(cfg.form),
         trials=trials,
-        violations=violations,
-        first_counterexample=first,
-        elapsed_ms=elapsed_ms,
+        violations=sum(part[0] for part in parts),
+        first_counterexample=next((p[1] for p in parts if p[1] is not None), None),
+        elapsed_ms=int(sum(part[3] for part in parts) * 1000),
         notes=_notes_for(property_id, counters),
     )
+
+
+def run_property(
+    property_id: str, cfg: GenConfig, trials: int, jobs: int = 1
+) -> PropertyReport:
+    """Run one property for `trials` seeded instances and summarize."""
+    return run_suite(cfg, [property_id], trials, [cfg.form], jobs)[0]
 
 
 def default_forms() -> tuple:
@@ -804,15 +787,42 @@ def run_suite(
     """Run a battery of properties over a battery of forms.
 
     Report order is fixed: property ids sorted lexicographically, forms in
-    the given order inside each id.
+    the given order inside each id.  With ``jobs > 1`` and at least four
+    trials per worker, every row is cut into ``jobs`` slices and all slices
+    of all rows go to one fork pool, opened by this call so that workers
+    see ``REGISTRY`` as it stands now.  Worker count never changes a
+    report: per-trial seeds are derived from the trial index and slices
+    fold in index order.
     """
     unknown = [p for p in property_ids if p not in REGISTRY]
     if unknown:
         raise InputError(f"unknown property ids: {', '.join(unknown)}")
+    if trials < 1:
+        raise InputError("trials must be positive")
+    if cfg.dim < 2:
+        raise InputError("property trials need ambient dimension at least 2")
     if forms is None:
         forms = default_forms()
-    reports = []
-    for pid in sorted(set(property_ids)):
-        for form in forms:
-            reports.append(run_property(pid, replace(cfg, form=form), trials, jobs))
-    return reports
+    rows = [
+        (pid, replace(cfg, form=form))
+        for pid in sorted(set(property_ids))
+        for form in forms
+    ]
+    for _, row_cfg in rows:
+        space_of(row_cfg)  # reject a bad form before any trial runs
+    if not rows or jobs <= 1 or trials < 4 * jobs:
+        parts = [[_run_slice(pid, row_cfg, 0, trials)] for pid, row_cfg in rows]
+    else:
+        bounds = [trials * i // jobs for i in range(jobs + 1)]
+        tasks = [
+            (pid, row_cfg, bounds[i], bounds[i + 1])
+            for pid, row_cfg in rows
+            for i in range(jobs)
+        ]
+        with get_context("fork").Pool(jobs) as pool:
+            flat = pool.map(_run_slice_star, tasks)
+        parts = [flat[r * jobs : (r + 1) * jobs] for r in range(len(rows))]
+    return [
+        _fold(pid, row_cfg, trials, row_parts)
+        for (pid, row_cfg), row_parts in zip(rows, parts)
+    ]

@@ -103,6 +103,19 @@ def test_check_form_file_of_other_dim_exits_two(capsys, tmp_path):
     assert not report_file.exists()
 
 
+@pytest.mark.parametrize("rows", ["[1, 2]", "[[1, 2], 3]"])
+def test_check_form_file_rows_not_lists_exits_two(capsys, tmp_path, rows):
+    form_file = tmp_path / "form.json"
+    form_file.write_text(rows)
+    code, _, err = run_cli(
+        capsys,
+        "check", "--dim", "2", "--trials", "4", "--props", "P-SYM",
+        "--form", str(form_file),
+    )
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_check_json_report_schema(capsys, tmp_path):
     report_file = tmp_path / "report.json"
     code, _, _ = run_cli(
@@ -138,6 +151,27 @@ def test_check_reports_byte_identical(capsys, tmp_path):
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("form", ["all", "custom"])
+def test_check_report_bytes_do_not_depend_on_jobs(capsys, tmp_path, form):
+    if form == "custom":
+        form = tmp_path / "form.json"
+        form.write_text(
+            '[["3/2", "1/3", "0"], ["1/3", "2", "1/2"], ["0", "1/2", "5/4"]]'
+        )
+    paths = []
+    # 13 trials: 2 and 3 jobs make unequal slices, 4 jobs run in process
+    for jobs in (1, 2, 3, 4):
+        path = tmp_path / f"jobs{jobs}.json"
+        code, _, _ = run_cli(
+            capsys,
+            "check", "--dim", "3", "--trials", "13", "--props", "all",
+            "--form", str(form), "--jobs", str(jobs), "--json", str(path),
+        )
+        assert code == 0
+        paths.append(path)
+    assert all(p.read_bytes() == paths[0].read_bytes() for p in paths[1:])
 
 
 def test_check_pinned_params_flow_into_config(capsys, tmp_path):

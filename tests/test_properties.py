@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
 import orthokernel.properties as props
 from orthokernel.errors import InputError
-from orthokernel.generators import GenConfig
+from orthokernel.generators import GenConfig, trial_rng
 from orthokernel.properties import (
     ALL_PROPERTY_IDS,
     CORE_PROPERTY_IDS,
@@ -171,3 +172,71 @@ def test_run_suite_custom_form_label():
     assert len(reports) == 1
     assert reports[0].form == "custom"
     assert reports[0].violations == 0
+
+
+# ---------------------------------------------------------------------------
+# one pool per suite
+
+
+def counting_get_context(monkeypatch):
+    calls = []
+    real = props.get_context
+
+    def counted(method):
+        calls.append(method)
+        return real(method)
+
+    monkeypatch.setattr(props, "get_context", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "jobs, trials, pools", [(2, 16, 1), (1, 16, 0), (2, 7, 0), (3, 11, 0)]
+)
+def test_run_suite_forks_at_most_one_pool(monkeypatch, jobs, trials, pools):
+    calls = counting_get_context(monkeypatch)
+    reports = run_suite(
+        small_cfg(), ["P-SYM", "P-PAR", "P-NOINC"], trials=trials, jobs=jobs
+    )
+    assert len(reports) == 9
+    assert all(r.trials == trials and r.violations == 0 for r in reports)
+    assert calls == ["fork"] * pools
+
+
+def test_violation_survives_the_scatter(monkeypatch):
+    cfg = small_cfg()
+    bad = {trial_rng(cfg.seed, "P-SYM", t).getstate(): t for t in (5, 13)}
+    honest = REGISTRY["P-SYM"]
+
+    def flaky(ctx):
+        t = bad.get(ctx.rng.getstate())
+        if t is not None:
+            return {"reason": f"planted failure at trial {t}"}
+        return honest(ctx)
+
+    monkeypatch.setitem(REGISTRY, "P-SYM", flaky)
+    calls = counting_get_context(monkeypatch)
+    args = (cfg, ["P-SYM", "P-REFL"], 16, ["identity", "diag"])
+    pooled = run_suite(*args, jobs=2)
+    assert calls == ["fork"]
+    serial = run_suite(*args, jobs=1)
+    assert [r.to_json_dict() for r in pooled] == [r.to_json_dict() for r in serial]
+    refl = [r for r in pooled if r.property_id == "P-REFL"]
+    assert all(r.notes is not None for r in refl)
+    for r in pooled:
+        if r.property_id == "P-SYM":
+            assert r.violations == 2
+            assert r.first_counterexample == {
+                "trial": 5, "reason": "planted failure at trial 5"
+            }
+
+
+def test_elapsed_ms_sums_the_slices(monkeypatch):
+    def slow(ctx):
+        time.sleep(0.01)
+        return None
+
+    monkeypatch.setitem(REGISTRY, "P-SYM", slow)
+    (report,) = run_suite(small_cfg(), ["P-SYM"], 16, ["identity"], jobs=2)
+    # two workers share the 16 trials; their loop times add up
+    assert report.elapsed_ms >= 160

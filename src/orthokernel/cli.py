@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,19 +28,11 @@ from .ortho import TypedPerpParams, make_perp_pair
 from .properties import (
     ALL_PROPERTY_IDS,
     CORE_PROPERTY_IDS,
-    PropertyReport,
     default_forms,
     run_suite,
 )
 from .counterexamples import emit_counterexamples
-from .reconstruct import (
-    ReconstructionMode,
-    ground_truth_oracle,
-    lemma1_witness,
-    lemma2_witness,
-    line_perp_ground_truth,
-    reconstruct_line_perp,
-)
+from .reconstruct import judge_line_pair, lemma1_witness, lemma2_witness
 
 
 def _resolve_seed(value: Optional[int]) -> int:
@@ -81,12 +74,6 @@ def _parse_forms(value: str) -> list:
     )
 
 
-def _form_config_entry(form) -> object:
-    if isinstance(form, str):
-        return form
-    return [list(row) for row in form]
-
-
 def _parse_params(args: argparse.Namespace, required: bool) -> Optional[TypedPerpParams]:
     given = [v is not None for v in (args.m, args.k1, args.k2)]
     if not any(given):
@@ -101,14 +88,6 @@ def _parse_params(args: argparse.Namespace, required: bool) -> Optional[TypedPer
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     Path(path).write_text(text)
-
-
-def _report_payload(config: dict, reports: Sequence[PropertyReport]) -> dict:
-    return {
-        "schema": 1,
-        "config": config,
-        "reports": [r.to_json_dict() for r in reports],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +127,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "dim": cfg.dim,
             "trials": args.trials,
             "seed": seed,
-            "forms": [_form_config_entry(f) for f in forms],
+            "forms": [f if isinstance(f, str) else [list(r) for r in f] for f in forms],
             "props": sorted(set(props)),
             "numerator_bound": cfg.numerator_bound,
             "denominator_bound": cfg.denominator_bound,
@@ -156,8 +135,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "sample_count": cfg.sample_count,
         }
         if params is not None:
-            config["perp_params"] = {"m": params.m, "k1": params.k1, "k2": params.k2}
-        _write_json(args.json, _report_payload(config, reports))
+            config["perp_params"] = asdict(params)
+        reports_json = [r.to_json_dict() for r in reports]
+        _write_json(args.json, {"schema": 1, "config": config, "reports": reports_json})
     return 1 if total else 0
 
 
@@ -173,7 +153,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     payload: dict = {
         "schema": 1,
         "dim": args.dim,
-        "params": {"m": params.m, "k1": params.k1, "k2": params.k2},
+        "params": asdict(params),
         "seed": seed,
     }
     items = []
@@ -183,28 +163,19 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             x1, x2 = make_perp_pair(
                 space, params, rng, cfg.numerator_bound, cfg.denominator_bound
             )
-            items.append({"x1": x1.to_wire(), "x2": x2.to_wire()})
+            flats = {"x1": x1, "x2": x2}
         elif args.lemma == 1:
             y1, x2 = gen_pair_with_meet_dim(
                 cfg, params.k1 - params.m, params.k2, 0, rng
             )
-            x1 = lemma1_witness(y1, x2, params.m)
-            items.append(
-                {"y1": y1.to_wire(), "x2": x2.to_wire(), "x1": x1.to_wire()}
-            )
+            flats = {"y1": y1, "x2": x2, "x1": lemma1_witness(y1, x2, params.m)}
         else:
             if params.k2 < 2:
                 raise InputError("the line-wrapping witness needs k2 >= 2")
             l1, l2 = gen_line_pair(cfg, rng, orthogonal=True)
             x1, x2 = lemma2_witness(l1, l2, params.k1 - params.m, params.k2)
-            items.append(
-                {
-                    "l1": l1.to_wire(),
-                    "l2": l2.to_wire(),
-                    "x1": x1.to_wire(),
-                    "x2": x2.to_wire(),
-                }
-            )
+            flats = {"l1": l1, "l2": l2, "x1": x1, "x2": x2}
+        items.append({name: flat.to_wire() for name, flat in flats.items()})
     payload["witnesses"] = items
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
@@ -215,15 +186,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         raise InputError("--pairs must be at least 1")
     seed = _resolve_seed(args.seed)
     params = _parse_params(args, required=True)
-    if not params.satisfiable_in(args.dim):
-        raise InputError(
-            f"(m,k1,k2)=({params.m},{params.k1},{params.k2}) is unsatisfiable"
-            f" in dimension {args.dim}"
-        )
     cfg = GenConfig(
         dim=args.dim, seed=seed, perp_params=params, sample_count=args.samples
     )
-    oracle = ground_truth_oracle(params)
     run_sampled = args.mode in ("sampled", "both")
     run_witness = args.mode in ("witness", "both")
     label = f"reconstruct:{params.m}:{params.k1}:{params.k2}"
@@ -232,39 +197,15 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     for i in range(args.pairs):
         rng = trial_rng(seed, label, i)
         l1, l2 = gen_line_pair(cfg, rng, orthogonal=(i % 2 == 0))
-        truth = line_perp_ground_truth(l1, l2)
-        got_w = None
-        if run_witness:
-            got_w = reconstruct_line_perp(
-                l1, l2, params, oracle, ReconstructionMode.witness()
-            )
-            if got_w == truth:
-                agree += 1
-        if run_sampled:
-            got_s = reconstruct_line_perp(
-                l1,
-                l2,
-                params,
-                oracle,
-                ReconstructionMode.sampled(args.samples),
-                rng,
-            )
-            reference = got_w if got_w is not None else truth
-            if reference and not got_s:
-                contradictions += 1
-    ok = True
+        v = judge_line_pair(l1, l2, params, args.mode, args.samples, rng)
+        agree += v.witness_agrees
+        contradictions += v.sampled_contradicts
+    head = f"(m,k1,k2)=({params.m},{params.k1},{params.k2}) dim={args.dim}:"
     if run_witness:
-        print(
-            f"(m,k1,k2)=({params.m},{params.k1},{params.k2}) dim={args.dim}:"
-            f" witness agreement {agree}/{args.pairs}"
-        )
-        ok = ok and agree == args.pairs
+        print(f"{head} witness agreement {agree}/{args.pairs}")
     if run_sampled:
-        print(
-            f"(m,k1,k2)=({params.m},{params.k1},{params.k2}) dim={args.dim}:"
-            f" sampled contradictions {contradictions}"
-        )
-        ok = ok and contradictions == 0
+        print(f"{head} sampled contradictions {contradictions}")
+    ok = (agree == args.pairs or not run_witness) and contradictions == 0
     if args.json:
         payload = {
             "schema": 1,
@@ -274,7 +215,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
                 "seed": seed,
                 "mode": args.mode,
                 "samples": args.samples,
-                "perp_params": {"m": params.m, "k1": params.k1, "k2": params.k2},
+                "perp_params": asdict(params),
             },
             "witness_agreements": agree if run_witness else None,
             "sampled_contradictions": contradictions if run_sampled else None,
@@ -284,10 +225,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
-    instances = emit_counterexamples()
-    payload = {"schema": 1, "instances": instances}
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
+    payload = {"schema": 1, "instances": emit_counterexamples()}
+    print(json.dumps(payload, sort_keys=True, indent=2))
     if args.json:
         _write_json(args.json, payload)
     return 0

@@ -14,77 +14,64 @@ from .flats import AffineSubspace, is_subflat, meet
 from .linalg import QQ, QuadraticSpace, rref_basis
 from .ortho import perp_g
 
-
-def _flat(space: QuadraticSpace, rows: list[list[int]]) -> AffineSubspace:
-    origin = (QQ(0),) * space.dim
-    basis = [[QQ(x) for x in row] for row in rows]
-    return AffineSubspace.make(space, origin, rref_basis(basis, space.dim))
-
-
-def _require(label: str, name: str, got: bool, want: bool) -> bool:
-    if got != want:
-        raise InternalError(f"{label}: check {name} evaluated to {got}")
-    return got
+# (label, direction rows of A, B, C through the origin, named checks with
+# the value each must take); checks look perp_g up when they run
+_INSTANCES = (
+    # growing the partner: A perp_g B but not A perp_g C, though B sits
+    # inside C with one extra dimension
+    (
+        "grow-partner-breaks-perp",
+        {"A": [[0, 1, 0]], "B": [[1, 0, 0]], "C": [[1, 0, 0], [0, 1, 1]]},
+        (
+            ("perp_g(A,B)", lambda f: perp_g(f["A"], f["B"]), True),
+            ("B strictly inside C",
+             lambda f: is_subflat(f["B"], f["C"]) and f["C"].dim == f["B"].dim + 1,
+             True),
+            ("perp_g(A,C)", lambda f: perp_g(f["A"], f["C"]), False),
+        ),
+    ),
+    # shrinking the partner: A perp_g B but not A perp_g C, though C sits
+    # inside B one dimension down and still meets A
+    (
+        "shrink-partner-breaks-perp",
+        {"A": [[1, 0, 0], [0, 1, 0]], "B": [[1, 0, 0], [0, 0, 1]], "C": [[1, 0, 1]]},
+        (
+            ("perp_g(A,B)", lambda f: perp_g(f["A"], f["B"]), True),
+            ("C strictly inside B",
+             lambda f: is_subflat(f["C"], f["B"]) and f["C"].dim == f["B"].dim - 1,
+             True),
+            ("A meets C", lambda f: meet(f["A"], f["C"]) is not None, True),
+            ("perp_g(A,C)", lambda f: perp_g(f["A"], f["C"]), False),
+        ),
+    ),
+)
 
 
 def emit_counterexamples() -> list[dict]:
     """Build, verify, and serialize both instances."""
     space = QuadraticSpace.euclidean(3)
+    origin = (QQ(0),) * space.dim
     instances = []
-
-    # growing the partner: A perp_g B but not A perp_g C, though B sits
-    # inside C with one extra dimension
-    a1 = _flat(space, [[0, 1, 0]])
-    b1 = _flat(space, [[1, 0, 0]])
-    c1 = _flat(space, [[1, 0, 0], [0, 1, 1]])
-    checks1 = {
-        "perp_g(A,B)": _require("grow", "perp_g(A,B)", perp_g(a1, b1), True),
-        "B strictly inside C": _require(
-            "grow",
-            "B strictly inside C",
-            is_subflat(b1, c1) and c1.dim == b1.dim + 1,
-            True,
-        ),
-        "perp_g(A,C)": _require("grow", "perp_g(A,C)", perp_g(a1, c1), False),
-    }
-    instances.append(
-        {
-            "label": "grow-partner-breaks-perp",
-            "dim": 3,
-            "form": "identity",
-            "flats": {"A": a1.to_wire(), "B": b1.to_wire(), "C": c1.to_wire()},
-            "checks": checks1,
+    for label, rows, checks in _INSTANCES:
+        flats = {
+            name: AffineSubspace.make(
+                space, origin, rref_basis([[QQ(x) for x in r] for r in dirs], space.dim)
+            )
+            for name, dirs in rows.items()
         }
-    )
-
-    # shrinking the partner: A perp_g B but not A perp_g C, though C sits
-    # inside B one dimension down and still meets A
-    a2 = _flat(space, [[1, 0, 0], [0, 1, 0]])
-    b2 = _flat(space, [[1, 0, 0], [0, 0, 1]])
-    c2 = _flat(space, [[1, 0, 1]])
-    checks2 = {
-        "perp_g(A,B)": _require("shrink", "perp_g(A,B)", perp_g(a2, b2), True),
-        "C strictly inside B": _require(
-            "shrink",
-            "C strictly inside B",
-            is_subflat(c2, b2) and c2.dim == b2.dim - 1,
-            True,
-        ),
-        "A meets C": _require("shrink", "A meets C", meet(a2, c2) is not None, True),
-        "perp_g(A,C)": _require("shrink", "perp_g(A,C)", perp_g(a2, c2), False),
-    }
-    instances.append(
-        {
-            "label": "shrink-partner-breaks-perp",
-            "dim": 3,
-            "form": "identity",
-            "flats": {"A": a2.to_wire(), "B": b2.to_wire(), "C": c2.to_wire()},
-            "checks": checks2,
-        }
-    )
-
-    for inst in instances:
-        for name, wire in inst["flats"].items():
+        for name, check, want in checks:
+            got = check(flats)
+            if got != want:
+                raise InternalError(f"{label}: check {name} evaluated to {got}")
+        wires = {name: flat.to_wire() for name, flat in flats.items()}
+        for name, wire in wires.items():
             if AffineSubspace.from_wire(space, wire).to_wire() != wire:
-                raise InternalError(f"{inst['label']}: {name} does not round-trip")
+                raise InternalError(f"{label}: {name} does not round-trip")
+        instances.append({
+            "label": label,
+            "dim": 3,
+            "form": "identity",
+            "flats": wires,
+            "checks": {name: want for name, _, want in checks},
+        })
     return instances

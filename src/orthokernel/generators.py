@@ -70,6 +70,12 @@ class GenConfig:
                 )
         elif not isinstance(self.form, tuple):
             raise InputError("form must be a name or a matrix of rational strings")
+        params = self.perp_params
+        if params is not None and not params.satisfiable_in(self.dim):
+            raise InputError(
+                f"(m,k1,k2)=({params.m},{params.k1},{params.k2}) is unsatisfiable"
+                f" in dimension {self.dim}"
+            )
 
 
 def form_label(form: FormSpec) -> str:

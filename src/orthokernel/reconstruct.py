@@ -323,3 +323,48 @@ def reconstruct_line_perp(
     except PreconditionError:
         return False
     return decide_perp0(x1, x2, oracle, mode, rng)
+
+
+@dataclass(frozen=True)
+class LinePairVerdicts:
+    """Ground truth and the reconstructed verdicts of one line pair; a mode
+    that was not run leaves its verdict None."""
+
+    truth: bool
+    witness: Optional[bool]
+    sampled: Optional[bool]
+
+    @property
+    def witness_agrees(self) -> bool:
+        return self.witness == self.truth
+
+    @property
+    def sampled_contradicts(self) -> bool:
+        """Sampled mode said false where witness mode (else the truth) said
+        true; sampled falses are sound, so this is always an error."""
+        reference = self.truth if self.witness is None else self.witness
+        return reference and self.sampled is False
+
+
+def judge_line_pair(
+    l1: AffineSubspace,
+    l2: AffineSubspace,
+    params: TypedPerpParams,
+    mode: str,
+    samples: int,
+    rng: random.Random,
+) -> LinePairVerdicts:
+    """Decide a line pair against the ground-truth oracle of type params in
+    mode "witness", "sampled" (K = samples candidates drawn from rng) or
+    "both"; the truth is always computed."""
+    oracle = ground_truth_oracle(params)
+    witness = sampled = None
+    if mode != "sampled":
+        witness = reconstruct_line_perp(
+            l1, l2, params, oracle, ReconstructionMode.witness()
+        )
+    if mode != "witness":
+        sampled = reconstruct_line_perp(
+            l1, l2, params, oracle, ReconstructionMode.sampled(samples), rng
+        )
+    return LinePairVerdicts(line_perp_ground_truth(l1, l2), witness, sampled)

@@ -57,6 +57,28 @@ def test_check_unknown_property_exits_two(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("props", [",", ""])
+def test_check_empty_property_selection_exits_two(capsys, props):
+    code, out, err = run_cli(
+        capsys, "check", "--dim", "3", "--trials", "2", "--props", props
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("props", ["P-SYM", "P-LEM1-BWD"])
+def test_check_unsatisfiable_pinned_params_exit_two(capsys, props):
+    code, out, err = run_cli(
+        capsys,
+        "check", "--dim", "3", "--trials", "2", "--props", props,
+        "--m", "0", "--k1", "1", "--k2", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "unsatisfiable in dimension 3" in err
+
+
 def test_check_unknown_form_exits_two(capsys):
     code, _, err = run_cli(
         capsys, "check", "--dim", "3", "--trials", "2", "--form", "lorentz"

@@ -27,7 +27,7 @@ from orthokernel.generators import (
     tridiagonal_form,
 )
 from orthokernel.linalg import QQ, QuadraticSpace, bilinear_eval
-from orthokernel.ortho import perp_g
+from orthokernel.ortho import TypedPerpParams, perp_g
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +52,7 @@ def test_config_defaults_round_trip():
         {"dim": 3, "seed": 2**64},
         {"dim": 3, "form": "hyperbolic"},
         {"dim": 3, "form": [["1", "0"], ["0", "1"]]},
+        {"dim": 3, "perp_params": TypedPerpParams(0, 1, 3)},
     ],
 )
 def test_config_rejects_bad_values(kwargs):

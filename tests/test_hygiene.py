@@ -1,11 +1,16 @@
-"""Source hygiene: no dead imports in the package, no dangling exports."""
+"""Source hygiene: no dead imports in the package, no dangling exports, and
+every binding the benchmark's tracer patches still exists."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import orthokernel
+from orthokernel import properties
 
 PACKAGE_DIR = Path(orthokernel.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -38,3 +43,38 @@ def test_unused_import_is_detected():
 def test_every_export_resolves():
     missing = [name for name in orthokernel.__all__ if not hasattr(orthokernel, name)]
     assert missing == []
+
+
+def _bench_targets():
+    """TARGETS of the benchmark's tracer, loaded from its file."""
+    path = PACKAGE_DIR.parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.TARGETS
+
+
+def test_benchmark_trace_targets_resolve():
+    missing = []
+    for target in _bench_targets():
+        home = importlib.import_module(f"orthokernel.{target.module}")
+        owner, _, attr = target.attr.rpartition(".")
+        if owner:
+            # the tracer swaps the method in the class's own namespace
+            cls = getattr(home, owner, None)
+            ok = cls is not None and attr in vars(cls)
+        else:
+            ok = callable(getattr(home, attr, None))
+        if not ok:
+            missing.append(f"{target.module}.{target.attr}")
+    assert missing == []
+
+
+def test_registry_is_a_dict_of_every_property():
+    assert type(properties.REGISTRY) is dict
+    assert list(properties.REGISTRY) == list(properties.ALL_PROPERTY_IDS)
+    assert len(properties.ALL_PROPERTY_IDS) == len(set(properties.ALL_PROPERTY_IDS)) == 29

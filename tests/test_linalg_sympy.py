@@ -1,0 +1,111 @@
+"""The exact linear algebra checked against sympy as an independent oracle.
+
+Seeded rational matrices up to 8 x 8, dense and sparse, full rank and
+rank-deficient, some with entries near 10^12: rank, RREF, kernel span,
+determinant and inverse must agree with sympy exactly.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from orthokernel.errors import PreconditionError
+from orthokernel.linalg import (
+    _int_kernel,
+    _int_row,
+    determinant,
+    mat_inverse,
+    rref_basis,
+)
+
+sympy = pytest.importorskip("sympy")
+
+
+def _entry(rng: random.Random, big: bool) -> Fraction:
+    num = rng.randint(-9, 9)
+    if big:
+        num += rng.choice((-1, 1)) * 10**12
+    return Fraction(num, rng.randint(1, 7))
+
+
+def _matrix(rng: random.Random, rows: int, cols: int, rank: int, big: bool):
+    """rows x cols of rank at most `rank`: a product of random factors."""
+    left = [[_entry(rng, big) for _ in range(rank)] for _ in range(rows)]
+    right = [[_entry(rng, False) for _ in range(cols)] for _ in range(rank)]
+    return [
+        [sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0))
+         for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def _sparse(rng: random.Random, n: int, big: bool):
+    """Mostly zeros, so elimination has to look past zero pivots."""
+    return [
+        [_entry(rng, big) if rng.random() < 0.35 else Fraction(0) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def _cases():
+    rng = random.Random(20260815)
+    for n in range(1, 9):
+        for big in (False, True):
+            yield _matrix(rng, n, n, n, big)
+            yield _matrix(rng, n, n, rng.randint(0, n - 1), big)
+            cols = rng.randint(1, 8)
+            yield _matrix(rng, n, cols, rng.randint(0, min(n, cols)), big)
+            yield _sparse(rng, n, big)
+            yield _sparse(rng, n, big)
+
+
+CASES = list(_cases())
+
+
+def _to_sympy(rows):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    )
+
+
+def _from_sympy(m):
+    return [
+        tuple(Fraction(int(m[i, j].p), int(m[i, j].q)) for j in range(m.cols))
+        for i in range(m.rows)
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_rank_rref_and_kernel_match_sympy(index):
+    rows = CASES[index]
+    cols = len(rows[0])
+    ref = _to_sympy(rows)
+    ref_rref, ref_pivots = ref.rref()
+    ours = rref_basis(rows, cols)
+    assert ours.rank == ref.rank() == len(ref_pivots)
+    assert ours.pivots == tuple(ref_pivots)
+    assert list(ours.basis) == _from_sympy(ref_rref[: len(ref_pivots), :])
+
+    kernel = _int_kernel([_int_row(row) for row in rows], cols)
+    ref_kernel = ref.nullspace()
+    assert len(kernel) == len(ref_kernel) == cols - ours.rank
+    if kernel:
+        ours_k = sympy.Matrix(kernel)
+        assert (ref * ours_k.T).is_zero_matrix
+        # same span: stacking both bases adds no rank
+        stacked = sympy.Matrix.vstack(ours_k, *[v.T for v in ref_kernel])
+        assert stacked.rank() == ours_k.rank() == len(kernel)
+
+
+@pytest.mark.parametrize("index", [i for i, c in enumerate(CASES) if len(c) == len(c[0])])
+def test_determinant_and_inverse_match_sympy(index):
+    rows = CASES[index]
+    ref = _to_sympy(rows)
+    ref_det = ref.det()
+    assert determinant(rows) == Fraction(int(ref_det.p), int(ref_det.q))
+    if ref_det == 0:
+        with pytest.raises(PreconditionError):
+            mat_inverse(tuple(tuple(r) for r in rows))
+    else:
+        assert list(mat_inverse(tuple(tuple(r) for r in rows))) == _from_sympy(ref.inv())

@@ -14,11 +14,13 @@ from orthokernel.generators import GenConfig, gen_line_pair
 from orthokernel.linalg import QQ, bilinear_eval, rref_basis, vec_sub
 from orthokernel.ortho import TypedPerpParams, perp_m, perp_x
 from orthokernel.reconstruct import (
+    LinePairVerdicts,
     PerpOracle,
     ReconstructionMode,
     common_perpendicular_feet,
     decide_perp0,
     ground_truth_oracle,
+    judge_line_pair,
     lemma1_witness,
     lemma2_witness,
     line_perp_ground_truth,
@@ -380,6 +382,47 @@ def test_reconstruct_agrees_with_direct_check(rng):
         assert w == truth
         # sampled answers: false is sound, so a true instance never samples false
         assert not (truth and not s)
+
+
+@pytest.mark.parametrize("mode", ["witness", "sampled", "both"])
+def test_judge_line_pair_runs_the_modes_asked_for(mode):
+    cfg = GenConfig(dim=4, seed=0)
+    params = TypedPerpParams(m=1, k1=2, k2=2)
+    oracle = ground_truth_oracle(params)
+    for i in range(12):
+        l1, l2 = gen_line_pair(cfg, random.Random(i), orthogonal=(i % 2 == 0))
+        got = judge_line_pair(l1, l2, params, mode, 5, random.Random(100 + i))
+        rng = random.Random(100 + i)
+        want_w = want_s = None
+        if mode != "sampled":
+            want_w = reconstruct_line_perp(
+                l1, l2, params, oracle, ReconstructionMode.witness()
+            )
+        if mode != "witness":
+            want_s = reconstruct_line_perp(
+                l1, l2, params, oracle, ReconstructionMode.sampled(5), rng
+            )
+        assert got == LinePairVerdicts(line_perp_ground_truth(l1, l2), want_w, want_s)
+
+
+@pytest.mark.parametrize(
+    "verdicts, agrees, contradicts",
+    [
+        (LinePairVerdicts(True, True, True), True, False),
+        (LinePairVerdicts(True, True, False), True, True),
+        # witness mode, when it ran, is the reference for sampled mode
+        (LinePairVerdicts(False, True, False), False, True),
+        (LinePairVerdicts(True, False, False), False, False),
+        # sampled mode alone is judged against the truth
+        (LinePairVerdicts(True, None, False), False, True),
+        (LinePairVerdicts(False, None, False), False, False),
+        # a mode that did not run contradicts nothing
+        (LinePairVerdicts(True, True, None), True, False),
+    ],
+)
+def test_line_pair_verdict_comparisons(verdicts, agrees, contradicts):
+    assert verdicts.witness_agrees is agrees
+    assert verdicts.sampled_contradicts is contradicts
 
 
 def test_reconstruct_input_validation(q3):

@@ -12,16 +12,14 @@ import json
 import random
 import sys
 
+from orthokernel.errors import InputError
 from orthokernel.generators import GenConfig, gen_line_pair
 from orthokernel.linalg import vector_to_wire
 from orthokernel.ortho import TypedPerpParams
 from orthokernel.reconstruct import (
-    ReconstructionMode,
     common_perpendicular_feet,
-    ground_truth_oracle,
+    judge_line_pair,
     lemma2_witness,
-    line_perp_ground_truth,
-    reconstruct_line_perp,
 )
 
 
@@ -42,18 +40,18 @@ def main():
     )
     args = p.parse_args()
 
-    params = TypedPerpParams(args.m, args.k1, args.k2)
-    if not params.satisfiable_in(args.dim):
-        print(
-            f"error: (m,k1,k2)=({params.m},{params.k1},{params.k2}) needs"
-            f" ambient dimension at least {params.k1 + params.k2 - params.m}",
-            file=sys.stderr,
-        )
+    try:
+        params = TypedPerpParams(args.m, args.k1, args.k2)
+        cfg = GenConfig(dim=args.dim, seed=args.seed, perp_params=params)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg = GenConfig(dim=args.dim, seed=args.seed, perp_params=params)
     rng = random.Random(args.seed)
     l1, l2 = gen_line_pair(cfg, rng, orthogonal=not args.oblique)
-    truth = line_perp_ground_truth(l1, l2)
+    # witness mode draws nothing and sampled mode runs last, so the
+    # verdicts can be taken before anything is printed
+    verdicts = judge_line_pair(l1, l2, params, "both", args.samples, rng)
+    truth = verdicts.truth
 
     print(
         f"ambient dimension {args.dim},"
@@ -77,17 +75,11 @@ def main():
             show("x1", x1)
             show("x2", x2)
 
-    oracle = ground_truth_oracle(params)
-    w = reconstruct_line_perp(
-        l1, l2, params, oracle, ReconstructionMode.witness()
-    )
-    s = reconstruct_line_perp(
-        l1, l2, params, oracle, ReconstructionMode.sampled(args.samples), rng
-    )
-    print(f"witness mode verdict: {w}")
-    print(f"sampled mode verdict (K={args.samples}): {s}")
-    print("agreement with direct check:", "ok" if w == truth else "MISMATCH")
-    return 0 if w == truth else 1
+    ok = verdicts.witness_agrees
+    print(f"witness mode verdict: {verdicts.witness}")
+    print(f"sampled mode verdict (K={args.samples}): {verdicts.sampled}")
+    print("agreement with direct check:", "ok" if ok else "MISMATCH")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

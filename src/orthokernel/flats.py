@@ -2,9 +2,11 @@
 
 A flat is held canonically: its direction is a canonical RREF subspace and
 its base point is the unique member whose coordinates vanish at every pivot
-column of the direction.  Equality of flats is therefore plain structural
-equality.  The empty set is not a flat; ``meet`` returns None for disjoint
-arguments.
+column of the direction.  The base point is stored only as integers over
+their least positive common denominator; the rational ``point`` is built on
+demand, for the API and the wire format.  Equality and hashing of flats are
+therefore plain structural comparisons of integers.  The empty set is not a
+flat; ``meet`` returns None for disjoint arguments.
 """
 
 from __future__ import annotations
@@ -39,16 +41,19 @@ from .linalg import (
 class AffineSubspace:
     """A nonempty affine flat: base point plus direction subspace.
 
-    Construct via :meth:`make` (or the module helpers), which canonicalize;
-    the raw constructor expects already-canonical parts.
+    ``int_point`` is the canonical base point as (numerators, denominator),
+    the denominator the least positive one that makes every coordinate an
+    integer; ``point`` is the same point as a tuple of rationals, built on
+    first use.  Construct via :meth:`make` (or the module helpers), which
+    canonicalize; the raw constructor expects already-canonical parts.
     """
 
     space: QuadraticSpace
-    point: Vector
+    int_point: tuple[tuple[int, ...], int]
     direction: LinearSubspace
 
     def __post_init__(self) -> None:
-        if len(self.point) != self.space.dim:
+        if len(self.int_point[0]) != self.space.dim:
             raise InputError("point length differs from ambient dimension")
         if self.direction.ambient_dim != self.space.dim:
             raise InputError("direction ambient dimension mismatch")
@@ -71,7 +76,8 @@ class AffineSubspace:
     ) -> "AffineSubspace":
         """The flat through ``nums / den``, its point moved to the unique one
         with zeros at the direction's pivots; the elimination stays in
-        integers and the point becomes rational only at the end."""
+        integers, and the point is stored over its least denominator
+        (``den`` must be positive)."""
         for row, c in zip(direction.int_rows, direction.pivots):
             f = nums[c]
             if f:
@@ -84,10 +90,7 @@ class AffineSubspace:
         if g > 1:
             nums = [x // g for x in nums]
             den //= g
-        flat = cls(space, tuple(QQ(x, den) for x in nums), direction)
-        # the integers are at hand: fill the int_point cache with them
-        flat.__dict__["int_point"] = (nums, den)
-        return flat
+        return cls(space, (tuple(nums), den), direction)
 
     @classmethod
     def from_point(cls, space: QuadraticSpace, point: Sequence[QQ]) -> "AffineSubspace":
@@ -111,10 +114,10 @@ class AffineSubspace:
         return cls.make(space, (QQ(0),) * space.dim, full_subspace(space.dim))
 
     @cached_property
-    def int_point(self) -> tuple[list[int], int]:
-        """The base point as integer numerators over their least positive
-        common denominator."""
-        return _int_vector(self.point)
+    def point(self) -> Vector:
+        """The base point as rationals."""
+        nums, den = self.int_point
+        return tuple(QQ(x, den) for x in nums)
 
     @cached_property
     def form_rows(self) -> list[list[int]]:
@@ -194,7 +197,23 @@ def _meet_parts(
     numerators over one denominator, a multiple of p1's, so that
     p1 + D1^T a is a common point, and a kernel basis of E D1^T: their combinations of D1 span the
     intersection of the directions, and there are as many as its dimension.
+
+    The result is memoised in x1's instance dict under id(x2), next to x2
+    itself, so the entry lives and dies with x1 and a reused id can never
+    match; callers must not mutate it.
     """
+    memo = x1.__dict__.setdefault("_meets", {})
+    hit = memo.get(id(x2))
+    if hit is not None and hit[0] is x2:
+        return hit[1]
+    parts = _solve_meet(x1, x2)
+    memo[id(x2)] = (x2, parts)
+    return parts
+
+
+def _solve_meet(
+    x1: AffineSubspace, x2: AffineSubspace
+) -> Optional[tuple[tuple[list[int], int], list[list[int]]]]:
     r1 = x1.direction.int_rows
     k1 = len(r1)
     delta, e = _point_difference(x1, x2)
@@ -220,11 +239,12 @@ def meet(x1: AffineSubspace, x2: AffineSubspace) -> Optional[AffineSubspace]:
     parts = _meet_parts(x1, x2)
     if parts is None:
         return None
-    (coeffs_a, den), meet_coeffs = parts
     r1 = x1.direction.int_rows
-    direction = _subspace_from_int_rows(_mat_mul_int(meet_coeffs, r1), x1.ambient_dim)
     if not r1:
-        return AffineSubspace(x1.space, x1.point, direction)
+        # a point flat that meets x2 is the meet
+        return x1
+    (coeffs_a, den), meet_coeffs = parts
+    direction = _subspace_from_int_rows(_mat_mul_int(meet_coeffs, r1), x1.ambient_dim)
     # p1 + D1^T a as one integer combination over den
     u1, e1 = x1.int_point
     comb = _mat_mul_int([coeffs_a], r1)[0]

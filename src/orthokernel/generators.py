@@ -204,7 +204,7 @@ def super_flat(
         ext = [_rand_int_vector(n, rng, 3) for _ in range(k - flat.dim)]
         direction = _subspace_from_int_rows(flat.direction.int_rows + tuple(ext), n)
         if direction.rank == k:
-            return AffineSubspace.make(flat.space, flat.point, direction)
+            return AffineSubspace._canonical(flat.space, *flat.int_point, direction)
     raise GenerationError(f"no rank-{k} extension after {cfg.retries} draws")
 
 
@@ -222,7 +222,7 @@ def flat_between(
         extra = rand_subspace_of(outer.direction, k - inner.dim, rng)
         direction = subspace_sum(inner.direction, extra)
         if direction.rank == k:
-            return AffineSubspace.make(inner.space, inner.point, direction)
+            return AffineSubspace._canonical(inner.space, *inner.int_point, direction)
     raise GenerationError(f"no rank-{k} intermediate flat after {cfg.retries} draws")
 
 

@@ -1,12 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Scalars are `fractions.Fraction` (aliased ``QQ``); every predicate downstream
-is an exact algebraic condition, so nothing here ever rounds.  Row reduction
-runs fraction-free over machine/bignum integers: each row is scaled by the
-lcm of its denominators and kept primitive (gcd 1) during elimination, and
-pivot-1 rational rows are materialized only at the API boundary.  Subspaces
-are stored in reduced row-echelon form, which makes equality of subspaces
-plain structural equality.
+Scalars at the API are `fractions.Fraction` (aliased ``QQ``); every
+predicate downstream is an exact algebraic condition, so nothing here ever
+rounds.  Row reduction runs fraction-free over machine/bignum integers:
+each row is scaled by the lcm of its denominators and kept primitive
+(gcd 1) during elimination.  Subspaces are stored in reduced row-echelon
+form as primitive integer rows, which makes equality of subspaces plain
+structural equality, and the form is used as ``QuadraticSpace.int_form``.
+
+Rationals appear only at the boundary: parsing scalars, vectors and forms
+(``scalar``, ``vector``, ``matrix``, ``QuadraticSpace``), the pivot-1 rows
+of ``LinearSubspace.basis``, the rational results of ``determinant``,
+``mat_inverse`` and ``bilinear_eval``, and the wire format.  Above this
+module the same holds: a flat's ``point`` and the feet returned by
+``reconstruct.common_perpendicular_feet`` are built from integers on
+demand.
 """
 
 from __future__ import annotations

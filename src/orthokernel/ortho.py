@@ -346,7 +346,9 @@ def rand_subspace_of(
             [rng.randint(-3, 3) for _ in range(w.rank)]
             for _ in range(k)
         ]
-        cand = _subspace_from_int_rows(_mat_mul_int(coeffs, w.int_rows), w.ambient_dim)
+        # the whole space's rows are the identity: the product is coeffs
+        rows = coeffs if w.rank == w.ambient_dim else _mat_mul_int(coeffs, w.int_rows)
+        cand = _subspace_from_int_rows(rows, w.ambient_dim)
         if cand.rank == k:
             return cand
     raise GenerationError(f"no independent {k}-subspace after {retries} draws")

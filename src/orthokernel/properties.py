@@ -556,8 +556,6 @@ def _p_lem1_bwd(ctx: TrialContext) -> Optional[dict]:
 def _p_lem2(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
     rng = ctx.rng
-    if n < 3:
-        return None
     k1 = rng.randint(1, n - 2)
     k2 = rng.randint(2, n - k1)
     l1, l2 = gen_line_pair(ctx.cfg, rng, orthogonal=rng.random() < 0.5)
@@ -765,6 +763,9 @@ def run_suite(
         raise InputError("trials must be positive")
     if cfg.dim < 2:
         raise InputError("property trials need ambient dimension at least 2")
+    if cfg.dim < 3 and "P-LEM2" in property_ids:
+        # its wrapping pairs need k1 >= 1, k2 >= 2 and k1 + k2 <= dim
+        raise InputError("P-LEM2 needs ambient dimension at least 3")
     if forms is None:
         forms = default_forms()
     rows = [

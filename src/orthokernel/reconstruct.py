@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import mul
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     GenerationError,
@@ -30,31 +31,30 @@ from .errors import (
 from .flats import (
     AffineSubspace,
     _check_same_space,
+    _point_difference,
     join,
     meet,
     parallel,
-    translate_through,
 )
 from .linalg import (
+    QQ,
     Vector,
     _subspace_from_int_rows,
-    bilinear_eval,
     full_subspace,
-    rref_basis,
     subspace_sum,
-    vec_add,
-    vec_scale,
-    vec_sub,
     xi_complement,
 )
 from .ortho import (
     DEFAULT_RETRIES,
     TypedPerpParams,
-    orthocomplement_in,
     perp_m,
     perp_x,
     rand_subspace_of,
 )
+
+
+# a rational point as integer numerators over a positive denominator
+IntPoint = tuple[Sequence[int], int]
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,13 @@ class ReconstructionMode:
         return cls("sampled", samples, seed)
 
 
-def _single_point_meet(y1: AffineSubspace, x2: AffineSubspace) -> Vector:
+def _single_point_meet(y1: AffineSubspace, x2: AffineSubspace) -> IntPoint:
+    """The common point of y1 and x2, which must meet in a single point,
+    as integer numerators over their least common denominator."""
     m = meet(y1, x2)
     if m is None or m.dim != 0:
         raise PreconditionError("flats must intersect in a single point")
-    return m.point
+    return m.int_point
 
 
 def _leading_subspace(rows_source, count: int):
@@ -130,8 +132,12 @@ def lemma1_witness(
     q = _single_point_meet(y1, x2)
     if m == 0:
         return y1
+    space = y1.space
     v = join(y1, x2)
-    w = orthocomplement_in(y1, v, q)
+    # y1 lies in v and q on y1: the orthocomplement of y1 in v through q
+    w = AffineSubspace._canonical(
+        space, *q, xi_complement(space, y1.direction, v.direction)
+    )
     wx2 = meet(w, x2)
     if wx2 is None or wx2.dim < m:
         raise InternalError("orthocomplement misses x2 at the required dimension")
@@ -139,7 +145,7 @@ def lemma1_witness(
         t_dir = _leading_subspace(wx2.direction, m)
     else:
         t_dir = rand_subspace_of(wx2.direction, m, rng)
-    t = AffineSubspace.make(y1.space, q, t_dir)
+    t = AffineSubspace._canonical(space, *q, t_dir)
     x1 = join(t, y1)
     if x1.dim != y1.dim + m:
         raise InternalError("extension has the wrong dimension")
@@ -176,7 +182,7 @@ def decide_perp0(
         candidate = None
         for _ in range(DEFAULT_RETRIES):
             t_dir = rand_subspace_of(x2.direction, params.m, sample_rng)
-            t = AffineSubspace.make(y1.space, q, t_dir)
+            t = AffineSubspace._canonical(y1.space, *q, t_dir)
             x1 = join(y1, t)
             if x1.dim == params.k1:
                 candidate = x1
@@ -188,6 +194,32 @@ def decide_perp0(
     return True
 
 
+def _int_feet(l1: AffineSubspace, l2: AffineSubspace) -> tuple[IntPoint, IntPoint]:
+    """The common perpendicular feet of two orthogonal lines as integer
+    numerators over a positive denominator each.
+
+    With the scaled form F, direction rows d1, d2 and p2 - p1 = delta / e,
+    the 2x2 system is diagonal: q = p1 + (delta F d1) / (e d1 F d1) d1 and
+    p = p2 - (delta F d2) / (e d2 F d2) d2, every factor an integer.
+    """
+    _check_same_space(l1, l2)
+    if l1.dim != 1 or l2.dim != 1:
+        raise PreconditionError("both arguments must be lines")
+    (d1,), (f1,) = l1.direction.int_rows, l1.form_rows
+    (d2,), (f2,) = l2.direction.int_rows, l2.form_rows
+    if sum(map(mul, f1, d2)):
+        raise PreconditionError("lines are not orthogonal")
+    delta, e = _point_difference(l1, l2)
+    (u1, e1), (u2, e2) = l1.int_point, l2.int_point
+    # F is positive definite, so g1, g2 > 0 and so are the denominators
+    g1, g2 = sum(map(mul, f1, d1)), sum(map(mul, f2, d2))
+    a1, a2 = sum(map(mul, f1, delta)), sum(map(mul, f2, delta))
+    s1, s2 = e // e1 * g1, e // e2 * g2
+    q = [x * s1 + a1 * y for x, y in zip(u1, d1)]
+    p = [x * s2 - a2 * y for x, y in zip(u2, d2)]
+    return (q, e * g1), (p, e * g2)
+
+
 def common_perpendicular_feet(
     l1: AffineSubspace, l2: AffineSubspace
 ) -> tuple[Vector, Vector]:
@@ -195,21 +227,13 @@ def common_perpendicular_feet(
 
     Requires orthogonal lines; the 2x2 system is then diagonal with
     anisotropic (hence nonzero) entries.  Intersecting lines give q = p.
+    The system is solved in integers (scaled form, direction rows and the
+    point difference over a common denominator); only the returned feet
+    are rationals.
     """
-    _check_same_space(l1, l2)
-    if l1.dim != 1 or l2.dim != 1:
-        raise PreconditionError("both arguments must be lines")
-    space = l1.space
-    d1 = l1.direction.basis[0]
-    d2 = l2.direction.basis[0]
-    if bilinear_eval(space, d1, d2) != 0:
-        raise PreconditionError("lines are not orthogonal")
-    delta = vec_sub(l2.point, l1.point)
-    s = bilinear_eval(space, delta, d1) / bilinear_eval(space, d1, d1)
-    t = -bilinear_eval(space, delta, d2) / bilinear_eval(space, d2, d2)
-    q = vec_add(l1.point, vec_scale(s, d1))
-    p = vec_add(l2.point, vec_scale(t, d2))
-    return q, p
+    return tuple(
+        tuple(QQ(x, den) for x in nums) for nums, den in _int_feet(l1, l2)
+    )
 
 
 def lemma2_witness(
@@ -235,14 +259,15 @@ def lemma2_witness(
     n = space.dim
     if k1 + k2 > n:
         raise GenerationError(f"k1 + k2 = {k1 + k2} exceeds dimension {n}")
-    q, p2 = common_perpendicular_feet(l1, l2)
-    w = vec_sub(p2, q)
-    d1 = l1.direction.basis[0]
-    d2 = l2.direction.basis[0]
+    (qn, qd), (pn, pd) = _int_feet(l1, l2)
+    # p2 - q scaled by qd pd > 0
+    w = [b * qd - a * pd for a, b in zip(qn, pn)]
+    d1 = l1.direction.int_rows[0]
+    d2 = l2.direction.int_rows[0]
 
     full = full_subspace(n)
-    core2 = rref_basis([d2, w], n)
-    span_all = rref_basis([d1, d2, w], n)
+    core2 = _subspace_from_int_rows([d2, w], n)
+    span_all = _subspace_from_int_rows([d1, d2, w], n)
     comp2 = xi_complement(space, span_all, full)
     pad2 = k2 - core2.rank
     if rng is None:
@@ -250,7 +275,7 @@ def lemma2_witness(
     else:
         extra2 = rand_subspace_of(comp2, pad2, rng)
     dir2 = subspace_sum(core2, extra2)
-    x2 = AffineSubspace.make(space, p2, dir2)
+    x2 = AffineSubspace._canonical(space, pn, pd, dir2)
 
     comp1 = xi_complement(space, dir2, full)
     rest1 = xi_complement(space, l1.direction, comp1)
@@ -259,7 +284,7 @@ def lemma2_witness(
     else:
         extra1 = rand_subspace_of(rest1, k1 - 1, rng)
     dir1 = subspace_sum(l1.direction, extra1)
-    x1 = AffineSubspace.make(space, q, dir1)
+    x1 = AffineSubspace._canonical(space, qn, qd, dir1)
 
     if x1.dim != k1 or x2.dim != k2 or not perp_x(x1, x2):
         raise InternalError("wrapping pair failed its own construction")
@@ -271,9 +296,7 @@ def line_perp_ground_truth(l1: AffineSubspace, l2: AffineSubspace) -> bool:
     _check_same_space(l1, l2)
     if l1.dim != 1 or l2.dim != 1:
         raise PreconditionError("both arguments must be lines")
-    return (
-        bilinear_eval(l1.space, l1.direction.basis[0], l2.direction.basis[0]) == 0
-    )
+    return not sum(map(mul, l1.form_rows[0], l2.direction.int_rows[0]))
 
 
 def reconstruct_line_perp(
@@ -307,16 +330,17 @@ def reconstruct_line_perp(
         oracle = PerpOracle(swapped, lambda a, b: inner.query(b, a))
         params = swapped
     # verdicts are translation-invariant; normalize to a base point at zero
-    shift = l1.point
-    l1w = AffineSubspace.make(space, vec_sub(l1.point, shift), l1.direction)
-    l2w = AffineSubspace.make(space, vec_sub(l2.point, shift), l2.direction)
+    # (the origin has zeros at every pivot, so it is already canonical)
+    origin = ((0,) * space.dim, 1)
+    l1w = AffineSubspace(space, origin, l1.direction)
+    l2w = AffineSubspace._canonical(space, *_point_difference(l1, l2), l2.direction)
     k1p = params.k1 - params.m
     if params.k2 == 1:
         # lines against lines leave no room for a wrapping pair: move l2
         # through l1's base point and ask about the crossing directly
         if parallel(l1w, l2w):
             return False
-        l2t = translate_through(l2w, l1w.point)
+        l2t = AffineSubspace(space, origin, l2.direction)
         return decide_perp0(l1w, l2t, oracle, mode, rng)
     try:
         x1, x2 = lemma2_witness(l1w, l2w, k1p, params.k2)

@@ -79,6 +79,30 @@ def test_check_unsatisfiable_pinned_params_exit_two(capsys, props):
     assert err.startswith("error:") and "unsatisfiable in dimension 3" in err
 
 
+@pytest.mark.parametrize("props", ["P-LEM2", "P-SYM,P-LEM2", "all"])
+def test_check_lem2_below_dimension_three_exits_two(capsys, monkeypatch, props):
+    # P-LEM2 can draw nothing in the plane; its row would pass vacuously
+    ran = []
+    monkeypatch.setattr(
+        "orthokernel.properties._run_slice", lambda *a: ran.append(a)
+    )
+    code, out, err = run_cli(
+        capsys, "check", "--dim", "2", "--trials", "200", "--props", props
+    )
+    assert code == 2
+    assert out == "" and ran == []
+    assert err.startswith("error:") and "P-LEM2" in err
+
+
+def test_check_lem2_runs_from_dimension_three(capsys):
+    code, out, _ = run_cli(
+        capsys, "check", "--dim", "3", "--trials", "3", "--props", "P-LEM2",
+        "--form", "identity",
+    )
+    assert code == 0
+    assert "P-LEM2" in out and "total violations: 0" in out
+
+
 def test_check_unknown_form_exits_two(capsys):
     code, _, err = run_cli(
         capsys, "check", "--dim", "3", "--trials", "2", "--form", "lorentz"

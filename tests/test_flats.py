@@ -1,11 +1,13 @@
 """Affine flats: canonical form, membership, and the meet/join lattice."""
 
+import math
 from fractions import Fraction as QQ
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthokernel.flats as flats_module
 from orthokernel.errors import InputError
 from orthokernel.flats import (
     AffineSubspace,
@@ -16,7 +18,14 @@ from orthokernel.flats import (
     parallel,
     translate_through,
 )
-from orthokernel.linalg import QuadraticSpace, rref_basis, subspace_intersect
+from orthokernel.linalg import (
+    QuadraticSpace,
+    rref_basis,
+    subspace_intersect,
+    vec_add,
+    vec_scale,
+)
+from orthokernel.ortho import perp_g, perp_go
 
 from conftest import qv
 
@@ -201,3 +210,93 @@ def test_join_with_point_outside(x):
     p = AffineSubspace.from_point(SPACE3, qv(9, 9, 9))
     j = join(x, p)
     assert is_subflat(x, j) and contains(j, p.point)
+
+
+# ---------------------------------------------------------------------------
+# integer storage of the base point, and the per-pair meet memo
+
+SPACE4 = QuadraticSpace.from_matrix(
+    [["2", "1/2", "0", "0"], ["1/2", "3", "1/3", "0"],
+     ["0", "1/3", "1", "0"], ["0", "0", "0", "5/4"]]
+)
+
+
+def test_one_flat_from_every_route_compares_and_hashes_equal():
+    p0 = qv("1/2", "-2/3", 0, "5/6")
+    d = qv(1, 2, -1, "1/2")
+    e1, e2 = qv(0, 0, 1, 0), qv(0, 1, 0, "1/3")
+    direction = rref_basis([d], 4)
+
+    def on_line(t):
+        return vec_add(p0, vec_scale(QQ(t), d))
+
+    x = AffineSubspace.make(SPACE4, on_line("7/5"), direction)
+    routes = [
+        AffineSubspace.from_wire(SPACE4, x.to_wire()),
+        meet(
+            AffineSubspace.make(SPACE4, p0, rref_basis([d, e1], 4)),
+            AffineSubspace.make(SPACE4, on_line(3), rref_basis([d, e2], 4)),
+        ),
+        join(
+            AffineSubspace.from_point(SPACE4, on_line("1/3")),
+            AffineSubspace.from_point(SPACE4, on_line(-2)),
+        ),
+        translate_through(
+            AffineSubspace.make(SPACE4, vec_add(p0, e1), direction), on_line(3)
+        ),
+    ]
+    for y in routes:
+        assert y == x and hash(y) == hash(x)
+        assert y.int_point == x.int_point and y.point == x.point
+
+
+@settings(max_examples=80)
+@given(flat_strategy(SPACE3))
+def test_point_is_the_integer_point_over_its_least_denominator(x):
+    nums, den = x.int_point
+    assert isinstance(nums, tuple) and all(isinstance(v, int) for v in nums)
+    assert den > 0 and den == math.lcm(*(c.denominator for c in x.point))
+    assert all(x.point[i] == QQ(nums[i], den) for i in range(x.ambient_dim))
+
+
+def _meeting_planes():
+    """Two planes of Q^4 through one point, meeting in a line."""
+    p = ("1/2", 0, 1, 0)
+    return (
+        plane(SPACE4, p, (1, 0, 0, 0), (0, 1, 0, 1)),
+        plane(SPACE4, p, (1, 0, 0, 0), (0, 0, 1, "2/3")),
+    )
+
+
+@pytest.mark.parametrize("relation", [perp_g, perp_go, meet])
+def test_meet_is_solved_once_per_ordered_pair(monkeypatch, relation):
+    solves = []
+    real = flats_module._rref_int
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    # the meet solver's elimination
+    monkeypatch.setattr(flats_module, "_rref_int", counting)
+    x1, x2 = _meeting_planes()
+    first = relation(x1, x2)
+    assert len(solves) == 1
+    for again in (perp_g, perp_go, meet):
+        again(x1, x2)
+    assert relation(x1, x2) == first and len(solves) == 1
+    relation(x2, x1)
+    assert len(solves) == 2
+    relation(x2, x1)
+    assert len(solves) == 2
+
+
+def test_meet_memo_stays_out_of_equality_hash_repr_and_wire():
+    x1, x2 = _meeting_planes()
+    twin, _ = _meeting_planes()
+    perp_g(x1, x2)
+    meet(x1, x2)
+    assert vars(x1).keys() - vars(twin).keys()  # x1 holds a memo, twin none
+    assert x1 == twin and hash(x1) == hash(twin)
+    assert repr(x1) == repr(twin)
+    assert x1.to_wire() == twin.to_wire()

@@ -9,9 +9,16 @@ from orthokernel.errors import (
     InputError,
     PreconditionError,
 )
-from orthokernel.flats import AffineSubspace, contains, is_subflat, meet
-from orthokernel.generators import GenConfig, gen_line_pair
-from orthokernel.linalg import QQ, bilinear_eval, rref_basis, vec_sub
+from orthokernel.flats import AffineSubspace, contains, is_subflat, meet, translate_through
+from orthokernel.generators import GenConfig, gen_line_pair, random_point_of
+from orthokernel.linalg import (
+    QQ,
+    bilinear_eval,
+    rref_basis,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from orthokernel.ortho import TypedPerpParams, perp_m, perp_x
 from orthokernel.reconstruct import (
     LinePairVerdicts,
@@ -451,3 +458,85 @@ def test_line_perp_ground_truth_examples(q3):
     c = line(q3, (0, 0, 0), (1, 1, 0))
     assert line_perp_ground_truth(a, b)
     assert not line_perp_ground_truth(a, c)
+
+
+# ---------------------------------------------------------------------------
+# the integer feet and ground truth against the rational formula
+
+
+def _custom_form(n):
+    """A dense rational form, diagonally dominant hence positive definite."""
+    def entry(i, j):
+        return {0: "5/2", 1: "1/3", 2: "-1/7"}.get(abs(i - j), "0")
+
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+
+
+def _reference_feet(l1, l2):
+    """The feet by the rational formula: q = p1 + s d1, p = p2 + t d2."""
+    space = l1.space
+    d1 = l1.direction.basis[0]
+    d2 = l2.direction.basis[0]
+    delta = vec_sub(l2.point, l1.point)
+    s = bilinear_eval(space, delta, d1) / bilinear_eval(space, d1, d1)
+    t = -bilinear_eval(space, delta, d2) / bilinear_eval(space, d2, d2)
+    return vec_add(l1.point, vec_scale(s, d1)), vec_add(l2.point, vec_scale(t, d2))
+
+
+def _reference_truth(l1, l2):
+    return bilinear_eval(l1.space, l1.direction.basis[0], l2.direction.basis[0]) == 0
+
+
+FEET_FORMS = ["identity", "diag", "tridiag", "custom"]
+
+
+@pytest.mark.parametrize("form", FEET_FORMS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_integer_feet_match_the_rational_formula(n, form):
+    cfg = GenConfig(dim=n, seed=0, form=_custom_form(n) if form == "custom" else form)
+    rng = random.Random(f"feet:{n}:{form}")
+    skew = 0
+    for i in range(24):
+        l1, l2 = gen_line_pair(cfg, rng, orthogonal=True)
+        if i % 3 == 0:
+            # cross: move l2 through a point of l1
+            l2 = translate_through(l2, random_point_of(l1, rng))
+        q, p = common_perpendicular_feet(l1, l2)
+        assert (q, p) == _reference_feet(l1, l2)
+        assert contains(l1, q) and contains(l2, p)
+        if i % 3 == 0:
+            assert q == p
+        skew += q != p
+    # dimension 2 has no skew lines; above it most drawn pairs are skew
+    assert skew == 0 if n == 2 else skew >= 8
+
+
+@pytest.mark.parametrize("form", FEET_FORMS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_integer_feet_refuse_non_orthogonal_lines(n, form):
+    cfg = GenConfig(dim=n, seed=0, form=_custom_form(n) if form == "custom" else form)
+    rng = random.Random(f"oblique:{n}:{form}")
+    refused = 0
+    for _ in range(12):
+        l1, l2 = gen_line_pair(cfg, rng, orthogonal=False)
+        if _reference_truth(l1, l2):
+            continue
+        with pytest.raises(PreconditionError):
+            common_perpendicular_feet(l1, l2)
+        refused += 1
+    assert refused >= 6
+
+
+def test_line_ground_truth_matches_the_rational_form():
+    rng = random.Random("ground-truth")
+    seen = {True: 0, False: 0}
+    for i in range(200):
+        n = 2 + i % 5
+        form = FEET_FORMS[i // 5 % 4]
+        cfg = GenConfig(dim=n, seed=0, form=_custom_form(n) if form == "custom" else form)
+        l1, l2 = gen_line_pair(cfg, rng, orthogonal=i % 2 == 0)
+        want = _reference_truth(l1, l2)
+        assert line_perp_ground_truth(l1, l2) == want
+        assert line_perp_ground_truth(l2, l1) == want
+        seen[want] += 1
+    assert min(seen.values()) >= 90

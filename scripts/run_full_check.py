@@ -27,9 +27,18 @@ def parse_args():
 
 def main():
     args = parse_args()
+    try:
+        dims = [int(d) for d in args.dims.split(",") if d.strip()]
+    except ValueError:
+        dims = []
+    if not dims:
+        print(
+            f"error: --dims needs comma-separated integers, got {args.dims!r}",
+            file=sys.stderr,
+        )
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dims = [int(d) for d in args.dims.split(",") if d.strip()]
     failing = 0
     t0 = time.perf_counter()
     for n in dims:

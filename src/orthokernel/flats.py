@@ -4,9 +4,12 @@ A flat is held canonically: its direction is a canonical RREF subspace and
 its base point is the unique member whose coordinates vanish at every pivot
 column of the direction.  The base point is stored only as integers over
 their least positive common denominator; the rational ``point`` is built on
-demand, for the API and the wire format.  Equality and hashing of flats are
-therefore plain structural comparisons of integers.  The empty set is not a
-flat; ``meet`` returns None for disjoint arguments.
+demand, for the API.  The wire format is written and read in integers too:
+``to_wire`` reduces each coordinate by one gcd, and ``from_wire`` reads the
+canonical "p" and "p/q" strings straight to integers, leaving ``Fraction``
+as the fallback parser for any other entry.  Equality and hashing of flats
+are plain structural comparisons of integers.  The empty set is not a flat;
+``meet`` returns None for disjoint arguments.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ from .linalg import (
     _reduce_against,
     _rref_int,
     _subspace_from_int_rows,
+    int_vector_from_wire,
+    int_vector_to_wire,
     rref_basis,
     vec_sub,
     vector,
-    vector_to_wire,
     zero_subspace,
 )
 
@@ -137,21 +141,35 @@ class AffineSubspace:
         return self.direction.is_zero
 
     def to_wire(self) -> dict:
+        """The point and the pivot-1 basis rows as "p/q" strings."""
+        d = self.direction
         return {
-            "point": vector_to_wire(self.point),
-            "basis": [vector_to_wire(row) for row in self.direction.basis],
+            "point": int_vector_to_wire(*self.int_point),
+            "basis": [
+                int_vector_to_wire(row, row[c]) for row, c in zip(d.int_rows, d.pivots)
+            ],
         }
 
     @classmethod
     def from_wire(cls, space: QuadraticSpace, data: dict) -> "AffineSubspace":
+        if not isinstance(data, dict):
+            raise InputError("malformed flat payload: not an object")
         try:
-            point = vector(data["point"])
-            rows = [vector(r) for r in data["basis"]]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed flat payload: {exc}") from exc
-        if len(point) != space.dim or any(len(r) != space.dim for r in rows):
+            point, rows = data["point"], data["basis"]
+        except KeyError as exc:
+            raise InputError(f"malformed flat payload: missing {exc}") from exc
+        if not (
+            isinstance(point, list)
+            and isinstance(rows, list)
+            and all(isinstance(r, list) for r in rows)
+        ):
+            raise InputError("malformed flat payload: point and basis rows must be lists")
+        nums, den = int_vector_from_wire(point)
+        int_rows = [int_vector_from_wire(r)[0] for r in rows]
+        if len(nums) != space.dim or any(len(r) != space.dim for r in int_rows):
             raise InputError("flat payload does not match ambient dimension")
-        return cls.make(space, point, rref_basis(rows, space.dim))
+        direction = _subspace_from_int_rows(int_rows, space.dim)
+        return cls._canonical(space, nums, den, direction)
 
 
 def _check_same_space(x1: AffineSubspace, x2: AffineSubspace) -> None:

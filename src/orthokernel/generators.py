@@ -30,6 +30,7 @@ from .linalg import (
 from .ortho import (
     DEFAULT_RETRIES,
     TypedPerpParams,
+    _rand_int_point,
     rand_point,
     rand_subspace_of,
 )
@@ -125,6 +126,11 @@ def gen_point(cfg: GenConfig, rng: random.Random) -> Vector:
     )
 
 
+def _gen_int_point(cfg: GenConfig, rng: random.Random) -> tuple[list[int], int]:
+    """The draw of :func:`gen_point` as numerators over one denominator."""
+    return _rand_int_point(cfg.dim, rng, cfg.numerator_bound, cfg.denominator_bound)
+
+
 def _rand_int_vector(n: int, rng: random.Random, bound: int) -> tuple[int, ...]:
     return tuple(rng.randint(-bound, bound) for _ in range(n))
 
@@ -136,7 +142,7 @@ def gen_subspace(cfg: GenConfig, k: int, rng: random.Random) -> AffineSubspace:
     if not 0 <= k <= n:
         raise InputError(f"dimension {k} out of range for ambient {n}")
     direction = rand_subspace_of(full_subspace(n), k, rng, cfg.retries)
-    return AffineSubspace.make(space, gen_point(cfg, rng), direction)
+    return AffineSubspace._canonical(space, *_gen_int_point(cfg, rng), direction)
 
 
 def gen_pair_with_meet_dim(
@@ -164,10 +170,10 @@ def gen_pair_with_meet_dim(
             continue
         if subspace_sum(d1, d2).rank != k1 + k2 - m:
             continue
-        p = gen_point(cfg, rng)
+        p = _gen_int_point(cfg, rng)
         return (
-            AffineSubspace.make(space, p, d1),
-            AffineSubspace.make(space, p, d2),
+            AffineSubspace._canonical(space, *p, d1),
+            AffineSubspace._canonical(space, *p, d2),
         )
     raise GenerationError(
         f"no pair with meet dimension {m} after {cfg.retries} draws"
@@ -273,6 +279,6 @@ def gen_line_pair(
         )
     else:
         d2 = rand_subspace_of(full, 1, rng, cfg.retries)
-    l1 = AffineSubspace.make(space, gen_point(cfg, rng), d1)
-    l2 = AffineSubspace.make(space, gen_point(cfg, rng), d2)
+    l1 = AffineSubspace._canonical(space, *_gen_int_point(cfg, rng), d1)
+    l2 = AffineSubspace._canonical(space, *_gen_int_point(cfg, rng), d2)
     return l1, l2

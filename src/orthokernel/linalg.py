@@ -10,16 +10,19 @@ structural equality, and the form is used as ``QuadraticSpace.int_form``.
 
 Rationals appear only at the boundary: parsing scalars, vectors and forms
 (``scalar``, ``vector``, ``matrix``, ``QuadraticSpace``), the pivot-1 rows
-of ``LinearSubspace.basis``, the rational results of ``determinant``,
-``mat_inverse`` and ``bilinear_eval``, and the wire format.  Above this
-module the same holds: a flat's ``point`` and the feet returned by
-``reconstruct.common_perpendicular_feet`` are built from integers on
-demand.
+of ``LinearSubspace.basis``, and the rational results of ``determinant``,
+``mat_inverse`` and ``bilinear_eval``.  The wire format of flats is written
+and read in integers (``int_vector_to_wire``, ``int_vector_from_wire``);
+only an entry that is not a canonical "p" or "p/q" string is parsed
+through ``Fraction``.  Above this module the same holds: a flat's ``point``
+and the feet returned by ``reconstruct.common_perpendicular_feet`` are
+built from integers on demand, and the generators draw points as integers.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -41,7 +44,7 @@ def scalar(x: Scalarish) -> QQ:
     """Coerce an int, Fraction, or "p/q" string to an exact rational."""
     if isinstance(x, QQ):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return QQ(x)
     if isinstance(x, str):
         try:
@@ -502,3 +505,43 @@ def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -
 def vector_to_wire(v: Vector) -> list[str]:
     """Wire format: "p/q" strings, with "/q" omitted when the denominator is 1."""
     return [str(x) for x in v]
+
+
+def int_vector_to_wire(nums: Sequence[int], den: int) -> list[str]:
+    """The wire strings of ``nums / den`` (``den > 0``), the same as
+    :func:`vector_to_wire` gives for those rationals."""
+    gcd = math.gcd
+    out = []
+    for x in nums:
+        g = gcd(x, den)
+        out.append(str(x // den) if g == den else f"{x // g}/{den // g}")
+    return out
+
+
+# the canonical wire strings; anything else is parsed by ``scalar``
+_WIRE_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def int_vector_from_wire(entries: list) -> tuple[list[int], int]:
+    """Wire entries as integer numerators over the lcm of their denominators.
+
+    Canonical strings ("p" and "p/q") are read as integers; any other entry
+    goes through :func:`scalar`, so the accepted entries, their values and
+    the errors are those of ``vector``.
+    """
+    nums, dens = [], []
+    for x in entries:
+        m = _WIRE_RATIO.fullmatch(x) if isinstance(x, str) else None
+        p = q = 0
+        if m is not None:
+            try:
+                p, q = int(m[1]), int(m[2] or 1)
+            except ValueError:  # past int's digit limit
+                pass
+        if not q:  # not canonical, or a zero denominator: scalar decides
+            r = scalar(x)
+            p, q = r.numerator, r.denominator
+        nums.append(p)
+        dens.append(q)
+    den = math.lcm(*dens)
+    return [p * (den // q) for p, q in zip(nums, dens)], den

@@ -311,8 +311,18 @@ def reflections_commute(x1: AffineSubspace, x2: AffineSubspace) -> bool:
 # constructive witnesses
 
 
-def _rand_fraction(rng: random.Random, num_bound: int, den_bound: int) -> QQ:
-    return QQ(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+def _rand_int_point(
+    n: int, rng: random.Random, num_bound: int, den_bound: int
+) -> tuple[list[int], int]:
+    """A random point of Q^n as numerators over the lcm of its denominators.
+
+    Each coordinate draws its numerator, then its denominator."""
+    draws = [
+        (rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+        for _ in range(n)
+    ]
+    den = math.lcm(*[d for _, d in draws])
+    return [x * (den // d) for x, d in draws], den
 
 
 def rand_point(
@@ -321,9 +331,9 @@ def rand_point(
     num_bound: int = 9,
     den_bound: int = 3,
 ) -> Vector:
-    return tuple(
-        _rand_fraction(rng, num_bound, den_bound) for _ in range(space.dim)
-    )
+    """The draw of :func:`_rand_int_point` as rationals."""
+    nums, den = _rand_int_point(space.dim, rng, num_bound, den_bound)
+    return tuple(QQ(x, den) for x in nums)
 
 
 def rand_subspace_of(
@@ -377,7 +387,7 @@ def make_perp_pair(
     full = full_subspace(n)
     last_error = "exhausted retries"
     for _ in range(retries):
-        q = rand_point(space, rng, num_bound, den_bound)
+        q = _rand_int_point(n, rng, num_bound, den_bound)
         try:
             dir_m = rand_subspace_of(full, params.m, rng, retries)
             comp1 = xi_complement(space, dir_m, full)
@@ -388,8 +398,8 @@ def make_perp_pair(
         except GenerationError as exc:
             last_error = str(exc)
             continue
-        x1 = AffineSubspace.make(space, q, d1)
-        x2 = AffineSubspace.make(space, q, subspace_sum(dir_m, z2))
+        x1 = AffineSubspace._canonical(space, *q, d1)
+        x2 = AffineSubspace._canonical(space, *q, subspace_sum(dir_m, z2))
         if perp_m(x1, x2, params):
             return x1, x2
         last_error = "constructed pair failed verification"

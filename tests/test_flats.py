@@ -1,6 +1,7 @@
 """Affine flats: canonical form, membership, and the meet/join lattice."""
 
 import math
+import random
 from fractions import Fraction as QQ
 
 import pytest
@@ -18,6 +19,7 @@ from orthokernel.flats import (
     parallel,
     translate_through,
 )
+from orthokernel.generators import NAMED_FORMS, resolve_space
 from orthokernel.linalg import (
     QuadraticSpace,
     rref_basis,
@@ -96,11 +98,105 @@ def test_wire_round_trip(q3):
     assert AffineSubspace.from_wire(SPACE3, flat.to_wire()) == flat
 
 
-def test_wire_rejects_malformed(q3):
+def test_wire_rejects_malformed(q2, q3):
     with pytest.raises(InputError):
         AffineSubspace.from_wire(q3, {"point": ["0", "0", "0"]})
     with pytest.raises(InputError):
         AffineSubspace.from_wire(q3, {"point": ["0", "0"], "basis": []})
+    for data in (
+        # strings would be read character by character
+        {"point": "12", "basis": ["10"]},
+        {"point": ["1", "2"], "basis": ["10"]},
+        {"point": ["1", "2"], "basis": "10"},
+        {"point": ("1", "2"), "basis": []},
+        # a bool is not a rational
+        {"point": [True, "1"], "basis": []},
+        {"point": ["1", "1"], "basis": [["1", False]]},
+        [["1", "2"], []],
+        None,
+    ):
+        with pytest.raises(InputError):
+            AffineSubspace.from_wire(q2, data)
+
+
+def _custom_form(n):
+    """A dense rational form, positive definite by diagonal dominance."""
+    return QuadraticSpace.from_matrix(
+        [
+            [QQ(n + 1, 2) if i == j else QQ((-1) ** (i + j), 3) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def _wire_spaces():
+    for n in range(1, 9):
+        for form in NAMED_FORMS:
+            yield n, resolve_space(n, form)
+        yield n, _custom_form(n)
+
+
+def _wire_coordinate(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return QQ(0)
+    if kind == 1:
+        return QQ(rng.randint(-(10**30), 10**30), rng.randint(1, 10**12))
+    if kind == 2:
+        return QQ(-rng.randint(1, 50), rng.randint(1, 7))
+    return QQ(rng.randint(-9, 9))
+
+
+def test_wire_strings_are_those_of_fraction():
+    rng = random.Random(7)
+    for n, space in _wire_spaces():
+        for _ in range(12):
+            point = [_wire_coordinate(rng) for _ in range(n)]
+            rows = [
+                [_wire_coordinate(rng) for _ in range(n)]
+                for _ in range(rng.randint(0, n))
+            ]
+            flat = AffineSubspace.make(space, point, rref_basis(rows, n))
+            want = {
+                "point": [str(x) for x in flat.point],
+                "basis": [[str(x) for x in row] for row in flat.direction.basis],
+            }
+            assert flat.to_wire() == want
+            assert AffineSubspace.from_wire(space, want) == flat
+
+
+# entries that Fraction accepts, with a value, and entries it refuses
+WIRE_CORPUS = (
+    "0", "-0", "+3", "007", "-12/8", "6/4", "0/5", "1/03", " 3/4 ", "\t5\n",
+    "1.5", "-.5", "1e3", "2.5e-2", "1E2", "3_0", "\u0663", "\uff11\uff12/\uff13",
+    "123456789012345678901234567890/7", "-98765432109876543210",
+    "1/0", "0/0", "3/-4", "1/+2", "", " ", "-", "/3", "1/", "1//2", "1/2/3",
+    "1 /2", "--1", "abc", "0x10", "inf", "nan", "1.5/2", "1" * 5000,
+)
+
+
+def test_wire_entries_parse_as_fraction_parses_them():
+    q1, q2 = QuadraticSpace.euclidean(1), QuadraticSpace.euclidean(2)
+    for text in WIRE_CORPUS:
+        try:
+            value = QQ(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        point = {"point": [text], "basis": []}
+        row = {"point": ["0", "0"], "basis": [["1", text]]}
+        if value is None:
+            with pytest.raises(InputError):
+                AffineSubspace.from_wire(q1, point)
+            with pytest.raises(InputError):
+                AffineSubspace.from_wire(q2, row)
+        else:
+            assert AffineSubspace.from_wire(q1, point).point == (value,), text
+            want = rref_basis([(QQ(1), value)], 2)
+            assert AffineSubspace.from_wire(q2, row).direction == want, text
+    # ints and Fractions are entries too
+    mixed = {"point": [3, QQ(-1, 2)], "basis": [[QQ(2), 4]]}
+    flat = AffineSubspace.from_wire(q2, mixed)
+    assert flat == AffineSubspace.make(q2, (3, QQ(-1, 2)), rref_basis([(2, 4)], 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Seeded generators: determinism, exact dimensions, bound and form handling."""
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -27,7 +29,7 @@ from orthokernel.generators import (
     tridiagonal_form,
 )
 from orthokernel.linalg import QQ, QuadraticSpace, bilinear_eval
-from orthokernel.ortho import TypedPerpParams, perp_g
+from orthokernel.ortho import TypedPerpParams, make_perp_pair, perp_g
 
 
 # ---------------------------------------------------------------------------
@@ -282,3 +284,61 @@ def test_point_flat_pair_shares_base(rng):
     cfg = GenConfig(dim=3)
     a, b = gen_pair_with_meet_dim(cfg, 0, 0, 0, rng)
     assert a == b and a.dim == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned draws: a sha256 over the wire form of every drawn flat and the rng
+# state after each draw, for dims 3..8 x the named forms x seeds 0..24
+
+
+def _draw_perp_pair(cfg, rng, seed):
+    space = resolve_space(cfg.dim, cfg.form)
+    return make_perp_pair(space, rand_params(rng, cfg.dim), rng)
+
+
+def _draw_subspace(cfg, rng, seed):
+    return (gen_subspace(cfg, rng.randint(0, cfg.dim), rng),)
+
+
+def _draw_meet_pair(cfg, rng, seed):
+    params = rand_params(rng, cfg.dim)
+    return gen_pair_with_meet_dim(cfg, params.k1, params.k2, params.m, rng)
+
+
+def _draw_line_pair(cfg, rng, seed):
+    return gen_line_pair(cfg, rng, orthogonal=seed % 2 == 0)
+
+
+PINNED_DRAWS = {
+    "make_perp_pair": (
+        _draw_perp_pair,
+        "890d467873037451430f02b651a8bf5fbed566ab672de673a2841b3ed83a0c89",
+    ),
+    "gen_subspace": (
+        _draw_subspace,
+        "05536bd34c176ed7de1df787e4d7b530c0cdbe4412efe8f491c6bff6dd417fc3",
+    ),
+    "gen_pair_with_meet_dim": (
+        _draw_meet_pair,
+        "e09a876358bd84b5183ebfd4a23a007f21d5ac7beb407ae67d21c042e7b58e47",
+    ),
+    "gen_line_pair": (
+        _draw_line_pair,
+        "72e7afba8315b903055f98ee4d684dbac972c4973e923f5aba2983da9aca85d5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DRAWS))
+def test_draws_are_pinned(name):
+    draw, want = PINNED_DRAWS[name]
+    h = hashlib.sha256()
+    for n in range(3, 9):
+        for form in NAMED_FORMS:
+            cfg = GenConfig(dim=n, form=form)
+            for seed in range(25):
+                rng = random.Random(seed)
+                wires = [flat.to_wire() for flat in draw(cfg, rng, seed)]
+                h.update(json.dumps(wires, sort_keys=True).encode())
+                h.update(repr(rng.getstate()).encode())
+    assert h.hexdigest() == want

@@ -56,8 +56,9 @@ def test_vector_wire_round_trip():
 
 
 def test_scalar_rejects_garbage():
-    with pytest.raises(InputError):
-        scalar("one half")
+    for garbage in ("one half", True, False, None, 1.5, ["1"]):
+        with pytest.raises(InputError):
+            scalar(garbage)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "scripts" / "reconstruct_demo.py"
+FULL_CHECK = ROOT / "scripts" / "run_full_check.py"
 
 # the feet and verdict lines of scripts/reconstruct_demo.py
 DEMO_CASES = {
@@ -50,14 +51,19 @@ DEMO_CASES = {
 CHECKED_PREFIXES = ("direct", "common", "  on l", "witness", "sampled", "agreement")
 
 
-def run_demo(*argv):
+def run_script(script, *argv, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
-        [sys.executable, str(DEMO), *argv], capture_output=True, text=True, env=env
+        [sys.executable, str(script), *argv],
+        capture_output=True, text=True, env=env, cwd=cwd,
     )
+
+
+def run_demo(*argv):
+    return run_script(DEMO, *argv)
 
 
 @pytest.mark.parametrize("case", sorted(DEMO_CASES))
@@ -73,3 +79,12 @@ def test_reconstruct_demo_refuses_unsatisfiable_params():
     proc = run_demo("--dim", "3", "--m", "0", "--k1", "1", "--k2", "3")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "unsatisfiable in dimension 3" in proc.stderr
+
+
+@pytest.mark.parametrize("dims", ["", " , ", "3,x", "3.5"])
+def test_full_check_refuses_bad_dims(dims, tmp_path):
+    out = tmp_path / "reports"
+    proc = run_script(FULL_CHECK, "--dims", dims, "--trials", "1", "--out", str(out))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "--dims" in proc.stderr
+    assert not out.exists()

@@ -14,7 +14,6 @@ import sys
 
 from orthokernel.errors import InputError
 from orthokernel.generators import GenConfig, gen_line_pair
-from orthokernel.linalg import vector_to_wire
 from orthokernel.ortho import TypedPerpParams
 from orthokernel.reconstruct import (
     common_perpendicular_feet,
@@ -65,8 +64,8 @@ def main():
     if truth:
         q, pt = common_perpendicular_feet(l1, l2)
         print("common perpendicular feet:")
-        print(f"  on l1: {json.dumps(vector_to_wire(q))}")
-        print(f"  on l2: {json.dumps(vector_to_wire(pt))}")
+        print(f"  on l1: {json.dumps(q.to_wire()['point'])}")
+        print(f"  on l2: {json.dumps(pt.to_wire()['point'])}")
         if params.k2 > 1:
             x1, x2 = lemma2_witness(
                 l1, l2, params.k1 - params.m, params.k2

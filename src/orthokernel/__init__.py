@@ -1,12 +1,18 @@
 """Exact rational geometry kernel for graded orthogonality of affine flats.
 
-Everything is computed over Q with fractions, so every predicate here is a
-decision, not an approximation: subspace calculus in row echelon form,
-affine flats with meet/join, a family of orthogonality relations graded by
-the dimension of the intersection, exact reflection isometries, and an
-oracle-based pipeline that recovers line orthogonality from a typed
-orthogonality predicate plus incidence data.  A seeded property harness and
-a CLI sit on top.
+Everything is exact over Q, so every predicate here is a decision, not an
+approximation: subspace calculus in row echelon form, affine flats with
+meet/join, a family of orthogonality relations graded by the dimension of
+the intersection, exact reflection isometries, and an oracle-based pipeline
+that recovers line orthogonality from a typed orthogonality predicate plus
+incidence data.  A seeded property harness and a CLI sit on top.
+
+Rationals exist only at the boundary (``AffineSubspace.make``,
+``from_point``, ``from_points``, ``from_wire`` and form parsing); inside,
+flats hold integers.  A point is a 0-dimensional flat: the generators,
+``translate_through``, ``orthocomplement_in`` and
+``common_perpendicular_feet`` take or return point flats, and membership
+of a point in a flat is ``is_subflat(point, flat)``.
 """
 
 from .errors import (
@@ -35,7 +41,6 @@ from .linalg import (
 )
 from .flats import (
     AffineSubspace,
-    contains,
     is_subflat,
     join,
     meet,
@@ -102,7 +107,6 @@ __all__ = [
     "UnsatisfiableParams",
     "bilinear_eval",
     "common_perpendicular_feet",
-    "contains",
     "decide_perp0",
     "determinant",
     "emit_counterexamples",

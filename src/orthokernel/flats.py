@@ -4,7 +4,10 @@ A flat is held canonically: its direction is a canonical RREF subspace and
 its base point is the unique member whose coordinates vanish at every pivot
 column of the direction.  The base point is stored only as integers over
 their least positive common denominator; the rational ``point`` is built on
-demand, for the API.  The wire format is written and read in integers too:
+demand, for the API.  A point is the flat with a zero direction, so
+membership is ``is_subflat(point, x)``; rationals enter only through
+``make``, ``from_point``, ``from_points`` and ``from_wire``.  The wire
+format is written and read in integers too:
 ``to_wire`` reduces each coordinate by one gcd, and ``from_wire`` reads the
 canonical "p" and "p/q" strings straight to integers, leaving ``Fraction``
 as the fallback parser for any other entry.  Equality and hashing of flats
@@ -32,6 +35,7 @@ from .linalg import (
     _reduce_against,
     _rref_int,
     _subspace_from_int_rows,
+    full_subspace,
     int_vector_from_wire,
     int_vector_to_wire,
     rref_basis,
@@ -113,9 +117,7 @@ class AffineSubspace:
 
     @classmethod
     def full(cls, space: QuadraticSpace) -> "AffineSubspace":
-        from .linalg import full_subspace
-
-        return cls.make(space, (QQ(0),) * space.dim, full_subspace(space.dim))
+        return cls._canonical(space, [0] * space.dim, 1, full_subspace(space.dim))
 
     @cached_property
     def point(self) -> Vector:
@@ -175,13 +177,6 @@ class AffineSubspace:
 def _check_same_space(x1: AffineSubspace, x2: AffineSubspace) -> None:
     if x1.space != x2.space:
         raise InputError("flats live in different ambient spaces")
-
-
-def contains(x: AffineSubspace, p: Sequence[QQ]) -> bool:
-    """Membership of a point in a flat."""
-    if len(p) != x.ambient_dim:
-        raise InputError("point length differs from ambient dimension")
-    return x.direction.contains_vector(vec_sub(vector(p), x.point))
 
 
 def is_subflat(inner: AffineSubspace, outer: AffineSubspace) -> bool:
@@ -287,8 +282,9 @@ def parallel(x1: AffineSubspace, x2: AffineSubspace) -> bool:
     return x1.direction == x2.direction
 
 
-def translate_through(x: AffineSubspace, q: Sequence[QQ]) -> AffineSubspace:
-    """The flat parallel to x that passes through q."""
-    if len(q) != x.ambient_dim:
-        raise InputError("point length differs from ambient dimension")
-    return AffineSubspace.make(x.space, q, x.direction)
+def translate_through(x: AffineSubspace, q: AffineSubspace) -> AffineSubspace:
+    """The flat parallel to x that passes through the point flat q."""
+    _check_same_space(x, q)
+    if not q.is_point:
+        raise InputError("q must be a point flat")
+    return AffineSubspace._canonical(x.space, *q.int_point, x.direction)

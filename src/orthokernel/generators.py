@@ -21,17 +21,16 @@ from .flats import AffineSubspace
 from .linalg import (
     QQ,
     QuadraticSpace,
-    Vector,
     _subspace_from_int_rows,
     full_subspace,
     subspace_sum,
     xi_complement,
+    zero_subspace,
 )
 from .ortho import (
     DEFAULT_RETRIES,
     TypedPerpParams,
     _rand_int_point,
-    rand_point,
     rand_subspace_of,
 )
 
@@ -120,14 +119,15 @@ def trial_rng(master_seed: int, property_id: str, trial: int) -> random.Random:
 # flat generators
 
 
-def gen_point(cfg: GenConfig, rng: random.Random) -> Vector:
-    return rand_point(
-        space_of(cfg), rng, cfg.numerator_bound, cfg.denominator_bound
+def gen_point(cfg: GenConfig, rng: random.Random) -> AffineSubspace:
+    """A random point flat, drawn as :func:`_gen_int_point` draws."""
+    return AffineSubspace._canonical(
+        space_of(cfg), *_gen_int_point(cfg, rng), zero_subspace(cfg.dim)
     )
 
 
 def _gen_int_point(cfg: GenConfig, rng: random.Random) -> tuple[list[int], int]:
-    """The draw of :func:`gen_point` as numerators over one denominator."""
+    """A random point as numerators over the lcm of its denominators."""
     return _rand_int_point(cfg.dim, rng, cfg.numerator_bound, cfg.denominator_bound)
 
 
@@ -180,22 +180,26 @@ def gen_pair_with_meet_dim(
     )
 
 
-def random_point_of(flat: AffineSubspace, rng: random.Random) -> Vector:
-    """A random member point: base plus a small combination of directions."""
-    p = list(flat.point)
+def random_point_of(flat: AffineSubspace, rng: random.Random) -> AffineSubspace:
+    """A random member point flat: base plus a small combination of
+    directions."""
+    nums, den = flat.int_point
     for row in flat.direction.int_rows:
         c = rng.randint(-3, 3)
         if c:
-            p = [x + c * y for x, y in zip(p, row)]
-    return tuple(p)
+            nums = [x + c * den * y for x, y in zip(nums, row)]
+    return AffineSubspace._canonical(
+        flat.space, nums, den, zero_subspace(flat.ambient_dim)
+    )
 
 
 def sub_flat(flat: AffineSubspace, k: int, rng: random.Random) -> AffineSubspace:
     """A random k-dimensional subflat."""
     if not 0 <= k <= flat.dim:
         raise InputError(f"cannot take a {k}-dimensional subflat of dim {flat.dim}")
-    return AffineSubspace.make(
-        flat.space, random_point_of(flat, rng), rand_subspace_of(flat.direction, k, rng)
+    q = random_point_of(flat, rng)
+    return AffineSubspace._canonical(
+        flat.space, *q.int_point, rand_subspace_of(flat.direction, k, rng)
     )
 
 
@@ -233,9 +237,9 @@ def flat_between(
 
 
 def gen_perp_to(
-    cfg: GenConfig, a: AffineSubspace, q: Vector, rng: random.Random
+    cfg: GenConfig, a: AffineSubspace, q: AffineSubspace, rng: random.Random
 ) -> AffineSubspace:
-    """A random flat C through q with C perp-g A.
+    """A random flat C through the point flat q with C perp-g A.
 
     C's direction is an m-dimensional piece of A's direction, m < dim(A),
     extended inside the xi-complement of A's whole direction, which makes
@@ -244,6 +248,8 @@ def gen_perp_to(
     """
     space = a.space
     n = space.dim
+    if not q.is_point:
+        raise InputError("q must be a point flat")
     room = n - a.dim
     if room < 1:
         raise InputError("ambient space leaves no orthogonal head room")
@@ -252,7 +258,7 @@ def gen_perp_to(
     dir_m = rand_subspace_of(a.direction, m, rng, cfg.retries)
     comp = xi_complement(space, a.direction, full_subspace(n))
     wing = rand_subspace_of(comp, k - m, rng, cfg.retries)
-    return AffineSubspace.make(space, q, subspace_sum(dir_m, wing))
+    return AffineSubspace._canonical(space, *q.int_point, subspace_sum(dir_m, wing))
 
 
 def rand_params(rng: random.Random, n: int) -> TypedPerpParams:

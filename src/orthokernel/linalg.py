@@ -8,15 +8,15 @@ each row is scaled by the lcm of its denominators and kept primitive
 form as primitive integer rows, which makes equality of subspaces plain
 structural equality, and the form is used as ``QuadraticSpace.int_form``.
 
-Rationals appear only at the boundary: parsing scalars, vectors and forms
-(``scalar``, ``vector``, ``matrix``, ``QuadraticSpace``), the pivot-1 rows
-of ``LinearSubspace.basis``, and the rational results of ``determinant``,
-``mat_inverse`` and ``bilinear_eval``.  The wire format of flats is written
-and read in integers (``int_vector_to_wire``, ``int_vector_from_wire``);
-only an entry that is not a canonical "p" or "p/q" string is parsed
-through ``Fraction``.  Above this module the same holds: a flat's ``point``
-and the feet returned by ``reconstruct.common_perpendicular_feet`` are
-built from integers on demand, and the generators draw points as integers.
+Rationals exist only at the boundary: parsing scalars, vectors and forms
+(``scalar``, ``vector``, ``matrix``, ``rref_basis``, ``QuadraticSpace``),
+the pivot-1 rows of ``LinearSubspace.basis``, and the rational results of
+``determinant``, ``mat_inverse`` and ``bilinear_eval``.  The wire format of
+flats is written and read in integers (``int_vector_to_wire``,
+``int_vector_from_wire``); only an entry that is not a canonical "p" or
+"p/q" string is parsed through ``Fraction``.  Above this module a point is
+a 0-dimensional flat with an integer base point, from the generators to
+the wire.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ def scalar(x: Scalarish) -> QQ:
 
 
 def vector(entries: Iterable[Scalarish]) -> Vector:
+    if isinstance(entries, (str, bytes)):
+        raise InputError(f"not a vector: {entries!r}")
     return tuple(scalar(x) for x in entries)
 
 
@@ -268,7 +270,7 @@ def full_subspace(ambient_dim: int) -> LinearSubspace:
 def rref_basis(vectors: Iterable[Sequence[QQ]], ambient_dim: int) -> LinearSubspace:
     """Canonical RREF basis of the span of the given rational vectors."""
     rows = []
-    for v in vectors:
+    for v in map(vector, vectors):
         if len(v) != ambient_dim:
             raise InputError(
                 f"vector has length {len(v)}, ambient dimension is {ambient_dim}"
@@ -434,8 +436,6 @@ class QuadraticSpace:
             raise InputError("dimension must be positive")
         if len(self.form) != self.dim or any(len(r) != self.dim for r in self.form):
             raise InputError("form must be a dim x dim matrix")
-        if not is_symmetric(self.form):
-            raise InputError("form must be symmetric")
         if not is_positive_definite(self.form):
             raise InputError("form must be positive definite")
 
@@ -502,14 +502,10 @@ def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -
 # wire format helpers
 
 
-def vector_to_wire(v: Vector) -> list[str]:
-    """Wire format: "p/q" strings, with "/q" omitted when the denominator is 1."""
-    return [str(x) for x in v]
-
-
 def int_vector_to_wire(nums: Sequence[int], den: int) -> list[str]:
-    """The wire strings of ``nums / den`` (``den > 0``), the same as
-    :func:`vector_to_wire` gives for those rationals."""
+    """The wire strings of ``nums / den`` (``den > 0``): "p/q" in lowest
+    terms, with "/q" omitted when the denominator is 1, as ``str`` writes a
+    ``Fraction``."""
     gcd = math.gcd
     out = []
     for x in nums:

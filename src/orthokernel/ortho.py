@@ -26,7 +26,6 @@ from .flats import (
     AffineSubspace,
     _check_same_space,
     _meet_parts,
-    contains,
     is_subflat,
 )
 from .linalg import (
@@ -48,6 +47,7 @@ from .linalg import (
     vec_sub,
     vector,
     xi_complement,
+    zero_subspace,
     zero_vector,
 )
 
@@ -84,20 +84,23 @@ def perp_x(x: AffineSubspace, y: AffineSubspace) -> bool:
 
 
 def orthocomplement_in(
-    x: AffineSubspace, v: AffineSubspace, q: Sequence[QQ]
+    x: AffineSubspace, v: AffineSubspace, q: AffineSubspace
 ) -> AffineSubspace:
-    """The maximal flat through q inside v that is perp-x to x.
+    """The maximal flat through the point flat q inside v that is perp-x
+    to x.
 
     Requires x ⊆ v and q ∈ x.  A point flat complements to v itself; x = v
     complements to the single point q.
     """
     _check_same_space(x, v)
+    if not q.is_point:
+        raise InputError("q must be a point flat")
     if not is_subflat(x, v):
         raise PreconditionError("x must be a subflat of v")
-    if not contains(x, q):
+    if not is_subflat(q, x):
         raise PreconditionError("q must lie on x")
     direction = xi_complement(x.space, x.direction, v.direction)
-    return AffineSubspace.make(x.space, q, direction)
+    return AffineSubspace._canonical(x.space, *q.int_point, direction)
 
 
 def _complement_perp(
@@ -325,17 +328,6 @@ def _rand_int_point(
     return [x * (den // d) for x, d in draws], den
 
 
-def rand_point(
-    space: QuadraticSpace,
-    rng: random.Random,
-    num_bound: int = 9,
-    den_bound: int = 3,
-) -> Vector:
-    """The draw of :func:`_rand_int_point` as rationals."""
-    nums, den = _rand_int_point(space.dim, rng, num_bound, den_bound)
-    return tuple(QQ(x, den) for x in nums)
-
-
 def rand_subspace_of(
     w: LinearSubspace,
     k: int,
@@ -346,8 +338,6 @@ def rand_subspace_of(
     if not 0 <= k <= w.rank:
         raise InputError(f"cannot draw a {k}-dimensional subspace of rank {w.rank}")
     if k == 0:
-        from .linalg import zero_subspace
-
         return zero_subspace(w.ambient_dim)
     if k == w.rank:
         return w
@@ -412,7 +402,7 @@ def unique_complement(
     """The unique b' with b ∩ b' = a, b perp-g b', b ⊔ b' = c.
 
     Requires the strict chain a ⊊ b ⊊ c.  The complement is a joined with
-    the orthocomplement of b in c through a point of a.
+    the orthocomplement of b in c, through a's base point.
     """
     _check_same_space(a, b)
     _check_same_space(b, c)
@@ -420,7 +410,7 @@ def unique_complement(
         raise PreconditionError("need a strictly inside b")
     if not (is_subflat(b, c) and b.dim < c.dim):
         raise PreconditionError("need b strictly inside c")
-    q = a.point
-    z = orthocomplement_in(b, c, q)
-    direction = subspace_sum(a.direction, z.direction)
-    return AffineSubspace.make(a.space, q, direction)
+    z = xi_complement(a.space, b.direction, c.direction)
+    return AffineSubspace._canonical(
+        a.space, *a.int_point, subspace_sum(a.direction, z)
+    )

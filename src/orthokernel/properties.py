@@ -30,6 +30,7 @@ from .flats import (
     translate_through,
 )
 from .generators import (
+    NAMED_FORMS,
     GenConfig,
     flat_between,
     form_label,
@@ -49,8 +50,8 @@ from .linalg import (
     QuadraticSpace,
     full_subspace,
     subspace_sum,
-    vector_to_wire,
     xi_complement,
+    zero_subspace,
 )
 from .ortho import (
     TypedPerpParams,
@@ -96,8 +97,6 @@ def _wire(value):
         return value.to_wire()
     if isinstance(value, TypedPerpParams):
         return asdict(value)
-    if isinstance(value, tuple):
-        return vector_to_wire(value)
     return value
 
 
@@ -106,6 +105,11 @@ def _ce(reason: str, **items) -> dict:
     for name, value in items.items():
         out[name] = _wire(value)
     return out
+
+
+def _base_point(x: AffineSubspace) -> AffineSubspace:
+    """x's canonical base point as a point flat."""
+    return AffineSubspace(x.space, x.int_point, zero_subspace(x.ambient_dim))
 
 
 def _pair_from_params(ctx: TrialContext, params: TypedPerpParams):
@@ -211,7 +215,7 @@ def _sampled_alternative(
     direction = subspace_sum(a.direction, extra)
     if direction.rank != want:
         return None
-    return AffineSubspace.make(ctx.space, a.point, direction)
+    return AffineSubspace._canonical(ctx.space, *a.int_point, direction)
 
 
 def _uniq_check(ctx: TrialContext, rel: Relation) -> Optional[dict]:
@@ -254,21 +258,21 @@ def _p_pointmeet(ctx: TrialContext) -> Optional[dict]:
 def _p_perpxsup(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
     rng = ctx.rng
-    q = gen_point(ctx.cfg, rng)
+    q = gen_point(ctx.cfg, rng).int_point
     full = full_subspace(n)
     ydir = rand_subspace_of(full, rng.randint(1, n - 1), rng)
-    y = AffineSubspace.make(ctx.space, q, ydir)
+    y = AffineSubspace._canonical(ctx.space, *q, ydir)
     comp = xi_complement(ctx.space, ydir, full)
-    x1 = AffineSubspace.make(
-        ctx.space, q, rand_subspace_of(comp, rng.randint(0, comp.rank), rng)
+    x1 = AffineSubspace._canonical(
+        ctx.space, *q, rand_subspace_of(comp, rng.randint(0, comp.rank), rng)
     )
     if rng.random() < 0.8:
-        x2 = AffineSubspace.make(
-            ctx.space, q, rand_subspace_of(comp, rng.randint(0, comp.rank), rng)
+        x2 = AffineSubspace._canonical(
+            ctx.space, *q, rand_subspace_of(comp, rng.randint(0, comp.rank), rng)
         )
     else:
-        x2 = AffineSubspace.make(
-            ctx.space, q, rand_subspace_of(full, rng.randint(0, n), rng)
+        x2 = AffineSubspace._canonical(
+            ctx.space, *q, rand_subspace_of(full, rng.randint(0, n), rng)
         )
     if perp_x(x1, y) and perp_x(x2, y):
         if not perp_x(join(x1, x2), y):
@@ -320,14 +324,14 @@ def _p_go_q_indep(ctx: TrialContext) -> Optional[dict]:
         raise GenerationError("no intersecting pair for the base-point check")
     a, b, mm = found
     base = perp_go(a, b)
-    points = [mm.point, random_point_of(mm, rng), random_point_of(mm, rng)]
+    points = [_base_point(mm), random_point_of(mm, rng), random_point_of(mm, rng)]
     for q in points:
         for s, t in ((a, b), (b, a)):
             z = orthocomplement_in(mm, s, q)
             if perp_subspaces(z, t) != base:
                 return _ce(
                     "verdict depends on the base point or the side",
-                    a=a, b=b, q=tuple(q),
+                    a=a, b=b, q=q.to_wire()["point"],
                 )
     return None
 
@@ -474,8 +478,9 @@ def _p_axo_h(ctx: TrialContext) -> Optional[dict]:
         c = gen_perp_to(ctx.cfg, a, q, rng)
     else:
         b = gen_perp_to(ctx.cfg, a, q, rng)
-        c = AffineSubspace.make(
-            ctx.space, q, rand_subspace_of(a.direction, rng.randint(0, a.dim), rng)
+        c = AffineSubspace._canonical(
+            ctx.space, *q.int_point,
+            rand_subspace_of(a.direction, rng.randint(0, a.dim), rng),
         )
     if perp_go(a, b) and perp_go(a, c):
         bc = meet(b, c)
@@ -521,7 +526,7 @@ def _p_lem1_fwd(ctx: TrialContext) -> Optional[dict]:
     params = ctx.cfg.perp_params or rand_params(ctx.rng, n)
     x1, x2 = _pair_from_params(ctx, params)
     mm = meet(x1, x2)
-    y1 = orthocomplement_in(mm, x1, mm.point)
+    y1 = orthocomplement_in(mm, x1, _base_point(mm))
     oracle = ground_truth_oracle(params)
     mode = ReconstructionMode.sampled(ctx.cfg.sample_count)
     if not decide_perp0(y1, x2, oracle, mode, ctx.rng):
@@ -734,7 +739,7 @@ def run_property(
 
 def default_forms() -> tuple:
     """The standard form battery: identity, graded diagonal, tridiagonal."""
-    return ("identity", "diag", "tridiag")
+    return NAMED_FORMS
 
 
 def run_suite(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import (
     GenerationError,
@@ -37,12 +37,11 @@ from .flats import (
     parallel,
 )
 from .linalg import (
-    QQ,
-    Vector,
     _subspace_from_int_rows,
     full_subspace,
     subspace_sum,
     xi_complement,
+    zero_subspace,
 )
 from .ortho import (
     DEFAULT_RETRIES,
@@ -51,10 +50,6 @@ from .ortho import (
     perp_x,
     rand_subspace_of,
 )
-
-
-# a rational point as integer numerators over a positive denominator
-IntPoint = tuple[Sequence[int], int]
 
 
 @dataclass(frozen=True)
@@ -92,13 +87,13 @@ class ReconstructionMode:
         return cls("sampled", samples, seed)
 
 
-def _single_point_meet(y1: AffineSubspace, x2: AffineSubspace) -> IntPoint:
-    """The common point of y1 and x2, which must meet in a single point,
-    as integer numerators over their least common denominator."""
+def _single_point_meet(y1: AffineSubspace, x2: AffineSubspace) -> AffineSubspace:
+    """The common point flat of y1 and x2, which must meet in a single
+    point."""
     m = meet(y1, x2)
     if m is None or m.dim != 0:
         raise PreconditionError("flats must intersect in a single point")
-    return m.int_point
+    return m
 
 
 def _leading_subspace(rows_source, count: int):
@@ -136,7 +131,7 @@ def lemma1_witness(
     v = join(y1, x2)
     # y1 lies in v and q on y1: the orthocomplement of y1 in v through q
     w = AffineSubspace._canonical(
-        space, *q, xi_complement(space, y1.direction, v.direction)
+        space, *q.int_point, xi_complement(space, y1.direction, v.direction)
     )
     wx2 = meet(w, x2)
     if wx2 is None or wx2.dim < m:
@@ -145,7 +140,7 @@ def lemma1_witness(
         t_dir = _leading_subspace(wx2.direction, m)
     else:
         t_dir = rand_subspace_of(wx2.direction, m, rng)
-    t = AffineSubspace._canonical(space, *q, t_dir)
+    t = AffineSubspace._canonical(space, *q.int_point, t_dir)
     x1 = join(t, y1)
     if x1.dim != y1.dim + m:
         raise InternalError("extension has the wrong dimension")
@@ -182,7 +177,7 @@ def decide_perp0(
         candidate = None
         for _ in range(DEFAULT_RETRIES):
             t_dir = rand_subspace_of(x2.direction, params.m, sample_rng)
-            t = AffineSubspace._canonical(y1.space, *q, t_dir)
+            t = AffineSubspace._canonical(y1.space, *q.int_point, t_dir)
             x1 = join(y1, t)
             if x1.dim == params.k1:
                 candidate = x1
@@ -194,12 +189,16 @@ def decide_perp0(
     return True
 
 
-def _int_feet(l1: AffineSubspace, l2: AffineSubspace) -> tuple[IntPoint, IntPoint]:
-    """The common perpendicular feet of two orthogonal lines as integer
-    numerators over a positive denominator each.
+def common_perpendicular_feet(
+    l1: AffineSubspace, l2: AffineSubspace
+) -> tuple[AffineSubspace, AffineSubspace]:
+    """Unique point flats (q on l1, p on l2) with p - q orthogonal to both
+    lines.
 
+    Requires orthogonal lines; the 2x2 system is then diagonal with
+    anisotropic (hence nonzero) entries.  Intersecting lines give q = p.
     With the scaled form F, direction rows d1, d2 and p2 - p1 = delta / e,
-    the 2x2 system is diagonal: q = p1 + (delta F d1) / (e d1 F d1) d1 and
+    q = p1 + (delta F d1) / (e d1 F d1) d1 and
     p = p2 - (delta F d2) / (e d2 F d2) d2, every factor an integer.
     """
     _check_same_space(l1, l2)
@@ -217,22 +216,10 @@ def _int_feet(l1: AffineSubspace, l2: AffineSubspace) -> tuple[IntPoint, IntPoin
     s1, s2 = e // e1 * g1, e // e2 * g2
     q = [x * s1 + a1 * y for x, y in zip(u1, d1)]
     p = [x * s2 - a2 * y for x, y in zip(u2, d2)]
-    return (q, e * g1), (p, e * g2)
-
-
-def common_perpendicular_feet(
-    l1: AffineSubspace, l2: AffineSubspace
-) -> tuple[Vector, Vector]:
-    """Unique (q on l1, p on l2) with p - q orthogonal to both lines.
-
-    Requires orthogonal lines; the 2x2 system is then diagonal with
-    anisotropic (hence nonzero) entries.  Intersecting lines give q = p.
-    The system is solved in integers (scaled form, direction rows and the
-    point difference over a common denominator); only the returned feet
-    are rationals.
-    """
-    return tuple(
-        tuple(QQ(x, den) for x in nums) for nums, den in _int_feet(l1, l2)
+    zero = zero_subspace(l1.ambient_dim)
+    return (
+        AffineSubspace._canonical(l1.space, q, e * g1, zero),
+        AffineSubspace._canonical(l2.space, p, e * g2, zero),
     )
 
 
@@ -259,9 +246,9 @@ def lemma2_witness(
     n = space.dim
     if k1 + k2 > n:
         raise GenerationError(f"k1 + k2 = {k1 + k2} exceeds dimension {n}")
-    (qn, qd), (pn, pd) = _int_feet(l1, l2)
-    # p2 - q scaled by qd pd > 0
-    w = [b * qd - a * pd for a, b in zip(qn, pn)]
+    q, p = common_perpendicular_feet(l1, l2)
+    # p - q scaled by a positive integer
+    w, _ = _point_difference(q, p)
     d1 = l1.direction.int_rows[0]
     d2 = l2.direction.int_rows[0]
 
@@ -275,7 +262,7 @@ def lemma2_witness(
     else:
         extra2 = rand_subspace_of(comp2, pad2, rng)
     dir2 = subspace_sum(core2, extra2)
-    x2 = AffineSubspace._canonical(space, pn, pd, dir2)
+    x2 = AffineSubspace._canonical(space, *p.int_point, dir2)
 
     comp1 = xi_complement(space, dir2, full)
     rest1 = xi_complement(space, l1.direction, comp1)
@@ -284,7 +271,7 @@ def lemma2_witness(
     else:
         extra1 = rand_subspace_of(rest1, k1 - 1, rng)
     dir1 = subspace_sum(l1.direction, extra1)
-    x1 = AffineSubspace._canonical(space, qn, qd, dir1)
+    x1 = AffineSubspace._canonical(space, *q.int_point, dir1)
 
     if x1.dim != k1 or x2.dim != k2 or not perp_x(x1, x2):
         raise InternalError("wrapping pair failed its own construction")

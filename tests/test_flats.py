@@ -12,7 +12,6 @@ import orthokernel.flats as flats_module
 from orthokernel.errors import InputError
 from orthokernel.flats import (
     AffineSubspace,
-    contains,
     is_subflat,
     join,
     meet,
@@ -71,21 +70,21 @@ def test_same_flat_from_different_presentations(q3):
 
 def test_contains_on_axis(q2):
     x_axis = line(q2, (0, 0), (1, 0))
-    assert contains(x_axis, qv(5, 0))
-    assert not contains(x_axis, qv(0, 1))
+    assert is_subflat(AffineSubspace.from_point(q2, qv(5, 0)), x_axis)
+    assert not is_subflat(AffineSubspace.from_point(q2, qv(0, 1)), x_axis)
 
 
 def test_point_flat_contains_itself(q2):
     p = AffineSubspace.from_point(q2, qv("1/2", -3))
-    assert contains(p, qv("1/2", -3))
+    assert is_subflat(AffineSubspace.from_point(q2, qv("1/2", -3)), p)
     assert p.is_point and p.dim == 0
 
 
 def test_affine_hull_of_points(q3):
     hull = AffineSubspace.from_points(q3, [qv(0, 0, 1), qv(1, 0, 1), qv(0, 1, 1)])
     assert hull.dim == 2
-    assert contains(hull, qv(7, -2, 1))
-    assert not contains(hull, qv(0, 0, 0))
+    assert is_subflat(AffineSubspace.from_point(q3, qv(7, -2, 1)), hull)
+    assert not is_subflat(AffineSubspace.from_point(q3, qv(0, 0, 0)), hull)
 
 
 def test_make_rejects_wrong_point_length(q3):
@@ -249,9 +248,9 @@ def test_same_space_required(q2, q3):
 
 def test_translate_is_parallel(q2):
     x_axis = line(q2, (0, 0), (1, 0))
-    shifted = translate_through(x_axis, qv(0, 1))
+    shifted = translate_through(x_axis, AffineSubspace.from_point(q2, qv(0, 1)))
     assert parallel(x_axis, shifted)
-    assert contains(shifted, qv(3, 1))
+    assert is_subflat(AffineSubspace.from_point(q2, qv(3, 1)), shifted)
 
 
 def test_axes_are_not_parallel(q2):
@@ -265,12 +264,21 @@ def test_parallel_is_reflexive(q2):
 
 def test_translate_through_member_point_is_identity(q2):
     a = line(q2, (0, 0), (1, 0))
-    assert translate_through(a, qv(7, 0)) == a
+    assert translate_through(a, AffineSubspace.from_point(q2, qv(7, 0))) == a
 
 
 def test_translate_point_flat(q2):
     p = AffineSubspace.from_point(q2, qv(1, 1))
-    assert translate_through(p, qv(2, 5)) == AffineSubspace.from_point(q2, qv(2, 5))
+    q = AffineSubspace.from_point(q2, qv(2, 5))
+    assert translate_through(p, q) == AffineSubspace.from_point(q2, qv(2, 5))
+
+
+def test_translate_through_needs_a_point_of_the_same_space(q2, q3):
+    a = line(q2, (0, 0), (1, 0))
+    with pytest.raises(InputError):
+        translate_through(a, line(q2, (0, 1), (1, 1)))
+    with pytest.raises(InputError):
+        translate_through(a, AffineSubspace.from_point(q3, qv(0, 1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +313,7 @@ def test_dimension_law_when_meeting(x, y):
 def test_join_with_point_outside(x):
     p = AffineSubspace.from_point(SPACE3, qv(9, 9, 9))
     j = join(x, p)
-    assert is_subflat(x, j) and contains(j, p.point)
+    assert is_subflat(x, j) and is_subflat(p, j)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +346,8 @@ def test_one_flat_from_every_route_compares_and_hashes_equal():
             AffineSubspace.from_point(SPACE4, on_line(-2)),
         ),
         translate_through(
-            AffineSubspace.make(SPACE4, vec_add(p0, e1), direction), on_line(3)
+            AffineSubspace.make(SPACE4, vec_add(p0, e1), direction),
+            AffineSubspace.from_point(SPACE4, on_line(3)),
         ),
     ]
     for y in routes:

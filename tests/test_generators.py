@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from orthokernel.errors import InputError
-from orthokernel.flats import contains, is_subflat, meet
+from orthokernel.flats import AffineSubspace, is_subflat, meet
 from orthokernel.generators import (
     GenConfig,
     NAMED_FORMS,
@@ -128,7 +128,7 @@ def test_trial_rng_separates_coordinates():
 def test_gen_point_respects_bounds(rng):
     cfg = GenConfig(dim=3, numerator_bound=9, denominator_bound=3)
     for _ in range(200):
-        p = gen_point(cfg, rng)
+        p = gen_point(cfg, rng).point
         assert len(p) == 3
         for c in p:
             assert abs(c.numerator) <= 9
@@ -190,7 +190,7 @@ def test_random_point_of_stays_inside(rng):
     cfg = GenConfig(dim=4)
     flat = gen_subspace(cfg, 2, rng)
     for _ in range(50):
-        assert contains(flat, random_point_of(flat, rng))
+        assert is_subflat(random_point_of(flat, rng), flat)
 
 
 def test_sub_flat_inclusion_and_anchor(rng):
@@ -236,7 +236,7 @@ def test_gen_perp_to_realizes_requested_type(rng):
             q = random_point_of(a, rng)
             c = gen_perp_to(cfg, a, q, rng)
             cut = meet(a, c)
-            assert cut is not None and contains(c, q)
+            assert cut is not None and is_subflat(q, c)
             assert cut.dim < min(a.dim, c.dim)
             assert c.dim - cut.dim <= n - a.dim
             assert perp_g(a, c)
@@ -246,7 +246,10 @@ def test_gen_perp_to_validates_room(rng):
     cfg = GenConfig(dim=3)
     a = gen_subspace(cfg, 3, rng)
     with pytest.raises(InputError):
-        gen_perp_to(cfg, a, a.point, rng)
+        gen_perp_to(cfg, a, AffineSubspace.from_point(a.space, a.point), rng)
+    b = gen_subspace(cfg, 2, rng)
+    with pytest.raises(InputError):
+        gen_perp_to(cfg, b, b, rng)
 
 
 def test_rand_params_always_satisfiable(rng):
@@ -309,6 +312,13 @@ def _draw_line_pair(cfg, rng, seed):
     return gen_line_pair(cfg, rng, orthogonal=seed % 2 == 0)
 
 
+def _draw_points(cfg, rng, seed):
+    a = gen_subspace(cfg, rng.randint(1, cfg.dim - 1), rng)
+    p = gen_point(cfg, rng)
+    q = random_point_of(a, rng)
+    return p, a, q, sub_flat(a, rng.randint(0, a.dim), rng), gen_perp_to(cfg, a, q, rng)
+
+
 PINNED_DRAWS = {
     "make_perp_pair": (
         _draw_perp_pair,
@@ -325,6 +335,11 @@ PINNED_DRAWS = {
     "gen_line_pair": (
         _draw_line_pair,
         "72e7afba8315b903055f98ee4d684dbac972c4973e923f5aba2983da9aca85d5",
+    ),
+    # gen_point, random_point_of (both point flats), sub_flat, gen_perp_to
+    "points": (
+        _draw_points,
+        "b9a17658770538a7b513402537ee4f4038845cf629a7c6fe36975180feca0b44",
     ),
 }
 

@@ -1,16 +1,19 @@
-"""Source hygiene: no dead imports in the package, no dangling exports, and
-every binding the benchmark's tracer patches still exists."""
+"""Source hygiene: no dead imports in the package, no dangling exports,
+every binding the benchmark's tracer patches still exists, and no trial
+builds a rational."""
 
 import ast
 import importlib
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import orthokernel
 from orthokernel import properties
+from orthokernel.generators import NAMED_FORMS, GenConfig, resolve_space
 
 PACKAGE_DIR = Path(orthokernel.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -78,3 +81,24 @@ def test_registry_is_a_dict_of_every_property():
     assert type(properties.REGISTRY) is dict
     assert list(properties.REGISTRY) == list(properties.ALL_PROPERTY_IDS)
     assert len(properties.ALL_PROPERTY_IDS) == len(set(properties.ALL_PROPERTY_IDS)) == 29
+
+
+def test_trials_build_no_fractions():
+    # rationals enter only where forms and flats are parsed; with the forms
+    # resolved, a run over every property and form stays in integers
+    for form in NAMED_FORMS:
+        resolve_space(4, form)
+    original = vars(Fraction)["__new__"]
+    built = 0
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counting_new
+    try:
+        properties.run_suite(GenConfig(dim=4), properties.ALL_PROPERTY_IDS, 20)
+    finally:
+        Fraction.__new__ = original
+    assert built == 0

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthokernel.errors import InputError, PreconditionError
+from orthokernel.flats import AffineSubspace
 from orthokernel.linalg import (
     QuadraticSpace,
     bilinear_eval,
     determinant,
     full_subspace,
+    int_vector_to_wire,
     is_positive_definite,
     is_symmetric,
     mat_inverse,
@@ -21,7 +23,6 @@ from orthokernel.linalg import (
     subspace_intersect,
     subspace_sum,
     vector,
-    vector_to_wire,
     xi_complement,
     zero_subspace,
 )
@@ -51,8 +52,10 @@ def test_scalar_parses_wire_strings():
 
 def test_vector_wire_round_trip():
     v = qv("1/2", -3, 0, "8/2")
-    assert vector_to_wire(v) == ["1/2", "-3", "0", "4"]
-    assert vector(vector_to_wire(v)) == v
+    assert int_vector_to_wire([1, -6, 0, 8], 2) == ["1/2", "-3", "0", "4"]
+    assert vector(int_vector_to_wire([1, -6, 0, 8], 2)) == v
+    assert int_vector_to_wire([-3, 14], 7) == ["-3/7", "2"]
+    assert vector(["-3/7", "2"]) == qv("-3/7", 2)
 
 
 def test_scalar_rejects_garbage():
@@ -83,6 +86,18 @@ def test_rref_empty_input_is_zero_space():
 def test_rref_rejects_length_mismatch():
     with pytest.raises(InputError):
         rref_basis([qv(1, 0, 0)], 2)
+
+
+def test_a_string_is_not_a_vector():
+    # a string was read as its characters: "12" made the point (1, 2)
+    with pytest.raises(InputError):
+        AffineSubspace.make(QuadraticSpace.euclidean(2), "12", rref_basis([], 2))
+    with pytest.raises(InputError):
+        rref_basis(["10"], 2)
+    with pytest.raises(InputError):
+        rref_basis([[1, "x"]], 2)
+    with pytest.raises(InputError):
+        vector(b"12")
 
 
 @given(vecs_strategy(3))

@@ -12,7 +12,6 @@ from orthokernel.errors import (
 )
 from orthokernel.flats import (
     AffineSubspace,
-    contains,
     is_subflat,
     join,
     meet,
@@ -41,7 +40,6 @@ from orthokernel.ortho import (
     perp_m,
     perp_subspaces,
     perp_x,
-    rand_point,
     rand_subspace_of,
     reflection,
     reflections_commute,
@@ -104,7 +102,8 @@ def test_perp_x_meet_is_a_point(q3, rng):
 
 def test_orthocomplement_of_axis_in_space(q3):
     x_axis = line(q3, (0, 0, 0), (1, 0, 0))
-    comp = orthocomplement_in(x_axis, AffineSubspace.full(q3), qv(0, 0, 0))
+    origin = AffineSubspace.from_point(q3, qv(0, 0, 0))
+    comp = orthocomplement_in(x_axis, AffineSubspace.full(q3), origin)
     assert comp == plane(q3, (0, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -112,22 +111,29 @@ def test_orthocomplement_of_point_is_everything(q3):
     v = plane(q3, (0, 0, 1), (1, 0, 0), (0, 1, 0))
     q = qv(2, 3, 1)
     p = AffineSubspace.from_point(q3, q)
-    assert orthocomplement_in(p, v, q) == v
+    assert orthocomplement_in(p, v, p) == v
 
 
 def test_orthocomplement_of_whole_flat_is_base_point(q3):
     v = plane(q3, (0, 0, 0), (1, 0, 0), (0, 1, 0))
     q = qv(1, 1, 0)
-    assert orthocomplement_in(v, v, q) == AffineSubspace.from_point(q3, q)
+    assert (
+        orthocomplement_in(v, v, AffineSubspace.from_point(q3, q))
+        == AffineSubspace.from_point(q3, q)
+    )
 
 
 def test_orthocomplement_preconditions(q3):
     x_axis = line(q3, (0, 0, 0), (1, 0, 0))
     y_axis = line(q3, (0, 0, 0), (0, 1, 0))
     with pytest.raises(PreconditionError):
-        orthocomplement_in(x_axis, y_axis, qv(0, 0, 0))
+        orthocomplement_in(x_axis, y_axis, AffineSubspace.from_point(q3, qv(0, 0, 0)))
     with pytest.raises(PreconditionError):
-        orthocomplement_in(x_axis, AffineSubspace.full(q3), qv(0, 1, 0))
+        orthocomplement_in(
+            x_axis, AffineSubspace.full(q3), AffineSubspace.from_point(q3, qv(0, 1, 0))
+        )
+    with pytest.raises(InputError):
+        orthocomplement_in(x_axis, AffineSubspace.full(q3), x_axis)
 
 
 def test_orthocomplement_clauses_randomized(q4, rng):
@@ -135,13 +141,16 @@ def test_orthocomplement_clauses_randomized(q4, rng):
     for _ in range(40):
         vdim = rng.randint(1, 4)
         v = AffineSubspace.make(
-            q4, rand_point(q4, rng), rand_subspace_of(full_subspace(4), vdim, rng)
+            q4,
+            gen_point(GenConfig(dim=4), rng).point,
+            rand_subspace_of(full_subspace(4), vdim, rng),
         )
         x = AffineSubspace.make(
             q4, v.point, rand_subspace_of(v.direction, rng.randint(0, vdim), rng)
         )
-        comp = orthocomplement_in(x, v, x.point)
-        assert contains(comp, x.point)
+        q = AffineSubspace.from_point(q4, x.point)
+        comp = orthocomplement_in(x, v, q)
+        assert is_subflat(q, comp)
         assert is_subflat(comp, v)
         assert perp_x(comp, x)
         assert join(comp, x) == v
@@ -299,7 +308,7 @@ def test_reflection_fixes_flat_and_preserves_form(q3_weighted, rng):
     for _ in range(30):
         flat = AffineSubspace.make(
             space,
-            rand_point(space, rng),
+            gen_point(GenConfig(dim=3), rng).point,
             rand_subspace_of(full, rng.randint(0, 3), rng),
         )
         r = reflection(flat)

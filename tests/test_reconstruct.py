@@ -9,7 +9,7 @@ from orthokernel.errors import (
     InputError,
     PreconditionError,
 )
-from orthokernel.flats import AffineSubspace, contains, is_subflat, meet, translate_through
+from orthokernel.flats import AffineSubspace, is_subflat, meet, translate_through
 from orthokernel.generators import GenConfig, gen_line_pair, random_point_of
 from orthokernel.linalg import (
     QQ,
@@ -96,21 +96,27 @@ def test_ground_truth_oracle_matches_relation(q3, rng):
 def test_feet_skew_axis_aligned(q3):
     l1 = line(q3, (0, 0, 0), (1, 0, 0))
     l2 = line(q3, (0, 0, 1), (0, 1, 0))
-    assert common_perpendicular_feet(l1, l2) == (qv(0, 0, 0), qv(0, 0, 1))
+    assert common_perpendicular_feet(l1, l2) == (
+        AffineSubspace.from_point(q3, qv(0, 0, 0)),
+        AffineSubspace.from_point(q3, qv(0, 0, 1)),
+    )
 
 
 def test_feet_nontrivial_offsets(q3):
     l1 = line(q3, (0, 0, 0), (1, 0, 0))
     l2 = line(q3, (1, 1, 1), (0, 1, -1))
     q, p = common_perpendicular_feet(l1, l2)
-    assert (q, p) == (qv(1, 0, 0), qv(1, 1, 1))
+    assert (q, p) == (
+        AffineSubspace.from_point(q3, qv(1, 0, 0)),
+        AffineSubspace.from_point(q3, qv(1, 1, 1)),
+    )
 
 
 def test_feet_intersecting_lines_coincide(q3):
     l1 = line(q3, (0, 0, 0), (1, 0, 0))
     l2 = line(q3, (0, 0, 0), (0, 0, 1))
     q, p = common_perpendicular_feet(l1, l2)
-    assert q == p == qv(0, 0, 0)
+    assert q == p == AffineSubspace.from_point(q3, qv(0, 0, 0))
 
 
 def test_feet_rejects_non_orthogonal_lines(q3):
@@ -136,8 +142,8 @@ def test_feet_under_weighted_form(q3_weighted, rng):
     for _ in range(25):
         l1, l2 = gen_line_pair(cfg, rng, orthogonal=True)
         q, p = common_perpendicular_feet(l1, l2)
-        assert contains(l1, q) and contains(l2, p)
-        w = vec_sub(p, q)
+        assert is_subflat(q, l1) and is_subflat(p, l2)
+        w = vec_sub(p.point, q.point)
         for ln in (l1, l2):
             assert bilinear_eval(q3_weighted, w, ln.direction.basis[0]) == 0
 
@@ -502,8 +508,8 @@ def test_integer_feet_match_the_rational_formula(n, form):
             # cross: move l2 through a point of l1
             l2 = translate_through(l2, random_point_of(l1, rng))
         q, p = common_perpendicular_feet(l1, l2)
-        assert (q, p) == _reference_feet(l1, l2)
-        assert contains(l1, q) and contains(l2, p)
+        assert (q.point, p.point) == _reference_feet(l1, l2)
+        assert is_subflat(q, l1) and is_subflat(p, l2)
         if i % 3 == 0:
             assert q == p
         skew += q != p

@@ -85,9 +85,20 @@ def _parse_params(args: argparse.Namespace, required: bool) -> Optional[TypedPer
     return TypedPerpParams(args.m, args.k1, args.k2)
 
 
+def _check_json_target(path: Optional[str]) -> None:
+    """Refuse a --json path in a missing directory before any work runs."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise InputError(
+            f"cannot write {path}: directory {Path(path).parent} does not exist"
+        )
+
+
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +327,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # every subcommand with a report file names it --json
+        _check_json_target(getattr(args, "json", None))
         return args.func(args)
     except (InputError, UnsatisfiableParams, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

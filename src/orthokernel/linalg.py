@@ -228,14 +228,6 @@ class LinearSubspace:
         every row of E exactly when v lies in the subspace."""
         return _echelon_kernel(self.int_rows, self.pivots, self.ambient_dim)
 
-    def contains_vector(self, v: Sequence[QQ]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise InputError(
-                f"vector has length {len(v)}, ambient dimension is {self.ambient_dim}"
-            )
-        residual = _reduce_against(_int_row(v), self.int_rows, self.pivots)
-        return not any(residual)
-
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise InputError("ambient dimension mismatch")
@@ -488,9 +480,22 @@ def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -
     if d.is_zero:
         return w
     fd = _mat_mul_int(d.int_rows, space.int_form)
-    if w.rank == space.dim:
-        # W is the whole space: the equations act on coordinates directly
-        return _subspace_from_int_rows(_int_kernel(fd, space.dim), space.dim)
+    n = space.dim
+    if w.rank == n:
+        # W is the whole space: the equations act on coordinates directly.
+        # Reduced with the columns reversed, each kernel vector is nonzero
+        # at its own free column, zero at the other free ones, and nonzero
+        # elsewhere only at pivots left of it; read backwards, the vectors
+        # lead at their free columns, so reversing each one and their order
+        # gives the canonical echelon rows with no second reduction.
+        rows, pivots = _rref_int([row[::-1] for row in fd])
+        kernel = _echelon_kernel(rows, pivots, n)
+        pivot_set = set(pivots)
+        return LinearSubspace(
+            n,
+            tuple(tuple(v[::-1]) for v in reversed(kernel)),
+            tuple(n - 1 - c for c in reversed(range(n)) if c not in pivot_set),
+        )
     if not w.contains_subspace(d):
         raise PreconditionError("D must be a subspace of W")
     gram = [[sum(map(mul, row, wi)) for wi in w.int_rows] for row in fd]

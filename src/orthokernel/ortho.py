@@ -1,11 +1,16 @@
 """Orthogonality relations on affine flats, reflections, and witnesses.
 
 All relations reduce to exact integer tests on direction bases.  The graded
-relation on flats meeting in M is decided through the canonical witness
-Z = orthocomplement of M inside one argument: any valid witness has its
-direction inside the xi-complement of M's direction there, and the join
-condition forces equality, so one deterministic check settles the relation
-and no search is involved.
+relation on flats meeting in M asks whether the canonical witness Z1, the
+orthocomplement of M's direction inside x1's direction, is orthogonal to
+x2: any valid witness has its direction inside that complement, and the
+join condition forces equality.  It is settled by one rank: with direction
+rows D1, D2 (k1 and k2 of them), the form F and m = dim(D1 ∩ D2),
+D1 ∩ D2^⊥ has dimension k1 - rank(D1 F D2^T).  Because F is positive
+definite, that space lies inside Z1 (it is orthogonal to D2, hence to M)
+and meets M only in zero, while Z1 has dimension exactly k1 - m.  So
+Z1 ⊥ D2 exactly when the Gram matrix D1 F D2^T has rank m, and plain
+orthogonality of directions is its all-zero case.  No search is involved.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .linalg import (
     Matrix,
     QuadraticSpace,
     Vector,
-    _int_kernel,
     _mat_mul_int,
     _rref_int,
     _subspace_from_int_rows,
@@ -58,29 +62,24 @@ DEFAULT_RETRIES = 64
 # the orthogonality relations
 
 
-def _perp_dirs(space: QuadraticSpace, d1: LinearSubspace, d2: LinearSubspace) -> bool:
-    """Every direction of d1 xi-orthogonal to every direction of d2."""
-    if d2.rank < d1.rank:
-        d1, d2 = d2, d1
-    form = space.int_form
-    for v in d2.int_rows:
-        fv = [sum(map(mul, row, v)) for row in form]
-        for u in d1.int_rows:
-            if sum(map(mul, u, fv)):
-                return False
-    return True
+def _gram(x1: AffineSubspace, x2: AffineSubspace) -> list[list[int]]:
+    """D1 F D2^T for the direction rows D1, D2 and the scaled form F.
+
+    F is symmetric, so this is D1 (D2 F)^T, from x2's cached form rows."""
+    fd2 = x2.form_rows
+    return [[sum(map(mul, u, fv)) for fv in fd2] for u in x1.direction.int_rows]
 
 
 def perp_subspaces(x: AffineSubspace, y: AffineSubspace) -> bool:
     """Direction-wise orthogonality; point flats are orthogonal to all."""
     _check_same_space(x, y)
-    return _perp_dirs(x.space, x.direction, y.direction)
+    return _complement_perp(x, y, 0)
 
 
 def perp_x(x: AffineSubspace, y: AffineSubspace) -> bool:
     """Orthogonal with a common point."""
     _check_same_space(x, y)
-    return _perp_dirs(x.space, x.direction, y.direction) and _meet_parts(x, y) is not None
+    return _complement_perp(x, y, 0) and _meet_parts(x, y) is not None
 
 
 def orthocomplement_in(
@@ -103,30 +102,20 @@ def orthocomplement_in(
     return AffineSubspace._canonical(x.space, *q.int_point, direction)
 
 
-def _complement_perp(
-    x1: AffineSubspace, x2: AffineSubspace, meet_coeffs: list[list[int]]
-) -> bool:
+def _complement_perp(x1: AffineSubspace, x2: AffineSubspace, m: int) -> bool:
     """The canonical witness test: Z1, the xi-complement of the meet's
     direction inside x1's direction, is orthogonal to x2's direction.
 
-    Works in the coordinates of x1's direction rows D1, with the meet's
-    direction spanned by A D1 for A = ``meet_coeffs`` (see _meet_parts):
-    Z1 = {c D1 : A D1 F D1^T c = 0} for the scaled form F.
+    ``m`` is the dimension of the meet's direction.  With a positive-definite
+    form, D1 ∩ D2^⊥ lies inside Z1, misses the meet's direction, and has
+    dimension k1 - rank(D1 F D2^T), while Z1 has dimension k1 - m; so the
+    test holds exactly when the Gram matrix has rank m (see the module
+    docstring).  For m = 0 that is a zero Gram matrix.
     """
-    d1 = x1.direction.int_rows
-    fd1 = x1.form_rows
-    if meet_coeffs:
-        eqs = [
-            [sum(map(mul, fm, row)) for row in d1]
-            for fm in _mat_mul_int(meet_coeffs, fd1)
-        ]
-        fz1 = _mat_mul_int(_int_kernel(eqs, len(d1)), fd1)
-    else:
-        # a point meet: Z1 is all of x1's direction
-        fz1 = fd1
-    return not any(
-        sum(map(mul, fz, v)) for fz in fz1 for v in x2.direction.int_rows
-    )
+    gram = _gram(x1, x2)
+    if not m:
+        return not any(map(any, gram))
+    return len(_rref_int(gram)[0]) == m
 
 
 def perp_go(x1: AffineSubspace, x2: AffineSubspace) -> bool:
@@ -137,7 +126,7 @@ def perp_go(x1: AffineSubspace, x2: AffineSubspace) -> bool:
     """
     _check_same_space(x1, x2)
     parts = _meet_parts(x1, x2)
-    return parts is not None and _complement_perp(x1, x2, parts[1])
+    return parts is not None and _complement_perp(x1, x2, len(parts[1]))
 
 
 def perp_g(x1: AffineSubspace, x2: AffineSubspace) -> bool:
@@ -150,7 +139,7 @@ def perp_g(x1: AffineSubspace, x2: AffineSubspace) -> bool:
     # meet = x_i exactly when dims agree, since meet ⊆ x_i always
     if m == x1.dim or m == x2.dim:
         return False
-    return _complement_perp(x1, x2, parts[1])
+    return _complement_perp(x1, x2, m)
 
 
 @dataclass(frozen=True)
@@ -184,7 +173,7 @@ def perp_m(x1: AffineSubspace, x2: AffineSubspace, params: TypedPerpParams) -> b
     if parts is None or len(parts[1]) != params.m:
         return False
     # m < k1, k2 already rules out inclusions
-    return _complement_perp(x1, x2, parts[1])
+    return _complement_perp(x1, x2, params.m)
 
 
 # ---------------------------------------------------------------------------

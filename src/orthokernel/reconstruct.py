@@ -177,8 +177,10 @@ def decide_perp0(
         candidate = None
         for _ in range(DEFAULT_RETRIES):
             t_dir = rand_subspace_of(x2.direction, params.m, sample_rng)
-            t = AffineSubspace._canonical(y1.space, *q.int_point, t_dir)
-            x1 = join(y1, t)
+            # y1 ⊔ T: q lies on y1, so the directions' sum through q
+            x1 = AffineSubspace._canonical(
+                y1.space, *q.int_point, subspace_sum(y1.direction, t_dir)
+            )
             if x1.dim == params.k1:
                 candidate = x1
                 break

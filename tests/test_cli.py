@@ -428,6 +428,38 @@ def test_nonpositive_counts_exit_two(capsys, argv, flag):
     assert err.startswith("error:") and flag in err
 
 
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("work ran before the report path was checked")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--dim", "3", "--trials", "2", "--props", "P-SYM"],
+        ["reconstruct", "--dim", "3", "--m", "0", "--k1", "1", "--k2", "1",
+         "--pairs", "2"],
+        ["counterexample"],
+    ],
+)
+def test_json_into_a_missing_directory_exits_two_before_any_work(
+    capsys, monkeypatch, tmp_path, argv
+):
+    for name in ("run_suite", "gen_line_pair", "emit_counterexamples"):
+        monkeypatch.setattr(f"orthokernel.cli.{name}", _refuse_work)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--json", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(target.parent) in err
+
+
+def test_json_write_failure_exits_two(capsys, tmp_path):
+    # the path is an existing directory: the write itself fails
+    code, _, err = run_cli(capsys, "counterexample", "--json", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
 # ---------------------------------------------------------------------------
 # counterexample and parser plumbing
 

@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical bases, solving, forms, complements."""
 
+import random
 from fractions import Fraction as QQ
 
 import pytest
@@ -8,8 +9,12 @@ from hypothesis import strategies as st
 
 from orthokernel.errors import InputError, PreconditionError
 from orthokernel.flats import AffineSubspace
+from orthokernel.generators import NAMED_FORMS, resolve_space
 from orthokernel.linalg import (
     QuadraticSpace,
+    _int_kernel,
+    _mat_mul_int,
+    _subspace_from_int_rows,
     bilinear_eval,
     determinant,
     full_subspace,
@@ -109,7 +114,7 @@ def test_rref_idempotent(vectors):
 @given(vecs_strategy(3))
 def test_rref_preserves_span(vectors):
     sub = rref_basis(vectors, 3)
-    assert all(sub.contains_vector(v) for v in vectors)
+    assert all(sub.contains_subspace(rref_basis([v], 3)) for v in vectors)
     original = rref_basis(list(vectors) + list(sub.basis), 3)
     assert original == sub
 
@@ -262,3 +267,24 @@ def test_complement_dimension_and_involution(ws, extra):
     assert comp.rank + d.rank == w.rank
     assert subspace_intersect(comp, d).rank == 0
     assert xi_complement(space, comp, w) == d
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_complement_in_full_space_is_the_reduced_kernel(n):
+    # one elimination with reversed columns against kernel-then-reduce
+    rng = random.Random(f"full-complement:{n}")
+    full = full_subspace(n)
+    for i in range(40):
+        space = resolve_space(n, NAMED_FORMS[i % 3])
+        bound = 10**9 if i % 4 == 3 else 4
+        rows = [
+            [rng.randint(-bound, bound) if rng.random() < 0.6 else 0 for _ in range(n)]
+            for _ in range(rng.randint(1, n + 1))
+        ]
+        if i % 5 == 0:
+            rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+        d = _subspace_from_int_rows(rows, n)
+        want = _subspace_from_int_rows(
+            _int_kernel(_mat_mul_int(d.int_rows, space.int_form), n), n
+        )
+        assert xi_complement(space, d, full) == want

@@ -2,7 +2,8 @@
 
 Seeded rational matrices up to 8 x 8, dense and sparse, full rank and
 rank-deficient, some with entries near 10^12: rank, RREF, kernel span,
-determinant and inverse must agree with sympy exactly.
+determinant, inverse and the complement in the whole space must agree
+with sympy exactly.
 """
 
 import random
@@ -12,11 +13,14 @@ import pytest
 
 from orthokernel.errors import PreconditionError
 from orthokernel.linalg import (
+    QuadraticSpace,
     _int_kernel,
     _int_row,
     determinant,
+    full_subspace,
     mat_inverse,
     rref_basis,
+    xi_complement,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -109,3 +113,24 @@ def test_determinant_and_inverse_match_sympy(index):
             mat_inverse(tuple(tuple(r) for r in rows))
     else:
         assert list(mat_inverse(tuple(tuple(r) for r in rows))) == _from_sympy(ref.inv())
+
+
+def _dense_form(n):
+    """A dense rational form, diagonally dominant hence positive definite."""
+    return [
+        [Fraction(n + 1) if i == j else Fraction(1, 1 + i + j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_complement_in_full_space_matches_sympy(index):
+    # the kernel of d F, read off one reversed-column elimination
+    rows = CASES[index]
+    cols = len(rows[0])
+    form = _dense_form(cols)
+    space = QuadraticSpace.from_matrix(form)
+    d = rref_basis(rows, cols)
+    ref = (_to_sympy(rows) * _to_sympy(form)).nullspace()
+    want = rref_basis([_from_sympy(v.T)[0] for v in ref], cols)
+    assert xi_complement(space, d, full_subspace(cols)) == want

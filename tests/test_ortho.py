@@ -19,15 +19,25 @@ from orthokernel.flats import (
 )
 from orthokernel.generators import (
     GenConfig,
+    gen_line_pair,
     gen_pair_with_meet_dim,
+    gen_perp_to,
     gen_point,
     gen_subspace,
     rand_params,
+    random_point_of,
     space_of,
     sub_flat,
+    super_flat,
     trial_rng,
 )
-from orthokernel.linalg import full_subspace, mat_mul, rref_basis
+from orthokernel.linalg import (
+    bilinear_eval,
+    full_subspace,
+    mat_mul,
+    rref_basis,
+    xi_complement,
+)
 from orthokernel.ortho import (
     AffineIsometry,
     TypedPerpParams,
@@ -393,3 +403,91 @@ def test_unique_complement_requires_strict_chain(q3):
         unique_complement(a, b, b)
     with pytest.raises(PreconditionError):
         unique_complement(b, a, AffineSubspace.full(q3))
+
+
+# ---------------------------------------------------------------------------
+# the Gram-rank criterion against the witness construction
+
+
+def _dense_form(n):
+    """A dense rational form, diagonally dominant hence positive definite."""
+    return tuple(
+        tuple(QQ(n + 1) if i == j else QQ(1, 1 + i + j) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _reference_dirs_perp(space, rows1, rows2):
+    return all(bilinear_eval(space, u, v) == 0 for u in rows1 for v in rows2)
+
+
+def _reference_verdicts(x1, x2):
+    """The graded verdicts through the explicit witness: Z1, the
+    xi-complement of the meet's direction inside x1's direction, paired
+    with every direction of x2 in rationals."""
+    space = x1.space
+    dirs_perp = _reference_dirs_perp(space, x1.direction.basis, x2.direction.basis)
+    m = meet(x1, x2)
+    if m is None:
+        return {"perp_subspaces": dirs_perp, "perp_x": False,
+                "perp_go": False, "perp_g": False}
+    z1 = xi_complement(space, m.direction, x1.direction)
+    go = _reference_dirs_perp(space, z1.basis, x2.direction.basis)
+    return {
+        "perp_subspaces": dirs_perp,
+        "perp_x": dirs_perp,
+        "perp_go": go,
+        "perp_g": go and m.dim not in (x1.dim, x2.dim),
+    }
+
+
+def _criterion_pairs(cfg, rng):
+    """Orthogonal, tilted, random, nested, equal, disjoint, point and
+    full-space pairs."""
+    n = cfg.dim
+    space = space_of(cfg)
+    for _ in range(4):
+        x1, x2 = make_perp_pair(space, rand_params(rng, n), rng)
+        yield x1, x2
+        # one more direction on x2 keeps or breaks the relation
+        yield x1, super_flat(cfg, x2, min(n, x2.dim + 1), rng)
+        k1, k2 = rng.randint(0, n), rng.randint(0, n)
+        yield gen_pair_with_meet_dim(
+            cfg, k1, k2, rng.randint(max(0, k1 + k2 - n), min(k1, k2)), rng
+        )
+        a = gen_subspace(cfg, rng.randint(1, n), rng)
+        yield a, gen_perp_to(cfg, a, random_point_of(a, rng), rng) if a.dim < n else a
+        yield a, a
+        yield a, sub_flat(a, rng.randint(0, a.dim), rng)
+        p = gen_point(cfg, rng)
+        yield a, translate_through(a, p)
+        yield a, p
+        yield p, random_point_of(a, rng)
+        yield AffineSubspace.full(space), a
+        l1, l2 = gen_line_pair(cfg, rng, orthogonal=True)
+        yield l1, l2
+
+
+CRITERION_FORMS = ["identity", "diag", "tridiag", "dense"]
+
+
+@pytest.mark.parametrize("form", CRITERION_FORMS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_gram_rank_matches_the_witness_construction(n, form):
+    cfg = GenConfig(dim=n, form=_dense_form(n) if form == "dense" else form)
+    rng = trial_rng(20261018, f"gram:{n}:{form}", 0)
+    relations = {"perp_subspaces": perp_subspaces, "perp_x": perp_x,
+                 "perp_go": perp_go, "perp_g": perp_g}
+    seen = Counter()
+    for a, b in _criterion_pairs(cfg, rng):
+        for x1, x2 in ((a, b), (b, a)):
+            want = _reference_verdicts(x1, x2)
+            for name, relation in relations.items():
+                assert relation(x1, x2) == want[name], (name, x1.to_wire(), x2.to_wire())
+                seen[name, want[name]] += 1
+            m = meet(x1, x2)
+            if m is not None and m.dim < min(x1.dim, x2.dim):
+                params = TypedPerpParams(m.dim, x1.dim, x2.dim)
+                assert perp_m(x1, x2, params) == want["perp_g"]
+    # every verdict takes both values
+    assert all(seen[name, v] for name in relations for v in (True, False)), seen

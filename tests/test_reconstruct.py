@@ -1,5 +1,7 @@
 """Line-orthogonality recovery pipeline: feet, witnesses, both decision modes."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,7 +12,12 @@ from orthokernel.errors import (
     PreconditionError,
 )
 from orthokernel.flats import AffineSubspace, is_subflat, meet, translate_through
-from orthokernel.generators import GenConfig, gen_line_pair, random_point_of
+from orthokernel.generators import (
+    NAMED_FORMS,
+    GenConfig,
+    gen_line_pair,
+    random_point_of,
+)
 from orthokernel.linalg import (
     QQ,
     bilinear_eval,
@@ -546,3 +553,42 @@ def test_line_ground_truth_matches_the_rational_form():
         assert line_perp_ground_truth(l2, l1) == want
         seen[want] += 1
     assert min(seen.values()) >= 90
+
+
+# ---------------------------------------------------------------------------
+# the sampled candidates are pinned
+
+
+A_RECON_GRID = ((0, 1, 1), (1, 2, 2), (1, 2, 3), (2, 3, 3))
+
+# sha256 over every queried candidate's wire form, the queries per pair and
+# the rng state after each pair, over the grid below
+PINNED_SAMPLED_CANDIDATES = (
+    "27d81aae8b9d2eb92baab97aae2a6832de19eb6c2b3b10d5fe172a8005928578"
+)
+
+
+def test_sampled_candidates_are_pinned():
+    h = hashlib.sha256()
+    for m, k1, k2 in A_RECON_GRID:
+        params = TypedPerpParams(m, k1, k2)
+        for n in range(k1 + k2 - m, 7):
+            for form in NAMED_FORMS:
+                cfg = GenConfig(dim=n, seed=0, form=form, perp_params=params)
+                for seed in range(10):
+                    rng = random.Random(seed)
+                    l1, l2 = gen_line_pair(cfg, rng, orthogonal=seed % 2 == 0)
+                    queried = []
+
+                    def query(a, b):
+                        queried.append([a.to_wire(), b.to_wire()])
+                        return perp_m(a, b, params)
+
+                    reconstruct_line_perp(
+                        l1, l2, params, PerpOracle(params, query),
+                        ReconstructionMode.sampled(20), rng,
+                    )
+                    h.update(json.dumps(queried, sort_keys=True).encode())
+                    h.update(f"{len(queried)}".encode())
+                    h.update(repr(rng.getstate()).encode())
+    assert h.hexdigest() == PINNED_SAMPLED_CANDIDATES

@@ -24,7 +24,13 @@ from .generators import (
     space_of,
     trial_rng,
 )
-from .ortho import TypedPerpParams, make_perp_pair
+from .ortho import (
+    DENOMINATOR_BOUND,
+    NUMERATOR_BOUND,
+    RETRIES,
+    TypedPerpParams,
+    make_perp_pair,
+)
 from .properties import (
     ALL_PROPERTY_IDS,
     CORE_PROPERTY_IDS,
@@ -117,9 +123,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     cfg = GenConfig(
         dim=args.dim,
         seed=seed,
-        numerator_bound=args.numerator_bound,
-        denominator_bound=args.denominator_bound,
-        retries=args.retries,
         perp_params=params,
         sample_count=args.samples,
     )
@@ -140,9 +143,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "seed": seed,
             "forms": [f if isinstance(f, str) else [list(r) for r in f] for f in forms],
             "props": sorted(set(props)),
-            "numerator_bound": cfg.numerator_bound,
-            "denominator_bound": cfg.denominator_bound,
-            "retries": cfg.retries,
+            # the fixed draw policy, kept as fields of report schema 1
+            "numerator_bound": NUMERATOR_BOUND,
+            "denominator_bound": DENOMINATOR_BOUND,
+            "retries": RETRIES,
             "sample_count": cfg.sample_count,
         }
         if params is not None:
@@ -171,9 +175,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     for i in range(args.count):
         rng = trial_rng(seed, f"witness:{args.lemma or 'pair'}", i)
         if args.lemma is None:
-            x1, x2 = make_perp_pair(
-                space, params, rng, cfg.numerator_bound, cfg.denominator_bound
-            )
+            x1, x2 = make_perp_pair(space, params, rng)
             flats = {"x1": x1, "x2": x2}
         elif args.lemma == 1:
             y1, x2 = gen_pair_with_meet_dim(
@@ -276,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--json", default=None, help="write the report here")
     check.add_argument("--jobs", type=int, default=1)
-    check.add_argument("--numerator-bound", type=int, default=9)
-    check.add_argument("--denominator-bound", type=int, default=3)
-    check.add_argument("--retries", type=int, default=64)
     check.add_argument("--samples", type=int, default=20)
     _add_params(check)
     check.set_defaults(func=_cmd_check)

@@ -28,7 +28,8 @@ from .linalg import (
     zero_subspace,
 )
 from .ortho import (
-    DEFAULT_RETRIES,
+    COEFF_BOUND,
+    RETRIES,
     TypedPerpParams,
     _rand_int_point,
     rand_subspace_of,
@@ -41,24 +42,23 @@ FormSpec = Union[str, tuple]
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Shared knobs for the random generators and the property runner."""
+    """What a property run varies: the space, the master seed, optional
+    pinned (m, k1, k2) and the sampled-mode candidate count.
+
+    How coordinates are drawn and how often a collapsed draw is retried is
+    fixed in :mod:`orthokernel.ortho` (``NUMERATOR_BOUND``,
+    ``DENOMINATOR_BOUND``, ``RETRIES``), not configured here.
+    """
 
     dim: int
     form: FormSpec = "identity"
-    numerator_bound: int = 9
-    denominator_bound: int = 3
     seed: int = 0
-    retries: int = DEFAULT_RETRIES
     perp_params: Optional[TypedPerpParams] = None
     sample_count: int = 20
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InputError("dim must be positive")
-        if self.numerator_bound < 1 or self.denominator_bound < 1:
-            raise InputError("coordinate bounds must be at least 1")
-        if self.retries < 1:
-            raise InputError("retries must be at least 1")
         if self.sample_count < 1:
             raise InputError("sample_count must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -120,19 +120,14 @@ def trial_rng(master_seed: int, property_id: str, trial: int) -> random.Random:
 
 
 def gen_point(cfg: GenConfig, rng: random.Random) -> AffineSubspace:
-    """A random point flat, drawn as :func:`_gen_int_point` draws."""
+    """A random point flat, drawn as :func:`ortho._rand_int_point` draws."""
     return AffineSubspace._canonical(
-        space_of(cfg), *_gen_int_point(cfg, rng), zero_subspace(cfg.dim)
+        space_of(cfg), *_rand_int_point(cfg.dim, rng), zero_subspace(cfg.dim)
     )
 
 
-def _gen_int_point(cfg: GenConfig, rng: random.Random) -> tuple[list[int], int]:
-    """A random point as numerators over the lcm of its denominators."""
-    return _rand_int_point(cfg.dim, rng, cfg.numerator_bound, cfg.denominator_bound)
-
-
-def _rand_int_vector(n: int, rng: random.Random, bound: int) -> tuple[int, ...]:
-    return tuple(rng.randint(-bound, bound) for _ in range(n))
+def _rand_int_vector(n: int, rng: random.Random) -> tuple[int, ...]:
+    return tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(n))
 
 
 def gen_subspace(cfg: GenConfig, k: int, rng: random.Random) -> AffineSubspace:
@@ -141,8 +136,8 @@ def gen_subspace(cfg: GenConfig, k: int, rng: random.Random) -> AffineSubspace:
     n = space.dim
     if not 0 <= k <= n:
         raise InputError(f"dimension {k} out of range for ambient {n}")
-    direction = rand_subspace_of(full_subspace(n), k, rng, cfg.retries)
-    return AffineSubspace._canonical(space, *_gen_int_point(cfg, rng), direction)
+    direction = rand_subspace_of(full_subspace(n), k, rng)
+    return AffineSubspace._canonical(space, *_rand_int_point(n, rng), direction)
 
 
 def gen_pair_with_meet_dim(
@@ -160,24 +155,22 @@ def gen_pair_with_meet_dim(
     if not max(0, k1 + k2 - n) <= m <= min(k1, k2):
         raise InputError(f"meet dimension {m} infeasible for ({k1}, {k2}) in Q^{n}")
     full = full_subspace(n)
-    for _ in range(cfg.retries):
-        dir_m = rand_subspace_of(full, m, rng, cfg.retries)
-        ext1 = [_rand_int_vector(n, rng, 3) for _ in range(k1 - m)]
-        ext2 = [_rand_int_vector(n, rng, 3) for _ in range(k2 - m)]
+    for _ in range(RETRIES):
+        dir_m = rand_subspace_of(full, m, rng)
+        ext1 = [_rand_int_vector(n, rng) for _ in range(k1 - m)]
+        ext2 = [_rand_int_vector(n, rng) for _ in range(k2 - m)]
         d1 = _subspace_from_int_rows(dir_m.int_rows + tuple(ext1), n)
         d2 = _subspace_from_int_rows(dir_m.int_rows + tuple(ext2), n)
         if d1.rank != k1 or d2.rank != k2:
             continue
         if subspace_sum(d1, d2).rank != k1 + k2 - m:
             continue
-        p = _gen_int_point(cfg, rng)
+        p = _rand_int_point(n, rng)
         return (
             AffineSubspace._canonical(space, *p, d1),
             AffineSubspace._canonical(space, *p, d2),
         )
-    raise GenerationError(
-        f"no pair with meet dimension {m} after {cfg.retries} draws"
-    )
+    raise GenerationError(f"no pair with meet dimension {m} after {RETRIES} draws")
 
 
 def random_point_of(flat: AffineSubspace, rng: random.Random) -> AffineSubspace:
@@ -185,7 +178,7 @@ def random_point_of(flat: AffineSubspace, rng: random.Random) -> AffineSubspace:
     directions."""
     nums, den = flat.int_point
     for row in flat.direction.int_rows:
-        c = rng.randint(-3, 3)
+        c = rng.randint(-COEFF_BOUND, COEFF_BOUND)
         if c:
             nums = [x + c * den * y for x, y in zip(nums, row)]
     return AffineSubspace._canonical(
@@ -203,41 +196,35 @@ def sub_flat(flat: AffineSubspace, k: int, rng: random.Random) -> AffineSubspace
     )
 
 
-def super_flat(
-    cfg: GenConfig, flat: AffineSubspace, k: int, rng: random.Random
-) -> AffineSubspace:
+def super_flat(flat: AffineSubspace, k: int, rng: random.Random) -> AffineSubspace:
     """A random k-dimensional flat containing the given one."""
     n = flat.ambient_dim
     if not flat.dim <= k <= n:
         raise InputError(f"cannot extend a dim-{flat.dim} flat to dimension {k}")
-    for _ in range(cfg.retries):
-        ext = [_rand_int_vector(n, rng, 3) for _ in range(k - flat.dim)]
+    for _ in range(RETRIES):
+        ext = [_rand_int_vector(n, rng) for _ in range(k - flat.dim)]
         direction = _subspace_from_int_rows(flat.direction.int_rows + tuple(ext), n)
         if direction.rank == k:
             return AffineSubspace._canonical(flat.space, *flat.int_point, direction)
-    raise GenerationError(f"no rank-{k} extension after {cfg.retries} draws")
+    raise GenerationError(f"no rank-{k} extension after {RETRIES} draws")
 
 
 def flat_between(
-    cfg: GenConfig,
-    inner: AffineSubspace,
-    outer: AffineSubspace,
-    k: int,
-    rng: random.Random,
+    inner: AffineSubspace, outer: AffineSubspace, k: int, rng: random.Random
 ) -> AffineSubspace:
     """A random k-flat C with inner ⊆ C ⊆ outer (inner must sit in outer)."""
     if not inner.dim <= k <= outer.dim:
         raise InputError("dimension outside the inclusion interval")
-    for _ in range(cfg.retries):
+    for _ in range(RETRIES):
         extra = rand_subspace_of(outer.direction, k - inner.dim, rng)
         direction = subspace_sum(inner.direction, extra)
         if direction.rank == k:
             return AffineSubspace._canonical(inner.space, *inner.int_point, direction)
-    raise GenerationError(f"no rank-{k} intermediate flat after {cfg.retries} draws")
+    raise GenerationError(f"no rank-{k} intermediate flat after {RETRIES} draws")
 
 
 def gen_perp_to(
-    cfg: GenConfig, a: AffineSubspace, q: AffineSubspace, rng: random.Random
+    a: AffineSubspace, q: AffineSubspace, rng: random.Random
 ) -> AffineSubspace:
     """A random flat C through the point flat q with C perp-g A.
 
@@ -255,9 +242,9 @@ def gen_perp_to(
         raise InputError("ambient space leaves no orthogonal head room")
     m = rng.randint(0, a.dim - 1)
     k = rng.randint(m + 1, m + room)
-    dir_m = rand_subspace_of(a.direction, m, rng, cfg.retries)
+    dir_m = rand_subspace_of(a.direction, m, rng)
     comp = xi_complement(space, a.direction, full_subspace(n))
-    wing = rand_subspace_of(comp, k - m, rng, cfg.retries)
+    wing = rand_subspace_of(comp, k - m, rng)
     return AffineSubspace._canonical(space, *q.int_point, subspace_sum(dir_m, wing))
 
 
@@ -278,13 +265,11 @@ def gen_line_pair(
     space = space_of(cfg)
     n = space.dim
     full = full_subspace(n)
-    d1 = rand_subspace_of(full, 1, rng, cfg.retries)
+    d1 = rand_subspace_of(full, 1, rng)
     if orthogonal:
-        d2 = rand_subspace_of(
-            xi_complement(space, d1, full), 1, rng, cfg.retries
-        )
+        d2 = rand_subspace_of(xi_complement(space, d1, full), 1, rng)
     else:
-        d2 = rand_subspace_of(full, 1, rng, cfg.retries)
-    l1 = AffineSubspace._canonical(space, *_gen_int_point(cfg, rng), d1)
-    l2 = AffineSubspace._canonical(space, *_gen_int_point(cfg, rng), d2)
+        d2 = rand_subspace_of(full, 1, rng)
+    l1 = AffineSubspace._canonical(space, *_rand_int_point(n, rng), d1)
+    l2 = AffineSubspace._canonical(space, *_rand_int_point(n, rng), d2)
     return l1, l2

@@ -55,8 +55,6 @@ from .linalg import (
     zero_vector,
 )
 
-DEFAULT_RETRIES = 64
-
 
 # ---------------------------------------------------------------------------
 # the orthogonality relations
@@ -303,26 +301,33 @@ def reflections_commute(x1: AffineSubspace, x2: AffineSubspace) -> bool:
 # constructive witnesses
 
 
-def _rand_int_point(
-    n: int, rng: random.Random, num_bound: int, den_bound: int
-) -> tuple[list[int], int]:
+# The one draw policy of every generator: point coordinates p/q with
+# |p| <= NUMERATOR_BOUND and 1 <= q <= DENOMINATOR_BOUND, direction rows as
+# integer combinations with coefficients in [-COEFF_BOUND, COEFF_BOUND], and
+# a draw whose rank collapses retried up to RETRIES times before a
+# GenerationError.
+NUMERATOR_BOUND = 9
+DENOMINATOR_BOUND = 3
+RETRIES = 64
+COEFF_BOUND = 3
+
+
+def _rand_int_point(n: int, rng: random.Random) -> tuple[list[int], int]:
     """A random point of Q^n as numerators over the lcm of its denominators.
 
     Each coordinate draws its numerator, then its denominator."""
     draws = [
-        (rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+        (
+            rng.randint(-NUMERATOR_BOUND, NUMERATOR_BOUND),
+            rng.randint(1, DENOMINATOR_BOUND),
+        )
         for _ in range(n)
     ]
     den = math.lcm(*[d for _, d in draws])
     return [x * (den // d) for x, d in draws], den
 
 
-def rand_subspace_of(
-    w: LinearSubspace,
-    k: int,
-    rng: random.Random,
-    retries: int = DEFAULT_RETRIES,
-) -> LinearSubspace:
+def rand_subspace_of(w: LinearSubspace, k: int, rng: random.Random) -> LinearSubspace:
     """A random k-dimensional subspace of w (small integer combinations)."""
     if not 0 <= k <= w.rank:
         raise InputError(f"cannot draw a {k}-dimensional subspace of rank {w.rank}")
@@ -330,9 +335,9 @@ def rand_subspace_of(
         return zero_subspace(w.ambient_dim)
     if k == w.rank:
         return w
-    for _ in range(retries):
+    for _ in range(RETRIES):
         coeffs = [
-            [rng.randint(-3, 3) for _ in range(w.rank)]
+            [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(w.rank)]
             for _ in range(k)
         ]
         # the whole space's rows are the identity: the product is coeffs
@@ -340,23 +345,20 @@ def rand_subspace_of(
         cand = _subspace_from_int_rows(rows, w.ambient_dim)
         if cand.rank == k:
             return cand
-    raise GenerationError(f"no independent {k}-subspace after {retries} draws")
+    raise GenerationError(f"no independent {k}-subspace after {RETRIES} draws")
 
 
 def make_perp_pair(
-    space: QuadraticSpace,
-    params: TypedPerpParams,
-    rng: random.Random,
-    num_bound: int = 9,
-    den_bound: int = 3,
-    retries: int = DEFAULT_RETRIES,
+    space: QuadraticSpace, params: TypedPerpParams, rng: random.Random
 ) -> tuple[AffineSubspace, AffineSubspace]:
     """A random pair in the typed relation, or a refusal when impossible.
 
     Build: common point q, meet flat M of dimension m through q, then Z1
     inside the xi-complement of M's direction and Z2 inside the
     xi-complement of that direction extended by Z1, so the two extensions
-    are mutually orthogonal and meet M's direction trivially.
+    are mutually orthogonal and meet M's direction trivially.  Every draw
+    follows the fixed policy above; a construction that collapses is
+    redrawn up to RETRIES times, then GenerationError.
     """
     n = space.dim
     if not params.satisfiable_in(n):
@@ -365,15 +367,15 @@ def make_perp_pair(
         )
     full = full_subspace(n)
     last_error = "exhausted retries"
-    for _ in range(retries):
-        q = _rand_int_point(n, rng, num_bound, den_bound)
+    for _ in range(RETRIES):
+        q = _rand_int_point(n, rng)
         try:
-            dir_m = rand_subspace_of(full, params.m, rng, retries)
+            dir_m = rand_subspace_of(full, params.m, rng)
             comp1 = xi_complement(space, dir_m, full)
-            z1 = rand_subspace_of(comp1, params.k1 - params.m, rng, retries)
+            z1 = rand_subspace_of(comp1, params.k1 - params.m, rng)
             d1 = subspace_sum(dir_m, z1)
             comp2 = xi_complement(space, d1, full)
-            z2 = rand_subspace_of(comp2, params.k2 - params.m, rng, retries)
+            z2 = rand_subspace_of(comp2, params.k2 - params.m, rng)
         except GenerationError as exc:
             last_error = str(exc)
             continue

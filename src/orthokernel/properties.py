@@ -54,6 +54,7 @@ from .linalg import (
     zero_subspace,
 )
 from .ortho import (
+    RETRIES,
     TypedPerpParams,
     make_perp_pair,
     orthocomplement_in,
@@ -112,24 +113,13 @@ def _base_point(x: AffineSubspace) -> AffineSubspace:
     return AffineSubspace(x.space, x.int_point, zero_subspace(x.ambient_dim))
 
 
-def _pair_from_params(ctx: TrialContext, params: TypedPerpParams):
-    return make_perp_pair(
-        ctx.space,
-        params,
-        ctx.rng,
-        ctx.cfg.numerator_bound,
-        ctx.cfg.denominator_bound,
-        ctx.cfg.retries,
-    )
-
-
 def _mixed_pair(ctx: TrialContext):
     """A pair drawn from orthogonal / fixed-meet / nested / free regimes."""
     n = ctx.space.dim
     rng = ctx.rng
     r = rng.random()
     if r < 0.45:
-        return _pair_from_params(ctx, rand_params(rng, n))
+        return make_perp_pair(ctx.space, rand_params(rng, n), rng)
     if r < 0.70:
         k1 = rng.randint(0, n)
         k2 = rng.randint(0, n)
@@ -178,7 +168,7 @@ def _p_meet_nonempty(ctx: TrialContext) -> Optional[dict]:
 
 
 def _p_par(ctx: TrialContext) -> Optional[dict]:
-    a, b = _pair_from_params(ctx, rand_params(ctx.rng, ctx.space.dim))
+    a, b = make_perp_pair(ctx.space, rand_params(ctx.rng, ctx.space.dim), ctx.rng)
     if ctx.rng.random() < 0.75:
         pt = random_point_of(a, ctx.rng)
     else:
@@ -247,7 +237,7 @@ def _p_pointmeet(ctx: TrialContext) -> Optional[dict]:
     k1 = ctx.rng.randint(1, n - 1)
     k2 = ctx.rng.randint(1, n - k1)
     if ctx.rng.random() < 0.5:
-        a, b = _pair_from_params(ctx, TypedPerpParams(0, k1, k2))
+        a, b = make_perp_pair(ctx.space, TypedPerpParams(0, k1, k2), ctx.rng)
     else:
         a, b = gen_pair_with_meet_dim(ctx.cfg, k1, k2, 0, ctx.rng)
     if perp_g(a, b) != perp_x(a, b):
@@ -314,7 +304,7 @@ def _p_ggo(ctx: TrialContext) -> Optional[dict]:
 def _p_go_q_indep(ctx: TrialContext) -> Optional[dict]:
     rng = ctx.rng
     found = None
-    for _ in range(ctx.cfg.retries):
+    for _ in range(RETRIES):
         a, b = _mixed_pair(ctx)
         mm = meet(a, b)
         if mm is not None:
@@ -339,8 +329,8 @@ def _p_go_q_indep(ctx: TrialContext) -> Optional[dict]:
 def _p_sqcup(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
     a = gen_subspace(ctx.cfg, ctx.rng.randint(1, n - 1), ctx.rng)
-    b = gen_perp_to(ctx.cfg, a, random_point_of(a, ctx.rng), ctx.rng)
-    c = gen_perp_to(ctx.cfg, a, random_point_of(a, ctx.rng), ctx.rng)
+    b = gen_perp_to(a, random_point_of(a, ctx.rng), ctx.rng)
+    c = gen_perp_to(a, random_point_of(a, ctx.rng), ctx.rng)
     if perp_g(a, b) and perp_g(a, c):
         bc = join(b, c)
         if not (perp_g(a, bc) or is_subflat(a, bc)):
@@ -356,7 +346,7 @@ def _restriction_check(
     """a rel b survives shrinking b to a flat c with a ∩ b ⊆ c ⊆ b; margin 1
     keeps c off the meet, for a relation that fails on nested flats."""
     mm = meet(a, b)
-    c = flat_between(ctx.cfg, mm, b, ctx.rng.randint(mm.dim + margin, b.dim), ctx.rng)
+    c = flat_between(mm, b, ctx.rng.randint(mm.dim + margin, b.dim), ctx.rng)
     if rel(a, b) and not rel(a, c):
         return _ce(f"restriction above the meet lost {name}", a=a, b=b, c=c)
     return None
@@ -369,19 +359,19 @@ def _piece_join_check(
     """a rel b survives joining b with a flat c with a ∩ b ⊆ c ⊆ a; margin 1
     keeps c off a, for a relation that fails on nested flats."""
     mm = meet(a, b)
-    c = flat_between(ctx.cfg, mm, a, ctx.rng.randint(mm.dim, a.dim - margin), ctx.rng)
+    c = flat_between(mm, a, ctx.rng.randint(mm.dim, a.dim - margin), ctx.rng)
     if rel(a, b) and not rel(a, join(b, c)):
         return _ce(f"join with a piece of a lost {name}", a=a, b=b, c=c)
     return None
 
 
 def _p_cosik2(ctx: TrialContext) -> Optional[dict]:
-    a, b = _pair_from_params(ctx, rand_params(ctx.rng, ctx.space.dim))
+    a, b = make_perp_pair(ctx.space, rand_params(ctx.rng, ctx.space.dim), ctx.rng)
     return _restriction_check(ctx, a, b, perp_g, "perp_g", margin=1)
 
 
 def _p_cosik(ctx: TrialContext) -> Optional[dict]:
-    a, b = _pair_from_params(ctx, rand_params(ctx.rng, ctx.space.dim))
+    a, b = make_perp_pair(ctx.space, rand_params(ctx.rng, ctx.space.dim), ctx.rng)
     return _piece_join_check(ctx, a, b, perp_g, "perp_g", margin=1)
 
 
@@ -389,8 +379,8 @@ def _p_meetprop(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
     a = gen_subspace(ctx.cfg, ctx.rng.randint(1, n - 1), ctx.rng)
     q = random_point_of(a, ctx.rng)
-    b = gen_perp_to(ctx.cfg, a, q, ctx.rng)
-    c = gen_perp_to(ctx.cfg, a, q, ctx.rng)
+    b = gen_perp_to(a, q, ctx.rng)
+    c = gen_perp_to(a, q, ctx.rng)
     if perp_g(a, b) and perp_g(a, c):
         bc = meet(b, c)
         if bc is not None and meet(a, bc) is not None:
@@ -418,7 +408,7 @@ def _p_axo_b(ctx: TrialContext) -> Optional[dict]:
 def _go_pair(ctx: TrialContext):
     """A pair intended to satisfy perp_go: orthogonal or nested."""
     if ctx.rng.random() < 0.6:
-        return _pair_from_params(ctx, rand_params(ctx.rng, ctx.space.dim))
+        return make_perp_pair(ctx.space, rand_params(ctx.rng, ctx.space.dim), ctx.rng)
     return _nested_pair(ctx, min_outer=1)
 
 
@@ -440,13 +430,13 @@ def _p_axo_e(ctx: TrialContext) -> Optional[dict]:
     a = gen_subspace(ctx.cfg, rng.randint(1, n - 1), rng)
     r = rng.random()
     if r < 0.5:
-        b = gen_perp_to(ctx.cfg, a, random_point_of(a, rng), rng)
-        c = gen_perp_to(ctx.cfg, a, random_point_of(a, rng), rng)
+        b = gen_perp_to(a, random_point_of(a, rng), rng)
+        c = gen_perp_to(a, random_point_of(a, rng), rng)
     elif r < 0.75:
-        b = super_flat(ctx.cfg, a, rng.randint(a.dim, n), rng)
-        c = gen_perp_to(ctx.cfg, a, random_point_of(a, rng), rng)
+        b = super_flat(a, rng.randint(a.dim, n), rng)
+        c = gen_perp_to(a, random_point_of(a, rng), rng)
     else:
-        b = gen_perp_to(ctx.cfg, a, random_point_of(a, rng), rng)
+        b = gen_perp_to(a, random_point_of(a, rng), rng)
         c = sub_flat(a, rng.randint(0, a.dim), rng)
     if perp_go(a, b) and perp_go(a, c):
         if not perp_go(a, join(b, c)):
@@ -471,13 +461,13 @@ def _p_axo_h(ctx: TrialContext) -> Optional[dict]:
     q = random_point_of(a, rng)
     r = rng.random()
     if r < 0.6:
-        b = gen_perp_to(ctx.cfg, a, q, rng)
-        c = gen_perp_to(ctx.cfg, a, q, rng)
+        b = gen_perp_to(a, q, rng)
+        c = gen_perp_to(a, q, rng)
     elif r < 0.8:
-        b = super_flat(ctx.cfg, a, rng.randint(a.dim, n), rng)
-        c = gen_perp_to(ctx.cfg, a, q, rng)
+        b = super_flat(a, rng.randint(a.dim, n), rng)
+        c = gen_perp_to(a, q, rng)
     else:
-        b = gen_perp_to(ctx.cfg, a, q, rng)
+        b = gen_perp_to(a, q, rng)
         c = AffineSubspace._canonical(
             ctx.space, *q.int_point,
             rand_subspace_of(a.direction, rng.randint(0, a.dim), rng),
@@ -503,7 +493,7 @@ def _p_nontriv(ctx: TrialContext) -> Optional[dict]:
     params = TypedPerpParams(m, k1, k2)
     if params.satisfiable_in(n):
         try:
-            x1, x2 = _pair_from_params(ctx, params)
+            x1, x2 = make_perp_pair(ctx.space, params, ctx.rng)
         except UnsatisfiableParams:
             return _ce("satisfiable params were refused", params=params)
         if not perp_m(x1, x2, params):
@@ -514,7 +504,7 @@ def _p_nontriv(ctx: TrialContext) -> Optional[dict]:
                        params=params, x1=x1, x2=x2)
     else:
         try:
-            _pair_from_params(ctx, params)
+            make_perp_pair(ctx.space, params, ctx.rng)
         except UnsatisfiableParams:
             return None
         return _ce("unsatisfiable params were accepted", params=params)
@@ -524,7 +514,7 @@ def _p_nontriv(ctx: TrialContext) -> Optional[dict]:
 def _p_lem1_fwd(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
     params = ctx.cfg.perp_params or rand_params(ctx.rng, n)
-    x1, x2 = _pair_from_params(ctx, params)
+    x1, x2 = make_perp_pair(ctx.space, params, ctx.rng)
     mm = meet(x1, x2)
     y1 = orthocomplement_in(mm, x1, _base_point(mm))
     oracle = ground_truth_oracle(params)
@@ -578,8 +568,8 @@ def _p_lem2(ctx: TrialContext) -> Optional[dict]:
                        l1=l1, l2=l2, x1=x1, x2=x2)
     else:
         for _ in range(min(ctx.cfg.sample_count, 8)):
-            x1 = super_flat(ctx.cfg, l1, rng.randint(1, n - 1), rng)
-            x2 = super_flat(ctx.cfg, l2, rng.randint(1, n - 1), rng)
+            x1 = super_flat(l1, rng.randint(1, n - 1), rng)
+            x2 = super_flat(l2, rng.randint(1, n - 1), rng)
             if perp_x(x1, x2):
                 return _ce(
                     "non-orthogonal lines sit inside an orthogonal pair",

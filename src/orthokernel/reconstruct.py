@@ -44,7 +44,7 @@ from .linalg import (
     zero_subspace,
 )
 from .ortho import (
-    DEFAULT_RETRIES,
+    RETRIES,
     TypedPerpParams,
     perp_m,
     perp_x,
@@ -167,15 +167,15 @@ def decide_perp0(
     params = oracle.params
     if y1.dim != params.k1 - params.m or x2.dim != params.k2:
         raise PreconditionError("flat dimensions do not match oracle params")
-    q = _single_point_meet(y1, x2)
     if mode.kind == "witness":
         return oracle.query(lemma1_witness(y1, x2, params.m), x2)
+    q = _single_point_meet(y1, x2)
     if params.m == 0:
         return oracle.query(y1, x2)
     sample_rng = rng if rng is not None else random.Random(mode.seed)
     for _ in range(mode.samples):
         candidate = None
-        for _ in range(DEFAULT_RETRIES):
+        for _ in range(RETRIES):
             t_dir = rand_subspace_of(x2.direction, params.m, sample_rng)
             # y1 ⊔ T: q lies on y1, so the directions' sum through q
             x1 = AffineSubspace._canonical(

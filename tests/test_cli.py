@@ -1,5 +1,6 @@
 """CLI contract: exit codes, report schema, seeding, byte-stable output."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -177,7 +178,11 @@ def test_check_json_report_schema(capsys, tmp_path):
     assert cfg["dim"] == 3 and cfg["seed"] == 11 and cfg["trials"] == 5
     assert cfg["props"] == ["P-PAR", "P-SYM"]
     assert cfg["forms"] == ["identity"]
-    assert {"numerator_bound", "denominator_bound", "retries", "sample_count"} <= set(cfg)
+    # the fixed draw policy stays in the config as fields of schema 1
+    assert cfg["numerator_bound"] == 9
+    assert cfg["denominator_bound"] == 3
+    assert cfg["retries"] == 64
+    assert cfg["sample_count"] == 20
     reports = payload["reports"]
     assert [r["property_id"] for r in reports] == ["P-PAR", "P-SYM"]
     for r in reports:
@@ -197,6 +202,21 @@ def test_check_reports_byte_identical(capsys, tmp_path):
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_check_report_bytes_are_pinned(capsys, tmp_path):
+    # pins every draw of every property and form at dim 4: a change to any
+    # draw, verdict or report field changes this hash
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys,
+        "check", "--dim", "4", "--trials", "20", "--seed", "42",
+        "--props", "all", "--form", "all", "--jobs", "1", "--json", str(path),
+    )
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "7925ff92d4893f3f86cfbbd319d508da6f9ff46ac2fd4e26371cf203cf51ba2b"
+    )
 
 
 @pytest.mark.parametrize("form", ["all", "custom"])
@@ -489,6 +509,24 @@ def test_missing_subcommand_exits_two(capsys):
 def test_bad_flag_exits_two(capsys):
     assert main(["check", "--dim", "3", "--no-such-flag"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag", [("--retries", "64"), ("--numerator-bound", "9"),
+             ("--denominator-bound", "3")],
+    ids=lambda flag: flag[0],
+)
+def test_draw_policy_is_not_a_flag(capsys, monkeypatch, tmp_path, flag):
+    monkeypatch.setattr("orthokernel.cli.run_suite", _refuse_work)
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(
+        capsys, "check", "--dim", "3", "--trials", "2", *flag,
+        "--json", str(report),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage:") and f"unrecognized arguments: {flag[0]}" in err
+    assert not report.exists()
 
 
 def test_module_entry_point():

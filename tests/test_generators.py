@@ -46,9 +46,6 @@ def test_config_defaults_round_trip():
     "kwargs",
     [
         {"dim": 0},
-        {"dim": 3, "numerator_bound": 0},
-        {"dim": 3, "denominator_bound": 0},
-        {"dim": 3, "retries": 0},
         {"dim": 3, "sample_count": 0},
         {"dim": 3, "seed": -1},
         {"dim": 3, "seed": 2**64},
@@ -126,7 +123,7 @@ def test_trial_rng_separates_coordinates():
 
 
 def test_gen_point_respects_bounds(rng):
-    cfg = GenConfig(dim=3, numerator_bound=9, denominator_bound=3)
+    cfg = GenConfig(dim=3)
     for _ in range(200):
         p = gen_point(cfg, rng).point
         assert len(p) == 3
@@ -207,25 +204,25 @@ def test_sub_flat_inclusion_and_anchor(rng):
 def test_super_flat_inclusion(rng):
     cfg = GenConfig(dim=5)
     inner = gen_subspace(cfg, 1, rng)
-    outer = super_flat(cfg, inner, 3, rng)
+    outer = super_flat(inner, 3, rng)
     assert outer.dim == 3
     assert is_subflat(inner, outer)
-    assert super_flat(cfg, inner, 1, rng) == inner
+    assert super_flat(inner, 1, rng) == inner
     with pytest.raises(InputError):
-        super_flat(cfg, inner, 0, rng)
+        super_flat(inner, 0, rng)
     with pytest.raises(InputError):
-        super_flat(cfg, inner, 6, rng)
+        super_flat(inner, 6, rng)
 
 
 def test_flat_between_chain(rng):
     cfg = GenConfig(dim=5)
     inner = gen_subspace(cfg, 1, rng)
-    outer = super_flat(cfg, inner, 4, rng)
-    mid = flat_between(cfg, inner, outer, 2, rng)
+    outer = super_flat(inner, 4, rng)
+    mid = flat_between(inner, outer, 2, rng)
     assert mid.dim == 2
     assert is_subflat(inner, mid) and is_subflat(mid, outer)
     with pytest.raises(InputError):
-        flat_between(cfg, inner, outer, 5, rng)
+        flat_between(inner, outer, 5, rng)
 
 
 def test_gen_perp_to_realizes_requested_type(rng):
@@ -234,7 +231,7 @@ def test_gen_perp_to_realizes_requested_type(rng):
         for _ in range(20):
             a = gen_subspace(cfg, rng.randint(1, n - 1), rng)
             q = random_point_of(a, rng)
-            c = gen_perp_to(cfg, a, q, rng)
+            c = gen_perp_to(a, q, rng)
             cut = meet(a, c)
             assert cut is not None and is_subflat(q, c)
             assert cut.dim < min(a.dim, c.dim)
@@ -246,10 +243,10 @@ def test_gen_perp_to_validates_room(rng):
     cfg = GenConfig(dim=3)
     a = gen_subspace(cfg, 3, rng)
     with pytest.raises(InputError):
-        gen_perp_to(cfg, a, AffineSubspace.from_point(a.space, a.point), rng)
+        gen_perp_to(a, AffineSubspace.from_point(a.space, a.point), rng)
     b = gen_subspace(cfg, 2, rng)
     with pytest.raises(InputError):
-        gen_perp_to(cfg, b, b, rng)
+        gen_perp_to(b, b, rng)
 
 
 def test_rand_params_always_satisfiable(rng):
@@ -316,7 +313,7 @@ def _draw_points(cfg, rng, seed):
     a = gen_subspace(cfg, rng.randint(1, cfg.dim - 1), rng)
     p = gen_point(cfg, rng)
     q = random_point_of(a, rng)
-    return p, a, q, sub_flat(a, rng.randint(0, a.dim), rng), gen_perp_to(cfg, a, q, rng)
+    return p, a, q, sub_flat(a, rng.randint(0, a.dim), rng), gen_perp_to(a, q, rng)
 
 
 PINNED_DRAWS = {

@@ -1,10 +1,12 @@
 """Source hygiene: no dead imports in the package, no dangling exports,
-every binding the benchmark's tracer patches still exists, and no trial
-builds a rational."""
+every binding the benchmark's tracer patches still exists, every CLI option
+is documented, and no trial builds a rational."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 
 import orthokernel
 from orthokernel import properties
+from orthokernel.cli import build_parser
 from orthokernel.generators import NAMED_FORMS, GenConfig, resolve_space
 
 PACKAGE_DIR = Path(orthokernel.__file__).parent
@@ -74,6 +77,27 @@ def test_benchmark_trace_targets_resolve():
             ok = callable(getattr(home, attr, None))
         if not ok:
             missing.append(f"{target.module}.{target.attr}")
+    assert missing == []
+
+
+def _long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every long option of the parser and of each of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _long_options(sub)
+    return options
+
+
+def test_every_cli_option_is_in_the_readme():
+    readme = (PACKAGE_DIR.parents[1] / "README.md").read_text()
+    # "--m" must not count as documented because "--mode" is
+    missing = sorted(
+        o for o in _long_options(build_parser())
+        if not re.search(re.escape(o) + r"(?![\w-])", readme)
+    )
     assert missing == []
 
 

@@ -450,13 +450,13 @@ def _criterion_pairs(cfg, rng):
         x1, x2 = make_perp_pair(space, rand_params(rng, n), rng)
         yield x1, x2
         # one more direction on x2 keeps or breaks the relation
-        yield x1, super_flat(cfg, x2, min(n, x2.dim + 1), rng)
+        yield x1, super_flat(x2, min(n, x2.dim + 1), rng)
         k1, k2 = rng.randint(0, n), rng.randint(0, n)
         yield gen_pair_with_meet_dim(
             cfg, k1, k2, rng.randint(max(0, k1 + k2 - n), min(k1, k2)), rng
         )
         a = gen_subspace(cfg, rng.randint(1, n), rng)
-        yield a, gen_perp_to(cfg, a, random_point_of(a, rng), rng) if a.dim < n else a
+        yield a, gen_perp_to(a, random_point_of(a, rng), rng) if a.dim < n else a
         yield a, a
         yield a, sub_flat(a, rng.randint(0, a.dim), rng)
         p = gen_point(cfg, rng)

@@ -279,12 +279,22 @@ def test_decide_perp0_checks_dimension_type(q4):
         decide_perp0(y1, x2, ground_truth_oracle(params), ReconstructionMode.witness())
 
 
-def test_decide_perp0_requires_point_meet(q4):
-    params = TypedPerpParams(m=1, k1=2, k2=2)
+@pytest.mark.parametrize(
+    "params, mode",
+    [
+        (TypedPerpParams(m=1, k1=2, k2=2), ReconstructionMode.witness()),
+        (TypedPerpParams(m=1, k1=2, k2=2), ReconstructionMode.sampled(3)),
+        (TypedPerpParams(m=0, k1=1, k2=2), ReconstructionMode.sampled(3)),
+    ],
+    ids=["witness", "sampled", "sampled-m0"],
+)
+def test_decide_perp0_requires_point_meet(q4, params, mode):
+    # the line misses the plane: no common point in either mode, even for
+    # m = 0 where the oracle could be asked about (y1, x2) directly
     y1 = line(q4, (0, 0, 0, 1), (1, 0, 0, 0))
     x2 = flat(q4, (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     with pytest.raises(PreconditionError):
-        decide_perp0(y1, x2, ground_truth_oracle(params), ReconstructionMode.witness())
+        decide_perp0(y1, x2, ground_truth_oracle(params), mode)
 
 
 # ---------------------------------------------------------------------------

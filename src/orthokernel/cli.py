@@ -255,12 +255,25 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k2", type=int, default=None, help="second flat dimension")
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which reports arguments it does not know with
+    its own usage line rather than leaving them to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthokernel",
         description="exact rational orthogonality kernel and property harness",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     check = sub.add_parser("check", help="run randomized property suites")
     check.add_argument("--dim", type=int, required=True)

@@ -31,6 +31,7 @@ from .ortho import (
     COEFF_BOUND,
     RETRIES,
     TypedPerpParams,
+    _rand_extension,
     _rand_int_point,
     rand_subspace_of,
 )
@@ -244,8 +245,9 @@ def gen_perp_to(
     k = rng.randint(m + 1, m + room)
     dir_m = rand_subspace_of(a.direction, m, rng)
     comp = xi_complement(space, a.direction, full_subspace(n))
-    wing = rand_subspace_of(comp, k - m, rng)
-    return AffineSubspace._canonical(space, *q.int_point, subspace_sum(dir_m, wing))
+    # dir_m lies in A's direction, which meets its complement only in zero
+    direction = _rand_extension(dir_m.int_rows, comp, k - m, rng)
+    return AffineSubspace._canonical(space, *q.int_point, direction)
 
 
 def rand_params(rng: random.Random, n: int) -> TypedPerpParams:

@@ -479,7 +479,17 @@ def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -
         raise InputError("ambient dimension mismatch")
     if d.is_zero:
         return w
-    fd = _mat_mul_int(d.int_rows, space.int_form)
+    if w.rank < space.dim and not w.contains_subspace(d):
+        raise PreconditionError("D must be a subspace of W")
+    return _xi_complement_rows(space, d.int_rows, w)
+
+
+def _xi_complement_rows(
+    space: QuadraticSpace, d_rows: Sequence[Sequence[int]], w: LinearSubspace
+) -> LinearSubspace:
+    """{x in W : xi(x, d) = 0 for every row d}, from any rows spanning D and
+    with no condition on how D sits against W."""
+    fd = _mat_mul_int(d_rows, space.int_form)
     n = space.dim
     if w.rank == n:
         # W is the whole space: the equations act on coordinates directly.
@@ -496,8 +506,6 @@ def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -
             tuple(tuple(v[::-1]) for v in reversed(kernel)),
             tuple(n - 1 - c for c in reversed(range(n)) if c not in pivot_set),
         )
-    if not w.contains_subspace(d):
-        raise PreconditionError("D must be a subspace of W")
     gram = [[sum(map(mul, row, wi)) for wi in w.int_rows] for row in fd]
     coeff_vectors = _int_kernel(gram, w.rank)
     return _subspace_from_int_rows(_mat_mul_int(coeff_vectors, w.int_rows), space.dim)

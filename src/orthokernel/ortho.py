@@ -329,21 +329,33 @@ def _rand_int_point(n: int, rng: random.Random) -> tuple[list[int], int]:
 
 def rand_subspace_of(w: LinearSubspace, k: int, rng: random.Random) -> LinearSubspace:
     """A random k-dimensional subspace of w (small integer combinations)."""
+    return _rand_extension((), w, k, rng)
+
+
+def _rand_extension(
+    base_rows: Sequence[Sequence[int]], w: LinearSubspace, k: int, rng: random.Random
+) -> LinearSubspace:
+    """subspace_sum(span(base_rows), rand_subspace_of(w, k, rng)) from one
+    reduction, for independent base_rows meeting w only in zero: the sum
+    then has rank len(base_rows) + k exactly when the draw does, so every
+    draw, retry and GenerationError is rand_subspace_of's."""
     if not 0 <= k <= w.rank:
         raise InputError(f"cannot draw a {k}-dimensional subspace of rank {w.rank}")
-    if k == 0:
-        return zero_subspace(w.ambient_dim)
-    if k == w.rank:
-        return w
+    n = w.ambient_dim
+    if k in (0, w.rank):
+        # none or all of w: nothing to draw
+        if not base_rows:
+            return w if k else zero_subspace(n)
+        return _subspace_from_int_rows([*base_rows, *w.int_rows[:k]], n)
     for _ in range(RETRIES):
         coeffs = [
             [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(w.rank)]
             for _ in range(k)
         ]
         # the whole space's rows are the identity: the product is coeffs
-        rows = coeffs if w.rank == w.ambient_dim else _mat_mul_int(coeffs, w.int_rows)
-        cand = _subspace_from_int_rows(rows, w.ambient_dim)
-        if cand.rank == k:
+        rows = coeffs if w.rank == n else _mat_mul_int(coeffs, w.int_rows)
+        cand = _subspace_from_int_rows([*base_rows, *rows], n)
+        if cand.rank == len(base_rows) + k:
             return cand
     raise GenerationError(f"no independent {k}-subspace after {RETRIES} draws")
 
@@ -372,15 +384,14 @@ def make_perp_pair(
         try:
             dir_m = rand_subspace_of(full, params.m, rng)
             comp1 = xi_complement(space, dir_m, full)
-            z1 = rand_subspace_of(comp1, params.k1 - params.m, rng)
-            d1 = subspace_sum(dir_m, z1)
+            d1 = _rand_extension(dir_m.int_rows, comp1, params.k1 - params.m, rng)
             comp2 = xi_complement(space, d1, full)
-            z2 = rand_subspace_of(comp2, params.k2 - params.m, rng)
+            d2 = _rand_extension(dir_m.int_rows, comp2, params.k2 - params.m, rng)
         except GenerationError as exc:
             last_error = str(exc)
             continue
         x1 = AffineSubspace._canonical(space, *q, d1)
-        x2 = AffineSubspace._canonical(space, *q, subspace_sum(dir_m, z2))
+        x2 = AffineSubspace._canonical(space, *q, d2)
         if perp_m(x1, x2, params):
             return x1, x2
         last_error = "constructed pair failed verification"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     GenerationError,
@@ -31,24 +31,23 @@ from .errors import (
 from .flats import (
     AffineSubspace,
     _check_same_space,
+    _meet_parts,
     _point_difference,
-    join,
     meet,
     parallel,
 )
 from .linalg import (
+    LinearSubspace,
     _subspace_from_int_rows,
+    _xi_complement_rows,
     full_subspace,
-    subspace_sum,
-    xi_complement,
     zero_subspace,
 )
 from .ortho import (
-    RETRIES,
     TypedPerpParams,
+    _rand_extension,
     perp_m,
     perp_x,
-    rand_subspace_of,
 )
 
 
@@ -96,10 +95,17 @@ def _single_point_meet(y1: AffineSubspace, x2: AffineSubspace) -> AffineSubspace
     return m
 
 
-def _leading_subspace(rows_source, count: int):
-    return _subspace_from_int_rows(
-        list(rows_source.int_rows[:count]), rows_source.ambient_dim
-    )
+def _extend(
+    base_rows: Sequence[Sequence[int]],
+    w: LinearSubspace,
+    k: int,
+    rng: Optional[random.Random],
+) -> LinearSubspace:
+    """base_rows plus w's first k canonical rows, or a random k-subspace of
+    w under rng, in one reduction (as ortho._rand_extension requires)."""
+    if rng is None:
+        return _subspace_from_int_rows([*base_rows, *w.int_rows[:k]], w.ambient_dim)
+    return _rand_extension(base_rows, w, k, rng)
 
 
 def lemma1_witness(
@@ -110,10 +116,13 @@ def lemma1_witness(
 ) -> AffineSubspace:
     """Extend y1 to dimension dim(y1) + m with meet of dimension m in x2.
 
-    V = y1 ⊔ x2, W = orthocomplement of y1 in V through the common point,
-    T = an m-flat through that point inside W ⊓ x2 (first canonical
-    directions, or random under rng), result = T ⊔ y1.  The result's meet
-    with x2 equals T regardless of any orthogonality between y1 and x2.
+    With q the common point, W the orthocomplement of y1 through q inside
+    y1 ⊔ x2, and T an m-flat through q inside W ⊓ x2 (first canonical
+    directions, or random under rng), the result is T ⊔ y1.  x2's direction
+    lies in that join's, so W ⊓ x2 is q plus the directions of x2 that are
+    xi-orthogonal to y1: it is computed as such, and the result as q plus
+    y1's direction and T's, each in one reduction.  The result's meet with
+    x2 equals T regardless of any orthogonality between y1 and x2.
     """
     _check_same_space(y1, x2)
     if m < 0:
@@ -128,24 +137,17 @@ def lemma1_witness(
     if m == 0:
         return y1
     space = y1.space
-    v = join(y1, x2)
-    # y1 lies in v and q on y1: the orthocomplement of y1 in v through q
-    w = AffineSubspace._canonical(
-        space, *q.int_point, xi_complement(space, y1.direction, v.direction)
-    )
-    wx2 = meet(w, x2)
-    if wx2 is None or wx2.dim < m:
+    wx2 = _xi_complement_rows(space, y1.direction.int_rows, x2.direction)
+    if wx2.rank < m:
         raise InternalError("orthocomplement misses x2 at the required dimension")
-    if rng is None:
-        t_dir = _leading_subspace(wx2.direction, m)
-    else:
-        t_dir = rand_subspace_of(wx2.direction, m, rng)
-    t = AffineSubspace._canonical(space, *q.int_point, t_dir)
-    x1 = join(t, y1)
+    # y1 and x2 meet in a point, so their directions meet only in zero
+    x1 = AffineSubspace._canonical(
+        space, *q.int_point, _extend(y1.direction.int_rows, wx2, m, rng)
+    )
     if x1.dim != y1.dim + m:
         raise InternalError("extension has the wrong dimension")
-    x1x2 = meet(x1, x2)
-    if x1x2 is None or x1x2.dim != m:
+    parts = _meet_parts(x1, x2)
+    if parts is None or len(parts[1]) != m:
         raise InternalError("extension meets x2 at the wrong dimension")
     return x1
 
@@ -161,7 +163,10 @@ def decide_perp0(
 
     WITNESS queries the canonical extension once.  SAMPLED queries K
     incidence-valid candidates y1 ⊔ T with T a random m-flat inside x2
-    through the common point and returns the conjunction.
+    through the common point and returns the conjunction.  The directions of
+    y1 and x2 meet only in zero, so a candidate is one reduction of y1's rows
+    and the m drawn rows and always has dimension k1: no candidate is
+    rejected, only a collapsed draw is redrawn, as rand_subspace_of does.
     """
     _check_same_space(y1, x2)
     params = oracle.params
@@ -174,18 +179,11 @@ def decide_perp0(
         return oracle.query(y1, x2)
     sample_rng = rng if rng is not None else random.Random(mode.seed)
     for _ in range(mode.samples):
-        candidate = None
-        for _ in range(RETRIES):
-            t_dir = rand_subspace_of(x2.direction, params.m, sample_rng)
-            # y1 ⊔ T: q lies on y1, so the directions' sum through q
-            x1 = AffineSubspace._canonical(
-                y1.space, *q.int_point, subspace_sum(y1.direction, t_dir)
-            )
-            if x1.dim == params.k1:
-                candidate = x1
-                break
-        if candidate is None:
-            raise GenerationError("no incidence-valid candidate after retries")
+        # y1 ⊔ T: q lies on y1, so the directions' sum through q
+        direction = _rand_extension(
+            y1.direction.int_rows, x2.direction, params.m, sample_rng
+        )
+        candidate = AffineSubspace._canonical(y1.space, *q.int_point, direction)
         if not oracle.query(candidate, x2):
             return False
     return True
@@ -254,25 +252,17 @@ def lemma2_witness(
     d1 = l1.direction.int_rows[0]
     d2 = l2.direction.int_rows[0]
 
+    # d1, d2 and w are mutually orthogonal: core2 has rank 2 unless the
+    # lines meet (w = 0), and the complements come from spanning rows
     full = full_subspace(n)
-    core2 = _subspace_from_int_rows([d2, w], n)
-    span_all = _subspace_from_int_rows([d1, d2, w], n)
-    comp2 = xi_complement(space, span_all, full)
-    pad2 = k2 - core2.rank
-    if rng is None:
-        extra2 = _leading_subspace(comp2, pad2)
-    else:
-        extra2 = rand_subspace_of(comp2, pad2, rng)
-    dir2 = subspace_sum(core2, extra2)
+    core2 = [d2, w] if any(w) else [d2]
+    comp2 = _xi_complement_rows(space, [d1, d2, w], full)
+    dir2 = _extend(core2, comp2, k2 - len(core2), rng)
     x2 = AffineSubspace._canonical(space, *p.int_point, dir2)
 
-    comp1 = xi_complement(space, dir2, full)
-    rest1 = xi_complement(space, l1.direction, comp1)
-    if rng is None:
-        extra1 = _leading_subspace(rest1, k1 - 1)
-    else:
-        extra1 = rand_subspace_of(rest1, k1 - 1, rng)
-    dir1 = subspace_sum(l1.direction, extra1)
+    # the complement of dir2, then of d1 inside it, is that of dir2 + d1
+    rest1 = _xi_complement_rows(space, [*dir2.int_rows, d1], full)
+    dir1 = _extend([d1], rest1, k1 - 1, rng)
     x1 = AffineSubspace._canonical(space, *q.int_point, dir1)
 
     if x1.dim != k1 or x2.dim != k2 or not perp_x(x1, x2):

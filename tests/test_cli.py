@@ -512,6 +512,31 @@ def test_bad_flag_exits_two(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, usage, stray",
+    [
+        (["check", "--dim", "4", "--retries", "1"], "orthokernel check ",
+         "--retries 1"),
+        (["witness", "--dim", "4", "--no-such-flag"], "orthokernel witness ",
+         "--no-such-flag"),
+        (["reconstruct", "--dim", "4", "stray"], "orthokernel reconstruct ",
+         "stray"),
+        (["counterexample", "--no-such-flag"], "orthokernel counterexample ",
+         "--no-such-flag"),
+        # an option before the subcommand is the top-level parser's
+        (["--no-such-flag", "check", "--dim", "4"], "orthokernel [-h]",
+         "--no-such-flag"),
+    ],
+    ids=["check", "witness", "reconstruct", "counterexample", "top-level"],
+)
+def test_unknown_argument_shows_the_usage_it_belongs_to(capsys, argv, usage, stray):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage: {usage}")
+    assert f"error: unrecognized arguments: {stray}\n" in err
+
+
+@pytest.mark.parametrize(
     "flag", [("--retries", "64"), ("--numerator-bound", "9"),
              ("--denominator-bound", "3")],
     ids=lambda flag: flag[0],

@@ -1,11 +1,12 @@
 """Source hygiene: no dead imports in the package, no dangling exports,
 every binding the benchmark's tracer patches still exists, every CLI option
-is documented, and no trial builds a rational."""
+and benchmark record is documented, and no trial builds a rational."""
 
 import argparse
 import ast
 import importlib
 import importlib.util
+import json
 import re
 import sys
 from fractions import Fraction
@@ -99,6 +100,16 @@ def test_every_cli_option_is_in_the_readme():
         if not re.search(re.escape(o) + r"(?![\w-])", readme)
     )
     assert missing == []
+
+
+def test_every_benchmark_record_is_in_the_readme():
+    root = PACKAGE_DIR.parents[1]
+    cited = set(re.findall(r"BENCH_[\w-]+\.json", (root / "README.md").read_text()))
+    present = {p.name for p in root.glob("BENCH_*.json")}
+    assert sorted(present - cited) == [] and sorted(cited - present) == []
+    for name in sorted(cited):
+        record = json.loads((root / name).read_text())
+        assert {"label", "change", "context"} <= record.keys(), name
 
 
 def test_registry_is_a_dict_of_every_property():

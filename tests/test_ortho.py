@@ -1,5 +1,6 @@
 """Orthogonality relations, orthocomplements, reflections, witnesses."""
 
+import random
 from collections import Counter
 from fractions import Fraction as QQ
 
@@ -26,6 +27,7 @@ from orthokernel.generators import (
     gen_subspace,
     rand_params,
     random_point_of,
+    resolve_space,
     space_of,
     sub_flat,
     super_flat,
@@ -36,11 +38,13 @@ from orthokernel.linalg import (
     full_subspace,
     mat_mul,
     rref_basis,
+    subspace_sum,
     xi_complement,
 )
 from orthokernel.ortho import (
     AffineIsometry,
     TypedPerpParams,
+    _rand_extension,
     isometry_compose,
     isometry_equal,
     make_perp_pair,
@@ -365,6 +369,51 @@ def test_make_perp_pair_weighted_form(q3_weighted, rng):
 def test_rand_subspace_of_range_check(rng):
     with pytest.raises(InputError):
         rand_subspace_of(full_subspace(3), 4, rng)
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return super().randint(a, b)
+
+
+def _extension_matches(base, w, k, seed):
+    """_rand_extension equals the sum of base and rand_subspace_of's draw,
+    from equal rngs left in equal states; True when a draw was retried."""
+    want_rng, got_rng = random.Random(seed), _CountingRandom(seed)
+    want = subspace_sum(base, rand_subspace_of(w, k, want_rng))
+    assert _rand_extension(base.int_rows, w, k, got_rng) == want
+    assert got_rng.getstate() == want_rng.getstate()
+    return 0 < k < w.rank and got_rng.draws > k * w.rank
+
+
+@pytest.mark.parametrize("form", ["identity", "diag", "tridiag"])
+def test_fused_extension_is_the_sum_of_the_same_draw(form):
+    for n in range(1, 7):
+        space = resolve_space(n, form)
+        full = full_subspace(n)
+        rng = random.Random(f"extension:{n}:{form}")
+        for i in range(60):
+            base = rand_subspace_of(full, rng.randint(0, n - 1), rng)
+            if i % 2:
+                # a complement, as the typed-pair generators use
+                w = xi_complement(space, base, full)
+                w = rand_subspace_of(w, rng.randint(0, w.rank), rng)
+            else:
+                # any subspace that meets base only in zero
+                w = rand_subspace_of(full, rng.randint(0, n - base.rank), rng)
+                if subspace_sum(base, w).rank != base.rank + w.rank:
+                    continue
+            _extension_matches(base, w, rng.randint(0, w.rank), rng.getrandbits(32))
+    # one line from a plane: about one draw in 49 collapses and is redrawn
+    space = resolve_space(3, form)
+    base = rref_basis([(1, 1, 1)], 3)
+    w = xi_complement(space, base, full_subspace(3))
+    assert sum(_extension_matches(base, w, 1, seed) for seed in range(300)) > 0
 
 
 # ---------------------------------------------------------------------------

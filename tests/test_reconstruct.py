@@ -6,27 +6,46 @@ import random
 
 import pytest
 
+import orthokernel.flats as flats_module
+import orthokernel.linalg as linalg_module
+import orthokernel.ortho as ortho_module
 from orthokernel.errors import (
     GenerationError,
     InputError,
     PreconditionError,
 )
-from orthokernel.flats import AffineSubspace, is_subflat, meet, translate_through
+from orthokernel.flats import (
+    AffineSubspace,
+    is_subflat,
+    join,
+    meet,
+    translate_through,
+)
 from orthokernel.generators import (
     NAMED_FORMS,
     GenConfig,
     gen_line_pair,
+    gen_pair_with_meet_dim,
     random_point_of,
 )
 from orthokernel.linalg import (
     QQ,
     bilinear_eval,
+    full_subspace,
     rref_basis,
+    subspace_sum,
     vec_add,
     vec_scale,
     vec_sub,
+    xi_complement,
 )
-from orthokernel.ortho import TypedPerpParams, perp_m, perp_x
+from orthokernel.ortho import (
+    TypedPerpParams,
+    orthocomplement_in,
+    perp_m,
+    perp_x,
+    rand_subspace_of,
+)
 from orthokernel.reconstruct import (
     LinePairVerdicts,
     PerpOracle,
@@ -602,3 +621,145 @@ def test_sampled_candidates_are_pinned():
                     h.update(f"{len(queried)}".encode())
                     h.update(repr(rng.getstate()).encode())
     assert h.hexdigest() == PINNED_SAMPLED_CANDIDATES
+
+
+# ---------------------------------------------------------------------------
+# the witnesses against their constructions spelled out with public calls
+
+
+def _reference_pick(w, k, rng):
+    """k directions of w: its first canonical rows, or a random draw."""
+    if rng is None:
+        return rref_basis(w.basis[:k], w.ambient_dim)
+    return rand_subspace_of(w, k, rng)
+
+
+def _reference_lemma1(y1, x2, m, rng=None):
+    """Join, the orthocomplement of y1 inside it, its meet with x2, then T
+    joined to y1."""
+    q = meet(y1, x2)
+    if m == 0:
+        return y1
+    wx2 = meet(orthocomplement_in(y1, join(y1, x2), q), x2)
+    t = AffineSubspace.make(y1.space, q.point, _reference_pick(wx2.direction, m, rng))
+    return join(t, y1)
+
+
+def _reference_lemma2(l1, l2, k1, k2, rng=None):
+    """x2 from span(d2, w) padded inside the complement of span(d1, d2, w);
+    x1 from l1 padded inside the complement of l1 within that of x2."""
+    space = l1.space
+    n = space.dim
+    full = full_subspace(n)
+    q, p = common_perpendicular_feet(l1, l2)
+    w = vec_sub(p.point, q.point)
+    d1, d2 = l1.direction.basis[0], l2.direction.basis[0]
+    core2 = rref_basis([d2, w], n)
+    comp2 = xi_complement(space, rref_basis([d1, d2, w], n), full)
+    dir2 = subspace_sum(core2, _reference_pick(comp2, k2 - core2.rank, rng))
+    rest1 = xi_complement(space, l1.direction, xi_complement(space, dir2, full))
+    dir1 = subspace_sum(l1.direction, _reference_pick(rest1, k1 - 1, rng))
+    return (
+        AffineSubspace.make(space, q.point, dir1),
+        AffineSubspace.make(space, p.point, dir2),
+    )
+
+
+def _same_with_and_without_rng(fn, reference, args, seed):
+    """fn and reference give equal results, with no rng and with equal rngs,
+    and leave the rngs in equal states."""
+    assert fn(*args) == reference(*args)
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    assert fn(*args, got_rng) == reference(*args, want_rng)
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+@pytest.mark.parametrize("form", NAMED_FORMS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_witnesses_match_their_reference_routes(n, form):
+    types = [
+        TypedPerpParams(m, k1, k2)
+        for k2 in range(1, n)
+        for k1 in range(1, k2 + 1)
+        for m in range(k1)
+        if k1 + k2 - m <= n
+    ]
+    checked = 0
+    for params in types:
+        cfg = GenConfig(dim=n, seed=0, form=form)
+        rng = random.Random(f"witness-reference:{n}:{form}:{params}")
+        k1p = params.k1 - params.m
+        for i in range(3):
+            # lemma 1 on a pair in general position meeting in a point
+            y1, x2 = gen_pair_with_meet_dim(cfg, k1p, params.k2, 0, rng)
+            _same_with_and_without_rng(
+                lemma1_witness, _reference_lemma1, (y1, x2, params.m), i
+            )
+            if params.k2 == 1:
+                continue
+            l1, l2 = gen_line_pair(cfg, rng, orthogonal=True)
+            if i == 0:
+                l2 = translate_through(l2, random_point_of(l1, rng))
+            args = (l1, l2, k1p, params.k2)
+            _same_with_and_without_rng(lemma2_witness, _reference_lemma2, args, i)
+            # lemma 1 on the wrapping pair, as reconstruction asks it
+            x1, x2 = lemma2_witness(*args, random.Random(i))
+            _same_with_and_without_rng(
+                lemma1_witness, _reference_lemma1, (x1, x2, params.m), i
+            )
+            checked += 1
+    assert checked == 3 * sum(params.k2 > 1 for params in types)
+
+
+# ---------------------------------------------------------------------------
+# eliminations per construction
+
+
+def _count_eliminations(monkeypatch):
+    """Every _rref_int call the kernel modules make from now on."""
+    calls = []
+    real = linalg_module._rref_int
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (linalg_module, flats_module, ortho_module):
+        monkeypatch.setattr(module, "_rref_int", counting)
+    return calls
+
+
+def _lines_to_wrap():
+    cfg = GenConfig(dim=6, seed=0, form="tridiag")
+    return gen_line_pair(cfg, random.Random(3), orthogonal=True)
+
+
+def test_sampled_candidates_take_one_elimination_each(monkeypatch):
+    params = TypedPerpParams(m=1, k1=2, k2=3)
+    x1, x2 = lemma2_witness(*_lines_to_wrap(), 1, 3)
+    # an oracle that does no linear algebra of its own
+    oracle = PerpOracle(params, lambda a, b: True)
+    calls = _count_eliminations(monkeypatch)
+    used = []
+    for samples in (1, 7):
+        calls.clear()
+        assert decide_perp0(
+            x1, x2, oracle, ReconstructionMode.sampled(samples), random.Random(5)
+        )
+        used.append(len(calls))
+    # one reduction per candidate; a draw followed by a sum took two
+    assert used[1] - used[0] == 6
+
+
+def test_witnesses_take_fewer_eliminations(monkeypatch):
+    l1, l2 = _lines_to_wrap()
+    calls = _count_eliminations(monkeypatch)
+    # joins, meets and complements of the constructions' own flats took
+    # 11 eliminations for lemma 2 (10 with an rng) and 10 for lemma 1
+    for rng in (None, random.Random(1)):
+        calls.clear()
+        x1, x2 = lemma2_witness(l1, l2, 1, 3, rng)
+        assert len(calls) == 5
+        calls.clear()
+        lemma1_witness(x1, x2, 1, rng)
+        assert len(calls) == 5

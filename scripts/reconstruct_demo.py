@@ -2,8 +2,9 @@
 """Walk one line-orthogonality reconstruction end to end, verbosely.
 
 Draws a pair of lines (orthogonal unless --oblique), prints the common
-perpendicular feet and the wrapping pair handed to the typed oracle, then
-compares the witness-mode and sampled-mode verdicts against the direct
+perpendicular feet and the pair of flats the typed oracle was asked about
+in witness mode (recorded by an oracle wrapped around the ground truth),
+then compares the witness-mode and sampled-mode verdicts against the direct
 direction check they are meant to reproduce.
 """
 
@@ -16,9 +17,12 @@ from orthokernel.errors import InputError
 from orthokernel.generators import GenConfig, gen_line_pair
 from orthokernel.ortho import TypedPerpParams
 from orthokernel.reconstruct import (
+    PerpOracle,
+    ReconstructionMode,
     common_perpendicular_feet,
+    ground_truth_oracle,
     judge_line_pair,
-    lemma2_witness,
+    reconstruct_line_perp,
 )
 
 
@@ -51,6 +55,15 @@ def main():
     # verdicts can be taken before anything is printed
     verdicts = judge_line_pair(l1, l2, params, "both", args.samples, rng)
     truth = verdicts.truth
+    asked = []
+
+    def record(x1, x2):
+        asked.append((x1, x2))
+        return ground_truth_oracle(params).query(x1, x2)
+
+    reconstruct_line_perp(
+        l1, l2, params, PerpOracle(params, record), ReconstructionMode.witness()
+    )
 
     print(
         f"ambient dimension {args.dim},"
@@ -66,13 +79,16 @@ def main():
         print("common perpendicular feet:")
         print(f"  on l1: {json.dumps(q.to_wire()['point'])}")
         print(f"  on l2: {json.dumps(pt.to_wire()['point'])}")
-        if params.k2 > 1:
-            x1, x2 = lemma2_witness(
-                l1, l2, params.k1 - params.m, params.k2
-            )
-            print("wrapping pair handed to the oracle:")
+    if asked:
+        print(
+            "pair the oracle was asked about in witness mode"
+            " (l1's base point moved to the origin):"
+        )
+        for x1, x2 in asked:
             show("x1", x1)
             show("x2", x2)
+    else:
+        print("oracle not asked in witness mode: the lines admit no wrapping pair")
 
     ok = verdicts.witness_agrees
     print(f"witness mode verdict: {verdicts.witness}")

@@ -31,8 +31,8 @@ from .linalg import (
     Vector,
     _echelon_kernel,
     _int_vector,
+    _lies_in,
     _mat_mul_int,
-    _reduce_against,
     _rref_int,
     _subspace_from_int_rows,
     full_subspace,
@@ -182,11 +182,8 @@ def _check_same_space(x1: AffineSubspace, x2: AffineSubspace) -> None:
 def is_subflat(inner: AffineSubspace, outer: AffineSubspace) -> bool:
     """inner ⊆ outer as point sets."""
     _check_same_space(inner, outer)
-    d = outer.direction
-    if not d.contains_subspace(inner.direction):
-        return False
     diff, _ = _point_difference(outer, inner)
-    return not any(_reduce_against(diff, d.int_rows, d.pivots))
+    return _lies_in((*inner.direction.int_rows, diff), outer.direction)
 
 
 def _point_difference(x1: AffineSubspace, x2: AffineSubspace) -> tuple[list[int], int]:

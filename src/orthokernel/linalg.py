@@ -182,17 +182,6 @@ def _fraction_rows(int_rows: Sequence[IntRow], pivots: Sequence[int]) -> Matrix:
     return tuple(out)
 
 
-def _reduce_against(vec_int: list[int], int_rows: Sequence[IntRow], pivots: Sequence[int]) -> list[int]:
-    """Reduce an integer vector against echelon rows (up to positive scaling)."""
-    v = vec_int
-    for row, c in zip(int_rows, pivots):
-        f = v[c]
-        if f:
-            pv = row[c]
-            v = _primitive([x * pv - y * f for x, y in zip(v, row)])
-    return v
-
-
 # ---------------------------------------------------------------------------
 # linear subspaces
 
@@ -228,13 +217,12 @@ class LinearSubspace:
         every row of E exactly when v lies in the subspace."""
         return _echelon_kernel(self.int_rows, self.pivots, self.ambient_dim)
 
-    def contains_subspace(self, other: "LinearSubspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise InputError("ambient dimension mismatch")
-        return all(
-            not any(_reduce_against(list(r), self.int_rows, self.pivots))
-            for r in other.int_rows
-        )
+
+def _lies_in(rows: Iterable[Sequence[int]], w: LinearSubspace) -> bool:
+    """Whether every integer row lies in w: each of w's cached equations
+    vanishes on it."""
+    eqs = w.equations
+    return not any(sum(map(mul, e, r)) for r in rows for e in eqs)
 
 
 def _subspace_from_int_rows(rows: Sequence[Sequence[int]], ambient_dim: int) -> LinearSubspace:
@@ -479,7 +467,7 @@ def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -
         raise InputError("ambient dimension mismatch")
     if d.is_zero:
         return w
-    if w.rank < space.dim and not w.contains_subspace(d):
+    if not _lies_in(d.int_rows, w):
         raise PreconditionError("D must be a subspace of W")
     return _xi_complement_rows(space, d.int_rows, w)
 

@@ -24,6 +24,7 @@ from typing import Sequence
 from .errors import (
     GenerationError,
     InputError,
+    InternalError,
     PreconditionError,
     UnsatisfiableParams,
 )
@@ -369,8 +370,10 @@ def make_perp_pair(
     inside the xi-complement of M's direction and Z2 inside the
     xi-complement of that direction extended by Z1, so the two extensions
     are mutually orthogonal and meet M's direction trivially.  Every draw
-    follows the fixed policy above; a construction that collapses is
-    redrawn up to RETRIES times, then GenerationError.
+    follows the fixed policy above, so a draw whose rank collapses is
+    redrawn up to RETRIES times, then GenerationError.  The pair is built
+    once: with a positive-definite form the construction cannot fail its
+    perp_m verification, and an InternalError says it did.
     """
     n = space.dim
     if not params.satisfiable_in(n):
@@ -378,24 +381,17 @@ def make_perp_pair(
             f"k1 + k2 - m = {params.k1 + params.k2 - params.m} exceeds dimension {n}"
         )
     full = full_subspace(n)
-    last_error = "exhausted retries"
-    for _ in range(RETRIES):
-        q = _rand_int_point(n, rng)
-        try:
-            dir_m = rand_subspace_of(full, params.m, rng)
-            comp1 = xi_complement(space, dir_m, full)
-            d1 = _rand_extension(dir_m.int_rows, comp1, params.k1 - params.m, rng)
-            comp2 = xi_complement(space, d1, full)
-            d2 = _rand_extension(dir_m.int_rows, comp2, params.k2 - params.m, rng)
-        except GenerationError as exc:
-            last_error = str(exc)
-            continue
-        x1 = AffineSubspace._canonical(space, *q, d1)
-        x2 = AffineSubspace._canonical(space, *q, d2)
-        if perp_m(x1, x2, params):
-            return x1, x2
-        last_error = "constructed pair failed verification"
-    raise GenerationError(f"make_perp_pair gave up: {last_error}")
+    q = _rand_int_point(n, rng)
+    dir_m = rand_subspace_of(full, params.m, rng)
+    comp1 = xi_complement(space, dir_m, full)
+    d1 = _rand_extension(dir_m.int_rows, comp1, params.k1 - params.m, rng)
+    comp2 = xi_complement(space, d1, full)
+    d2 = _rand_extension(dir_m.int_rows, comp2, params.k2 - params.m, rng)
+    x1 = AffineSubspace._canonical(space, *q, d1)
+    x2 = AffineSubspace._canonical(space, *q, d2)
+    if not perp_m(x1, x2, params):
+        raise InternalError("constructed pair failed its perp_m verification")
+    return x1, x2
 
 
 def unique_complement(

@@ -1,13 +1,15 @@
 """Recovering line orthogonality from a black-box typed relation.
 
-The pipeline mirrors two reductions.  First, queries about a low-dimensional
-pair (Y1, X2) meeting in a point are lifted to the typed relation by
-extending Y1 with an m-flat drawn inside X2 through the common point; the
-extension's meet with X2 is exactly that m-flat, so the lifted query has the
-right dimension type whether or not the configuration is orthogonal.
-Second, a pair of orthogonal lines is wrapped in a perp-x pair of flats of
-prescribed dimensions built around their common perpendicular; for
-non-orthogonal lines no such wrapping exists, which the feet system detects.
+A line pair is decided in two stages.  The wrap stage uses only the metric
+and incidence and never queries the oracle: it turns the lines, once, into
+flats meeting in a point, the lines moved to cross when k2 = 1 and else a
+perp-x pair built around their common perpendicular (lemma 2); for
+non-orthogonal lines no such wrapping exists, which the feet system
+detects.  The decide stage asks the oracle about that pair
+(Y1, X2), lifted to the typed relation by extending Y1 with an m-flat drawn
+inside X2 through the common point (lemma 1); the extension's meet with X2
+is exactly that m-flat, so the lifted query has the right dimension type
+whether or not the configuration is orthogonal.
 
 Two execution modes: WITNESS follows the constructions above and is exact;
 SAMPLED replaces the canonical extension by random incidence-valid
@@ -278,22 +280,19 @@ def line_perp_ground_truth(l1: AffineSubspace, l2: AffineSubspace) -> bool:
     return not sum(map(mul, l1.form_rows[0], l2.direction.int_rows[0]))
 
 
-def reconstruct_line_perp(
+def _wrap_line_pair(
     l1: AffineSubspace,
     l2: AffineSubspace,
     params: TypedPerpParams,
     oracle: PerpOracle,
-    mode: ReconstructionMode,
-    rng: Optional[random.Random] = None,
-) -> bool:
-    """Decide line orthogonality using only the typed oracle plus incidence.
+) -> tuple[Optional[tuple[AffineSubspace, AffineSubspace]], PerpOracle]:
+    """The wrap stage: the point-meet pair standing for the two lines, or
+    None when there is none, with the oracle's slots in that pair's order.
+    Draws nothing and queries nothing.
 
-    Stage one reduces the typed relation to point-meet orthogonality of a
-    (k1 - m)-flat against a k2-flat.  Stage two wraps the two lines into
-    such a configuration around their common perpendicular; when the feet
-    system has no solution the wrapping is impossible for any flat pair,
-    which already settles the answer as false.  Lines of equal direction
-    admit no common perpendicular either, hence the parallel early-out.
+    The smaller dimension goes first.  For k2 = 1 the pair is the lines
+    moved to cross; otherwise it is the lemma-2 wrapping pair, which a
+    non-orthogonal pair does not admit.  Parallel lines admit neither.
     """
     _check_same_space(l1, l2)
     if l1.dim != 1 or l2.dim != 1:
@@ -313,19 +312,31 @@ def reconstruct_line_perp(
     origin = ((0,) * space.dim, 1)
     l1w = AffineSubspace(space, origin, l1.direction)
     l2w = AffineSubspace._canonical(space, *_point_difference(l1, l2), l2.direction)
-    k1p = params.k1 - params.m
     if params.k2 == 1:
         # lines against lines leave no room for a wrapping pair: move l2
         # through l1's base point and ask about the crossing directly
         if parallel(l1w, l2w):
-            return False
-        l2t = AffineSubspace(space, origin, l2.direction)
-        return decide_perp0(l1w, l2t, oracle, mode, rng)
+            return None, oracle
+        return (l1w, AffineSubspace(space, origin, l2.direction)), oracle
     try:
-        x1, x2 = lemma2_witness(l1w, l2w, k1p, params.k2)
+        return lemma2_witness(l1w, l2w, params.k1 - params.m, params.k2), oracle
     except PreconditionError:
-        return False
-    return decide_perp0(x1, x2, oracle, mode, rng)
+        return None, oracle
+
+
+def reconstruct_line_perp(
+    l1: AffineSubspace,
+    l2: AffineSubspace,
+    params: TypedPerpParams,
+    oracle: PerpOracle,
+    mode: ReconstructionMode,
+    rng: Optional[random.Random] = None,
+) -> bool:
+    """Decide line orthogonality using only the typed oracle plus incidence:
+    wrap the lines in a point-meet pair (metric and incidence only), then
+    decide that pair through the oracle."""
+    core, oracle = _wrap_line_pair(l1, l2, params, oracle)
+    return core is not None and decide_perp0(*core, oracle, mode, rng)
 
 
 @dataclass(frozen=True)
@@ -359,15 +370,16 @@ def judge_line_pair(
 ) -> LinePairVerdicts:
     """Decide a line pair against the ground-truth oracle of type params in
     mode "witness", "sampled" (K = samples candidates drawn from rng) or
-    "both"; the truth is always computed."""
-    oracle = ground_truth_oracle(params)
+    "both"; the lines are wrapped once for every mode asked for, and the
+    truth is always computed."""
+    core, oracle = _wrap_line_pair(l1, l2, params, ground_truth_oracle(params))
     witness = sampled = None
     if mode != "sampled":
-        witness = reconstruct_line_perp(
-            l1, l2, params, oracle, ReconstructionMode.witness()
+        witness = core is not None and decide_perp0(
+            *core, oracle, ReconstructionMode.witness()
         )
     if mode != "witness":
-        sampled = reconstruct_line_perp(
-            l1, l2, params, oracle, ReconstructionMode.sampled(samples), rng
+        sampled = core is not None and decide_perp0(
+            *core, oracle, ReconstructionMode.sampled(samples), rng
         )
     return LinePairVerdicts(line_perp_ground_truth(l1, l2), witness, sampled)

@@ -18,7 +18,16 @@ from orthokernel.flats import (
     parallel,
     translate_through,
 )
-from orthokernel.generators import NAMED_FORMS, resolve_space
+from orthokernel.generators import (
+    NAMED_FORMS,
+    GenConfig,
+    gen_pair_with_meet_dim,
+    gen_point,
+    gen_subspace,
+    random_point_of,
+    resolve_space,
+    sub_flat,
+)
 from orthokernel.linalg import (
     QuadraticSpace,
     rref_basis,
@@ -405,3 +414,33 @@ def test_meet_memo_stays_out_of_equality_hash_repr_and_wire():
     assert x1 == twin and hash(x1) == hash(twin)
     assert repr(x1) == repr(twin)
     assert x1.to_wire() == twin.to_wire()
+
+
+@pytest.mark.parametrize("form", NAMED_FORMS)
+def test_is_subflat_is_a_meet_equal_to_the_inner_flat(form):
+    rng = random.Random(f"subflat-meet:{form}")
+    outcomes = set()
+    for n in (2, 3, 4, 5):
+        cfg = GenConfig(dim=n, seed=0, form=form)
+        for _ in range(8):
+            k = rng.randint(0, n)
+            a = gen_subspace(cfg, k, rng)
+            # neither side contains the other when m < min(k1, k2)
+            k1, k2 = rng.randint(1, n - 1), rng.randint(1, n - 1)
+            m = rng.randint(max(0, k1 + k2 - n), min(k1, k2) - 1)
+            pairs = [
+                # nested, equal, parallel (disjoint unless a is everything)
+                (sub_flat(a, rng.randint(0, k), rng), a),
+                (a, translate_through(a, random_point_of(a, rng))),
+                (a, translate_through(a, gen_point(cfg, rng))),
+                # crossing, and two independent draws
+                gen_pair_with_meet_dim(cfg, k1, k2, m, rng),
+                (a, gen_subspace(cfg, rng.randint(0, n), rng)),
+            ]
+            for x, y in pairs:
+                for inner, outer in ((x, y), (y, x)):
+                    together = meet(inner, outer)
+                    got = is_subflat(inner, outer)
+                    assert got == (together == inner)
+                    outcomes.add((got, together is None))
+    assert outcomes == {(True, False), (False, False), (False, True)}

@@ -1,6 +1,7 @@
-"""Source hygiene: no dead imports in the package, no dangling exports,
-every binding the benchmark's tracer patches still exists, every CLI option
-and benchmark record is documented, and no trial builds a rational."""
+"""Source hygiene: no dead imports in the package, the scripts or the
+tests, no dangling exports, every binding the benchmark's tracer patches
+still exists, every CLI option and benchmark record is documented, and no
+trial builds a rational."""
 
 import argparse
 import ast
@@ -21,6 +22,10 @@ from orthokernel.generators import NAMED_FORMS, GenConfig, resolve_space
 
 PACKAGE_DIR = Path(orthokernel.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+# the package's modules, the example scripts and the tests themselves
+SOURCES = MODULES + sorted(
+    p for d in ("scripts", "tests") for p in (PACKAGE_DIR.parents[1] / d).glob("*.py")
+)
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -37,7 +42,7 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(name for name in imported if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 

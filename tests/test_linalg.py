@@ -114,7 +114,7 @@ def test_rref_idempotent(vectors):
 @given(vecs_strategy(3))
 def test_rref_preserves_span(vectors):
     sub = rref_basis(vectors, 3)
-    assert all(sub.contains_subspace(rref_basis([v], 3)) for v in vectors)
+    assert all(subspace_sum(sub, rref_basis([v], 3)) == sub for v in vectors)
     original = rref_basis(list(vectors) + list(sub.basis), 3)
     assert original == sub
 

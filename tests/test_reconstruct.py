@@ -9,6 +9,7 @@ import pytest
 import orthokernel.flats as flats_module
 import orthokernel.linalg as linalg_module
 import orthokernel.ortho as ortho_module
+import orthokernel.reconstruct as reconstruct_module
 from orthokernel.errors import (
     GenerationError,
     InputError,
@@ -29,7 +30,6 @@ from orthokernel.generators import (
     random_point_of,
 )
 from orthokernel.linalg import (
-    QQ,
     bilinear_eval,
     full_subspace,
     rref_basis,
@@ -433,25 +433,54 @@ def test_reconstruct_agrees_with_direct_check(rng):
         assert not (truth and not s)
 
 
+# a line against a line, a wrapped type, and one whose slots are swapped
+JUDGED_TYPES = (
+    TypedPerpParams(m=0, k1=1, k2=1),
+    TypedPerpParams(m=1, k1=2, k2=2),
+    TypedPerpParams(m=1, k1=3, k2=2),
+)
+
+
 @pytest.mark.parametrize("mode", ["witness", "sampled", "both"])
 def test_judge_line_pair_runs_the_modes_asked_for(mode):
     cfg = GenConfig(dim=4, seed=0)
-    params = TypedPerpParams(m=1, k1=2, k2=2)
-    oracle = ground_truth_oracle(params)
+    for params in JUDGED_TYPES:
+        oracle = ground_truth_oracle(params)
+        for i in range(12):
+            l1, l2 = gen_line_pair(cfg, random.Random(i), orthogonal=(i % 2 == 0))
+            got = judge_line_pair(l1, l2, params, mode, 5, random.Random(100 + i))
+            rng = random.Random(100 + i)
+            want_w = want_s = None
+            if mode != "sampled":
+                want_w = reconstruct_line_perp(
+                    l1, l2, params, oracle, ReconstructionMode.witness()
+                )
+            if mode != "witness":
+                want_s = reconstruct_line_perp(
+                    l1, l2, params, oracle, ReconstructionMode.sampled(5), rng
+                )
+            truth = line_perp_ground_truth(l1, l2)
+            assert got == LinePairVerdicts(truth, want_w, want_s)
+
+
+@pytest.mark.parametrize(
+    "params", JUDGED_TYPES[1:], ids=lambda p: f"{p.m}-{p.k1}-{p.k2}"
+)
+def test_judge_line_pair_wraps_each_pair_once(monkeypatch, params):
+    calls = []
+    real = reconstruct_module.lemma2_witness
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct_module, "lemma2_witness", counting)
+    cfg = GenConfig(dim=4, seed=0)
     for i in range(12):
         l1, l2 = gen_line_pair(cfg, random.Random(i), orthogonal=(i % 2 == 0))
-        got = judge_line_pair(l1, l2, params, mode, 5, random.Random(100 + i))
-        rng = random.Random(100 + i)
-        want_w = want_s = None
-        if mode != "sampled":
-            want_w = reconstruct_line_perp(
-                l1, l2, params, oracle, ReconstructionMode.witness()
-            )
-        if mode != "witness":
-            want_s = reconstruct_line_perp(
-                l1, l2, params, oracle, ReconstructionMode.sampled(5), rng
-            )
-        assert got == LinePairVerdicts(line_perp_ground_truth(l1, l2), want_w, want_s)
+        judge_line_pair(l1, l2, params, "both", 5, random.Random(100 + i))
+    # orthogonal pairs are wrapped, skew ones fail to be: one attempt each
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize(

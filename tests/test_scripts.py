@@ -1,5 +1,6 @@
 """The example scripts run end to end and print what they printed before."""
 
+import json
 import os
 import subprocess
 import sys
@@ -73,6 +74,32 @@ def test_reconstruct_demo_prints_the_same_feet_and_verdicts(case):
     assert proc.returncode == 0, proc.stderr
     got = [ln for ln in proc.stdout.splitlines() if ln.startswith(CHECKED_PREFIXES)]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "argv, dims",
+    [
+        # k1 > k2: the oracle's slots are swapped back for the query
+        (["--dim", "4", "--m", "1", "--k1", "3", "--k2", "2"], (3, 2)),
+        # k2 = 1 but wrapped, since the swapped type has k2 = 2
+        (["--dim", "3", "--m", "0", "--k1", "2", "--k2", "1"], (2, 1)),
+        # skew lines with k2 > 1 have no wrapping pair
+        (["--oblique"], None),
+    ],
+)
+def test_reconstruct_demo_prints_what_the_oracle_was_asked(argv, dims):
+    proc = run_demo(*argv)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    shown = [
+        len(json.loads(ln.split(" = ", 1)[1])["basis"])
+        for ln in lines
+        if ln.startswith(("  x1 = ", "  x2 = "))
+    ]
+    if dims is None:
+        assert shown == [] and any(ln.startswith("oracle not asked") for ln in lines)
+    else:
+        assert tuple(shown) == dims
 
 
 def test_reconstruct_demo_refuses_unsatisfiable_params():

@@ -92,8 +92,15 @@ def _parse_params(args: argparse.Namespace, required: bool) -> Optional[TypedPer
 
 
 def _check_json_target(path: Optional[str]) -> None:
-    """Refuse a --json path in a missing directory before any work runs."""
-    if path is not None and not Path(path).parent.is_dir():
+    """Refuse a --json path that is empty, a directory or in a missing
+    directory, before any work runs."""
+    if path is None:
+        return
+    if not path:
+        raise InputError("--json needs a file name")
+    if Path(path).is_dir():
+        raise InputError(f"cannot write {path}: it is a directory")
+    if not Path(path).parent.is_dir():
         raise InputError(
             f"cannot write {path}: directory {Path(path).parent} does not exist"
         )
@@ -118,8 +125,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     props = _parse_props(args.props)
     forms = _parse_forms(args.form)
     params = _parse_params(args, required=False)
-    if params is not None and params.k1 > params.k2:
-        raise InputError("pinned params need k1 <= k2")
     cfg = GenConfig(
         dim=args.dim,
         seed=seed,
@@ -136,7 +141,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         print(line)
     print(f"total violations: {total}")
-    if args.json:
+    if args.json is not None:
         config = {
             "dim": cfg.dim,
             "trials": args.trials,
@@ -219,7 +224,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     if run_sampled:
         print(f"{head} sampled contradictions {contradictions}")
     ok = (agree == args.pairs or not run_witness) and contradictions == 0
-    if args.json:
+    if args.json is not None:
         payload = {
             "schema": 1,
             "config": {
@@ -240,7 +245,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     payload = {"schema": 1, "instances": emit_counterexamples()}
     print(json.dumps(payload, sort_keys=True, indent=2))
-    if args.json:
+    if args.json is not None:
         _write_json(args.json, payload)
     return 0
 

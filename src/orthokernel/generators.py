@@ -23,7 +23,6 @@ from .linalg import (
     QuadraticSpace,
     _subspace_from_int_rows,
     full_subspace,
-    subspace_sum,
     xi_complement,
     zero_subspace,
 )
@@ -157,16 +156,16 @@ def gen_pair_with_meet_dim(
         raise InputError(f"meet dimension {m} infeasible for ({k1}, {k2}) in Q^{n}")
     full = full_subspace(n)
     for _ in range(RETRIES):
-        dir_m = rand_subspace_of(full, m, rng)
-        ext1 = [_rand_int_vector(n, rng) for _ in range(k1 - m)]
-        ext2 = [_rand_int_vector(n, rng) for _ in range(k2 - m)]
-        d1 = _subspace_from_int_rows(dir_m.int_rows + tuple(ext1), n)
-        d2 = _subspace_from_int_rows(dir_m.int_rows + tuple(ext2), n)
-        if d1.rank != k1 or d2.rank != k2:
-            continue
-        if subspace_sum(d1, d2).rank != k1 + k2 - m:
+        base = rand_subspace_of(full, m, rng).int_rows
+        ext1 = tuple(_rand_int_vector(n, rng) for _ in range(k1 - m))
+        ext2 = tuple(_rand_int_vector(n, rng) for _ in range(k2 - m))
+        # base has rank m: all k1 + k2 - m rows are independent exactly when
+        # both directions have full rank and their sum has rank k1 + k2 - m
+        if _subspace_from_int_rows(base + ext1 + ext2, n).rank != k1 + k2 - m:
             continue
         p = _rand_int_point(n, rng)
+        d1 = _subspace_from_int_rows(base + ext1, n)
+        d2 = _subspace_from_int_rows(base + ext2, n)
         return (
             AffineSubspace._canonical(space, *p, d1),
             AffineSubspace._canonical(space, *p, d2),
@@ -188,40 +187,36 @@ def random_point_of(flat: AffineSubspace, rng: random.Random) -> AffineSubspace:
 
 
 def sub_flat(flat: AffineSubspace, k: int, rng: random.Random) -> AffineSubspace:
-    """A random k-dimensional subflat."""
-    if not 0 <= k <= flat.dim:
-        raise InputError(f"cannot take a {k}-dimensional subflat of dim {flat.dim}")
-    q = random_point_of(flat, rng)
-    return AffineSubspace._canonical(
-        flat.space, *q.int_point, rand_subspace_of(flat.direction, k, rng)
-    )
+    """A random k-dimensional subflat through a random point of flat: the
+    flat between that point and flat."""
+    return flat_between(random_point_of(flat, rng), flat, k, rng)
 
 
 def super_flat(flat: AffineSubspace, k: int, rng: random.Random) -> AffineSubspace:
-    """A random k-dimensional flat containing the given one."""
-    n = flat.ambient_dim
-    if not flat.dim <= k <= n:
-        raise InputError(f"cannot extend a dim-{flat.dim} flat to dimension {k}")
-    for _ in range(RETRIES):
-        ext = [_rand_int_vector(n, rng) for _ in range(k - flat.dim)]
-        direction = _subspace_from_int_rows(flat.direction.int_rows + tuple(ext), n)
-        if direction.rank == k:
-            return AffineSubspace._canonical(flat.space, *flat.int_point, direction)
-    raise GenerationError(f"no rank-{k} extension after {RETRIES} draws")
+    """A random k-dimensional flat containing the given one: the flat
+    between it and the whole space."""
+    return flat_between(flat, AffineSubspace.full(flat.space), k, rng)
 
 
 def flat_between(
     inner: AffineSubspace, outer: AffineSubspace, k: int, rng: random.Random
 ) -> AffineSubspace:
-    """A random k-flat C with inner ⊆ C ⊆ outer (inner must sit in outer)."""
+    """A random k-flat C with inner ⊆ C ⊆ outer (inner must sit in outer),
+    through inner's base point.
+
+    C's direction is inner's extended by k - dim(inner) small integer
+    combinations of outer's direction rows, drawn together and redrawn up
+    to RETRIES times while they collapse.  No draw is made when C is
+    inner, or outer with inner a point.
+    """
     if not inner.dim <= k <= outer.dim:
-        raise InputError("dimension outside the inclusion interval")
-    for _ in range(RETRIES):
-        extra = rand_subspace_of(outer.direction, k - inner.dim, rng)
-        direction = subspace_sum(inner.direction, extra)
-        if direction.rank == k:
-            return AffineSubspace._canonical(inner.space, *inner.int_point, direction)
-    raise GenerationError(f"no rank-{k} intermediate flat after {RETRIES} draws")
+        raise InputError(
+            f"no {k}-flat between flats of dimensions {inner.dim} and {outer.dim}"
+        )
+    direction = _rand_extension(
+        inner.direction.int_rows, outer.direction, k - inner.dim, rng
+    )
+    return AffineSubspace._canonical(inner.space, *inner.int_point, direction)
 
 
 def gen_perp_to(

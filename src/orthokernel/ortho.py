@@ -336,10 +336,17 @@ def rand_subspace_of(w: LinearSubspace, k: int, rng: random.Random) -> LinearSub
 def _rand_extension(
     base_rows: Sequence[Sequence[int]], w: LinearSubspace, k: int, rng: random.Random
 ) -> LinearSubspace:
-    """subspace_sum(span(base_rows), rand_subspace_of(w, k, rng)) from one
-    reduction, for independent base_rows meeting w only in zero: the sum
-    then has rank len(base_rows) + k exactly when the draw does, so every
-    draw, retry and GenerationError is rand_subspace_of's."""
+    """span(base_rows) extended by k random combinations of w's rows, from
+    one reduction per draw; a draw is redrawn while the extension has rank
+    below len(base_rows) + k.  base_rows must be independent.
+
+    When w meets span(base_rows) only in zero, this is
+    subspace_sum(span(base_rows), rand_subspace_of(w, k, rng)): the sum
+    has full rank exactly when the draw does, so every draw, retry and
+    GenerationError is rand_subspace_of's.  When span(base_rows) lies in
+    w, the result is a (len(base_rows) + k)-subspace of w between the two,
+    which needs len(base_rows) + k <= rank w (flat_between's range check).
+    """
     if not 0 <= k <= w.rank:
         raise InputError(f"cannot draw a {k}-dimensional subspace of rank {w.rank}")
     n = w.ambient_dim

@@ -46,13 +46,7 @@ from .generators import (
     super_flat,
     trial_rng,
 )
-from .linalg import (
-    QuadraticSpace,
-    full_subspace,
-    subspace_sum,
-    xi_complement,
-    zero_subspace,
-)
+from .linalg import QuadraticSpace, zero_subspace
 from .ortho import (
     RETRIES,
     TypedPerpParams,
@@ -63,7 +57,6 @@ from .ortho import (
     perp_m,
     perp_subspaces,
     perp_x,
-    rand_subspace_of,
     reflections_commute,
     unique_complement,
 )
@@ -198,16 +191,6 @@ def _chain(ctx: TrialContext):
     return a, b, c
 
 
-def _sampled_alternative(
-    ctx: TrialContext, a: AffineSubspace, c: AffineSubspace, want: int
-) -> Optional[AffineSubspace]:
-    extra = rand_subspace_of(c.direction, want - a.dim, ctx.rng)
-    direction = subspace_sum(a.direction, extra)
-    if direction.rank != want:
-        return None
-    return AffineSubspace._canonical(ctx.space, *a.int_point, direction)
-
-
 def _uniq_check(ctx: TrialContext, rel: Relation) -> Optional[dict]:
     a, b, c = _chain(ctx)
     bp = unique_complement(a, b, c)
@@ -219,8 +202,8 @@ def _uniq_check(ctx: TrialContext, rel: Relation) -> Optional[dict]:
         return _ce("complement fails its defining clauses", a=a, b=b, c=c, bp=bp)
     want = a.dim + c.dim - b.dim
     for _ in range(2):
-        cand = _sampled_alternative(ctx, a, c, want)
-        if cand is not None and cand != bp and clauses(cand):
+        cand = flat_between(a, c, want, ctx.rng)
+        if cand != bp and clauses(cand):
             return _ce(
                 "a second flat satisfies the complement clauses",
                 a=a, b=b, c=c, bp=bp, cand=cand,
@@ -248,22 +231,15 @@ def _p_pointmeet(ctx: TrialContext) -> Optional[dict]:
 def _p_perpxsup(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
     rng = ctx.rng
-    q = gen_point(ctx.cfg, rng).int_point
-    full = full_subspace(n)
-    ydir = rand_subspace_of(full, rng.randint(1, n - 1), rng)
-    y = AffineSubspace._canonical(ctx.space, *q, ydir)
-    comp = xi_complement(ctx.space, ydir, full)
-    x1 = AffineSubspace._canonical(
-        ctx.space, *q, rand_subspace_of(comp, rng.randint(0, comp.rank), rng)
-    )
+    q = gen_point(ctx.cfg, rng)
+    full = AffineSubspace.full(ctx.space)
+    y = flat_between(q, full, rng.randint(1, n - 1), rng)
+    comp = orthocomplement_in(y, full, q)
+    x1 = flat_between(q, comp, rng.randint(0, comp.dim), rng)
     if rng.random() < 0.8:
-        x2 = AffineSubspace._canonical(
-            ctx.space, *q, rand_subspace_of(comp, rng.randint(0, comp.rank), rng)
-        )
+        x2 = flat_between(q, comp, rng.randint(0, comp.dim), rng)
     else:
-        x2 = AffineSubspace._canonical(
-            ctx.space, *q, rand_subspace_of(full, rng.randint(0, n), rng)
-        )
+        x2 = flat_between(q, full, rng.randint(0, n), rng)
     if perp_x(x1, y) and perp_x(x2, y):
         if not perp_x(join(x1, x2), y):
             return _ce("join broke shared-point orthogonality", y=y, x1=x1, x2=x2)
@@ -468,10 +444,7 @@ def _p_axo_h(ctx: TrialContext) -> Optional[dict]:
         c = gen_perp_to(a, q, rng)
     else:
         b = gen_perp_to(a, q, rng)
-        c = AffineSubspace._canonical(
-            ctx.space, *q.int_point,
-            rand_subspace_of(a.direction, rng.randint(0, a.dim), rng),
-        )
+        c = flat_between(q, a, rng.randint(0, a.dim), rng)
     if perp_go(a, b) and perp_go(a, c):
         bc = meet(b, c)
         if bc is not None and meet(a, bc) is not None:
@@ -761,6 +734,9 @@ def run_suite(
     if cfg.dim < 3 and "P-LEM2" in property_ids:
         # its wrapping pairs need k1 >= 1, k2 >= 2 and k1 + k2 <= dim
         raise InputError("P-LEM2 needs ambient dimension at least 3")
+    params = cfg.perp_params
+    if params is not None and params.k1 > params.k2:
+        raise InputError("pinned params need k1 <= k2")
     if forms is None:
         forms = default_forms()
     rows = [

@@ -466,18 +466,28 @@ def test_json_into_a_missing_directory_exits_two_before_any_work(
 ):
     for name in ("run_suite", "gen_line_pair", "emit_counterexamples"):
         monkeypatch.setattr(f"orthokernel.cli.{name}", _refuse_work)
-    target = tmp_path / "missing" / "report.json"
-    code, out, err = run_cli(capsys, *argv, "--json", str(target))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and str(target.parent) in err
+    # a file in a missing directory, an empty name, an existing directory
+    for target, named in (
+        (str(tmp_path / "missing" / "report.json"), str(tmp_path / "missing")),
+        ("", "--json"),
+        (str(tmp_path), str(tmp_path)),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--json", target)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
 
 
-def test_json_write_failure_exits_two(capsys, tmp_path):
-    # the path is an existing directory: the write itself fails
-    code, _, err = run_cli(capsys, "counterexample", "--json", str(tmp_path))
+def test_json_write_failure_exits_two(capsys, monkeypatch, tmp_path):
+    def refuse_write(self, *args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("pathlib.Path.write_text", refuse_write)
+    target = tmp_path / "cex.json"
+    code, _, err = run_cli(capsys, "counterexample", "--json", str(target))
     assert code == 2
-    assert err.startswith("error:") and str(tmp_path) in err
+    assert err.startswith("error:") and str(target) in err
+    assert "no space left" in err
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,14 @@ def _draw_points(cfg, rng, seed):
     return p, a, q, sub_flat(a, rng.randint(0, a.dim), rng), gen_perp_to(a, q, rng)
 
 
+def _draw_chains(cfg, rng, seed):
+    n = cfg.dim
+    a = gen_subspace(cfg, rng.randint(1, n - 1), rng)
+    b = super_flat(a, rng.randint(a.dim, n), rng)
+    c = flat_between(a, b, rng.randint(a.dim, b.dim), rng)
+    return a, b, c, sub_flat(b, rng.randint(0, b.dim), rng)
+
+
 PINNED_DRAWS = {
     "make_perp_pair": (
         _draw_perp_pair,
@@ -332,6 +340,11 @@ PINNED_DRAWS = {
     "gen_line_pair": (
         _draw_line_pair,
         "72e7afba8315b903055f98ee4d684dbac972c4973e923f5aba2983da9aca85d5",
+    ),
+    # super_flat, flat_between and sub_flat, each a flat between two flats
+    "chains": (
+        _draw_chains,
+        "a7ccaa1240e5d13f9eee89184d47dad5b2523a669f3e6f4c57cdcb8598a12f26",
     ),
     # gen_point, random_point_of (both point flats), sub_flat, gen_perp_to
     "points": (

@@ -7,6 +7,7 @@ from fractions import Fraction as QQ
 import pytest
 
 from orthokernel.errors import (
+    GenerationError,
     InputError,
     PreconditionError,
     UnsatisfiableParams,
@@ -42,6 +43,7 @@ from orthokernel.linalg import (
     xi_complement,
 )
 from orthokernel.ortho import (
+    RETRIES,
     AffineIsometry,
     TypedPerpParams,
     _rand_extension,
@@ -381,11 +383,26 @@ class _CountingRandom(random.Random):
         return super().randint(a, b)
 
 
+def _between_reference(base, w, k, rng):
+    """A subspace between base ⊆ w as two nested loops drew it: a k-draw
+    from w, redrawn while its sum with base collapses."""
+    for _ in range(RETRIES):
+        direction = subspace_sum(base, rand_subspace_of(w, k, rng))
+        if direction.rank == base.rank + k:
+            return direction
+    raise GenerationError("the reference draw gave up")
+
+
 def _extension_matches(base, w, k, seed):
-    """_rand_extension equals the sum of base and rand_subspace_of's draw,
-    from equal rngs left in equal states; True when a draw was retried."""
+    """_rand_extension equals its reference draw, from equal rngs left in
+    equal states; True when a draw was retried.  For base meeting w only
+    in zero the reference is the sum of base and rand_subspace_of's draw,
+    for base inside w it is _between_reference."""
     want_rng, got_rng = random.Random(seed), _CountingRandom(seed)
-    want = subspace_sum(base, rand_subspace_of(w, k, want_rng))
+    if subspace_sum(base, w) == w:
+        want = _between_reference(base, w, k, want_rng)
+    else:
+        want = subspace_sum(base, rand_subspace_of(w, k, want_rng))
     assert _rand_extension(base.int_rows, w, k, got_rng) == want
     assert got_rng.getstate() == want_rng.getstate()
     return 0 < k < w.rank and got_rng.draws > k * w.rank
@@ -409,11 +426,18 @@ def test_fused_extension_is_the_sum_of_the_same_draw(form):
                 if subspace_sum(base, w).rank != base.rank + w.rank:
                     continue
             _extension_matches(base, w, rng.randint(0, w.rank), rng.getrandbits(32))
+            # base inside w, as flat_between uses it
+            w = subspace_sum(base, w)
+            k = rng.randint(0, w.rank - base.rank)
+            _extension_matches(base, w, k, rng.getrandbits(32))
     # one line from a plane: about one draw in 49 collapses and is redrawn
     space = resolve_space(3, form)
     base = rref_basis([(1, 1, 1)], 3)
     w = xi_complement(space, base, full_subspace(3))
     assert sum(_extension_matches(base, w, 1, seed) for seed in range(300)) > 0
+    # a plane through that line: one draw in 7 collapses onto it or to zero
+    w = rref_basis([(1, 1, 1), (1, 0, 0)], 3)
+    assert sum(_extension_matches(base, w, 1, seed) for seed in range(100)) > 5
 
 
 # ---------------------------------------------------------------------------

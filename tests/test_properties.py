@@ -9,6 +9,7 @@ import pytest
 import orthokernel.properties as props
 from orthokernel.errors import InputError
 from orthokernel.generators import GenConfig, trial_rng
+from orthokernel.ortho import TypedPerpParams
 from orthokernel.properties import (
     ALL_PROPERTY_IDS,
     CORE_PROPERTY_IDS,
@@ -164,6 +165,17 @@ def test_run_suite_rejects_unknown_ids():
     with pytest.raises(InputError) as exc:
         run_suite(small_cfg(), ["P-SYM", "P-BAD", "P-WORSE"], trials=5)
     assert "P-BAD" in str(exc.value) and "P-WORSE" in str(exc.value)
+
+
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a trial ran before the pinned params were checked")
+
+
+def test_run_suite_rejects_swapped_pinned_params(monkeypatch):
+    monkeypatch.setattr(props, "_run_slice", _no_trial)
+    cfg = GenConfig(dim=4, perp_params=TypedPerpParams(0, 2, 1))
+    with pytest.raises(InputError, match="k1 <= k2"):
+        run_suite(cfg, ["P-LEM1-BWD"], 5)
 
 
 def test_run_suite_custom_form_label():

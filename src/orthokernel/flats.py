@@ -197,16 +197,17 @@ def _point_difference(x1: AffineSubspace, x2: AffineSubspace) -> tuple[list[int]
 
 def _meet_parts(
     x1: AffineSubspace, x2: AffineSubspace
-) -> Optional[tuple[tuple[list[int], int], list[list[int]]]]:
-    """The intersection in the coordinates of x1's direction rows D1, or
-    None when the flats are disjoint.
+) -> Optional[tuple[list[list[int]], list[int], int]]:
+    """The intersection as a reduced system in the coordinates of x1's
+    direction rows D1, or None when the flats are disjoint.
 
     A point p1 + D1^T a lies on x2 iff E (D1^T a) = E (p2 - p1) for the
-    equations E of x2's direction; the system is solved in integers, with
-    p2 - p1 over a common denominator.  Returns a particular a as
-    numerators over one denominator, a multiple of p1's, so that
-    p1 + D1^T a is a common point, and a kernel basis of E D1^T: their combinations of D1 span the
-    intersection of the directions, and there are as many as its dimension.
+    equations E of x2's direction; with p2 - p1 = delta / e over a common
+    denominator, the system E D1^T a = E delta / e is reduced in integers
+    once.  Returns its reduced augmented rows (the last column is the right
+    side, times e), their pivot columns and e.  The meet's direction has
+    dimension dim(x1) - len(pivots), which is all the relations read;
+    ``meet`` alone builds the common point and the direction from the rows.
 
     The result is memoised in x1's instance dict under id(x2), next to x2
     itself, so the entry lives and dies with x1 and a reused id can never
@@ -223,24 +224,18 @@ def _meet_parts(
 
 def _solve_meet(
     x1: AffineSubspace, x2: AffineSubspace
-) -> Optional[tuple[tuple[list[int], int], list[list[int]]]]:
+) -> Optional[tuple[list[list[int]], list[int], int]]:
     r1 = x1.direction.int_rows
-    k1 = len(r1)
     delta, e = _point_difference(x1, x2)
     aug = [
         [sum(map(mul, eq, row)) for row in r1] + [sum(map(mul, eq, delta))]
         for eq in x2.direction.equations
     ]
-    rref_rows, pivots = _rref_int(aug, pivot_limit=k1)
-    if len(rref_rows) > len(pivots):
+    rows, pivots = _rref_int(aug, pivot_limit=len(r1))
+    if len(rows) > len(pivots):
         # rows past the pivots vanish on the coefficients: 0 = nonzero
         return None
-    # the particular solution sets every free coefficient to zero
-    lcm_p = math.lcm(*[row[c] for row, c in zip(rref_rows, pivots)])
-    coeffs_a = [0] * k1
-    for row, c in zip(rref_rows, pivots):
-        coeffs_a[c] = row[k1] * (lcm_p // row[c])
-    return (coeffs_a, lcm_p * e), _echelon_kernel(rref_rows, pivots, k1)
+    return rows, pivots, e
 
 
 def meet(x1: AffineSubspace, x2: AffineSubspace) -> Optional[AffineSubspace]:
@@ -253,9 +248,19 @@ def meet(x1: AffineSubspace, x2: AffineSubspace) -> Optional[AffineSubspace]:
     if not r1:
         # a point flat that meets x2 is the meet
         return x1
-    (coeffs_a, den), meet_coeffs = parts
+    rows, pivots, e = parts
+    k1 = len(r1)
+    # the particular solution a sets every free coefficient to zero; the
+    # kernel's combinations of D1 span the meet's direction
+    lcm_p = math.lcm(*[row[c] for row, c in zip(rows, pivots)])
+    coeffs_a = [0] * k1
+    for row, c in zip(rows, pivots):
+        coeffs_a[c] = row[k1] * (lcm_p // row[c])
+    meet_coeffs = _echelon_kernel(rows, pivots, k1)
     direction = _subspace_from_int_rows(_mat_mul_int(meet_coeffs, r1), x1.ambient_dim)
-    # p1 + D1^T a as one integer combination over den
+    # p1 + D1^T a as one integer combination over lcm_p e, a multiple of p1's
+    # denominator
+    den = lcm_p * e
     u1, e1 = x1.int_point
     comb = _mat_mul_int([coeffs_a], r1)[0]
     nums = [u * (den // e1) + c for u, c in zip(u1, comb)]

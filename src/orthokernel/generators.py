@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
-from .errors import GenerationError, InputError
-from .flats import AffineSubspace
+from .errors import GenerationError, InputError, PreconditionError
+from .flats import AffineSubspace, is_subflat
 from .linalg import (
     QQ,
     QuadraticSpace,
+    _rank_int,
     _subspace_from_int_rows,
     full_subspace,
     xi_complement,
@@ -161,7 +162,7 @@ def gen_pair_with_meet_dim(
         ext2 = tuple(_rand_int_vector(n, rng) for _ in range(k2 - m))
         # base has rank m: all k1 + k2 - m rows are independent exactly when
         # both directions have full rank and their sum has rank k1 + k2 - m
-        if _subspace_from_int_rows(base + ext1 + ext2, n).rank != k1 + k2 - m:
+        if _rank_int(base + ext1 + ext2) != k1 + k2 - m:
             continue
         p = _rand_int_point(n, rng)
         d1 = _subspace_from_int_rows(base + ext1, n)
@@ -207,12 +208,16 @@ def flat_between(
     C's direction is inner's extended by k - dim(inner) small integer
     combinations of outer's direction rows, drawn together and redrawn up
     to RETRIES times while they collapse.  No draw is made when C is
-    inner, or outer with inner a point.
+    inner, or outer with inner a point.  Raises PreconditionError when inner
+    is not inside outer; the whole space contains every flat, so super_flat
+    pays for no check.
     """
     if not inner.dim <= k <= outer.dim:
         raise InputError(
             f"no {k}-flat between flats of dimensions {inner.dim} and {outer.dim}"
         )
+    if outer.dim < outer.ambient_dim and not is_subflat(inner, outer):
+        raise PreconditionError("inner must be a subflat of outer")
     direction = _rand_extension(
         inner.direction.int_rows, outer.direction, k - inner.dim, rng
     )

@@ -169,6 +169,41 @@ def _rref_int(rows: list[list[int]], pivot_limit: Optional[int] = None) -> tuple
     return work[:r] + [row for row in work[r:] if any(row)], pivots
 
 
+def _rank_int(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free forward elimination.
+
+    Bareiss's scheme (Math. Comp. 22, 1968): each update ``x pv - y f`` is
+    divided exactly by the previous pivot, so every entry stays a minor of
+    the input.  Rows below a pivot keep only the columns right of it; zero
+    rows are dropped, as they stay zero.  There is no upward reduction and
+    no per-row gcd, which is all a rank test needs.
+    """
+    work = [row for row in rows if any(row)]
+    rank = 0
+    prev = 1
+    while work:
+        for i, prow in enumerate(work):
+            if prow[0]:
+                break
+        else:
+            # the column is zero in every remaining row
+            work = [row[1:] for row in work]
+            continue
+        del work[i]
+        rank += 1
+        pv, tail = prow[0], prow[1:]
+        work = [
+            new
+            for new in (
+                [(x * pv - y * row[0]) // prev for x, y in zip(row[1:], tail)]
+                for row in work
+            )
+            if any(new)
+        ]
+        prev = pv
+    return rank
+
+
 def _mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     cols = tuple(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     GenerationError,
@@ -41,6 +41,7 @@ from .linalg import (
     QuadraticSpace,
     Vector,
     _mat_mul_int,
+    _rank_int,
     _rref_int,
     _subspace_from_int_rows,
     full_subspace,
@@ -114,7 +115,14 @@ def _complement_perp(x1: AffineSubspace, x2: AffineSubspace, m: int) -> bool:
     gram = _gram(x1, x2)
     if not m:
         return not any(map(any, gram))
-    return len(_rref_int(gram)[0]) == m
+    return _rank_int(gram) == m
+
+
+def _meet_dim(x1: AffineSubspace, x2: AffineSubspace) -> Optional[int]:
+    """The dimension of the meet, or None for disjoint flats: x1's
+    dimension less the pivots of the meet system, with no meet built."""
+    parts = _meet_parts(x1, x2)
+    return None if parts is None else x1.dim - len(parts[1])
 
 
 def perp_go(x1: AffineSubspace, x2: AffineSubspace) -> bool:
@@ -124,17 +132,16 @@ def perp_go(x1: AffineSubspace, x2: AffineSubspace) -> bool:
     of M's direction inside x1's direction must be orthogonal to x2.
     """
     _check_same_space(x1, x2)
-    parts = _meet_parts(x1, x2)
-    return parts is not None and _complement_perp(x1, x2, len(parts[1]))
+    m = _meet_dim(x1, x2)
+    return m is not None and _complement_perp(x1, x2, m)
 
 
 def perp_g(x1: AffineSubspace, x2: AffineSubspace) -> bool:
     """Graded orthogonality: perp_go with neither flat inside the other."""
     _check_same_space(x1, x2)
-    parts = _meet_parts(x1, x2)
-    if parts is None:
+    m = _meet_dim(x1, x2)
+    if m is None:
         return False
-    m = len(parts[1])
     # meet = x_i exactly when dims agree, since meet ⊆ x_i always
     if m == x1.dim or m == x2.dim:
         return False
@@ -168,8 +175,7 @@ def perp_m(x1: AffineSubspace, x2: AffineSubspace, params: TypedPerpParams) -> b
     _check_same_space(x1, x2)
     if x1.dim != params.k1 or x2.dim != params.k2:
         return False
-    parts = _meet_parts(x1, x2)
-    if parts is None or len(parts[1]) != params.m:
+    if _meet_dim(x1, x2) != params.m:
         return False
     # m < k1, k2 already rules out inclusions
     return _complement_perp(x1, x2, params.m)

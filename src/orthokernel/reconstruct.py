@@ -149,7 +149,7 @@ def lemma1_witness(
     if x1.dim != y1.dim + m:
         raise InternalError("extension has the wrong dimension")
     parts = _meet_parts(x1, x2)
-    if parts is None or len(parts[1]) != m:
+    if parts is None or x1.dim - len(parts[1]) != m:
         raise InternalError("extension meets x2 at the wrong dimension")
     return x1
 
@@ -255,15 +255,22 @@ def lemma2_witness(
     d2 = l2.direction.int_rows[0]
 
     # d1, d2 and w are mutually orthogonal: core2 has rank 2 unless the
-    # lines meet (w = 0), and the complements come from spanning rows
+    # lines meet (w = 0), and the complements come from spanning rows.  A
+    # complement is built only when rows are drawn from it; an extension by
+    # nothing reads no rows and draws nothing, so it is handed the whole
+    # space instead
     full = full_subspace(n)
     core2 = [d2, w] if any(w) else [d2]
-    comp2 = _xi_complement_rows(space, [d1, d2, w], full)
+    comp2 = full
+    if k2 > len(core2):
+        comp2 = _xi_complement_rows(space, [d1, d2, w], full)
     dir2 = _extend(core2, comp2, k2 - len(core2), rng)
     x2 = AffineSubspace._canonical(space, *p.int_point, dir2)
 
     # the complement of dir2, then of d1 inside it, is that of dir2 + d1
-    rest1 = _xi_complement_rows(space, [*dir2.int_rows, d1], full)
+    rest1 = full
+    if k1 > 1:
+        rest1 = _xi_complement_rows(space, [*dir2.int_rows, d1], full)
     dir1 = _extend([d1], rest1, k1 - 1, rng)
     x1 = AffineSubspace._canonical(space, *q.int_point, dir1)
 

@@ -35,7 +35,7 @@ from orthokernel.linalg import (
     vec_add,
     vec_scale,
 )
-from orthokernel.ortho import perp_g, perp_go
+from orthokernel.ortho import TypedPerpParams, perp_g, perp_go, perp_m, perp_x
 
 from conftest import qv
 
@@ -414,6 +414,49 @@ def test_meet_memo_stays_out_of_equality_hash_repr_and_wire():
     assert x1 == twin and hash(x1) == hash(twin)
     assert repr(x1) == repr(twin)
     assert x1.to_wire() == twin.to_wire()
+
+
+@pytest.mark.parametrize("form", NAMED_FORMS)
+def test_meet_after_the_relations_equals_a_fresh_meet(form):
+    """The relations leave only the reduced meet system in the memo; a later
+    meet builds the same flat from it as from copies with no memo, of the
+    dimension the relations read."""
+    rng = random.Random(f"meet-after-relations:{form}")
+    seen = set()
+    for n in (3, 4, 5):
+        cfg = GenConfig(dim=n, seed=0, form=form)
+        for _ in range(6):
+            a = gen_subspace(cfg, rng.randint(1, n - 1), rng)
+            k1, k2 = rng.randint(1, n - 1), rng.randint(1, n - 1)
+            m = rng.randint(max(0, k1 + k2 - n), min(k1, k2) - 1)
+            pairs = [
+                gen_pair_with_meet_dim(cfg, k1, k2, m, rng),
+                # nested both ways, disjoint parallels, an independent draw
+                (sub_flat(a, rng.randint(0, a.dim), rng), a),
+                (a, translate_through(a, gen_point(cfg, rng))),
+                (a, gen_subspace(cfg, rng.randint(0, n), rng)),
+            ]
+            for x, y in pairs:
+                for a1, a2 in ((x, y), (y, x)):
+                    perp_go(a1, a2)
+                    perp_g(a1, a2)
+                    perp_x(a1, a2)
+                    if 0 < a1.dim and 0 < a2.dim:
+                        m = min(a1.dim, a2.dim) - 1
+                        perp_m(a1, a2, TypedPerpParams(m, a1.dim, a2.dim))
+                    assert id(a2) in vars(a1)["_meets"]
+                    got = meet(a1, a2)
+                    fresh = meet(
+                        AffineSubspace.from_wire(a1.space, a1.to_wire()),
+                        AffineSubspace.from_wire(a1.space, a2.to_wire()),
+                    )
+                    assert got == fresh
+                    parts = flats_module._meet_parts(a1, a2)
+                    read = None if parts is None else a1.dim - len(parts[1])
+                    assert read == (None if got is None else got.dim)
+                    seen.add((got is None, got == a1 or got == a2))
+    # disjoint, nested and properly crossing pairs all occurred
+    assert seen == {(True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("form", NAMED_FORMS)

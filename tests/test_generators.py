@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from orthokernel.errors import InputError
+from orthokernel.errors import InputError, PreconditionError
 from orthokernel.flats import AffineSubspace, is_subflat, meet
 from orthokernel.generators import (
     GenConfig,
@@ -223,6 +223,21 @@ def test_flat_between_chain(rng):
     assert is_subflat(inner, mid) and is_subflat(mid, outer)
     with pytest.raises(InputError):
         flat_between(inner, outer, 5, rng)
+
+
+def test_flat_between_refuses_an_inner_flat_outside_outer(rng):
+    space = QuadraticSpace.euclidean(3)
+    plane = AffineSubspace.from_points(space, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    # crosses the plane at the origin, and a parallel lying above it
+    crossing = AffineSubspace.from_points(space, [(0, 0, 0), (0, 0, 1)])
+    above = AffineSubspace.from_points(space, [(0, 0, 1), (1, 0, 1)])
+    for line in (crossing, above):
+        assert not is_subflat(line, plane)
+        for k in (1, 2):
+            with pytest.raises(PreconditionError):
+                flat_between(line, plane, k, rng)
+    inside = AffineSubspace.from_points(space, [(1, 1, 0), (2, 3, 0)])
+    assert flat_between(inside, plane, 2, rng) == plane
 
 
 def test_gen_perp_to_realizes_requested_type(rng):

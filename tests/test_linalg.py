@@ -14,6 +14,8 @@ from orthokernel.linalg import (
     QuadraticSpace,
     _int_kernel,
     _mat_mul_int,
+    _rank_int,
+    _rref_int,
     _subspace_from_int_rows,
     bilinear_eval,
     determinant,
@@ -103,6 +105,55 @@ def test_a_string_is_not_a_vector():
         rref_basis([[1, "x"]], 2)
     with pytest.raises(InputError):
         vector(b"12")
+
+
+def _deficient_int_matrix(rng, nrows, ncols):
+    """An integer product of random factors of inner size below both sides,
+    with zero rows and a zero column spliced in: elimination meets zero
+    rows, an empty column and columns that fall into the span of earlier
+    ones, so pivot columns are skipped."""
+    inner = rng.randint(0, min(nrows, ncols) - 1)
+    big = 10**12 if rng.random() < 0.3 else 1
+    left = [[rng.randint(-4, 4) * big + rng.randint(-3, 3) for _ in range(inner)]
+            for _ in range(nrows)]
+    right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(inner)]
+    rows = _mat_mul_int(left, right) if inner else [[0] * ncols for _ in range(nrows)]
+    zero_col = rng.randrange(ncols + 1)
+    rows = [row[:zero_col] + [0] + row[zero_col:] for row in rows]
+    rows.insert(rng.randrange(nrows + 1), [0] * (ncols + 1))
+    return rows
+
+
+HANDPICKED_RANK_CASES = [
+    [],
+    [[0, 0, 0]],
+    [[0, 1, 2], [0, 2, 4], [0, 0, 0]],
+    [[0, 0, 1], [0, 0, 2]],
+    [[1, 2, 3], [2, 4, 7]],  # column 1 is skipped after the first pivot
+    # the pivot row of the first column lies below the first row
+    [[0, 2, 1], [0, 4, 2], [3, 0, 0]],
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+    [[2, 4, 1, 0], [1, 2, 0, 1], [3, 6, 1, 1]],
+    [[-(10**12), 3], [10**12 + 1, -3], [1, 0]],
+]
+
+
+@pytest.mark.parametrize("rows", HANDPICKED_RANK_CASES)
+def test_rank_matches_rref_on_handpicked_cases(rows):
+    assert _rank_int(rows) == len(_rref_int(rows)[0])
+
+
+def test_rank_matches_rref_on_rank_deficient_matrices():
+    rng = random.Random(20261018)
+    deficient = 0
+    for _ in range(400):
+        rows = _deficient_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        before = [list(r) for r in rows]
+        rank = _rank_int(rows)
+        assert rows == before  # the input is left alone
+        assert rank == len(_rref_int(rows)[0])
+        deficient += rank < min(len(rows), len(rows[0]))
+    assert deficient == 400
 
 
 @given(vecs_strategy(3))

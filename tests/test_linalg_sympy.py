@@ -1,9 +1,9 @@
 """The exact linear algebra checked against sympy as an independent oracle.
 
 Seeded rational matrices up to 8 x 8, dense and sparse, full rank and
-rank-deficient, some with entries near 10^12: rank, RREF, kernel span,
-determinant, inverse and the complement in the whole space must agree
-with sympy exactly.
+rank-deficient, some with entries near 10^12: rank (by RREF and by forward
+elimination alone), RREF, kernel span, determinant, inverse and the
+complement in the whole space must agree with sympy exactly.
 """
 
 import random
@@ -16,6 +16,7 @@ from orthokernel.linalg import (
     QuadraticSpace,
     _int_kernel,
     _int_row,
+    _rank_int,
     determinant,
     full_subspace,
     mat_inverse,
@@ -90,6 +91,7 @@ def test_rank_rref_and_kernel_match_sympy(index):
     assert ours.rank == ref.rank() == len(ref_pivots)
     assert ours.pivots == tuple(ref_pivots)
     assert list(ours.basis) == _from_sympy(ref_rref[: len(ref_pivots), :])
+    assert _rank_int([_int_row(row) for row in rows]) == ours.rank
 
     kernel = _int_kernel([_int_row(row) for row in rows], cols)
     ref_kernel = ref.nullspace()

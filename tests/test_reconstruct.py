@@ -745,16 +745,19 @@ def test_witnesses_match_their_reference_routes(n, form):
 
 
 def _count_eliminations(monkeypatch):
-    """Every _rref_int call the kernel modules make from now on."""
+    """Every _rref_int and _rank_int call the kernel modules make from now
+    on."""
     calls = []
-    real = linalg_module._rref_int
+    for name in ("_rref_int", "_rank_int"):
+        real = getattr(linalg_module, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        def counting(*args, real=real, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
 
-    for module in (linalg_module, flats_module, ortho_module):
-        monkeypatch.setattr(module, "_rref_int", counting)
+        for module in (linalg_module, flats_module, ortho_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -780,15 +783,20 @@ def test_sampled_candidates_take_one_elimination_each(monkeypatch):
     assert used[1] - used[0] == 6
 
 
-def test_witnesses_take_fewer_eliminations(monkeypatch):
+@pytest.mark.parametrize("k2, lemma2_calls", [(3, 4), (2, 3)])
+def test_witnesses_take_fewer_eliminations(monkeypatch, k2, lemma2_calls):
     l1, l2 = _lines_to_wrap()
     calls = _count_eliminations(monkeypatch)
     # joins, meets and complements of the constructions' own flats took
-    # 11 eliminations for lemma 2 (10 with an rng) and 10 for lemma 1
+    # 11 eliminations for lemma 2 (10 with an rng) and 10 for lemma 1; one
+    # per subspace took 5 each.  Lemma 2 now builds only the complements it
+    # draws from: with k1 = 1 none for x1, and with k2 = 2 none for x2,
+    # whose d2 and w already span it (the lines do not meet)
+    assert l1.dim == l2.dim == 1 and meet(l1, l2) is None
     for rng in (None, random.Random(1)):
         calls.clear()
-        x1, x2 = lemma2_witness(l1, l2, 1, 3, rng)
-        assert len(calls) == 5
+        x1, x2 = lemma2_witness(l1, l2, 1, k2, rng)
+        assert len(calls) == lemma2_calls
         calls.clear()
         lemma1_witness(x1, x2, 1, rng)
         assert len(calls) == 5

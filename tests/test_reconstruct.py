@@ -783,20 +783,32 @@ def test_sampled_candidates_take_one_elimination_each(monkeypatch):
     assert used[1] - used[0] == 6
 
 
-@pytest.mark.parametrize("k2, lemma2_calls", [(3, 4), (2, 3)])
-def test_witnesses_take_fewer_eliminations(monkeypatch, k2, lemma2_calls):
+def _witness_eliminations(monkeypatch, k2):
+    """Eliminations taken by lemma2_witness(l1, l2, 1, k2) and by lemma1 on
+    its output, once without and once with an rng."""
     l1, l2 = _lines_to_wrap()
-    calls = _count_eliminations(monkeypatch)
-    # joins, meets and complements of the constructions' own flats took
-    # 11 eliminations for lemma 2 (10 with an rng) and 10 for lemma 1; one
-    # per subspace took 5 each.  Lemma 2 now builds only the complements it
-    # draws from: with k1 = 1 none for x1, and with k2 = 2 none for x2,
-    # whose d2 and w already span it (the lines do not meet)
     assert l1.dim == l2.dim == 1 and meet(l1, l2) is None
+    calls = _count_eliminations(monkeypatch)
+    counts = []
     for rng in (None, random.Random(1)):
         calls.clear()
         x1, x2 = lemma2_witness(l1, l2, 1, k2, rng)
-        assert len(calls) == lemma2_calls
+        lemma2_calls = len(calls)
         calls.clear()
         lemma1_witness(x1, x2, 1, rng)
-        assert len(calls) == 5
+        counts.append((lemma2_calls, len(calls)))
+    return counts
+
+
+def test_witnesses_take_fewer_eliminations(monkeypatch):
+    # joins, meets and complements of the constructions' own flats took
+    # 11 eliminations for lemma 2 (10 with an rng) and 10 for lemma 1; one
+    # per subspace took 5 each.  Lemma 2 now builds only the complements it
+    # draws from: with k1 = 1 none for x1
+    assert _witness_eliminations(monkeypatch, 3) == [(4, 5), (4, 5)]
+
+
+def test_lemma2_skips_a_complement_it_does_not_draw_from(monkeypatch):
+    # with k2 = 2 there is no complement for x2 either: its d2 and w
+    # already span it (the lines do not meet)
+    assert _witness_eliminations(monkeypatch, 2) == [(3, 5), (3, 5)]

@@ -10,7 +10,12 @@ membership is ``is_subflat(point, x)``; rationals enter only through
 format is written and read in integers too:
 ``to_wire`` reduces each coordinate by one gcd, and ``from_wire`` reads the
 canonical "p" and "p/q" strings straight to integers, leaving ``Fraction``
-as the fallback parser for any other entry.  Equality and hashing of flats
+as the fallback parser for any other entry.  Basis rows that ``to_wire``
+wrote are already the canonical echelon form once scaled to integers;
+``from_wire`` recognises them by an exact check (nonzero primitive rows,
+positive leading entries in strictly increasing columns, zero in every
+other row's leading column) and keeps them as they stand, and only rows
+that fail it are reduced.  Equality and hashing of flats
 are plain structural comparisons of integers.  The empty set is not a flat;
 ``meet`` returns None for disjoint arguments.
 """
@@ -29,12 +34,14 @@ from .linalg import (
     LinearSubspace,
     QuadraticSpace,
     Vector,
+    _canonical_pivots,
     _echelon_kernel,
     _int_vector,
     _lies_in,
     _mat_mul_int,
     _rref_int,
     _subspace_from_int_rows,
+    _times_form,
     full_subspace,
     int_vector_from_wire,
     int_vector_to_wire,
@@ -128,7 +135,7 @@ class AffineSubspace:
     @cached_property
     def form_rows(self) -> list[list[int]]:
         """The direction rows times the space's scaled form."""
-        return _mat_mul_int(self.direction.int_rows, self.space.int_form)
+        return _times_form(self.direction.int_rows, self.space)
 
     @property
     def dim(self) -> int:
@@ -154,6 +161,15 @@ class AffineSubspace:
 
     @classmethod
     def from_wire(cls, space: QuadraticSpace, data: dict) -> "AffineSubspace":
+        """The flat of a ``to_wire`` payload, or of any payload whose point
+        and basis rows name a flat of the space.
+
+        Basis rows that pass ``_canonical_pivots`` (nonzero primitive integer
+        rows with positive leading entries in strictly increasing columns,
+        zero in every other row's leading column), as every row ``to_wire``
+        writes does, become the direction as they stand; any other rows are
+        reduced to canonical form.  Both give the same flat.
+        """
         if not isinstance(data, dict):
             raise InputError("malformed flat payload: not an object")
         try:
@@ -170,7 +186,11 @@ class AffineSubspace:
         int_rows = [int_vector_from_wire(r)[0] for r in rows]
         if len(nums) != space.dim or any(len(r) != space.dim for r in int_rows):
             raise InputError("flat payload does not match ambient dimension")
-        direction = _subspace_from_int_rows(int_rows, space.dim)
+        pivots = _canonical_pivots(int_rows)
+        if pivots is None:
+            direction = _subspace_from_int_rows(int_rows, space.dim)
+        else:
+            direction = LinearSubspace(space.dim, tuple(map(tuple, int_rows)), pivots)
         return cls._canonical(space, nums, den, direction)
 
 

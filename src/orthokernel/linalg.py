@@ -6,7 +6,11 @@ rounds.  Row reduction runs fraction-free over machine/bignum integers:
 each row is scaled by the lcm of its denominators and kept primitive
 (gcd 1) during elimination.  Subspaces are stored in reduced row-echelon
 form as primitive integer rows, which makes equality of subspaces plain
-structural equality, and the form is used as ``QuadraticSpace.int_form``.
+structural equality.  The form enters as ``QuadraticSpace.int_form``, the
+form scaled to integers, and every product of rows with it is taken over
+the form's nonzero entries (``QuadraticSpace.int_form_entries``) alone, so
+a diagonal form costs n multiplications per row and a tridiagonal one
+3n - 2, not n^2.
 
 Rationals exist only at the boundary: parsing scalars, vectors and forms
 (``scalar``, ``vector``, ``matrix``, ``rref_basis``, ``QuadraticSpace``),
@@ -260,6 +264,35 @@ def _lies_in(rows: Iterable[Sequence[int]], w: LinearSubspace) -> bool:
     return not any(sum(map(mul, e, r)) for r in rows for e in eqs)
 
 
+def _canonical_pivots(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The pivot columns of integer rows that already are the canonical
+    echelon basis ``_rref_int`` returns for their span, or None.
+
+    The rows must be nonzero and primitive, lead with a positive entry in
+    strictly increasing columns, and be zero in every other row's leading
+    column.  That is reduced echelon form with primitive rows and positive
+    pivots, which is unique for a subspace, so no elimination is needed.
+    """
+    gcd = math.gcd
+    pivots: list[int] = []
+    last = -1
+    for row in rows:
+        for c, x in enumerate(row):
+            if x:
+                break
+        else:
+            return None  # a zero row
+        if x < 0 or c <= last or gcd(*row) != 1:
+            return None
+        pivots.append(c)
+        last = c
+    # a row is zero left of its own pivot, so only later pivots can fail
+    for k, row in enumerate(rows):
+        if any(row[c] for c in pivots[k + 1:]):
+            return None
+    return tuple(pivots)
+
+
 def _subspace_from_int_rows(rows: Sequence[Sequence[int]], ambient_dim: int) -> LinearSubspace:
     rref_rows, pivots = _rref_int([list(r) for r in rows])
     return LinearSubspace(
@@ -481,6 +514,32 @@ class QuadraticSpace:
             for row in self.form
         )
 
+    @cached_property
+    def int_form_entries(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """The nonzero entries of ``int_form`` grouped by row: (i, ((j, f), ...))
+        for each row i, listing every f = int_form[i][j] that is not zero."""
+        return tuple(
+            (i, tuple((j, f) for j, f in enumerate(row) if f))
+            for i, row in enumerate(self.int_form)
+        )
+
+
+def _times_form(rows: Iterable[Sequence[int]], space: QuadraticSpace) -> list[list[int]]:
+    """The integer rows times the space's ``int_form``, accumulated over the
+    form's nonzero entries; a zero entry of a row skips its whole form row."""
+    entries = space.int_form_entries
+    n = space.dim
+    out = []
+    for row in rows:
+        acc = [0] * n
+        for i, form_row in entries:
+            x = row[i]
+            if x:
+                for j, f in form_row:
+                    acc[j] += x * f
+        out.append(acc)
+    return out
+
 
 def bilinear_eval(space: QuadraticSpace, u: Sequence[QQ], v: Sequence[QQ]) -> QQ:
     """Exact value of the space's bilinear form on two vectors."""
@@ -512,7 +571,7 @@ def _xi_complement_rows(
 ) -> LinearSubspace:
     """{x in W : xi(x, d) = 0 for every row d}, from any rows spanning D and
     with no condition on how D sits against W."""
-    fd = _mat_mul_int(d_rows, space.int_form)
+    fd = _times_form(d_rows, space)
     n = space.dim
     if w.rank == n:
         # W is the whole space: the equations act on coordinates directly.
@@ -545,6 +604,9 @@ def int_vector_to_wire(nums: Sequence[int], den: int) -> list[str]:
     gcd = math.gcd
     out = []
     for x in nums:
+        if not x:
+            out.append("0")
+            continue
         g = gcd(x, den)
         out.append(str(x // den) if g == den else f"{x // g}/{den // g}")
     return out
@@ -557,12 +619,17 @@ _WIRE_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 def int_vector_from_wire(entries: list) -> tuple[list[int], int]:
     """Wire entries as integer numerators over the lcm of their denominators.
 
-    Canonical strings ("p" and "p/q") are read as integers; any other entry
-    goes through :func:`scalar`, so the accepted entries, their values and
-    the errors are those of ``vector``.
+    Canonical strings ("p" and "p/q") are read as integers, "0" with no
+    pattern match at all; any other entry goes through :func:`scalar`, so
+    the accepted entries, their values and the errors are those of
+    ``vector``.
     """
     nums, dens = [], []
     for x in entries:
+        if x == "0":
+            nums.append(0)
+            dens.append(1)
+            continue
         m = _WIRE_RATIO.fullmatch(x) if isinstance(x, str) else None
         p = q = 0
         if m is not None:
@@ -576,4 +643,6 @@ def int_vector_from_wire(entries: list) -> tuple[list[int], int]:
         nums.append(p)
         dens.append(q)
     den = math.lcm(*dens)
+    if den == 1:
+        return nums, 1
     return [p * (den // q) for p, q in zip(nums, dens)], den

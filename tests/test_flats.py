@@ -30,6 +30,9 @@ from orthokernel.generators import (
 )
 from orthokernel.linalg import (
     QuadraticSpace,
+    _canonical_pivots,
+    _subspace_from_int_rows,
+    int_vector_from_wire,
     rref_basis,
     subspace_intersect,
     vec_add,
@@ -205,6 +208,53 @@ def test_wire_entries_parse_as_fraction_parses_them():
     mixed = {"point": [3, QQ(-1, 2)], "basis": [[QQ(2), 4]]}
     flat = AffineSubspace.from_wire(q2, mixed)
     assert flat == AffineSubspace.make(q2, (3, QQ(-1, 2)), rref_basis([(2, 4)], 2))
+
+
+def test_canonical_basis_rows_are_read_as_they_stand():
+    rng = random.Random(11)
+    for n, space in _wire_spaces():
+        for _ in range(6):
+            rows = [
+                [_wire_coordinate(rng) for _ in range(n)]
+                for _ in range(rng.randint(0, n))
+            ]
+            flat = AffineSubspace.make(space, [0] * n, rref_basis(rows, n))
+            payload = flat.to_wire()
+            int_rows = [int_vector_from_wire(r)[0] for r in payload["basis"]]
+            assert _canonical_pivots(int_rows) == flat.direction.pivots
+            direction = AffineSubspace.from_wire(space, payload).direction
+            want = _subspace_from_int_rows(int_rows, n)
+            assert direction.int_rows == want.int_rows == flat.direction.int_rows
+            assert direction.pivots == want.pivots
+
+
+# rows close to canonical form that are not it, each for its own reason
+NEAR_CANONICAL_BASES = {
+    "negative leading entry": [["-1", "0", "2"]],
+    "non-primitive row": [["2", "4", "0"]],
+    "rows out of order": [["0", "1", "0"], ["1", "0", "3"]],
+    "entry in another row's leading column": [["1", "1", "0"], ["0", "1", "5"]],
+    "entry above a later pivot": [["1", "0", "2"], ["0", "1", "0"], ["0", "0", "1"]],
+    "zero row": [["1", "0", "0"], ["0", "0", "0"]],
+    "repeated row": [["1", "0", "2"], ["1", "0", "2"]],
+    "more rows than dimensions": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]],
+}
+
+
+@pytest.mark.parametrize("case", NEAR_CANONICAL_BASES)
+def test_near_canonical_basis_rows_are_reduced(case):
+    space = QuadraticSpace.euclidean(3)
+    basis = NEAR_CANONICAL_BASES[case]
+    point = ["1/2", "-3", "7"]
+    int_rows = [int_vector_from_wire(r)[0] for r in basis]
+    assert _canonical_pivots(int_rows) is None
+    flat = AffineSubspace.from_wire(space, {"point": point, "basis": basis})
+    want = _subspace_from_int_rows(int_rows, 3)
+    assert flat.direction.int_rows == want.int_rows
+    assert flat.direction.pivots == want.pivots
+    assert flat == AffineSubspace.make(
+        space, [QQ(x) for x in point], rref_basis([[QQ(x) for x in r] for r in basis], 3)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ from orthokernel.linalg import (
     _rank_int,
     _rref_int,
     _subspace_from_int_rows,
+    _times_form,
     bilinear_eval,
     determinant,
     full_subspace,
+    int_vector_from_wire,
     int_vector_to_wire,
     is_positive_definite,
     is_symmetric,
@@ -35,6 +37,7 @@ from orthokernel.linalg import (
 )
 
 from conftest import qv
+from test_flats import _custom_form
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -63,6 +66,31 @@ def test_vector_wire_round_trip():
     assert vector(int_vector_to_wire([1, -6, 0, 8], 2)) == v
     assert int_vector_to_wire([-3, 14], 7) == ["-3/7", "2"]
     assert vector(["-3/7", "2"]) == qv("-3/7", 2)
+
+
+def test_zero_wire_entries_keep_their_strings_and_values():
+    # zeros, negatives and a denominator shared by several entries
+    nums = [0, -3, 6, 0, 4, -12]
+    assert int_vector_to_wire(nums, 6) == ["0", "-1/2", "1", "0", "2/3", "-2"]
+    assert int_vector_to_wire([0, 0], 5) == ["0", "0"]
+    assert int_vector_to_wire([0, -7, 0], 1) == ["0", "-7", "0"]
+    # every spelling of zero reads as 0; "0/5" keeps its denominator
+    entries = ["0", "-0", "00", "0/5", "3"]
+    ints, den = int_vector_from_wire(entries)
+    assert [QQ(x, den) for x in ints] == [0, 0, 0, 0, 3]
+    assert (ints, den) == ([0, 0, 0, 0, 15], 5)
+    assert int_vector_from_wire(["0", "2", "-3", "0"]) == ([0, 2, -3, 0], 1)
+    assert int_vector_from_wire(["0", "1/2", "-3/4"]) == ([0, 2, -3], 4)
+    space = QuadraticSpace.euclidean(len(entries))
+    flat = AffineSubspace.from_wire(space, {"point": entries, "basis": []})
+    assert flat.point == (0, 0, 0, 0, 3)
+    for bad in (["0/0"], ["0", "0/0"], ["0/0", "0"]):
+        with pytest.raises(InputError):
+            int_vector_from_wire(bad)
+        with pytest.raises(InputError):
+            AffineSubspace.from_wire(
+                QuadraticSpace.euclidean(len(bad)), {"point": bad, "basis": []}
+            )
 
 
 def test_scalar_rejects_garbage():
@@ -339,3 +367,60 @@ def test_complement_in_full_space_is_the_reduced_kernel(n):
             _int_kernel(_mat_mul_int(d.int_rows, space.int_form), n), n
         )
         assert xi_complement(space, d, full) == want
+
+
+# ---------------------------------------------------------------------------
+# products with the form
+
+
+def _scattered_form(n):
+    """A form with zeros scattered off its diagonal, positive definite by
+    diagonal dominance."""
+    return QuadraticSpace.from_matrix(
+        [
+            [
+                QQ(n + 1) if i == j
+                else QQ(-1, 1 + i + j) if (i * j + i + j) % 3 == 0
+                else QQ(0)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+def _form_spaces():
+    for n in range(1, 9):
+        for form in NAMED_FORMS:
+            yield f"{form}-{n}", resolve_space(n, form)
+        yield f"custom-{n}", _custom_form(n)
+        yield f"scattered-{n}", _scattered_form(n)
+
+
+FORM_SPACES = dict(_form_spaces())
+
+
+@pytest.mark.parametrize("label", FORM_SPACES)
+def test_times_form_equals_the_dense_product(label):
+    space = FORM_SPACES[label]
+    n = space.dim
+    rng = random.Random(f"times-form:{label}")
+    cases = [[], [[0] * n], [[0] * n, [0] * n]]
+    for _ in range(6):
+        big = 10**12 if rng.random() < 0.5 else 1
+        rows = [
+            [
+                (rng.randint(-9, 9) * big + rng.randint(-3, 3)) if rng.random() < 0.7 else 0
+                for _ in range(n)
+            ]
+            for _ in range(rng.randint(1, n + 1))
+        ]
+        rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+        cases.append(rows)
+        cases.append(list(_subspace_from_int_rows(rows, n).int_rows))
+    cases.append(list(full_subspace(n).int_rows))
+    if n > 1:
+        # entries near 10^12 at both ends, where the mixed terms meet them
+        cases.append([[10**12 - 1] + [0] * (n - 2) + [-(10**12)]])
+    for rows in cases:
+        assert _times_form(rows, space) == _mat_mul_int(rows, space.int_form), rows

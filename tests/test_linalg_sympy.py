@@ -2,8 +2,9 @@
 
 Seeded rational matrices up to 8 x 8, dense and sparse, full rank and
 rank-deficient, some with entries near 10^12: rank (by RREF and by forward
-elimination alone), RREF, kernel span, determinant, inverse and the
-complement in the whole space must agree with sympy exactly.
+elimination alone), RREF, kernel span, determinant, inverse, the product
+of rows with a form and the complement in the whole space must agree with
+sympy exactly.
 """
 
 import random
@@ -17,6 +18,7 @@ from orthokernel.linalg import (
     _int_kernel,
     _int_row,
     _rank_int,
+    _times_form,
     determinant,
     full_subspace,
     mat_inverse,
@@ -72,6 +74,11 @@ def _to_sympy(rows):
     return sympy.Matrix(
         [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
     )
+
+
+def _int_matrix(rows, cols):
+    """Integer rows as a sympy matrix, keeping the shape when there are none."""
+    return sympy.Matrix(len(rows), cols, [x for row in rows for x in row])
 
 
 def _from_sympy(m):
@@ -133,6 +140,11 @@ def test_complement_in_full_space_matches_sympy(index):
     form = _dense_form(cols)
     space = QuadraticSpace.from_matrix(form)
     d = rref_basis(rows, cols)
+    int_rows = [_int_row(row) for row in rows]
+    for product_rows in (int_rows, d.int_rows):
+        ours = _times_form(product_rows, space)
+        ref_product = _int_matrix(product_rows, cols) * sympy.Matrix(space.int_form)
+        assert _int_matrix(ours, cols) == ref_product
     ref = (_to_sympy(rows) * _to_sympy(form)).nullspace()
     want = rref_basis([_from_sympy(v.T)[0] for v in ref], cols)
     assert xi_complement(space, d, full_subspace(cols)) == want

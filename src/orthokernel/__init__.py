@@ -27,14 +27,12 @@ from .linalg import (
     QQ,
     LinearSubspace,
     QuadraticSpace,
-    bilinear_eval,
     determinant,
     full_subspace,
     is_positive_definite,
     is_symmetric,
     mat_inverse,
     rref_basis,
-    subspace_intersect,
     subspace_sum,
     xi_complement,
     zero_subspace,
@@ -50,8 +48,6 @@ from .flats import (
 from .ortho import (
     AffineIsometry,
     TypedPerpParams,
-    isometry_compose,
-    isometry_equal,
     make_perp_pair,
     orthocomplement_in,
     perp_g,
@@ -105,7 +101,6 @@ __all__ = [
     "ReconstructionMode",
     "TypedPerpParams",
     "UnsatisfiableParams",
-    "bilinear_eval",
     "common_perpendicular_feet",
     "decide_perp0",
     "determinant",
@@ -117,8 +112,6 @@ __all__ = [
     "is_positive_definite",
     "is_subflat",
     "is_symmetric",
-    "isometry_compose",
-    "isometry_equal",
     "join",
     "lemma1_witness",
     "lemma2_witness",
@@ -139,7 +132,6 @@ __all__ = [
     "rref_basis",
     "run_property",
     "run_suite",
-    "subspace_intersect",
     "subspace_sum",
     "translate_through",
     "unique_complement",

@@ -3,9 +3,9 @@
 A flat is held canonically: its direction is a canonical RREF subspace and
 its base point is the unique member whose coordinates vanish at every pivot
 column of the direction.  The base point is stored only as integers over
-their least positive common denominator; the rational ``point`` is built on
-demand, for the API.  A point is the flat with a zero direction, so
-membership is ``is_subflat(point, x)``; rationals enter only through
+their least positive common denominator, with no rational view of it.  A
+point is the flat with a zero direction, so membership is
+``is_subflat(point, x)``; rationals enter only through
 ``make``, ``from_point``, ``from_points`` and ``from_wire``.  The wire
 format is written and read in integers too:
 ``to_wire`` reduces each coordinate by one gcd, and ``from_wire`` reads the
@@ -33,7 +33,6 @@ from .linalg import (
     QQ,
     LinearSubspace,
     QuadraticSpace,
-    Vector,
     _canonical_pivots,
     _echelon_kernel,
     _int_vector,
@@ -58,8 +57,7 @@ class AffineSubspace:
 
     ``int_point`` is the canonical base point as (numerators, denominator),
     the denominator the least positive one that makes every coordinate an
-    integer; ``point`` is the same point as a tuple of rationals, built on
-    first use.  Construct via :meth:`make` (or the module helpers), which
+    integer.  Construct via :meth:`make` (or the module helpers), which
     canonicalize; the raw constructor expects already-canonical parts.
     """
 
@@ -125,12 +123,6 @@ class AffineSubspace:
     @classmethod
     def full(cls, space: QuadraticSpace) -> "AffineSubspace":
         return cls._canonical(space, [0] * space.dim, 1, full_subspace(space.dim))
-
-    @cached_property
-    def point(self) -> Vector:
-        """The base point as rationals."""
-        nums, den = self.int_point
-        return tuple(QQ(x, den) for x in nums)
 
     @cached_property
     def form_rows(self) -> list[list[int]]:

@@ -15,7 +15,8 @@ a diagonal form costs n multiplications per row and a tridiagonal one
 Rationals exist only at the boundary: parsing scalars, vectors and forms
 (``scalar``, ``vector``, ``matrix``, ``rref_basis``, ``QuadraticSpace``),
 the pivot-1 rows of ``LinearSubspace.basis``, and the rational results of
-``determinant``, ``mat_inverse`` and ``bilinear_eval``.  The wire format of
+``determinant`` and ``mat_inverse`` (which has no caller in the package:
+it stays for the benchmark's tracer, which patches it).  The wire format of
 flats is written and read in integers (``int_vector_to_wire``,
 ``int_vector_from_wire``); only an entry that is not a canonical "p" or
 "p/q" string is parsed through ``Fraction``.  Above this module a point is
@@ -72,16 +73,8 @@ def zero_vector(n: int) -> Vector:
     return (QQ(0),) * n
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: QQ, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
@@ -333,34 +326,6 @@ def subspace_sum(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
     return _subspace_from_int_rows(a.int_rows + b.int_rows, a.ambient_dim)
 
 
-def subspace_intersect(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
-    """Intersection of two subspaces via kernel of the stacked coefficient map."""
-    if a.ambient_dim != b.ambient_dim:
-        raise InputError("ambient dimension mismatch")
-    if a.is_zero or b.is_zero:
-        return zero_subspace(a.ambient_dim)
-    # columns: coefficients on a's rows then b's rows; kernel rows give
-    # combinations with sum_a c_i a_i = sum_b d_j b_j.
-    n = a.ambient_dim
-    ra, rb = a.rank, b.rank
-    sys_rows = []
-    for coord in range(n):
-        sys_rows.append(
-            [a.int_rows[i][coord] for i in range(ra)]
-            + [-b.int_rows[j][coord] for j in range(rb)]
-        )
-    ker = _int_kernel(sys_rows, ra + rb)
-    vecs = []
-    for coeffs in ker:
-        vecs.append(
-            [
-                sum(coeffs[i] * a.int_rows[i][coord] for i in range(ra))
-                for coord in range(n)
-            ]
-        )
-    return _subspace_from_int_rows(vecs, n)
-
-
 def _int_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Integer basis of the kernel of an integer matrix (rows are equations)."""
     rref_rows, pivots = _rref_int(rows)
@@ -433,19 +398,9 @@ def determinant(m: Sequence[Sequence[QQ]]) -> QQ:
     n = len(m)
     if any(len(r) != n for r in m):
         raise InputError("matrix is not square")
-    scale = QQ(1)
-    int_rows = []
-    for row in m:
-        ir = _int_row(row)
-        # recover the per-row scaling to undo it on the determinant
-        for x, y in zip(row, ir):
-            if y:
-                scale *= QQ(y) / x
-                break
-        else:
-            return QQ(0)
-        int_rows.append(ir)
-    return QQ(_det_int(int_rows)) / scale
+    # the integer rows' determinant over the product of the rows' denominators
+    scaled = [_int_vector(row) for row in m]
+    return QQ(_det_int([r for r, _ in scaled]), math.prod(d for _, d in scaled))
 
 
 def is_symmetric(form: Sequence[Sequence[QQ]]) -> bool:
@@ -539,16 +494,6 @@ def _times_form(rows: Iterable[Sequence[int]], space: QuadraticSpace) -> list[li
                     acc[j] += x * f
         out.append(acc)
     return out
-
-
-def bilinear_eval(space: QuadraticSpace, u: Sequence[QQ], v: Sequence[QQ]) -> QQ:
-    """Exact value of the space's bilinear form on two vectors."""
-    if len(u) != space.dim or len(v) != space.dim:
-        raise InputError(f"vectors must have length {space.dim}")
-    return sum(
-        (ui * sum(f * vj for f, vj in zip(row, v)) for ui, row in zip(u, space.form)),
-        start=QQ(0),
-    )
 
 
 def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -> LinearSubspace:

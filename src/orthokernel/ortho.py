@@ -46,11 +46,9 @@ from .linalg import (
     _subspace_from_int_rows,
     full_subspace,
     identity_matrix,
-    mat_inverse,
     mat_mul,
     mat_vec,
     subspace_sum,
-    vec_sub,
     vector,
     xi_complement,
     zero_subspace,
@@ -214,54 +212,26 @@ class AffineIsometry:
 
 
 def reflection(x: AffineSubspace) -> AffineIsometry:
-    """The involutory isometry fixing the flat x pointwise.
-
-    Linear part 2P - I, where P projects onto x's direction along its
-    xi-complement: P = B^T (B F B^T)^{-1} B F for direction basis rows B.
-    """
-    space = x.space
-    n = space.dim
-    b = x.direction.basis
-    if not b:
-        proj = tuple((QQ(0),) * n for _ in range(n))
-    else:
-        bt = tuple(zip(*b))
-        gram = mat_mul(mat_mul(b, space.form), bt)
-        proj = mat_mul(mat_mul(bt, mat_inverse(gram)), mat_mul(b, space.form))
-    ident = identity_matrix(n)
-    a = tuple(
-        tuple(2 * proj[i][j] - ident[i][j] for j in range(n)) for i in range(n)
+    """The involutory isometry fixing the flat x pointwise: the rational
+    view of ``_int_reflection``, matrix A / d and translation T / (d e)."""
+    a, t, d = _int_reflection(x)
+    de = d * x.int_point[1]
+    return AffineIsometry(
+        x.space,
+        tuple(tuple(QQ(v, d) for v in row) for row in a),
+        tuple(QQ(v, de) for v in t),
     )
-    q = x.point
-    t = vec_sub(q, mat_vec(a, q))
-    return AffineIsometry(space, a, t)
-
-
-def isometry_compose(f: AffineIsometry, g: AffineIsometry) -> AffineIsometry:
-    """Apply g first, then f."""
-    if f.space != g.space:
-        raise InputError("isometries live in different ambient spaces")
-    a = mat_mul(f.matrix, g.matrix)
-    t = tuple(
-        x + y for x, y in zip(mat_vec(f.matrix, g.translation), f.translation)
-    )
-    return AffineIsometry(f.space, a, t)
-
-
-def isometry_equal(f: AffineIsometry, g: AffineIsometry) -> bool:
-    if f.space != g.space:
-        raise InputError("isometries live in different ambient spaces")
-    return f.matrix == g.matrix and f.translation == g.translation
 
 
 def _int_reflection(x: AffineSubspace) -> tuple[list[list[int]], list[int], int]:
     """Reflection in x as integers (A, T, d): p -> (A p + T / e) / d, where
     the point of x has denominator e.
 
-    With direction rows B, the scaled form F and an integer L making
-    L (B F B^T)^{-1} integral, A = 2 B^T (L (B F B^T)^{-1}) B F - L I, the
-    linear part 2P - I of reflection() scaled by d = L; T = d u - A u for
-    the point u / e.
+    The linear part is 2P - I, where P projects onto x's direction along
+    its xi-complement: P = B^T (B F B^T)^{-1} B F for direction rows B and
+    the scaled form F.  With an integer L making L (B F B^T)^{-1} integral,
+    A = 2 B^T (L (B F B^T)^{-1}) B F - L I is that linear part scaled by
+    d = L; T = d u - A u for the point u / e.
     """
     n = x.space.dim
     b = x.direction.int_rows
@@ -270,13 +240,12 @@ def _int_reflection(x: AffineSubspace) -> tuple[list[list[int]], list[int], int]
         d = 1
     else:
         k = len(b)
-        bf = x.form_rows
-        gram = [[sum(map(mul, bfi, bj)) for bj in b] for bfi in bf]
+        gram = _gram(x, x)
         aug = [gram[i] + [int(i == j) for j in range(k)] for i in range(k)]
         rows, _ = _rref_int(aug, pivot_limit=k)
         d = math.lcm(*[row[i] for i, row in enumerate(rows)])
         ginv = [[v * (d // row[i]) for v in row[k:]] for i, row in enumerate(rows)]
-        proj = _mat_mul_int(tuple(zip(*b)), _mat_mul_int(ginv, bf))
+        proj = _mat_mul_int(tuple(zip(*b)), _mat_mul_int(ginv, x.form_rows))
         a = [[2 * v - (d if i == j else 0) for j, v in enumerate(r)]
              for i, r in enumerate(proj)]
     u, _ = x.int_point

@@ -28,8 +28,10 @@ from orthokernel.generators import (
     trial_rng,
     tridiagonal_form,
 )
-from orthokernel.linalg import QQ, QuadraticSpace, bilinear_eval
+from orthokernel.linalg import QQ, QuadraticSpace
 from orthokernel.ortho import TypedPerpParams, make_perp_pair, perp_g
+
+from rational_reference import bilinear_eval, rational_point
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def test_trial_rng_separates_coordinates():
 def test_gen_point_respects_bounds(rng):
     cfg = GenConfig(dim=3)
     for _ in range(200):
-        p = gen_point(cfg, rng).point
+        p = rational_point(gen_point(cfg, rng))
         assert len(p) == 3
         for c in p:
             assert abs(c.numerator) <= 9
@@ -258,7 +260,7 @@ def test_gen_perp_to_validates_room(rng):
     cfg = GenConfig(dim=3)
     a = gen_subspace(cfg, 3, rng)
     with pytest.raises(InputError):
-        gen_perp_to(a, AffineSubspace.from_point(a.space, a.point), rng)
+        gen_perp_to(a, AffineSubspace.from_point(a.space, rational_point(a)), rng)
     b = gen_subspace(cfg, 2, rng)
     with pytest.raises(InputError):
         gen_perp_to(b, b, rng)

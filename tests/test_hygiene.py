@@ -1,7 +1,8 @@
 """Source hygiene: no dead imports in the package, the scripts or the
-tests, no dangling exports, every binding the benchmark's tracer patches
-still exists, every CLI option and benchmark record is documented, and no
-trial builds a rational."""
+tests, no dangling exports, no public name that only the tests read,
+every binding the benchmark's tracer patches still exists, every CLI
+option and benchmark record is documented, and no trial builds a
+rational."""
 
 import argparse
 import ast
@@ -84,6 +85,34 @@ def test_benchmark_trace_targets_resolve():
         if not ok:
             missing.append(f"{target.module}.{target.attr}")
     assert missing == []
+
+
+def _unread_public_names(root: Path) -> list[str]:
+    """Public top-level functions and classes of the package's modules that
+    nothing reads outside their own definition and the tests: no Name or
+    Attribute in the package, and no word of bench/*.py, scripts/*.py or
+    the README."""
+    defined, read = [], set()
+    for path in sorted((root / "src" / "orthokernel").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(stmt)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+                if path.name != "__init__.py" and not stmt.name.startswith("_"):
+                    defined.append(stmt.name)
+            read |= names
+    texts = [*root.glob("bench/*.py"), *root.glob("scripts/*.py"), root / "README.md"]
+    for path in texts:
+        read.update(re.findall(r"\w+", path.read_text()))
+    return sorted(name for name in defined if name not in read)
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    assert _unread_public_names(PACKAGE_DIR.parents[1]) == []
 
 
 def _long_options(parser: argparse.ArgumentParser) -> set[str]:

@@ -35,7 +35,6 @@ from orthokernel.generators import (
     trial_rng,
 )
 from orthokernel.linalg import (
-    bilinear_eval,
     full_subspace,
     mat_mul,
     rref_basis,
@@ -47,8 +46,6 @@ from orthokernel.ortho import (
     AffineIsometry,
     TypedPerpParams,
     _rand_extension,
-    isometry_compose,
-    isometry_equal,
     make_perp_pair,
     orthocomplement_in,
     perp_g,
@@ -63,6 +60,13 @@ from orthokernel.ortho import (
 )
 
 from conftest import qv
+from rational_reference import (
+    bilinear_eval,
+    isometry_compose,
+    isometry_equal,
+    projection_reflection,
+    rational_point,
+)
 
 
 def line(space, point, direction):
@@ -158,13 +162,15 @@ def test_orthocomplement_clauses_randomized(q4, rng):
         vdim = rng.randint(1, 4)
         v = AffineSubspace.make(
             q4,
-            gen_point(GenConfig(dim=4), rng).point,
+            rational_point(gen_point(GenConfig(dim=4), rng)),
             rand_subspace_of(full_subspace(4), vdim, rng),
         )
         x = AffineSubspace.make(
-            q4, v.point, rand_subspace_of(v.direction, rng.randint(0, vdim), rng)
+            q4,
+            rational_point(v),
+            rand_subspace_of(v.direction, rng.randint(0, vdim), rng),
         )
-        q = AffineSubspace.from_point(q4, x.point)
+        q = AffineSubspace.from_point(q4, rational_point(x))
         comp = orthocomplement_in(x, v, q)
         assert is_subflat(q, comp)
         assert is_subflat(comp, v)
@@ -313,6 +319,22 @@ def test_reflections_commute_matches_rational_composites(n, form):
     assert seen[(False, True)] + seen[(False, False)]
 
 
+@pytest.mark.parametrize("form", ["identity", "diag", "tridiag"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_reflection_is_the_projection_formula(n, form):
+    # reflection() reads the integer construction; the projection formula
+    # builds the same isometry in rationals, on flats of every dimension
+    # from a point to the whole space
+    cfg = GenConfig(dim=n, form=form)
+    for k in range(n + 1):
+        for i in range(2):
+            rng = trial_rng(20261019, f"refl-view:{n}:{form}:{k}", i)
+            x = gen_subspace(cfg, k, rng)
+            got, want = reflection(x), projection_reflection(x)
+            assert got.matrix == want.matrix, x.to_wire()
+            assert got.translation == want.translation, x.to_wire()
+
+
 def test_isometry_rejects_form_breaking_matrix(q2):
     with pytest.raises(InputError):
         AffineIsometry(q2, ((QQ(2), QQ(0)), (QQ(0), QQ(1))), qv(0, 0))
@@ -324,7 +346,7 @@ def test_reflection_fixes_flat_and_preserves_form(q3_weighted, rng):
     for _ in range(30):
         flat = AffineSubspace.make(
             space,
-            gen_point(GenConfig(dim=3), rng).point,
+            rational_point(gen_point(GenConfig(dim=3), rng)),
             rand_subspace_of(full, rng.randint(0, 3), rng),
         )
         r = reflection(flat)
@@ -332,7 +354,7 @@ def test_reflection_fixes_flat_and_preserves_form(q3_weighted, rng):
         assert mat_mul(mat_mul(at, space.form), r.matrix) == space.form
         for _ in range(3):
             coeffs = [rng.randint(-2, 2) for _ in flat.direction.basis]
-            p = flat.point
+            p = rational_point(flat)
             for c, d in zip(coeffs, flat.direction.basis):
                 p = tuple(x + c * y for x, y in zip(p, d))
             assert r.apply(p) == p

@@ -30,12 +30,9 @@ from orthokernel.generators import (
     random_point_of,
 )
 from orthokernel.linalg import (
-    bilinear_eval,
     full_subspace,
     rref_basis,
     subspace_sum,
-    vec_add,
-    vec_scale,
     vec_sub,
     xi_complement,
 )
@@ -61,6 +58,7 @@ from orthokernel.reconstruct import (
 )
 
 from conftest import qv
+from rational_reference import bilinear_eval, rational_point, vec_add, vec_scale
 
 
 def line(space, point, direction):
@@ -169,7 +167,7 @@ def test_feet_under_weighted_form(q3_weighted, rng):
         l1, l2 = gen_line_pair(cfg, rng, orthogonal=True)
         q, p = common_perpendicular_feet(l1, l2)
         assert is_subflat(q, l1) and is_subflat(p, l2)
-        w = vec_sub(p.point, q.point)
+        w = vec_sub(rational_point(p), rational_point(q))
         for ln in (l1, l2):
             assert bilinear_eval(q3_weighted, w, ln.direction.basis[0]) == 0
 
@@ -548,10 +546,13 @@ def _reference_feet(l1, l2):
     space = l1.space
     d1 = l1.direction.basis[0]
     d2 = l2.direction.basis[0]
-    delta = vec_sub(l2.point, l1.point)
+    delta = vec_sub(rational_point(l2), rational_point(l1))
     s = bilinear_eval(space, delta, d1) / bilinear_eval(space, d1, d1)
     t = -bilinear_eval(space, delta, d2) / bilinear_eval(space, d2, d2)
-    return vec_add(l1.point, vec_scale(s, d1)), vec_add(l2.point, vec_scale(t, d2))
+    return (
+        vec_add(rational_point(l1), vec_scale(s, d1)),
+        vec_add(rational_point(l2), vec_scale(t, d2)),
+    )
 
 
 def _reference_truth(l1, l2):
@@ -573,7 +574,7 @@ def test_integer_feet_match_the_rational_formula(n, form):
             # cross: move l2 through a point of l1
             l2 = translate_through(l2, random_point_of(l1, rng))
         q, p = common_perpendicular_feet(l1, l2)
-        assert (q.point, p.point) == _reference_feet(l1, l2)
+        assert (rational_point(q), rational_point(p)) == _reference_feet(l1, l2)
         assert is_subflat(q, l1) and is_subflat(p, l2)
         if i % 3 == 0:
             assert q == p
@@ -670,7 +671,9 @@ def _reference_lemma1(y1, x2, m, rng=None):
     if m == 0:
         return y1
     wx2 = meet(orthocomplement_in(y1, join(y1, x2), q), x2)
-    t = AffineSubspace.make(y1.space, q.point, _reference_pick(wx2.direction, m, rng))
+    t = AffineSubspace.make(
+        y1.space, rational_point(q), _reference_pick(wx2.direction, m, rng)
+    )
     return join(t, y1)
 
 
@@ -681,7 +684,7 @@ def _reference_lemma2(l1, l2, k1, k2, rng=None):
     n = space.dim
     full = full_subspace(n)
     q, p = common_perpendicular_feet(l1, l2)
-    w = vec_sub(p.point, q.point)
+    w = vec_sub(rational_point(p), rational_point(q))
     d1, d2 = l1.direction.basis[0], l2.direction.basis[0]
     core2 = rref_basis([d2, w], n)
     comp2 = xi_complement(space, rref_basis([d1, d2, w], n), full)
@@ -689,8 +692,8 @@ def _reference_lemma2(l1, l2, k1, k2, rng=None):
     rest1 = xi_complement(space, l1.direction, xi_complement(space, dir2, full))
     dir1 = subspace_sum(l1.direction, _reference_pick(rest1, k1 - 1, rng))
     return (
-        AffineSubspace.make(space, q.point, dir1),
-        AffineSubspace.make(space, p.point, dir2),
+        AffineSubspace.make(space, rational_point(q), dir1),
+        AffineSubspace.make(space, rational_point(p), dir2),
     )
 
 

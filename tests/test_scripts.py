@@ -1,9 +1,15 @@
-"""The example scripts run end to end and print what they printed before."""
+"""The example scripts run end to end and print what they printed before,
+and the README's Quick start prints what its comments say."""
 
+import ast
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -115,3 +121,52 @@ def test_full_check_refuses_bad_dims(dims, tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "--dims" in proc.stderr
     assert not out.exists()
+
+
+def _run_with_stated_outputs(block, namespace):
+    """Run a code block statement by statement, as the interactive
+    interpreter would, and pair what each expression printed or evaluated
+    to with the output its comment states: the comment on its last line,
+    else the comment lines right below it (None when there is none)."""
+    lines = block.splitlines()
+    comments = {
+        tok.start[0]: tok.string.lstrip("#").strip()
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+
+    def whole_line(lineno):
+        return lines[lineno - 1].lstrip().startswith("#")
+
+    pairs = []
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        got = out.getvalue().strip() if value is None else repr(value)
+        end = stmt.end_lineno
+        if end in comments and not whole_line(end):
+            stated = comments[end]
+        else:
+            below = []
+            while end + 1 in comments and whole_line(end + 1):
+                end += 1
+                below.append(comments[end])
+            stated = "\n".join(below) or None
+        pairs.append((got, stated))
+    return pairs
+
+
+def test_readme_quick_start_prints_what_it_states():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    pairs = [p for block in blocks for p in _run_with_stated_outputs(block, namespace)]
+    # perp_g and perp_m, the wire dict, the round trip
+    assert len(pairs) == 4 and all(stated for _, stated in pairs)
+    assert [got for got, _ in pairs] == [stated for _, stated in pairs]

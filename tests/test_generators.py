@@ -31,7 +31,7 @@ from orthokernel.generators import (
 from orthokernel.linalg import QQ, QuadraticSpace
 from orthokernel.ortho import TypedPerpParams, make_perp_pair, perp_g
 
-from rational_reference import bilinear_eval, rational_point
+from rational_reference import bilinear_eval, rational_basis, rational_point
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +282,8 @@ def test_gen_line_pair_orthogonality_flag(rng):
     for _ in range(20):
         l1, l2 = gen_line_pair(cfg, rng, orthogonal=True)
         assert l1.dim == l2.dim == 1
-        assert (
-            bilinear_eval(space, l1.direction.basis[0], l2.direction.basis[0])
-            == 0
-        )
+        (d1,), (d2,) = rational_basis(l1.direction), rational_basis(l2.direction)
+        assert bilinear_eval(space, d1, d2) == 0
     free = [gen_line_pair(cfg, rng, orthogonal=False) for _ in range(20)]
     assert all(a.dim == b.dim == 1 for a, b in free)
 

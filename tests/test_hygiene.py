@@ -1,8 +1,9 @@
 """Source hygiene: no dead imports in the package, the scripts or the
-tests, no dangling exports, no public name that only the tests read,
-every binding the benchmark's tracer patches still exists, every CLI
-option and benchmark record is documented, and no trial builds a
-rational."""
+tests, no dangling exports, a package root that exports the README's
+Quick start names and the error classes and nothing else, no public name
+that only the tests read, every binding the benchmark's tracer patches
+still exists and the benchmark's self-tests pass, every CLI option and
+benchmark record is documented, and no trial builds a rational."""
 
 import argparse
 import ast
@@ -10,6 +11,7 @@ import importlib
 import importlib.util
 import json
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import orthokernel
-from orthokernel import properties
+from orthokernel import errors, properties
 from orthokernel.cli import build_parser
 from orthokernel.generators import NAMED_FORMS, GenConfig, resolve_space
 
@@ -58,6 +60,24 @@ def test_every_export_resolves():
     assert missing == []
 
 
+def _readme_root_imports(readme: str) -> set[str]:
+    """The names of the README's ``from orthokernel import (...)`` block."""
+    block = re.search(r"^from orthokernel import \([^)]*\)", readme, re.M)
+    assert block is not None, "the README imports nothing from the package root"
+    (stmt,) = ast.parse(block[0]).body
+    return {alias.name for alias in stmt.names}
+
+
+def test_package_root_exports_the_quick_start_and_the_errors():
+    readme = (PACKAGE_DIR.parents[1] / "README.md").read_text()
+    error_classes = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.KernelError)
+    }
+    assert set(orthokernel.__all__) == _readme_root_imports(readme) | error_classes
+
+
 def _bench_targets():
     """TARGETS of the benchmark's tracer, loaded from its file."""
     path = PACKAGE_DIR.parents[1] / "bench" / "tracing.py"
@@ -85,6 +105,21 @@ def test_benchmark_trace_targets_resolve():
         if not ok:
             missing.append(f"{target.module}.{target.attr}")
     assert missing == []
+
+
+def test_benchmark_self_tests_pass():
+    # the workloads read more of the package than the traced names; the
+    # self-tests build each one.  A subprocess, because the benchmark's
+    # import_fresh drops the package from sys.modules and imports it again
+    root = PACKAGE_DIR.parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "bench/tests"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
 
 
 def _unread_public_names(root: Path) -> list[str]:

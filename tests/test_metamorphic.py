@@ -39,7 +39,7 @@ from orthokernel.ortho import (
     reflections_commute,
 )
 
-from rational_reference import rational_point
+from rational_reference import rational_basis, rational_point
 
 PAIRS_PER_CASE = 24
 
@@ -61,7 +61,7 @@ def _moved_space(space: QuadraticSpace, a) -> QuadraticSpace:
 
 
 def _move(flat: AffineSubspace, a, space: QuadraticSpace) -> AffineSubspace:
-    rows = [mat_vec(a, row) for row in flat.direction.basis]
+    rows = [mat_vec(a, row) for row in rational_basis(flat.direction)]
     return AffineSubspace.make(
         space, mat_vec(a, rational_point(flat)), rref_basis(rows, space.dim)
     )

@@ -40,6 +40,7 @@ from orthokernel.linalg import (
     rref_basis,
     subspace_sum,
     xi_complement,
+    zero_subspace,
 )
 from orthokernel.ortho import (
     RETRIES,
@@ -65,6 +66,7 @@ from rational_reference import (
     isometry_compose,
     isometry_equal,
     projection_reflection,
+    rational_basis,
     rational_point,
 )
 
@@ -352,10 +354,11 @@ def test_reflection_fixes_flat_and_preserves_form(q3_weighted, rng):
         r = reflection(flat)
         at = tuple(zip(*r.matrix))
         assert mat_mul(mat_mul(at, space.form), r.matrix) == space.form
+        basis = rational_basis(flat.direction)
         for _ in range(3):
-            coeffs = [rng.randint(-2, 2) for _ in flat.direction.basis]
+            coeffs = [rng.randint(-2, 2) for _ in basis]
             p = rational_point(flat)
-            for c, d in zip(coeffs, flat.direction.basis):
+            for c, d in zip(coeffs, basis):
                 p = tuple(x + c * y for x, y in zip(p, d))
             assert r.apply(p) == p
         assert isometry_equal(
@@ -462,6 +465,32 @@ def test_fused_extension_is_the_sum_of_the_same_draw(form):
     assert sum(_extension_matches(base, w, 1, seed) for seed in range(100)) > 5
 
 
+@pytest.mark.parametrize("form", ["identity", "diag", "tridiag"])
+def test_extension_without_rng_takes_the_first_canonical_rows(form):
+    """With rng None the extension is the span of base and w's first k
+    canonical rows, for every k from 0 to rank w, with no base, with a
+    complement of w as base and with a base inside w, and it draws from no
+    generator: the module-level one is left in its state."""
+    for n in range(1, 6):
+        space = resolve_space(n, form)
+        full = full_subspace(n)
+        rng = random.Random(f"first-rows:{n}:{form}")
+        for _ in range(8):
+            w = rand_subspace_of(full, rng.randint(1, n), rng)
+            bases = (
+                zero_subspace(n),
+                xi_complement(space, w, full),
+                rand_subspace_of(w, rng.randint(1, w.rank), rng),
+            )
+            w_rows = rational_basis(w)
+            for base in bases:
+                for k in range(w.rank + 1):
+                    want = rref_basis([*rational_basis(base), *w_rows[:k]], n)
+                    state = random.getstate()
+                    assert _rand_extension(base.int_rows, w, k, None) == want
+                    assert random.getstate() == state
+
+
 # ---------------------------------------------------------------------------
 # unique complement
 
@@ -521,13 +550,14 @@ def _reference_verdicts(x1, x2):
     xi-complement of the meet's direction inside x1's direction, paired
     with every direction of x2 in rationals."""
     space = x1.space
-    dirs_perp = _reference_dirs_perp(space, x1.direction.basis, x2.direction.basis)
+    b2 = rational_basis(x2.direction)
+    dirs_perp = _reference_dirs_perp(space, rational_basis(x1.direction), b2)
     m = meet(x1, x2)
     if m is None:
         return {"perp_subspaces": dirs_perp, "perp_x": False,
                 "perp_go": False, "perp_g": False}
     z1 = xi_complement(space, m.direction, x1.direction)
-    go = _reference_dirs_perp(space, z1.basis, x2.direction.basis)
+    go = _reference_dirs_perp(space, rational_basis(z1), b2)
     return {
         "perp_subspaces": dirs_perp,
         "perp_x": dirs_perp,

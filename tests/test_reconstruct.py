@@ -58,7 +58,13 @@ from orthokernel.reconstruct import (
 )
 
 from conftest import qv
-from rational_reference import bilinear_eval, rational_point, vec_add, vec_scale
+from rational_reference import (
+    bilinear_eval,
+    rational_basis,
+    rational_point,
+    vec_add,
+    vec_scale,
+)
 
 
 def line(space, point, direction):
@@ -169,7 +175,7 @@ def test_feet_under_weighted_form(q3_weighted, rng):
         assert is_subflat(q, l1) and is_subflat(p, l2)
         w = vec_sub(rational_point(p), rational_point(q))
         for ln in (l1, l2):
-            assert bilinear_eval(q3_weighted, w, ln.direction.basis[0]) == 0
+            assert bilinear_eval(q3_weighted, w, rational_basis(ln.direction)[0]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +550,8 @@ def _custom_form(n):
 def _reference_feet(l1, l2):
     """The feet by the rational formula: q = p1 + s d1, p = p2 + t d2."""
     space = l1.space
-    d1 = l1.direction.basis[0]
-    d2 = l2.direction.basis[0]
+    d1 = rational_basis(l1.direction)[0]
+    d2 = rational_basis(l2.direction)[0]
     delta = vec_sub(rational_point(l2), rational_point(l1))
     s = bilinear_eval(space, delta, d1) / bilinear_eval(space, d1, d1)
     t = -bilinear_eval(space, delta, d2) / bilinear_eval(space, d2, d2)
@@ -556,7 +562,8 @@ def _reference_feet(l1, l2):
 
 
 def _reference_truth(l1, l2):
-    return bilinear_eval(l1.space, l1.direction.basis[0], l2.direction.basis[0]) == 0
+    (d1,), (d2,) = rational_basis(l1.direction), rational_basis(l2.direction)
+    return bilinear_eval(l1.space, d1, d2) == 0
 
 
 FEET_FORMS = ["identity", "diag", "tridiag", "custom"]
@@ -660,7 +667,7 @@ def test_sampled_candidates_are_pinned():
 def _reference_pick(w, k, rng):
     """k directions of w: its first canonical rows, or a random draw."""
     if rng is None:
-        return rref_basis(w.basis[:k], w.ambient_dim)
+        return rref_basis(rational_basis(w)[:k], w.ambient_dim)
     return rand_subspace_of(w, k, rng)
 
 
@@ -685,7 +692,7 @@ def _reference_lemma2(l1, l2, k1, k2, rng=None):
     full = full_subspace(n)
     q, p = common_perpendicular_feet(l1, l2)
     w = vec_sub(rational_point(p), rational_point(q))
-    d1, d2 = l1.direction.basis[0], l2.direction.basis[0]
+    d1, d2 = rational_basis(l1.direction)[0], rational_basis(l2.direction)[0]
     core2 = rref_basis([d2, w], n)
     comp2 = xi_complement(space, rref_basis([d1, d2, w], n), full)
     dir2 = subspace_sum(core2, _reference_pick(comp2, k2 - core2.rank, rng))

@@ -21,7 +21,7 @@ from .flats import AffineSubspace, is_subflat
 from .linalg import (
     QQ,
     QuadraticSpace,
-    _rank_int,
+    _forward_steps,
     _subspace_from_int_rows,
     full_subspace,
     xi_complement,
@@ -162,7 +162,7 @@ def gen_pair_with_meet_dim(
         ext2 = tuple(_rand_int_vector(n, rng) for _ in range(k2 - m))
         # base has rank m: all k1 + k2 - m rows are independent exactly when
         # both directions have full rank and their sum has rank k1 + k2 - m
-        if _rank_int(base + ext1 + ext2) != k1 + k2 - m:
+        if len(_forward_steps(base + ext1 + ext2)) != k1 + k2 - m:
             continue
         p = _rand_int_point(n, rng)
         d1 = _subspace_from_int_rows(base + ext1, n)

@@ -10,17 +10,19 @@ structural equality.  The form enters as ``QuadraticSpace.int_form``, the
 form scaled to integers, and every product of rows with it is taken over
 the form's nonzero entries (``QuadraticSpace.int_form_entries``) alone, so
 a diagonal form costs n multiplications per row and a tridiagonal one
-3n - 2, not n^2.
+3n - 2, not n^2.  Rank, determinant and definiteness come from one
+fraction-free forward pass (``_forward_steps``) and its pivot steps.
 
 Rationals exist only at the boundary: parsing scalars, vectors and forms
 (``scalar``, ``vector``, ``matrix``, ``rref_basis``, ``QuadraticSpace``)
-and the rational results of ``determinant`` and ``mat_inverse`` (which
-has no caller in the package: it stays for the benchmark's tracer, which
-patches it).  The wire format of flats is written and read in integers
-(``int_vector_to_wire``, ``int_vector_from_wire``); only an entry that is
-not a canonical "p" or "p/q" string is parsed through ``Fraction``.  Above
-this module a point is a 0-dimensional flat with an integer base point,
-from the generators to the wire.
+and the rational results of ``determinant`` (public, with no caller in
+the package) and ``mat_inverse`` (which has none either: it stays for the
+benchmark's tracer, which patches it).  The wire format of flats is
+written and read in integers (``int_vector_to_wire``,
+``int_vector_from_wire``); only an entry that is not a canonical "p" or
+"p/q" string is parsed through ``Fraction``.  Above this module a point is
+a 0-dimensional flat with an integer base point, from the generators to
+the wire.
 """
 
 from __future__ import annotations
@@ -165,17 +167,21 @@ def _rref_int(rows: list[list[int]], pivot_limit: Optional[int] = None) -> tuple
     return work[:r] + [row for row in work[r:] if any(row)], pivots
 
 
-def _rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free forward elimination.
+def _forward_steps(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Fraction-free forward elimination: for each step, the index of the
+    row it took among the remaining rows, and its pivot.  The rank is the
+    number of steps.
 
     Bareiss's scheme (Math. Comp. 22, 1968): each update ``x pv - y f`` is
     divided exactly by the previous pivot, so every entry stays a minor of
-    the input.  Rows below a pivot keep only the columns right of it; zero
-    rows are dropped, as they stay zero.  There is no upward reduction and
-    no per-row gcd, which is all a rank test needs.
+    the input.  A step takes the first remaining row nonzero in the current
+    column; the rows left keep only the columns right of it, and zero rows
+    are dropped, as they stay zero.  On a square matrix of full rank no row
+    is dropped and no column skipped: the k-th pivot is the leading k x k
+    minor of the rows in the order taken.
     """
     work = [row for row in rows if any(row)]
-    rank = 0
+    steps = []
     prev = 1
     while work:
         for i, prow in enumerate(work):
@@ -186,8 +192,8 @@ def _rank_int(rows: Sequence[Sequence[int]]) -> int:
             work = [row[1:] for row in work]
             continue
         del work[i]
-        rank += 1
         pv, tail = prow[0], prow[1:]
+        steps.append((i, pv))
         work = [
             new
             for new in (
@@ -197,7 +203,7 @@ def _rank_int(rows: Sequence[Sequence[int]]) -> int:
             if any(new)
         ]
         prev = pv
-    return rank
+    return steps
 
 
 def _mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -357,37 +363,20 @@ def mat_inverse(m: Matrix) -> Matrix:
 # determinants and the quadratic space
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    """Bareiss determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def determinant(m: Sequence[Sequence[QQ]]) -> QQ:
     n = len(m)
     if any(len(r) != n for r in m):
         raise InputError("matrix is not square")
     # the integer rows' determinant over the product of the rows' denominators
     scaled = [_int_vector(row) for row in m]
-    return QQ(_det_int([r for r, _ in scaled]), math.prod(d for _, d in scaled))
+    steps = _forward_steps([r for r, _ in scaled])
+    if len(steps) < n:
+        return QQ(0)
+    det = steps[-1][1] if steps else 1
+    # taking the row at index i moves it past i others
+    if sum(i for i, _ in steps) % 2:
+        det = -det
+    return QQ(det, math.prod(d for _, d in scaled))
 
 
 def is_symmetric(form: Sequence[Sequence[QQ]]) -> bool:
@@ -400,18 +389,18 @@ def is_symmetric(form: Sequence[Sequence[QQ]]) -> bool:
 def is_positive_definite(form: Sequence[Sequence[QQ]]) -> bool:
     """Sylvester's criterion: every leading principal minor is positive.
 
+    One forward pass over the rows scaled to integers, which keeps every
+    leading minor's sign: while the steps take the top row, the k-th pivot
+    is the k-th leading minor; a step past the top row finds it zero.
+
     Positive definiteness guarantees the form is anisotropic, which the
     whole orthogonality layer relies on (orthogonal subspaces can only
     share the zero direction).
     """
     if not is_symmetric(form):
         raise InputError("form must be symmetric")
-    n = len(form)
-    for k in range(1, n + 1):
-        minor = [list(row[:k]) for row in form[:k]]
-        if determinant(minor) <= 0:
-            return False
-    return True
+    steps = _forward_steps([_int_row(row) for row in form])
+    return len(steps) == len(form) and all(i == 0 and pv > 0 for i, pv in steps)
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ from .linalg import (
     Matrix,
     QuadraticSpace,
     Vector,
+    _forward_steps,
     _mat_mul_int,
-    _rank_int,
     _rref_int,
     _subspace_from_int_rows,
     full_subspace,
@@ -108,12 +108,13 @@ def _complement_perp(x1: AffineSubspace, x2: AffineSubspace, m: int) -> bool:
     form, D1 ∩ D2^⊥ lies inside Z1, misses the meet's direction, and has
     dimension k1 - rank(D1 F D2^T), while Z1 has dimension k1 - m; so the
     test holds exactly when the Gram matrix has rank m (see the module
-    docstring).  For m = 0 that is a zero Gram matrix.
+    docstring).  For m = 0 that is a zero Gram matrix; otherwise the rank
+    is the number of steps of one forward pass.
     """
     gram = _gram(x1, x2)
     if not m:
         return not any(map(any, gram))
-    return _rank_int(gram) == m
+    return len(_forward_steps(gram)) == m
 
 
 def _meet_dim(x1: AffineSubspace, x2: AffineSubspace) -> Optional[int]:

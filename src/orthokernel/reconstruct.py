@@ -33,9 +33,7 @@ from .errors import (
 from .flats import (
     AffineSubspace,
     _check_same_space,
-    _meet_parts,
     _point_difference,
-    meet,
     parallel,
 )
 from .linalg import (
@@ -45,6 +43,7 @@ from .linalg import (
 )
 from .ortho import (
     TypedPerpParams,
+    _meet_dim,
     _rand_extension,
     perp_m,
     perp_x,
@@ -86,15 +85,6 @@ class ReconstructionMode:
         return cls("sampled", samples, seed)
 
 
-def _single_point_meet(y1: AffineSubspace, x2: AffineSubspace) -> AffineSubspace:
-    """The common point flat of y1 and x2, which must meet in a single
-    point."""
-    m = meet(y1, x2)
-    if m is None or m.dim != 0:
-        raise PreconditionError("flats must intersect in a single point")
-    return m
-
-
 def lemma1_witness(
     y1: AffineSubspace,
     x2: AffineSubspace,
@@ -107,9 +97,11 @@ def lemma1_witness(
     y1 ⊔ x2, and T an m-flat through q inside W ⊓ x2 (first canonical
     directions, or random under rng), the result is T ⊔ y1.  x2's direction
     lies in that join's, so W ⊓ x2 is q plus the directions of x2 that are
-    xi-orthogonal to y1: it is computed as such, and the result as q plus
-    y1's direction and T's, each in one reduction.  The result's meet with
-    x2 equals T regardless of any orthogonality between y1 and x2.
+    xi-orthogonal to y1: it is computed as such, and the result as y1's
+    direction and T's, in one reduction, through y1's base point; that
+    flat contains y1, hence q, so it is T ⊔ y1.  The result's meet with x2
+    equals T regardless of any orthogonality between y1 and x2.  The meets
+    are checked by their dimensions alone; none is built.
     """
     _check_same_space(y1, x2)
     if m < 0:
@@ -120,7 +112,8 @@ def lemma1_witness(
         raise PreconditionError("m cannot exceed dim(x2)")
     if y1.dim + m > x2.dim:
         raise PreconditionError("need dim(y1) + m <= dim(x2)")
-    q = _single_point_meet(y1, x2)
+    if _meet_dim(y1, x2) != 0:
+        raise PreconditionError("flats must intersect in a single point")
     if m == 0:
         return y1
     space = y1.space
@@ -129,12 +122,11 @@ def lemma1_witness(
         raise InternalError("orthocomplement misses x2 at the required dimension")
     # y1 and x2 meet in a point, so their directions meet only in zero
     x1 = AffineSubspace._canonical(
-        space, *q.int_point, _rand_extension(y1.direction.int_rows, wx2, m, rng)
+        space, *y1.int_point, _rand_extension(y1.direction.int_rows, wx2, m, rng)
     )
     if x1.dim != y1.dim + m:
         raise InternalError("extension has the wrong dimension")
-    parts = _meet_parts(x1, x2)
-    if parts is None or x1.dim - len(parts[1]) != m:
+    if _meet_dim(x1, x2) != m:
         raise InternalError("extension meets x2 at the wrong dimension")
     return x1
 
@@ -161,16 +153,18 @@ def decide_perp0(
         raise PreconditionError("flat dimensions do not match oracle params")
     if mode.kind == "witness":
         return oracle.query(lemma1_witness(y1, x2, params.m), x2)
-    q = _single_point_meet(y1, x2)
+    if _meet_dim(y1, x2) != 0:
+        raise PreconditionError("flats must intersect in a single point")
     if params.m == 0:
         return oracle.query(y1, x2)
     sample_rng = rng if rng is not None else random.Random(mode.seed)
     for _ in range(mode.samples):
-        # y1 ⊔ T: q lies on y1, so the directions' sum through q
+        # y1 ⊔ T: the common point lies on y1, so the directions' sum
+        # through y1's base point
         direction = _rand_extension(
             y1.direction.int_rows, x2.direction, params.m, sample_rng
         )
-        candidate = AffineSubspace._canonical(y1.space, *q.int_point, direction)
+        candidate = AffineSubspace._canonical(y1.space, *y1.int_point, direction)
         if not oracle.query(candidate, x2):
             return False
     return True
@@ -364,6 +358,8 @@ def judge_line_pair(
     mode "witness", "sampled" (K = samples candidates drawn from rng) or
     "both"; the lines are wrapped once for every mode asked for, and the
     truth is always computed."""
+    if mode not in ("witness", "sampled", "both"):
+        raise InputError(f"unknown mode: {mode!r}")
     core, oracle = _wrap_line_pair(l1, l2, params, ground_truth_oracle(params))
     witness = sampled = None
     if mode != "sampled":

@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical bases, solving, forms, complements."""
 
+import itertools
 import random
 from fractions import Fraction as QQ
 
@@ -12,9 +13,9 @@ from orthokernel.flats import AffineSubspace
 from orthokernel.generators import NAMED_FORMS, resolve_space
 from orthokernel.linalg import (
     QuadraticSpace,
+    _forward_steps,
     _int_kernel,
     _mat_mul_int,
-    _rank_int,
     _rref_int,
     _subspace_from_int_rows,
     _times_form,
@@ -172,7 +173,7 @@ HANDPICKED_RANK_CASES = [
 
 @pytest.mark.parametrize("rows", HANDPICKED_RANK_CASES)
 def test_rank_matches_rref_on_handpicked_cases(rows):
-    assert _rank_int(rows) == len(_rref_int(rows)[0])
+    assert len(_forward_steps(rows)) == len(_rref_int(rows)[0])
 
 
 def test_rank_matches_rref_on_rank_deficient_matrices():
@@ -181,7 +182,7 @@ def test_rank_matches_rref_on_rank_deficient_matrices():
     for _ in range(400):
         rows = _deficient_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         before = [list(r) for r in rows]
-        rank = _rank_int(rows)
+        rank = len(_forward_steps(rows))
         assert rows == before  # the input is left alone
         assert rank == len(_rref_int(rows)[0])
         deficient += rank < min(len(rows), len(rows[0]))
@@ -233,6 +234,36 @@ def _cofactor_det(m):
 def test_determinant_matches_cofactor_expansion(rows):
     rows = [tuple(r) for r in rows]
     assert determinant(rows) == _cofactor_det(rows)
+
+
+def _permutation_matrices(n):
+    """Every n x n permutation matrix with the parity of its permutation."""
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+        )
+        rows = [tuple(QQ(int(perm[i] == j)) for j in range(n)) for i in range(n)]
+        yield rows, inversions % 2
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_determinant_of_permutation_matrices_is_their_sign(n):
+    parities = set()
+    for rows, odd in _permutation_matrices(n):
+        assert determinant(rows) == (-1 if odd else 1)
+        parities.add(odd)
+    assert parities == ({0} if n == 1 else {0, 1})
+
+
+def test_determinant_of_the_empty_matrix_is_one():
+    assert determinant([]) == 1
+
+
+def test_determinant_is_zero_below_full_rank():
+    assert determinant([[QQ(1), QQ(2)], [QQ(2), QQ(4)]]) == 0
+    assert determinant([[QQ(0), QQ(0)], [QQ(1), QQ(5)]]) == 0
+    # the only nonzero column is skipped past, so the rank falls short
+    assert determinant([[QQ(0), QQ(3)], [QQ(0), QQ(1, 2)]]) == 0
 
 
 def test_inverse_round_trip():
@@ -288,6 +319,55 @@ def test_indefinite_diagonal_rejected():
 
 def test_sylvester_minors_example():
     assert is_positive_definite(((QQ(2), QQ(1)), (QQ(1), QQ(2))))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the leading entry is zero: the pass takes the second row first
+        [[0, 1], [1, 0]],
+        # semidefinite: the second leading minor is zero
+        [[1, 1], [1, 1]],
+        # negative definite: the first pivot is negative
+        [[-1, 0], [0, -1]],
+        # a zero row and column
+        [[2, 0, 1], [0, 0, 0], [1, 0, 2]],
+        [[0, 0], [0, 1]],
+        # definite leading block, then a negative minor
+        [[2, 1, 0], [1, 2, 3], [0, 3, 1]],
+    ],
+)
+def test_forms_that_are_not_positive_definite(rows):
+    assert not is_positive_definite([[QQ(x) for x in row] for row in rows])
+
+
+def _symmetric_rational_matrix(rng, n):
+    """Sparse-ish symmetric rationals, with a diagonal shift toward
+    definiteness on some draws so that both verdicts occur."""
+    rows = [[QQ(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.6:
+                rows[i][j] = rows[j][i] = QQ(rng.randint(-5, 5), rng.randint(1, 4))
+    shift = rng.choice((0, 0, n, 3 * n))
+    for i in range(n):
+        rows[i][i] += shift
+    return rows
+
+
+def test_is_positive_definite_is_every_leading_minor_positive():
+    # Sylvester's criterion spelled out with one determinant per minor
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = _symmetric_rational_matrix(rng, n)
+        want = all(
+            determinant([row[:k] for row in rows[:k]]) > 0 for k in range(1, n + 1)
+        )
+        assert is_positive_definite(rows) is want
+        seen.add(want)
+    assert seen == {False, True}
 
 
 def test_is_positive_definite_rejects_asymmetric():

@@ -4,7 +4,9 @@ Seeded rational matrices up to 8 x 8, dense and sparse, full rank and
 rank-deficient, some with entries near 10^12: rank (by RREF and by forward
 elimination alone), RREF, kernel span, determinant, inverse, the product
 of rows with a form and the complement in the whole space must agree with
-sympy exactly.
+sympy exactly.  Seeded symmetric matrices up to 8 x 8 (definite,
+semidefinite, indefinite, and sparse with zero leading entries) check
+positive definiteness and the determinant.
 """
 
 import random
@@ -15,12 +17,13 @@ import pytest
 from orthokernel.errors import PreconditionError
 from orthokernel.linalg import (
     QuadraticSpace,
+    _forward_steps,
     _int_kernel,
     _int_row,
-    _rank_int,
     _times_form,
     determinant,
     full_subspace,
+    is_positive_definite,
     mat_inverse,
     rref_basis,
     xi_complement,
@@ -100,7 +103,7 @@ def test_rank_rref_and_kernel_match_sympy(index):
     assert ours.rank == ref.rank() == len(ref_pivots)
     assert ours.pivots == tuple(ref_pivots)
     assert list(rational_basis(ours)) == _from_sympy(ref_rref[: len(ref_pivots), :])
-    assert _rank_int([_int_row(row) for row in rows]) == ours.rank
+    assert len(_forward_steps([_int_row(row) for row in rows])) == ours.rank
 
     kernel = _int_kernel([_int_row(row) for row in rows], cols)
     ref_kernel = ref.nullspace()
@@ -150,3 +153,53 @@ def test_complement_in_full_space_matches_sympy(index):
     ref = (_to_sympy(rows) * _to_sympy(form)).nullspace()
     want = rref_basis([_from_sympy(v.T)[0] for v in ref], cols)
     assert xi_complement(space, d, full_subspace(cols)) == want
+
+
+def _gram_of(left, signs, n):
+    """left^T diag(signs) left, n x n: with ``left`` square and invertible
+    it is definite for positive signs and indefinite for mixed ones; with
+    fewer rows than n it is at best semidefinite."""
+    return [
+        [sum((s * row[i] * row[j] for s, row in zip(signs, left)), Fraction(0))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _symmetric_sparse(rng: random.Random, n: int):
+    """Mostly zeros, symmetric, with a zero leading entry."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i, j) != (0, 0) and rng.random() < 0.35:
+                rows[i][j] = rows[j][i] = _entry(rng, False)
+    return rows
+
+
+def _symmetric_cases():
+    """(whether the matrix is positive definite, the matrix)."""
+    rng = random.Random(20261019)
+    for n in range(1, 9):
+        for big in (False, True):
+            full = [[_entry(rng, big) for _ in range(n)] for _ in range(n)]
+            weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+            yield True, _gram_of(full, weights, n)
+            low = full[: rng.randint(0, n - 1)]
+            yield False, _gram_of(low, weights, n)
+            if n > 1:
+                yield False, _gram_of(full, [-1] + weights[1:], n)
+            yield False, _symmetric_sparse(rng, n)
+
+
+SYMMETRIC_CASES = list(_symmetric_cases())
+
+
+@pytest.mark.parametrize("index", range(len(SYMMETRIC_CASES)))
+def test_positive_definiteness_and_determinant_match_sympy(index):
+    definite, rows = SYMMETRIC_CASES[index]
+    ref = _to_sympy(rows)
+    assert ref.is_symmetric()
+    assert bool(ref.is_positive_definite) is definite
+    assert is_positive_definite(rows) is definite
+    ref_det = ref.det()
+    assert determinant(rows) == Fraction(int(ref_det.p), int(ref_det.q))

@@ -238,6 +238,15 @@ def test_lemma1_witness_preconditions(q3):
         lemma1_witness(off, flat(q3, (0, 0, 0), (1, 0, 0), (0, 0, 1)), 1)
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_lemma1_witness_rejects_a_line_meet(q4, m):
+    # y1 inside x2: they meet in y1 itself, a line, not a point
+    y1 = line(q4, (0, 0, 0, 0), (1, 0, 0, 0))
+    x2 = flat(q4, (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0))
+    with pytest.raises(PreconditionError, match="single point"):
+        lemma1_witness(y1, x2, m)
+
+
 # ---------------------------------------------------------------------------
 # point-meet decision through the typed oracle
 
@@ -302,7 +311,7 @@ def test_decide_perp0_checks_dimension_type(q4):
         decide_perp0(y1, x2, ground_truth_oracle(params), ReconstructionMode.witness())
 
 
-@pytest.mark.parametrize(
+POINT_MEET_MODES = pytest.mark.parametrize(
     "params, mode",
     [
         (TypedPerpParams(m=1, k1=2, k2=2), ReconstructionMode.witness()),
@@ -311,6 +320,9 @@ def test_decide_perp0_checks_dimension_type(q4):
     ],
     ids=["witness", "sampled", "sampled-m0"],
 )
+
+
+@POINT_MEET_MODES
 def test_decide_perp0_requires_point_meet(q4, params, mode):
     # the line misses the plane: no common point in either mode, even for
     # m = 0 where the oracle could be asked about (y1, x2) directly
@@ -318,6 +330,17 @@ def test_decide_perp0_requires_point_meet(q4, params, mode):
     x2 = flat(q4, (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     with pytest.raises(PreconditionError):
         decide_perp0(y1, x2, ground_truth_oracle(params), mode)
+
+
+@POINT_MEET_MODES
+def test_decide_perp0_rejects_a_line_meet(q4, params, mode):
+    # the line lies inside the plane: they meet in the whole line
+    y1 = line(q4, (0, 0, 0, 0), (0, 1, 0, 0))
+    x2 = flat(q4, (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    oracle, calls = counting_oracle(params)
+    with pytest.raises(PreconditionError, match="single point"):
+        decide_perp0(y1, x2, oracle, mode)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +488,13 @@ def test_judge_line_pair_runs_the_modes_asked_for(mode):
                 )
             truth = line_perp_ground_truth(l1, l2)
             assert got == LinePairVerdicts(truth, want_w, want_s)
+
+
+@pytest.mark.parametrize("mode", ["witnes", "Both", "", "none"])
+def test_judge_line_pair_rejects_an_unknown_mode(mode):
+    l1, l2 = gen_line_pair(GenConfig(dim=4, seed=0), random.Random(0), orthogonal=True)
+    with pytest.raises(InputError, match="unknown mode"):
+        judge_line_pair(l1, l2, JUDGED_TYPES[1], mode, 5, random.Random(0))
 
 
 @pytest.mark.parametrize(
@@ -755,10 +785,10 @@ def test_witnesses_match_their_reference_routes(n, form):
 
 
 def _count_eliminations(monkeypatch):
-    """Every _rref_int and _rank_int call the kernel modules make from now
-    on."""
+    """Every _rref_int and _forward_steps call the kernel modules make from
+    now on."""
     calls = []
-    for name in ("_rref_int", "_rank_int"):
+    for name in ("_rref_int", "_forward_steps"):
         real = getattr(linalg_module, name)
 
         def counting(*args, real=real, **kwargs):
@@ -814,11 +844,23 @@ def test_witnesses_take_fewer_eliminations(monkeypatch):
     # joins, meets and complements of the constructions' own flats took
     # 11 eliminations for lemma 2 (10 with an rng) and 10 for lemma 1; one
     # per subspace took 5 each.  Lemma 2 now builds only the complements it
-    # draws from: with k1 = 1 none for x1
-    assert _witness_eliminations(monkeypatch, 3) == [(4, 5), (4, 5)]
+    # draws from: with k1 = 1 none for x1.  Lemma 1 reads the meet's
+    # dimension where it built the meet, one reduction fewer
+    assert _witness_eliminations(monkeypatch, 3) == [(4, 4), (4, 4)]
 
 
 def test_lemma2_skips_a_complement_it_does_not_draw_from(monkeypatch):
     # with k2 = 2 there is no complement for x2 either: its d2 and w
     # already span it (the lines do not meet)
-    assert _witness_eliminations(monkeypatch, 2) == [(3, 5), (3, 5)]
+    assert _witness_eliminations(monkeypatch, 2) == [(3, 4), (3, 4)]
+
+
+def test_sampled_zero_meet_decision_takes_one_elimination(monkeypatch):
+    # the meet system alone; building the meet point took a second one
+    params = TypedPerpParams(m=0, k1=1, k2=3)
+    cfg = GenConfig(dim=6, seed=0, form="tridiag")
+    y1, x2 = gen_pair_with_meet_dim(cfg, 1, 3, 0, random.Random(4))
+    oracle = PerpOracle(params, lambda a, b: True)
+    calls = _count_eliminations(monkeypatch)
+    assert decide_perp0(y1, x2, oracle, ReconstructionMode.sampled(5))
+    assert len(calls) == 1

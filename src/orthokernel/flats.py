@@ -1,4 +1,5 @@
-"""Nonempty affine flats of Q^n with lattice operations.
+"""Nonempty affine flats of Q^n with lattice operations, and their wire
+format.
 
 A flat is held canonically: its direction is a canonical RREF subspace and
 its base point is the unique member whose coordinates vanish at every pivot
@@ -7,22 +8,19 @@ their least positive common denominator, with no rational view of it.  A
 point is the flat with a zero direction, so membership is
 ``is_subflat(point, x)``; rationals enter only through
 ``make``, ``from_point``, ``from_points`` and ``from_wire``.  The wire
-format is written and read in integers too:
-``to_wire`` reduces each coordinate by one gcd, and ``from_wire`` reads the
-canonical "p" and "p/q" strings straight to integers, leaving ``Fraction``
-as the fallback parser for any other entry.  Basis rows that ``to_wire``
-wrote are already the canonical echelon form once scaled to integers;
-``from_wire`` recognises them by an exact check (nonzero primitive rows,
-positive leading entries in strictly increasing columns, zero in every
-other row's leading column) and keeps them as they stand, and only rows
-that fail it are reduced.  Equality and hashing of flats
-are plain structural comparisons of integers.  The empty set is not a flat;
-``meet`` returns None for disjoint arguments.
+format is written and read in integers too: ``to_wire`` reduces each
+coordinate by one gcd, and ``from_wire`` reads the canonical "p" and "p/q"
+strings straight to integers, leaving ``Fraction`` as the fallback parser
+for any other entry, and reduces the basis rows to canonical form.
+Equality and hashing of flats are plain structural comparisons of
+integers.  The empty set is not a flat; ``meet`` returns None for disjoint
+arguments.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -33,7 +31,6 @@ from .linalg import (
     QQ,
     LinearSubspace,
     QuadraticSpace,
-    _canonical_pivots,
     _echelon_kernel,
     _int_vector,
     _lies_in,
@@ -42,9 +39,8 @@ from .linalg import (
     _subspace_from_int_rows,
     _times_form,
     full_subspace,
-    int_vector_from_wire,
-    int_vector_to_wire,
     rref_basis,
+    scalar,
     vec_sub,
     vector,
     zero_subspace,
@@ -154,14 +150,7 @@ class AffineSubspace:
     @classmethod
     def from_wire(cls, space: QuadraticSpace, data: dict) -> "AffineSubspace":
         """The flat of a ``to_wire`` payload, or of any payload whose point
-        and basis rows name a flat of the space.
-
-        Basis rows that pass ``_canonical_pivots`` (nonzero primitive integer
-        rows with positive leading entries in strictly increasing columns,
-        zero in every other row's leading column), as every row ``to_wire``
-        writes does, become the direction as they stand; any other rows are
-        reduced to canonical form.  Both give the same flat.
-        """
+        and basis rows name a flat of the space."""
         if not isinstance(data, dict):
             raise InputError("malformed flat payload: not an object")
         try:
@@ -178,12 +167,63 @@ class AffineSubspace:
         int_rows = [int_vector_from_wire(r)[0] for r in rows]
         if len(nums) != space.dim or any(len(r) != space.dim for r in int_rows):
             raise InputError("flat payload does not match ambient dimension")
-        pivots = _canonical_pivots(int_rows)
-        if pivots is None:
-            direction = _subspace_from_int_rows(int_rows, space.dim)
-        else:
-            direction = LinearSubspace(space.dim, tuple(map(tuple, int_rows)), pivots)
+        direction = _subspace_from_int_rows(int_rows, space.dim)
         return cls._canonical(space, nums, den, direction)
+
+
+# ---------------------------------------------------------------------------
+# wire format
+
+
+def int_vector_to_wire(nums: Sequence[int], den: int) -> list[str]:
+    """The wire strings of ``nums / den`` (``den > 0``): "p/q" in lowest
+    terms, with "/q" omitted when the denominator is 1, as ``str`` writes a
+    ``Fraction``."""
+    gcd = math.gcd
+    out = []
+    for x in nums:
+        if not x:
+            out.append("0")
+            continue
+        g = gcd(x, den)
+        out.append(str(x // den) if g == den else f"{x // g}/{den // g}")
+    return out
+
+
+# the canonical wire strings; anything else is parsed by ``scalar``
+_WIRE_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def int_vector_from_wire(entries: list) -> tuple[list[int], int]:
+    """Wire entries as integer numerators over the lcm of their denominators.
+
+    Canonical strings ("p" and "p/q") are read as integers, "0" with no
+    pattern match at all; any other entry goes through :func:`scalar`, so
+    the accepted entries, their values and the errors are those of
+    ``vector``.
+    """
+    nums, dens = [], []
+    for x in entries:
+        if x == "0":
+            nums.append(0)
+            dens.append(1)
+            continue
+        m = _WIRE_RATIO.fullmatch(x) if isinstance(x, str) else None
+        p = q = 0
+        if m is not None:
+            try:
+                p, q = int(m[1]), int(m[2] or 1)
+            except ValueError:  # past int's digit limit
+                pass
+        if not q:  # not canonical, or a zero denominator: scalar decides
+            r = scalar(x)
+            p, q = r.numerator, r.denominator
+        nums.append(p)
+        dens.append(q)
+    den = math.lcm(*dens)
+    if den == 1:
+        return nums, 1
+    return [p * (den // q) for p, q in zip(nums, dens)], den
 
 
 def _check_same_space(x1: AffineSubspace, x2: AffineSubspace) -> None:

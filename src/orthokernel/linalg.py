@@ -17,18 +17,12 @@ Rationals exist only at the boundary: parsing scalars, vectors and forms
 (``scalar``, ``vector``, ``matrix``, ``rref_basis``, ``QuadraticSpace``)
 and the rational results of ``determinant`` (public, with no caller in
 the package) and ``mat_inverse`` (which has none either: it stays for the
-benchmark's tracer, which patches it).  The wire format of flats is
-written and read in integers (``int_vector_to_wire``,
-``int_vector_from_wire``); only an entry that is not a canonical "p" or
-"p/q" string is parsed through ``Fraction``.  Above this module a point is
-a 0-dimensional flat with an integer base point, from the generators to
-the wire.
+benchmark's tracer, which patches it).
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -70,16 +64,8 @@ def matrix(rows: Iterable[Iterable[Scalarish]]) -> Matrix:
     return tuple(vector(r) for r in rows)
 
 
-def zero_vector(n: int) -> Vector:
-    return (QQ(0),) * n
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -248,35 +234,6 @@ def _lies_in(rows: Iterable[Sequence[int]], w: LinearSubspace) -> bool:
     vanishes on it."""
     eqs = w.equations
     return not any(sum(map(mul, e, r)) for r in rows for e in eqs)
-
-
-def _canonical_pivots(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """The pivot columns of integer rows that already are the canonical
-    echelon basis ``_rref_int`` returns for their span, or None.
-
-    The rows must be nonzero and primitive, lead with a positive entry in
-    strictly increasing columns, and be zero in every other row's leading
-    column.  That is reduced echelon form with primitive rows and positive
-    pivots, which is unique for a subspace, so no elimination is needed.
-    """
-    gcd = math.gcd
-    pivots: list[int] = []
-    last = -1
-    for row in rows:
-        for c, x in enumerate(row):
-            if x:
-                break
-        else:
-            return None  # a zero row
-        if x < 0 or c <= last or gcd(*row) != 1:
-            return None
-        pivots.append(c)
-        last = c
-    # a row is zero left of its own pivot, so only later pivots can fail
-    for k, row in enumerate(rows):
-        if any(row[c] for c in pivots[k + 1:]):
-            return None
-    return tuple(pivots)
 
 
 def _subspace_from_int_rows(rows: Sequence[Sequence[int]], ambient_dim: int) -> LinearSubspace:
@@ -512,58 +469,3 @@ def _xi_complement_rows(
     gram = [[sum(map(mul, row, wi)) for wi in w.int_rows] for row in fd]
     coeff_vectors = _int_kernel(gram, w.rank)
     return _subspace_from_int_rows(_mat_mul_int(coeff_vectors, w.int_rows), space.dim)
-
-
-# ---------------------------------------------------------------------------
-# wire format helpers
-
-
-def int_vector_to_wire(nums: Sequence[int], den: int) -> list[str]:
-    """The wire strings of ``nums / den`` (``den > 0``): "p/q" in lowest
-    terms, with "/q" omitted when the denominator is 1, as ``str`` writes a
-    ``Fraction``."""
-    gcd = math.gcd
-    out = []
-    for x in nums:
-        if not x:
-            out.append("0")
-            continue
-        g = gcd(x, den)
-        out.append(str(x // den) if g == den else f"{x // g}/{den // g}")
-    return out
-
-
-# the canonical wire strings; anything else is parsed by ``scalar``
-_WIRE_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def int_vector_from_wire(entries: list) -> tuple[list[int], int]:
-    """Wire entries as integer numerators over the lcm of their denominators.
-
-    Canonical strings ("p" and "p/q") are read as integers, "0" with no
-    pattern match at all; any other entry goes through :func:`scalar`, so
-    the accepted entries, their values and the errors are those of
-    ``vector``.
-    """
-    nums, dens = [], []
-    for x in entries:
-        if x == "0":
-            nums.append(0)
-            dens.append(1)
-            continue
-        m = _WIRE_RATIO.fullmatch(x) if isinstance(x, str) else None
-        p = q = 0
-        if m is not None:
-            try:
-                p, q = int(m[1]), int(m[2] or 1)
-            except ValueError:  # past int's digit limit
-                pass
-        if not q:  # not canonical, or a zero denominator: scalar decides
-            r = scalar(x)
-            p, q = r.numerator, r.denominator
-        nums.append(p)
-        dens.append(q)
-    den = math.lcm(*dens)
-    if den == 1:
-        return nums, 1
-    return [p * (den // q) for p, q in zip(nums, dens)], den

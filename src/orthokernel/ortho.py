@@ -45,14 +45,10 @@ from .linalg import (
     _rref_int,
     _subspace_from_int_rows,
     full_subspace,
-    identity_matrix,
     mat_mul,
-    mat_vec,
     subspace_sum,
-    vector,
     xi_complement,
     zero_subspace,
-    zero_vector,
 )
 
 
@@ -201,15 +197,6 @@ class AffineIsometry:
         at = tuple(zip(*self.matrix))
         if mat_mul(mat_mul(at, self.space.form), self.matrix) != self.space.form:
             raise InputError("linear part does not preserve the form")
-
-    @classmethod
-    def identity(cls, space: QuadraticSpace) -> "AffineIsometry":
-        return cls(space, identity_matrix(space.dim), zero_vector(space.dim))
-
-    def apply(self, p: Sequence[QQ]) -> Vector:
-        return tuple(
-            x + t for x, t in zip(mat_vec(self.matrix, vector(p)), self.translation)
-        )
 
 
 def reflection(x: AffineSubspace) -> AffineIsometry:

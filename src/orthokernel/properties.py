@@ -521,6 +521,11 @@ def _p_lem1_bwd(ctx: TrialContext) -> Optional[dict]:
     return None
 
 
+# super-flat pairs tried around non-orthogonal lines; --samples does not
+# reach this check
+_LEM2_ATTEMPTS = 8
+
+
 def _p_lem2(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
     rng = ctx.rng
@@ -540,7 +545,7 @@ def _p_lem2(ctx: TrialContext) -> Optional[dict]:
             return _ce("wrapping pair violates a clause",
                        l1=l1, l2=l2, x1=x1, x2=x2)
     else:
-        for _ in range(min(ctx.cfg.sample_count, 8)):
+        for _ in range(_LEM2_ATTEMPTS):
             x1 = super_flat(l1, rng.randint(1, n - 1), rng)
             x2 = super_flat(l2, rng.randint(1, n - 1), rng)
             if perp_x(x1, x2):
@@ -659,7 +664,13 @@ def _run_slice(property_id: str, cfg: GenConfig, start: int, stop: int):
     first: Optional[dict] = None
     for t in range(start, stop):
         ctx = TrialContext(space, cfg, trial_rng(cfg.seed, property_id, t), counters)
-        result = fn(ctx)
+        try:
+            result = fn(ctx)
+        except GenerationError:
+            raise
+        except Exception as exc:
+            # a trial that raises is that trial's violation, not the run's end
+            result = {"reason": f"raised {type(exc).__name__}: {exc}"}
         if result is not None:
             violations += 1
             if first is None:

@@ -108,8 +108,6 @@ def lemma1_witness(
         raise PreconditionError("m must be nonnegative")
     if y1.dim < 1:
         raise PreconditionError("y1 must be at least a line")
-    if m > x2.dim:
-        raise PreconditionError("m cannot exceed dim(x2)")
     if y1.dim + m > x2.dim:
         raise PreconditionError("need dim(y1) + m <= dim(x2)")
     if _meet_dim(y1, x2) != 0:

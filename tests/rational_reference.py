@@ -1,10 +1,11 @@
 """Rational reference helpers for the tests.
 
 These build, in plain rationals, what the package decides in integers:
-the reflection in a flat from the projection formula, composition and
-equality of isometries, the intersection of two subspaces, the bilinear
-form on two vectors, the base point of a flat and the basis of a
-subspace as rationals.  The tests use them as the independent side of
+the reflection in a flat from the projection formula, the identity
+isometry, the image of a point, composition and equality of isometries,
+the matrix-vector product, the intersection of two subspaces, the
+bilinear form on two vectors, the base point of a flat and the basis of
+a subspace as rationals.  The tests use them as the independent side of
 their checks; nothing in the package calls them.
 """
 
@@ -23,11 +24,14 @@ from orthokernel.linalg import (
     identity_matrix,
     mat_inverse,
     mat_mul,
-    mat_vec,
     vec_sub,
     zero_subspace,
 )
 from orthokernel.ortho import AffineIsometry
+
+
+def mat_vec(m: Matrix, v: Vector) -> Vector:
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -113,6 +117,15 @@ def projection_reflection(x: AffineSubspace) -> AffineIsometry:
     q = rational_point(x)
     t = vec_sub(q, mat_vec(a, q))
     return AffineIsometry(space, a, t)
+
+
+def identity_isometry(space: QuadraticSpace) -> AffineIsometry:
+    return AffineIsometry(space, identity_matrix(space.dim), (QQ(0),) * space.dim)
+
+
+def apply_isometry(f: AffineIsometry, p: Sequence[QQ]) -> Vector:
+    """The image f(p) = A p + t of a rational point."""
+    return vec_add(mat_vec(f.matrix, p), f.translation)
 
 
 def isometry_compose(f: AffineIsometry, g: AffineIsometry) -> AffineIsometry:

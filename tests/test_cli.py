@@ -8,10 +8,11 @@ import sys
 import pytest
 
 from orthokernel.cli import main
+from orthokernel.errors import InternalError
 from orthokernel.flats import AffineSubspace, meet
-from orthokernel.generators import resolve_space
+from orthokernel.generators import resolve_space, trial_rng
 from orthokernel.ortho import TypedPerpParams, perp_m, perp_x
-from orthokernel.properties import PropertyReport
+from orthokernel.properties import REGISTRY, PropertyReport
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +49,43 @@ def test_check_exit_one_on_violation(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check", "--dim", "2", "--trials", "5")
     assert code == 1
     assert "total violations: 2" in out
+
+
+def test_check_reports_a_raising_trial_as_its_violation(capsys, monkeypatch, tmp_path):
+    # P-SYM raises at trial 3 of every form; the run still reports every row
+    bad = trial_rng(5, "P-SYM", 3).getstate()
+    honest = REGISTRY["P-SYM"]
+
+    def raising(ctx):
+        if ctx.rng.getstate() == bad:
+            raise InternalError("planted")
+        return honest(ctx)
+
+    monkeypatch.setitem(REGISTRY, "P-SYM", raising)
+    reports = {}
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.json"
+        code, out, _ = run_cli(
+            capsys, "check", "--dim", "3", "--trials", "16", "--seed", "5",
+            "--props", "P-SYM,P-PAR", "--form", "all",
+            "--jobs", jobs, "--json", str(path),
+        )
+        assert code == 1
+        assert "total violations: 3" in out
+        reports[jobs] = path.read_bytes()
+    assert reports["1"] == reports["2"]
+    rows = json.loads(reports["1"])["reports"]
+    assert [(r["property_id"], r["form"]) for r in rows] == [
+        (pid, form) for pid in ("P-PAR", "P-SYM") for form in ("identity", "diag", "tridiag")
+    ]
+    for row in rows:
+        if row["property_id"] == "P-SYM":
+            assert row["violations"] == 1
+            assert row["first_counterexample"] == {
+                "trial": 3, "reason": "raised InternalError: planted"
+            }
+        else:
+            assert row["violations"] == 0
 
 
 def test_check_unknown_property_exits_two(capsys):

@@ -1,4 +1,5 @@
-"""Affine flats: canonical form, membership, and the meet/join lattice."""
+"""Affine flats: canonical form, membership, the meet/join lattice and the
+wire format."""
 
 import math
 import random
@@ -12,6 +13,8 @@ import orthokernel.flats as flats_module
 from orthokernel.errors import InputError
 from orthokernel.flats import (
     AffineSubspace,
+    int_vector_from_wire,
+    int_vector_to_wire,
     is_subflat,
     join,
     meet,
@@ -30,10 +33,9 @@ from orthokernel.generators import (
 )
 from orthokernel.linalg import (
     QuadraticSpace,
-    _canonical_pivots,
     _subspace_from_int_rows,
-    int_vector_from_wire,
     rref_basis,
+    vector,
 )
 from orthokernel.ortho import TypedPerpParams, perp_g, perp_go, perp_m, perp_x
 
@@ -134,6 +136,39 @@ def test_wire_rejects_malformed(q2, q3):
             AffineSubspace.from_wire(q2, data)
 
 
+def test_vector_wire_round_trip():
+    v = qv("1/2", -3, 0, "8/2")
+    assert int_vector_to_wire([1, -6, 0, 8], 2) == ["1/2", "-3", "0", "4"]
+    assert vector(int_vector_to_wire([1, -6, 0, 8], 2)) == v
+    assert int_vector_to_wire([-3, 14], 7) == ["-3/7", "2"]
+    assert vector(["-3/7", "2"]) == qv("-3/7", 2)
+
+
+def test_zero_wire_entries_keep_their_strings_and_values():
+    # zeros, negatives and a denominator shared by several entries
+    nums = [0, -3, 6, 0, 4, -12]
+    assert int_vector_to_wire(nums, 6) == ["0", "-1/2", "1", "0", "2/3", "-2"]
+    assert int_vector_to_wire([0, 0], 5) == ["0", "0"]
+    assert int_vector_to_wire([0, -7, 0], 1) == ["0", "-7", "0"]
+    # every spelling of zero reads as 0; "0/5" keeps its denominator
+    entries = ["0", "-0", "00", "0/5", "3"]
+    ints, den = int_vector_from_wire(entries)
+    assert [QQ(x, den) for x in ints] == [0, 0, 0, 0, 3]
+    assert (ints, den) == ([0, 0, 0, 0, 15], 5)
+    assert int_vector_from_wire(["0", "2", "-3", "0"]) == ([0, 2, -3, 0], 1)
+    assert int_vector_from_wire(["0", "1/2", "-3/4"]) == ([0, 2, -3], 4)
+    space = QuadraticSpace.euclidean(len(entries))
+    flat = AffineSubspace.from_wire(space, {"point": entries, "basis": []})
+    assert rational_point(flat) == (0, 0, 0, 0, 3)
+    for bad in (["0/0"], ["0", "0/0"], ["0/0", "0"]):
+        with pytest.raises(InputError):
+            int_vector_from_wire(bad)
+        with pytest.raises(InputError):
+            AffineSubspace.from_wire(
+                QuadraticSpace.euclidean(len(bad)), {"point": bad, "basis": []}
+            )
+
+
 def _custom_form(n):
     """A dense rational form, positive definite by diagonal dominance."""
     return QuadraticSpace.from_matrix(
@@ -216,7 +251,7 @@ def test_wire_entries_parse_as_fraction_parses_them():
     assert flat == AffineSubspace.make(q2, (3, QQ(-1, 2)), rref_basis([(2, 4)], 2))
 
 
-def test_canonical_basis_rows_are_read_as_they_stand():
+def test_canonical_basis_rows_read_back_to_their_direction():
     rng = random.Random(11)
     for n, space in _wire_spaces():
         for _ in range(6):
@@ -227,7 +262,6 @@ def test_canonical_basis_rows_are_read_as_they_stand():
             flat = AffineSubspace.make(space, [0] * n, rref_basis(rows, n))
             payload = flat.to_wire()
             int_rows = [int_vector_from_wire(r)[0] for r in payload["basis"]]
-            assert _canonical_pivots(int_rows) == flat.direction.pivots
             direction = AffineSubspace.from_wire(space, payload).direction
             want = _subspace_from_int_rows(int_rows, n)
             assert direction.int_rows == want.int_rows == flat.direction.int_rows
@@ -253,7 +287,6 @@ def test_near_canonical_basis_rows_are_reduced(case):
     basis = NEAR_CANONICAL_BASES[case]
     point = ["1/2", "-3", "7"]
     int_rows = [int_vector_from_wire(r)[0] for r in basis]
-    assert _canonical_pivots(int_rows) is None
     flat = AffineSubspace.from_wire(space, {"point": point, "basis": basis})
     want = _subspace_from_int_rows(int_rows, 3)
     assert flat.direction.int_rows == want.int_rows

@@ -1,9 +1,10 @@
 """Source hygiene: no dead imports in the package, the scripts or the
 tests, no dangling exports, a package root that exports the README's
 Quick start names and the error classes and nothing else, no public name
-that only the tests read, every binding the benchmark's tracer patches
-still exists and the benchmark's self-tests pass, every CLI option and
-benchmark record is documented, and no trial builds a rational."""
+that only the tests read, no private function or class that the package
+does not read, every binding the benchmark's tracer patches still exists
+and the benchmark's self-tests pass, every CLI option and benchmark
+record is documented, and no trial builds a rational."""
 
 import argparse
 import ast
@@ -122,11 +123,10 @@ def test_benchmark_self_tests_pass():
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
 
 
-def _unread_public_names(root: Path) -> list[str]:
-    """Public top-level functions and classes of the package's modules that
-    nothing reads outside their own definition and the tests: no Name or
-    Attribute in the package, and no word of bench/*.py, scripts/*.py or
-    the README."""
+def _package_names(root: Path) -> tuple[list[str], set[str]]:
+    """The top-level functions and classes of the package's modules (bar
+    ``__init__``), and every Name or Attribute the package reads outside
+    the definition of that name itself."""
     defined, read = [], set()
     for path in sorted((root / "src" / "orthokernel").glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
@@ -137,17 +137,50 @@ def _unread_public_names(root: Path) -> list[str]:
             }
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(stmt.name)
-                if path.name != "__init__.py" and not stmt.name.startswith("_"):
+                if path.name != "__init__.py":
                     defined.append(stmt.name)
             read |= names
+    return defined, read
+
+
+def _unread_public_names(root: Path) -> list[str]:
+    """Public top-level functions and classes of the package's modules that
+    nothing reads outside their own definition and the tests: no Name or
+    Attribute in the package, and no word of bench/*.py, scripts/*.py or
+    the README."""
+    defined, read = _package_names(root)
     texts = [*root.glob("bench/*.py"), *root.glob("scripts/*.py"), root / "README.md"]
     for path in texts:
         read.update(re.findall(r"\w+", path.read_text()))
-    return sorted(name for name in defined if name not in read)
+    return sorted(name for name in defined if not name.startswith("_") and name not in read)
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():
     assert _unread_public_names(PACKAGE_DIR.parents[1]) == []
+
+
+def _unread_private_names(root: Path) -> list[str]:
+    """Private top-level functions and classes of the package's modules that
+    the package itself never reads: kept alive only for the tests, or not
+    at all."""
+    defined, read = _package_names(root)
+    return sorted(
+        name for name in defined if name.startswith("_") and name not in read
+    )
+
+
+def test_every_private_name_has_a_reader_in_the_package():
+    assert _unread_private_names(PACKAGE_DIR.parents[1]) == []
+
+
+def test_unread_private_name_is_detected(tmp_path):
+    package = tmp_path / "src" / "orthokernel"
+    package.mkdir(parents=True)
+    for path in PACKAGE_DIR.glob("*.py"):
+        (package / path.name).write_text(path.read_text())
+    with open(package / "flats.py", "a") as out:
+        out.write("\n\ndef _helper(x):\n    return _helper(x - 1) if x else 0\n")
+    assert _unread_private_names(tmp_path) == ["_helper"]
 
 
 def _long_options(parser: argparse.ArgumentParser) -> set[str]:

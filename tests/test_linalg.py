@@ -21,8 +21,6 @@ from orthokernel.linalg import (
     _times_form,
     determinant,
     full_subspace,
-    int_vector_from_wire,
-    int_vector_to_wire,
     is_positive_definite,
     is_symmetric,
     mat_inverse,
@@ -39,7 +37,6 @@ from conftest import qv
 from rational_reference import (
     bilinear_eval,
     rational_basis,
-    rational_point,
     subspace_intersect,
 )
 from test_flats import _custom_form
@@ -56,46 +53,13 @@ def vecs_strategy(n, max_count=4):
 
 
 # ---------------------------------------------------------------------------
-# scalars and wire format
+# scalars
 
 
 def test_scalar_parses_wire_strings():
     assert scalar("-3/7") == QQ(-3, 7)
     assert scalar("4") == QQ(4)
     assert scalar(QQ(1, 2)) == QQ(1, 2)
-
-
-def test_vector_wire_round_trip():
-    v = qv("1/2", -3, 0, "8/2")
-    assert int_vector_to_wire([1, -6, 0, 8], 2) == ["1/2", "-3", "0", "4"]
-    assert vector(int_vector_to_wire([1, -6, 0, 8], 2)) == v
-    assert int_vector_to_wire([-3, 14], 7) == ["-3/7", "2"]
-    assert vector(["-3/7", "2"]) == qv("-3/7", 2)
-
-
-def test_zero_wire_entries_keep_their_strings_and_values():
-    # zeros, negatives and a denominator shared by several entries
-    nums = [0, -3, 6, 0, 4, -12]
-    assert int_vector_to_wire(nums, 6) == ["0", "-1/2", "1", "0", "2/3", "-2"]
-    assert int_vector_to_wire([0, 0], 5) == ["0", "0"]
-    assert int_vector_to_wire([0, -7, 0], 1) == ["0", "-7", "0"]
-    # every spelling of zero reads as 0; "0/5" keeps its denominator
-    entries = ["0", "-0", "00", "0/5", "3"]
-    ints, den = int_vector_from_wire(entries)
-    assert [QQ(x, den) for x in ints] == [0, 0, 0, 0, 3]
-    assert (ints, den) == ([0, 0, 0, 0, 15], 5)
-    assert int_vector_from_wire(["0", "2", "-3", "0"]) == ([0, 2, -3, 0], 1)
-    assert int_vector_from_wire(["0", "1/2", "-3/4"]) == ([0, 2, -3], 4)
-    space = QuadraticSpace.euclidean(len(entries))
-    flat = AffineSubspace.from_wire(space, {"point": entries, "basis": []})
-    assert rational_point(flat) == (0, 0, 0, 0, 3)
-    for bad in (["0/0"], ["0", "0/0"], ["0/0", "0"]):
-        with pytest.raises(InputError):
-            int_vector_from_wire(bad)
-        with pytest.raises(InputError):
-            AffineSubspace.from_wire(
-                QuadraticSpace.euclidean(len(bad)), {"point": bad, "basis": []}
-            )
 
 
 def test_scalar_rejects_garbage():

@@ -26,7 +26,6 @@ from orthokernel.linalg import (
     determinant,
     mat_inverse,
     mat_mul,
-    mat_vec,
     rref_basis,
 )
 from orthokernel.ortho import (
@@ -39,7 +38,7 @@ from orthokernel.ortho import (
     reflections_commute,
 )
 
-from rational_reference import rational_basis, rational_point
+from rational_reference import mat_vec, rational_basis, rational_point
 
 PAIRS_PER_CASE = 24
 

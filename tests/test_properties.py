@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import time
+from collections import Counter
 
 import pytest
 
 import orthokernel.properties as props
 from orthokernel.errors import InputError
-from orthokernel.generators import GenConfig, trial_rng
+from orthokernel.generators import GenConfig, space_of, super_flat, trial_rng
 from orthokernel.ortho import TypedPerpParams
 from orthokernel.properties import (
     ALL_PROPERTY_IDS,
@@ -101,6 +102,31 @@ def test_counterexample_key_tracks_violations(monkeypatch):
     dirty = run_property("P-SYM", small_cfg(), trials=40)
     assert dirty.violations > 0
     assert "first_counterexample" in dirty.to_json_dict()
+
+
+def test_lem2_draws_do_not_depend_on_samples(monkeypatch):
+    # --samples counts sampled-reconstruction candidates only: P-LEM2 tries
+    # the same super-flat pairs around non-orthogonal lines at any count
+    calls = []
+
+    def counted_super_flat(*args):
+        calls.append(args[1])
+        return super_flat(*args)
+
+    monkeypatch.setattr(props, "super_flat", counted_super_flat)
+    draws = {}
+    for samples in (1, 20):
+        cfg = small_cfg(dim=4, sample_count=samples)
+        space = space_of(cfg)
+        calls.clear()
+        states = []
+        for t in range(40):
+            rng = trial_rng(cfg.seed, "P-LEM2", t)
+            assert REGISTRY["P-LEM2"](props.TrialContext(space, cfg, rng, Counter())) is None
+            states.append(rng.getstate())
+        draws[samples] = (list(calls), states)
+    assert draws[1] == draws[20]
+    assert len(draws[20][0]) > 80
 
 
 # ---------------------------------------------------------------------------

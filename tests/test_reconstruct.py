@@ -265,13 +265,14 @@ def test_decide_perp0_tilted_is_false(q4):
     y1 = line(q4, (0, 0, 0, 0), (1, 1, 0, 0))
     x2 = flat(q4, (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     oracle = ground_truth_oracle(params)
-    w = decide_perp0(y1, x2, oracle, ReconstructionMode.witness())
+    assert decide_perp0(y1, x2, oracle, ReconstructionMode.witness()) is False
+    # the first rejected candidate ends the sampled conjunction
+    oracle, calls = counting_oracle(params)
     s = decide_perp0(
         y1, x2, oracle, ReconstructionMode.sampled(5), random.Random(7)
     )
-    assert w is False
-    # witness true must never coexist with sampled false
-    assert not (w and not s)
+    assert s is False
+    assert len(calls) == 1
 
 
 def test_decide_perp0_witness_uses_one_query(q4):

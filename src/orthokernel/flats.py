@@ -38,6 +38,7 @@ from .linalg import (
     _rref_int,
     _subspace_from_int_rows,
     _times_form,
+    _times_inverse,
     full_subspace,
     rref_basis,
     scalar,
@@ -124,6 +125,12 @@ class AffineSubspace:
     def form_rows(self) -> list[list[int]]:
         """The direction rows times the space's scaled form."""
         return _times_form(self.direction.int_rows, self.space)
+
+    @cached_property
+    def complement_rows(self) -> list[list[int]]:
+        """The direction's equations times the space's scaled inverse form:
+        rows spanning the xi-complement of the direction."""
+        return _times_inverse(self.direction.equations, self.space)
 
     @property
     def dim(self) -> int:

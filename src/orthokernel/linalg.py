@@ -11,7 +11,15 @@ form scaled to integers, and every product of rows with it is taken over
 the form's nonzero entries (``QuadraticSpace.int_form_entries``) alone, so
 a diagonal form costs n multiplications per row and a tridiagonal one
 3n - 2, not n^2.  Rank, determinant and definiteness come from one
-fraction-free forward pass (``_forward_steps``) and its pivot steps.
+fraction-free forward pass (``_forward_steps``) and its pivot steps, and
+every inverse from one augmented reduction (``_int_inverse``).
+
+A k-dimensional subspace D has two sides: its k canonical rows and its
+n - k equations (``LinearSubspace.equations``), with
+``QuadraticSpace.int_form_inverse`` a positive integer multiple of F^-1.
+The xi-complement of D in the whole space is the kernel of D F, or
+equally the row space of E F^-1; ``xi_complement`` works on whichever
+side has fewer rows, and inside a smaller subspace on the rows alone.
 
 Rationals exist only at the boundary: parsing scalars, vectors and forms
 (``scalar``, ``vector``, ``matrix``, ``rref_basis``, ``QuadraticSpace``)
@@ -301,19 +309,35 @@ def _echelon_kernel(
     return out
 
 
+def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(A, d) with rows . A = d I and d > 0, for a square integer matrix.
+
+    One fraction-free reduction of [rows | I] leaves diag(p) on the left
+    and diag(p) rows^-1 on the right; scaling each row to the lcm d of the
+    pivots gives A = d rows^-1.  Raises PreconditionError when the rows are
+    singular.
+    """
+    k = len(rows)
+    aug = [[*row, *(int(i == j) for j in range(k))] for i, row in enumerate(rows)]
+    red, pivots = _rref_int(aug, pivot_limit=k)
+    if len(pivots) < k:
+        raise PreconditionError("matrix is singular")
+    d = math.lcm(*[row[i] for i, row in enumerate(red)])
+    return [[v * (d // row[i]) for v in row[k:]] for i, row in enumerate(red)], d
+
+
 def mat_inverse(m: Matrix) -> Matrix:
+    """The inverse of a square rational matrix: the rational view of
+    ``_int_inverse``.  With row i scaled to integers by c_i, N = C M and
+    N A = d I, so M^-1 = A C / d."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise InputError("matrix is not square")
-    aug = [_int_row(list(row) + [QQ(1) if i == j else QQ(0) for j in range(n)]) for i, row in enumerate(m)]
-    rref_rows, pivots = _rref_int(aug, pivot_limit=n)
-    if list(pivots) != list(range(n)):
-        raise PreconditionError("matrix is singular")
-    inv = []
-    for row, c in zip(rref_rows, pivots):
-        pv = row[c]
-        inv.append(tuple(QQ(x, pv) for x in row[n:]))
-    return tuple(inv)
+    scaled = [_int_vector(row) for row in m]
+    a, d = _int_inverse([r for r, _ in scaled])
+    return tuple(
+        tuple(QQ(v * c, d) for v, (_, c) in zip(row, scaled)) for row in a
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +435,15 @@ class QuadraticSpace:
             for i, row in enumerate(self.int_form)
         )
 
+    @cached_property
+    def int_form_inverse(self) -> tuple[IntRow, ...]:
+        """A positive integer multiple of the inverse form, with no common
+        factor: ``int_form`` times it is a positive multiple of the
+        identity.  It is symmetric, as the form is."""
+        a, _ = _int_inverse(self.int_form)
+        g = math.gcd(*[x for row in a for x in row])
+        return tuple(tuple(x // g for x in row) for row in a)
+
 
 def _times_form(rows: Iterable[Sequence[int]], space: QuadraticSpace) -> list[list[int]]:
     """The integer rows times the space's ``int_form``, accumulated over the
@@ -429,19 +462,44 @@ def _times_form(rows: Iterable[Sequence[int]], space: QuadraticSpace) -> list[li
     return out
 
 
+def _times_inverse(rows: Iterable[Sequence[int]], space: QuadraticSpace) -> list[list[int]]:
+    """The integer rows times the space's ``int_form_inverse``; the inverse
+    is symmetric, so each entry is a row's product with one of its rows."""
+    inv = space.int_form_inverse
+    return [[sum(map(mul, row, col)) for col in inv] for row in rows]
+
+
 def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -> LinearSubspace:
     """{x in W : xi(x, d) = 0 for all d in D}, for D a subspace of W.
 
     With a positive-definite form the result is a true complement of D
-    inside W: the dimensions add up and the intersection is zero.
+    inside W: the dimensions add up and the intersection is zero.  In the
+    whole space the complement is taken from the smaller side of D: the
+    kernel of its k rows times F (``_xi_complement_rows``) while
+    k <= n - k, else the row space of its n - k equations times F^-1
+    (``_equations_complement``).  Inside a smaller W it is always the
+    former.  Either way the result is the canonical subspace.
     """
     if d.ambient_dim != space.dim or w.ambient_dim != space.dim:
         raise InputError("ambient dimension mismatch")
     if d.is_zero:
         return w
-    if not _lies_in(d.int_rows, w):
+    if w.rank == space.dim:
+        if 2 * d.rank > space.dim:
+            return _equations_complement(space, d)
+    elif not _lies_in(d.int_rows, w):
         raise PreconditionError("D must be a subspace of W")
     return _xi_complement_rows(space, d.int_rows, w)
+
+
+def _equations_complement(space: QuadraticSpace, d: LinearSubspace) -> LinearSubspace:
+    """The xi-complement of D in the whole space, from D's equations E.
+
+    x is xi-orthogonal to D exactly when F x vanishes on D, that is when
+    F x is a combination of E's rows; so the complement is the row space
+    of E F^-1 (F^-1 is symmetric), n - k rows reduced once.
+    """
+    return _subspace_from_int_rows(_times_inverse(d.equations, space), space.dim)
 
 
 def _xi_complement_rows(

@@ -11,6 +11,19 @@ definite, that space lies inside Z1 (it is orthogonal to D2, hence to M)
 and meets M only in zero, while Z1 has dimension exactly k1 - m.  So
 Z1 ⊥ D2 exactly when the Gram matrix D1 F D2^T has rank m, and plain
 orthogonality of directions is its all-zero case.  No search is involved.
+
+The same test runs on the xi-complements C1, C2 of the directions.  The
+rank condition says that the F-orthogonal projections P1, P2 onto D1, D2
+commute, and I - P1, I - P2, the projections onto C1, C2, commute exactly
+when P1, P2 do (Halmos, "Two subspaces", Trans. AMS 144, 1969).  With E1,
+E2 the directions' equations, C_i is the row space of E_i F^-1, so
+C1 F C2^T = E1 F^-1 E2^T, and dim(C1 ∩ C2) = n - dim(D1 + D2) =
+n - k1 - k2 + m.  So D1, D2 pass the test exactly when E1 F^-1 E2^T has
+rank n - k1 - k2 + m: an (n - k1) x (n - k2) matrix instead of a k1 x k2
+one, which the graded relations take when it has under a quarter of the
+entries, as for a hyperplane against a flat of codimension 2.  The zero
+test (m = 0) stays on the directions: it needs no elimination, and with
+m = 0, k1 + k2 <= n, so the complements' matrix is never the smaller.
 """
 
 from __future__ import annotations
@@ -41,8 +54,8 @@ from .linalg import (
     QuadraticSpace,
     Vector,
     _forward_steps,
+    _int_inverse,
     _mat_mul_int,
-    _rref_int,
     _subspace_from_int_rows,
     full_subspace,
     mat_mul,
@@ -104,13 +117,27 @@ def _complement_perp(x1: AffineSubspace, x2: AffineSubspace, m: int) -> bool:
     form, D1 ∩ D2^⊥ lies inside Z1, misses the meet's direction, and has
     dimension k1 - rank(D1 F D2^T), while Z1 has dimension k1 - m; so the
     test holds exactly when the Gram matrix has rank m (see the module
-    docstring).  For m = 0 that is a zero Gram matrix; otherwise the rank
-    is the number of steps of one forward pass.
+    docstring).  For m = 0 that is a zero Gram matrix.  Otherwise the rank
+    is the number of steps of one forward pass, over the k1 x k2 Gram
+    matrix, or over the (n - k1) x (n - k2) one of ``_equations_perp``
+    when that has under a quarter of the entries.
     """
-    gram = _gram(x1, x2)
     if not m:
-        return not any(map(any, gram))
-    return len(_forward_steps(gram)) == m
+        return not any(map(any, _gram(x1, x2)))
+    n = x1.space.dim
+    k1, k2 = len(x1.direction.int_rows), len(x2.direction.int_rows)
+    if 4 * (n - k1) * (n - k2) < k1 * k2:
+        return _equations_perp(x1, x2, m)
+    return len(_forward_steps(_gram(x1, x2))) == m
+
+
+def _equations_perp(x1: AffineSubspace, x2: AffineSubspace, m: int) -> bool:
+    """``_complement_perp`` on the directions' xi-complements C1, C2: the
+    Gram matrix E1 F^-1 E2^T, from x1's equations and x2's cached
+    complement rows, has rank n - k1 - k2 + m = dim(C1 ∩ C2)."""
+    cr = x2.complement_rows
+    gram = [[sum(map(mul, e, c)) for c in cr] for e in x1.direction.equations]
+    return len(_forward_steps(gram)) == x1.space.dim - x1.dim - x2.dim + m
 
 
 def _meet_dim(x1: AffineSubspace, x2: AffineSubspace) -> Optional[int]:
@@ -217,7 +244,7 @@ def _int_reflection(x: AffineSubspace) -> tuple[list[list[int]], list[int], int]
 
     The linear part is 2P - I, where P projects onto x's direction along
     its xi-complement: P = B^T (B F B^T)^{-1} B F for direction rows B and
-    the scaled form F.  With an integer L making L (B F B^T)^{-1} integral,
+    the scaled form F.  With L (B F B^T)^{-1} integral (``_int_inverse``),
     A = 2 B^T (L (B F B^T)^{-1}) B F - L I is that linear part scaled by
     d = L; T = d u - A u for the point u / e.
     """
@@ -227,12 +254,7 @@ def _int_reflection(x: AffineSubspace) -> tuple[list[list[int]], list[int], int]
         a = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
         d = 1
     else:
-        k = len(b)
-        gram = _gram(x, x)
-        aug = [gram[i] + [int(i == j) for j in range(k)] for i in range(k)]
-        rows, _ = _rref_int(aug, pivot_limit=k)
-        d = math.lcm(*[row[i] for i, row in enumerate(rows)])
-        ginv = [[v * (d // row[i]) for v in row[k:]] for i, row in enumerate(rows)]
+        ginv, d = _int_inverse(_gram(x, x))
         proj = _mat_mul_int(tuple(zip(*b)), _mat_mul_int(ginv, x.form_rows))
         a = [[2 * v - (d if i == j else 0) for j, v in enumerate(r)]
              for i, r in enumerate(proj)]

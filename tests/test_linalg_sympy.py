@@ -3,10 +3,12 @@
 Seeded rational matrices up to 8 x 8, dense and sparse, full rank and
 rank-deficient, some with entries near 10^12: rank (by RREF and by forward
 elimination alone), RREF, kernel span, determinant, inverse, the product
-of rows with a form and the complement in the whole space must agree with
-sympy exactly.  Seeded symmetric matrices up to 8 x 8 (definite,
-semidefinite, indefinite, and sparse with zero leading entries) check
-positive definiteness and the determinant.
+of rows with a form and the complement in the whole space, for a subspace
+of every dimension grown from each matrix's rows (so from either side of
+it), must agree with sympy exactly.  Seeded symmetric matrices up to
+8 x 8 (definite, semidefinite, indefinite, and sparse with zero leading
+entries) check positive definiteness and the determinant, and the
+definite ones the scaled inverse form.
 """
 
 import random
@@ -137,22 +139,38 @@ def _dense_form(n):
     ]
 
 
+def _every_rank(rows, extra, cols):
+    """For k = 0..rank, a k-dimensional subspace: the span of the first of
+    ``rows`` then ``extra`` that raise the rank."""
+    taken, out = [], [rref_basis([], cols)]
+    for row in [*rows, *extra]:
+        cand = rref_basis([*taken, row], cols)
+        if cand.rank > len(taken):
+            taken.append(row)
+            out.append(cand)
+    return out
+
+
 @pytest.mark.parametrize("index", range(len(CASES)))
 def test_complement_in_full_space_matches_sympy(index):
-    # the kernel of d F, read off one reversed-column elimination
+    # the kernel of d F for k <= n - k, the row space of e F^-1 past that:
+    # every dimension, starting from the case's own rows, reaches both
     rows = CASES[index]
     cols = len(rows[0])
     form = _dense_form(cols)
     space = QuadraticSpace.from_matrix(form)
-    d = rref_basis(rows, cols)
     int_rows = [_int_row(row) for row in rows]
-    for product_rows in (int_rows, d.int_rows):
+    for product_rows in (int_rows, rref_basis(rows, cols).int_rows):
         ours = _times_form(product_rows, space)
         ref_product = _int_matrix(product_rows, cols) * sympy.Matrix(space.int_form)
         assert _int_matrix(ours, cols) == ref_product
-    ref = (_to_sympy(rows) * _to_sympy(form)).nullspace()
-    want = rref_basis([_from_sympy(v.T)[0] for v in ref], cols)
-    assert xi_complement(space, d, full_subspace(cols)) == want
+    full = full_subspace(cols)
+    subspaces = _every_rank(rows, form, cols)
+    assert [d.rank for d in subspaces] == list(range(cols + 1))
+    for d in subspaces:
+        ref = (_int_matrix(d.int_rows, cols) * _to_sympy(form)).nullspace()
+        want = rref_basis([_from_sympy(v.T)[0] for v in ref], cols)
+        assert xi_complement(space, d, full) == want
 
 
 def _gram_of(left, signs, n):
@@ -194,6 +212,16 @@ def _symmetric_cases():
 SYMMETRIC_CASES = list(_symmetric_cases())
 
 
+def _inverse_cases():
+    """Every positive-definite matrix of the symmetric cases, and the dense
+    rational forms."""
+    yield from (rows for definite, rows in SYMMETRIC_CASES if definite)
+    yield from (_dense_form(n) for n in range(1, 9))
+
+
+INVERSE_CASES = list(_inverse_cases())
+
+
 @pytest.mark.parametrize("index", range(len(SYMMETRIC_CASES)))
 def test_positive_definiteness_and_determinant_match_sympy(index):
     definite, rows = SYMMETRIC_CASES[index]
@@ -203,3 +231,15 @@ def test_positive_definiteness_and_determinant_match_sympy(index):
     assert is_positive_definite(rows) is definite
     ref_det = ref.det()
     assert determinant(rows) == Fraction(int(ref_det.p), int(ref_det.q))
+
+
+@pytest.mark.parametrize("index", range(len(INVERSE_CASES)))
+def test_int_form_inverse_matches_sympy(index):
+    rows = INVERSE_CASES[index]
+    space = QuadraticSpace.from_matrix(rows)
+    inv = sympy.Matrix(space.int_form_inverse)
+    product = sympy.Matrix(space.int_form) * inv
+    d = product[0, 0]
+    assert d > 0
+    assert product == d * sympy.eye(space.dim)
+    assert inv == d * sympy.Matrix(space.int_form).inv()

@@ -14,7 +14,8 @@ strings straight to integers, leaving ``Fraction`` as the fallback parser
 for any other entry, and reduces the basis rows to canonical form.
 Equality and hashing of flats are plain structural comparisons of
 integers.  The empty set is not a flat; ``meet`` returns None for disjoint
-arguments.
+arguments.  ``meet`` and the relations read one reduced system, cached on
+the first flat; ``meet`` does no elimination of its own.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .linalg import (
     QQ,
     LinearSubspace,
     QuadraticSpace,
-    _echelon_kernel,
     _int_vector,
+    _kernel_in,
     _lies_in,
     _mat_mul_int,
     _rref_int,
@@ -257,7 +258,7 @@ def _point_difference(x1: AffineSubspace, x2: AffineSubspace) -> tuple[list[int]
 def _meet_parts(
     x1: AffineSubspace, x2: AffineSubspace
 ) -> Optional[tuple[list[list[int]], list[int], int]]:
-    """The intersection as a reduced system in the coordinates of x1's
+    """The intersection as a reduced system in the coefficients of x1's
     direction rows D1, or None when the flats are disjoint.
 
     A point p1 + D1^T a lies on x2 iff E (D1^T a) = E (p2 - p1) for the
@@ -266,7 +267,7 @@ def _meet_parts(
     once.  Returns its reduced augmented rows (the last column is the right
     side, times e), their pivot columns and e.  The meet's direction has
     dimension dim(x1) - len(pivots), which is all the relations read;
-    ``meet`` alone builds the common point and the direction from the rows.
+    ``meet`` alone reads the common point and the direction from the rows.
 
     The result is memoised in x1's instance dict under id(x2), next to x2
     itself, so the entry lives and dies with x1 and a reused id can never
@@ -284,10 +285,11 @@ def _meet_parts(
 def _solve_meet(
     x1: AffineSubspace, x2: AffineSubspace
 ) -> Optional[tuple[list[list[int]], list[int], int]]:
+    """``_meet_parts`` uncached; column c is the coefficient of D1's row k1 - 1 - c."""
     r1 = x1.direction.int_rows
     delta, e = _point_difference(x1, x2)
     aug = [
-        [sum(map(mul, eq, row)) for row in r1] + [sum(map(mul, eq, delta))]
+        [sum(map(mul, eq, row)) for row in reversed(r1)] + [sum(map(mul, eq, delta))]
         for eq in x2.direction.equations
     ]
     rows, pivots = _rref_int(aug, pivot_limit=len(r1))
@@ -309,20 +311,19 @@ def meet(x1: AffineSubspace, x2: AffineSubspace) -> Optional[AffineSubspace]:
         return x1
     rows, pivots, e = parts
     k1 = len(r1)
-    # the particular solution a sets every free coefficient to zero; the
-    # kernel's combinations of D1 span the meet's direction
+    # the particular solution a sets every free coefficient to zero
     lcm_p = math.lcm(*[row[c] for row, c in zip(rows, pivots)])
     coeffs_a = [0] * k1
     for row, c in zip(rows, pivots):
-        coeffs_a[c] = row[k1] * (lcm_p // row[c])
-    meet_coeffs = _echelon_kernel(rows, pivots, k1)
-    direction = _subspace_from_int_rows(_mat_mul_int(meet_coeffs, r1), x1.ambient_dim)
+        coeffs_a[k1 - 1 - c] = row[k1] * (lcm_p // row[c])
     # p1 + D1^T a as one integer combination over lcm_p e, a multiple of p1's
     # denominator
     den = lcm_p * e
     u1, e1 = x1.int_point
     comb = _mat_mul_int([coeffs_a], r1)[0]
     nums = [u * (den // e1) + c for u, c in zip(u1, comb)]
+    # the kernel's combinations of D1 span the meet's direction
+    direction = _kernel_in(rows, pivots, x1.direction)
     return AffineSubspace._canonical(x1.space, nums, den, direction)
 
 

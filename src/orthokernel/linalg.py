@@ -19,7 +19,8 @@ n - k equations (``LinearSubspace.equations``), with
 ``QuadraticSpace.int_form_inverse`` a positive integer multiple of F^-1.
 The xi-complement of D in the whole space is the kernel of D F, or
 equally the row space of E F^-1; ``xi_complement`` works on whichever
-side has fewer rows, and inside a smaller subspace on the rows alone.
+side has fewer rows.  A complement inside W and a meet's direction are
+read by ``_kernel_in`` from one reduction over W's rows in reverse order.
 
 Rationals exist only at the boundary: parsing scalars, vectors and forms
 (``scalar``, ``vector``, ``matrix``, ``rref_basis``, ``QuadraticSpace``)
@@ -284,12 +285,6 @@ def subspace_sum(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
     return _subspace_from_int_rows(a.int_rows + b.int_rows, a.ambient_dim)
 
 
-def _int_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Integer basis of the kernel of an integer matrix (rows are equations)."""
-    rref_rows, pivots = _rref_int(rows)
-    return _echelon_kernel(rref_rows, pivots, ncols)
-
-
 def _echelon_kernel(
     rref_rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
 ) -> list[list[int]]:
@@ -307,6 +302,25 @@ def _echelon_kernel(
             v[c] = -row[f] * (lcm_p // row[c])
         out.append(_primitive(v))
     return out
+
+
+def _kernel_in(
+    rref_rows: Sequence[Sequence[int]], pivots: Sequence[int], w: LinearSubspace
+) -> LinearSubspace:
+    """The canonical subspace of W on which reduced echelon rows vanish,
+    their column c the coefficient of W's row w.rank - 1 - c.
+
+    Read backwards, each echelon kernel vector leads at its own free column,
+    where the others are zero, so its combination of W's rows leads alone
+    at that row's pivot: in reverse order, each divided by its gcd, the
+    combinations are the canonical rows (in the whole space, the vectors).
+    """
+    r = w.rank
+    rows = [v[::-1] for v in reversed(_echelon_kernel(rref_rows, pivots, r))]
+    if r < w.ambient_dim:
+        rows = [_primitive(row) for row in _mat_mul_int(rows, w.int_rows)]
+    own = [w.pivots[r - 1 - c] for c in reversed(range(r)) if c not in pivots]
+    return LinearSubspace(w.ambient_dim, tuple(map(tuple, rows)), tuple(own))
 
 
 def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -478,7 +492,7 @@ def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -
     kernel of its k rows times F (``_xi_complement_rows``) while
     k <= n - k, else the row space of its n - k equations times F^-1
     (``_equations_complement``).  Inside a smaller W it is always the
-    former.  Either way the result is the canonical subspace.
+    former, over W's rows.  Either way the result is the canonical subspace.
     """
     if d.ambient_dim != space.dim or w.ambient_dim != space.dim:
         raise InputError("ambient dimension mismatch")
@@ -506,24 +520,9 @@ def _xi_complement_rows(
     space: QuadraticSpace, d_rows: Sequence[Sequence[int]], w: LinearSubspace
 ) -> LinearSubspace:
     """{x in W : xi(x, d) = 0 for every row d}, from any rows spanning D and
-    with no condition on how D sits against W."""
+    with no condition on how D sits against W: D F over W's rows (the
+    coordinates in the whole space), reversed, reduced once."""
     fd = _times_form(d_rows, space)
-    n = space.dim
-    if w.rank == n:
-        # W is the whole space: the equations act on coordinates directly.
-        # Reduced with the columns reversed, each kernel vector is nonzero
-        # at its own free column, zero at the other free ones, and nonzero
-        # elsewhere only at pivots left of it; read backwards, the vectors
-        # lead at their free columns, so reversing each one and their order
-        # gives the canonical echelon rows with no second reduction.
-        rows, pivots = _rref_int([row[::-1] for row in fd])
-        kernel = _echelon_kernel(rows, pivots, n)
-        pivot_set = set(pivots)
-        return LinearSubspace(
-            n,
-            tuple(tuple(v[::-1]) for v in reversed(kernel)),
-            tuple(n - 1 - c for c in reversed(range(n)) if c not in pivot_set),
-        )
-    gram = [[sum(map(mul, row, wi)) for wi in w.int_rows] for row in fd]
-    coeff_vectors = _int_kernel(gram, w.rank)
-    return _subspace_from_int_rows(_mat_mul_int(coeff_vectors, w.int_rows), space.dim)
+    if w.rank < space.dim:
+        fd = [[sum(map(mul, row, wi)) for wi in w.int_rows] for row in fd]
+    return _kernel_in(*_rref_int([row[::-1] for row in fd]), w)

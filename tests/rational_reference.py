@@ -3,12 +3,14 @@
 These build, in plain rationals, what the package decides in integers:
 the reflection in a flat from the projection formula, the identity
 isometry, the image of a point, composition and equality of isometries,
-the matrix-vector product, the intersection of two subspaces, the
-bilinear form on two vectors, the base point of a flat and the basis of
-a subspace as rationals.  The tests use them as the independent side of
+the matrix-vector product, the kernel of a matrix and the intersection
+of two subspaces by plain Gauss-Jordan over ``Fraction``, the bilinear
+form on two vectors, the base point of a flat and the basis of a
+subspace as rationals.  The tests use them as the independent side of
 their checks; nothing in the package calls them.
 """
 
+import math
 from fractions import Fraction as QQ
 from typing import Sequence
 
@@ -19,8 +21,6 @@ from orthokernel.linalg import (
     Matrix,
     QuadraticSpace,
     Vector,
-    _int_kernel,
-    _subspace_from_int_rows,
     identity_matrix,
     mat_inverse,
     mat_mul,
@@ -67,6 +67,54 @@ def bilinear_eval(space: QuadraticSpace, u: Sequence[QQ], v: Sequence[QQ]) -> QQ
     )
 
 
+def rational_rref(rows: Sequence[Sequence[QQ]], ncols: int) -> tuple[list[list[QQ]], list[int]]:
+    """Reduced row-echelon form (pivots 1) of rational rows, with its pivot
+    columns; zero rows are dropped."""
+    work = [[QQ(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pick = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pick is None:
+            continue
+        work[r], work[pick] = work[pick], work[r]
+        lead = work[r][c]
+        work[r] = [x / lead for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
+def rational_kernel(rows: Sequence[Sequence[QQ]], ncols: int) -> list[list[QQ]]:
+    """A basis of {v : row . v = 0 for every row}, one vector per free column."""
+    red, pivots = rational_rref(rows, ncols)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [QQ(0)] * ncols
+        v[f] = QQ(1)
+        for row, c in zip(red, pivots):
+            v[c] = -row[f]
+        out.append(v)
+    return out
+
+
+def canonical_subspace(vectors: Sequence[Sequence[QQ]], n: int) -> LinearSubspace:
+    """The span of rational vectors in the package's canonical form: the
+    reduced echelon rows, each scaled to a primitive integer row."""
+    red, pivots = rational_rref(vectors, n)
+    int_rows = []
+    for row in red:
+        den = math.lcm(*[x.denominator for x in row])
+        nums = [x.numerator * (den // x.denominator) for x in row]
+        g = math.gcd(*nums)
+        int_rows.append(tuple(x // g for x in nums))
+    return LinearSubspace(n, tuple(int_rows), tuple(pivots))
+
+
 def subspace_intersect(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
     """Intersection of two subspaces via kernel of the stacked coefficient map."""
     if a.ambient_dim != b.ambient_dim:
@@ -83,7 +131,7 @@ def subspace_intersect(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
             [a.int_rows[i][coord] for i in range(ra)]
             + [-b.int_rows[j][coord] for j in range(rb)]
         )
-    ker = _int_kernel(sys_rows, ra + rb)
+    ker = rational_kernel(sys_rows, ra + rb)
     vecs = []
     for coeffs in ker:
         vecs.append(
@@ -92,7 +140,7 @@ def subspace_intersect(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
                 for coord in range(n)
             ]
         )
-    return _subspace_from_int_rows(vecs, n)
+    return canonical_subspace(vecs, n)
 
 
 def projection_reflection(x: AffineSubspace) -> AffineIsometry:

@@ -9,7 +9,9 @@ here both sides run on every case and must agree: n = 2..8, the three
 named forms and a non-diagonal rational one, every satisfiable type from
 ``make_perp_pair``, and every (k1, k2, m) from ``gen_pair_with_meet_dim``,
 which includes point flats, full-space flats, nested pairs and pairs with
-k1 + k2 - m = n.
+k1 + k2 - m = n.  On the same grid the complement of D inside any W, with
+D inside W or not, is W's intersection with D's complement in the whole
+space, the intersection taken by the rational reference.
 """
 
 import random
@@ -42,6 +44,8 @@ from orthokernel.ortho import (
     perp_m,
     rand_subspace_of,
 )
+
+from rational_reference import subspace_intersect
 
 DIMS = range(2, 9)
 
@@ -131,3 +135,26 @@ def test_complement_is_the_same_subspace_from_either_side(n, form):
             # every complement row is xi-orthogonal to every row of d
             fd = _times_form(d.int_rows, space)
             assert not any(sum(map(mul, f, r)) for f in fd for r in primal.int_rows)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("n", DIMS)
+def test_complement_inside_w_is_w_meet_the_full_complement(n, form):
+    # each direction of a pair against the other (D mostly outside W, inside
+    # it for nested pairs), and a subspace of half W's dimension drawn
+    # inside W
+    space = space_of(_cfg(n, form))
+    full = full_subspace(n)
+    rng = random.Random(f"inside:{n}:{form}")
+    inner_rng = random.Random(f"inside-draws:{n}:{form}")
+    shapes = set()
+    for x1, x2 in _pairs(n, form, rng):
+        d1, d2 = x1.direction, x2.direction
+        for w, other in ((d1, d2), (d2, d1)):
+            for d in (other, rand_subspace_of(w, w.rank // 2, inner_rng)):
+                want = subspace_intersect(w, xi_complement(space, d, full))
+                assert _xi_complement_rows(space, d.int_rows, w) == want
+                shapes.add((w.rank, want.rank))
+    # point flats, full-space flats and every complement dimension occur
+    assert {(0, 0), (n, n)} <= shapes
+    assert {r for _, r in shapes} == set(range(n + 1))

@@ -2,10 +2,12 @@
 
 Seeded rational matrices up to 8 x 8, dense and sparse, full rank and
 rank-deficient, some with entries near 10^12: rank (by RREF and by forward
-elimination alone), RREF, kernel span, determinant, inverse, the product
-of rows with a form and the complement in the whole space, for a subspace
-of every dimension grown from each matrix's rows (so from either side of
-it), must agree with sympy exactly.  Seeded symmetric matrices up to
+elimination alone), RREF, the canonical kernel (rows and pivots against
+sympy's nullspace in RREF), determinant, inverse, the product of rows with
+a form, the complement in the whole space, for a subspace of every
+dimension grown from each matrix's rows (so from either side of it), the
+complement inside a smaller subspace, and the direction of a meet must
+agree with sympy exactly.  Seeded symmetric matrices up to
 8 x 8 (definite, semidefinite, indefinite, and sparse with zero leading
 entries) check positive definiteness and the determinant, and the
 definite ones the scaled inverse form.
@@ -17,12 +19,15 @@ from fractions import Fraction
 import pytest
 
 from orthokernel.errors import PreconditionError
+from orthokernel.flats import AffineSubspace, meet
 from orthokernel.linalg import (
     QuadraticSpace,
     _forward_steps,
-    _int_kernel,
     _int_row,
+    _kernel_in,
+    _rref_int,
     _times_form,
+    _xi_complement_rows,
     determinant,
     full_subspace,
     is_positive_definite,
@@ -31,7 +36,7 @@ from orthokernel.linalg import (
     xi_complement,
 )
 
-from rational_reference import rational_basis
+from rational_reference import canonical_subspace, rational_basis
 
 sympy = pytest.importorskip("sympy")
 
@@ -107,15 +112,19 @@ def test_rank_rref_and_kernel_match_sympy(index):
     assert list(rational_basis(ours)) == _from_sympy(ref_rref[: len(ref_pivots), :])
     assert len(_forward_steps([_int_row(row) for row in rows])) == ours.rank
 
-    kernel = _int_kernel([_int_row(row) for row in rows], cols)
-    ref_kernel = ref.nullspace()
-    assert len(kernel) == len(ref_kernel) == cols - ours.rank
-    if kernel:
-        ours_k = sympy.Matrix(kernel)
-        assert (ref * ours_k.T).is_zero_matrix
-        # same span: stacking both bases adds no rank
-        stacked = sympy.Matrix.vstack(ours_k, *[v.T for v in ref_kernel])
-        assert stacked.rank() == ours_k.rank() == len(kernel)
+    # the rows reduced with their columns reversed, read through the helper
+    reversed_rows = [_int_row(row)[::-1] for row in rows]
+    kernel = _kernel_in(*_rref_int(reversed_rows), full_subspace(cols))
+    assert kernel == _sympy_span(ref.nullspace(), cols)
+
+
+def _sympy_span(vectors, cols):
+    """The span of sympy column vectors as a canonical subspace: the rows of
+    sympy's RREF, each scaled to a primitive integer row."""
+    if not vectors:
+        return canonical_subspace([], cols)
+    red, pivots = sympy.Matrix.hstack(*vectors).T.rref()
+    return canonical_subspace(_from_sympy(red[: len(pivots), :]), cols)
 
 
 @pytest.mark.parametrize("index", [i for i, c in enumerate(CASES) if len(c) == len(c[0])])
@@ -171,6 +180,56 @@ def test_complement_in_full_space_matches_sympy(index):
         ref = (_int_matrix(d.int_rows, cols) * _to_sympy(form)).nullspace()
         want = rref_basis([_from_sympy(v.T)[0] for v in ref], cols)
         assert xi_complement(space, d, full) == want
+
+
+def _sympy_complement_in(space, d_rows, w, cols):
+    """sympy's {x in W : d F x = 0 for every row d}: the combinations c of
+    W's rows B with d F B^T c = 0."""
+    b = _int_matrix(w.int_rows, cols)
+    system = _int_matrix(d_rows, cols) * sympy.Matrix(space.int_form) * b.T
+    return _sympy_span([b.T * c for c in system.nullspace()], cols)
+
+
+@pytest.mark.parametrize("index", [i for i, c in enumerate(CASES) if len(c[0]) > 1])
+def test_complement_inside_a_smaller_subspace_matches_sympy(index):
+    # for each W smaller than the space, D inside W and D from the form's
+    # rows, which mostly lies outside it, each of half W's dimension
+    rows = CASES[index]
+    cols = len(rows[0])
+    form = _dense_form(cols)
+    space = QuadraticSpace.from_matrix(form)
+    inner = _every_rank(rows, form, cols)
+    outer = _every_rank(form, rows, cols)
+    for w in inner[1:-1]:
+        for d in (inner[w.rank // 2], outer[(w.rank + 1) // 2]):
+            ours = _xi_complement_rows(space, d.int_rows, w)
+            assert ours == _sympy_complement_in(space, d.int_rows, w, cols)
+
+
+@pytest.mark.parametrize("index", [i for i, c in enumerate(CASES) if len(c[0]) > 1])
+def test_meet_direction_matches_sympy(index):
+    # two flats through a common point, their directions drawn from the
+    # chains of the case's rows and of the form's rows, with meets of
+    # dimension 0, 1, 2 and k1: D1 ∩ D2 is the span of D1^T c over the
+    # solutions of D1^T c = D2^T c'
+    rows = CASES[index]
+    cols = len(rows[0])
+    form = _dense_form(cols)
+    space = QuadraticSpace.from_matrix(form)
+    inner = _every_rank(rows, form, cols)
+    outer = _every_rank(form, rows, cols)
+    point = rows[0]
+    for k1 in range(1, cols + 1):
+        x1 = AffineSubspace.make(space, point, inner[k1])
+        b1 = _int_matrix(inner[k1].int_rows, cols)
+        for k2 in sorted({max(1, cols - k1), cols + 1 - k1, min(cols, cols + 2 - k1), cols}):
+            d2 = outer[k2]
+            shift = [p + x for p, x in zip(point, rational_basis(d2)[0])]
+            x2 = AffineSubspace.make(space, shift, d2)
+            b2 = _int_matrix(d2.int_rows, cols)
+            system = sympy.Matrix.hstack(b1.T, -b2.T)
+            ref = _sympy_span([b1.T * c[:k1, :] for c in system.nullspace()], cols)
+            assert meet(x1, x2).direction == ref
 
 
 def _gram_of(left, signs, n):

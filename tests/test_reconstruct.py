@@ -846,14 +846,53 @@ def test_witnesses_take_fewer_eliminations(monkeypatch):
     # 11 eliminations for lemma 2 (10 with an rng) and 10 for lemma 1; one
     # per subspace took 5 each.  Lemma 2 now builds only the complements it
     # draws from: with k1 = 1 none for x1.  Lemma 1 reads the meet's
-    # dimension where it built the meet, one reduction fewer
-    assert _witness_eliminations(monkeypatch, 3) == [(4, 4), (4, 4)]
+    # dimension where it built the meet, one reduction fewer, and its
+    # complement inside x2's direction is read from the one reduction of
+    # the equations over x2's rows, where a kernel was reduced again (4)
+    assert _witness_eliminations(monkeypatch, 3) == [(4, 3), (4, 3)]
 
 
 def test_lemma2_skips_a_complement_it_does_not_draw_from(monkeypatch):
     # with k2 = 2 there is no complement for x2 either: its d2 and w
-    # already span it (the lines do not meet)
-    assert _witness_eliminations(monkeypatch, 2) == [(3, 4), (3, 4)]
+    # already span it (the lines do not meet); lemma 1 as above
+    assert _witness_eliminations(monkeypatch, 2) == [(3, 3), (3, 3)]
+
+
+def _meeting_pair():
+    cfg = GenConfig(dim=6, seed=0, form="tridiag")
+    x1, x2 = gen_pair_with_meet_dim(cfg, 3, 4, 2, random.Random(8))
+    assert x1.dim == 3 and x2.dim == 4
+    return x1, x2
+
+
+def test_meet_reads_its_direction_from_the_meet_system(monkeypatch):
+    # the meet system alone; the kernel's combinations were reduced again
+    x1, x2 = _meeting_pair()
+    calls = _count_eliminations(monkeypatch)
+    assert meet(x1, x2).dim == 2
+    assert len(calls) == 1
+
+
+def test_meet_after_a_relation_takes_no_elimination(monkeypatch):
+    # perp_g reduced the meet system for the meet's dimension; meet reads
+    # the cached system, where it reduced the kernel's combinations again
+    x1, x2 = _meeting_pair()
+    ortho_module.perp_g(x1, x2)
+    calls = _count_eliminations(monkeypatch)
+    assert meet(x1, x2).dim == 2
+    assert not calls
+
+
+def test_complement_inside_a_smaller_flat_takes_one_elimination(monkeypatch):
+    # the equations over v's rows reduced once; a Gram kernel and its
+    # combinations of v's rows took two
+    cfg = GenConfig(dim=6, seed=0, form="tridiag")
+    x, v = gen_pair_with_meet_dim(cfg, 2, 4, 2, random.Random(2))
+    assert is_subflat(x, v) and v.dim == 4
+    q = AffineSubspace.from_point(x.space, rational_point(x))
+    calls = _count_eliminations(monkeypatch)
+    assert orthocomplement_in(x, v, q).dim == 2
+    assert len(calls) == 1
 
 
 def test_sampled_zero_meet_decision_takes_one_elimination(monkeypatch):

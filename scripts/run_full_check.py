@@ -3,7 +3,9 @@
 
 One JSON report per dimension, all three default forms, core properties by
 default (pass --props all to include the reconstruction set). Exit status 1
-when any dimension reports a violation.
+when any dimension reports a violation; exit status 2, with no further
+dimension run, as soon as check exits 2 for one and writes no report: it
+refused the input, or a generator gave up in a trial.
 """
 
 import argparse
@@ -51,6 +53,10 @@ def main():
                 "--json", str(report),
             ]
         )
+        if code == 2:
+            # check has said on stderr what it refused or what gave up
+            print(f"dim {n}: exit 2, no report written", file=sys.stderr)
+            return 2
         failing += code != 0
         print(f"dim {n}: exit {code}, report written to {report}")
     elapsed = time.perf_counter() - t0

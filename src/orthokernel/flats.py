@@ -235,7 +235,8 @@ def int_vector_from_wire(entries: list) -> tuple[list[int], int]:
 
 
 def _check_same_space(x1: AffineSubspace, x2: AffineSubspace) -> None:
-    if x1.space != x2.space:
+    # spaces come from resolve_space's cache; == compares the forms entry by entry
+    if x1.space is not x2.space and x1.space != x2.space:
         raise InputError("flats live in different ambient spaces")
 
 

@@ -31,6 +31,8 @@ from .ortho import (
     COEFF_BOUND,
     RETRIES,
     TypedPerpParams,
+    _draw,
+    _draws,
     _rand_extension,
     _rand_int_point,
     rand_subspace_of,
@@ -128,7 +130,7 @@ def gen_point(cfg: GenConfig, rng: random.Random) -> AffineSubspace:
 
 
 def _rand_int_vector(n: int, rng: random.Random) -> tuple[int, ...]:
-    return tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(n))
+    return tuple(_draws(rng, -COEFF_BOUND, COEFF_BOUND, n))
 
 
 def gen_subspace(cfg: GenConfig, k: int, rng: random.Random) -> AffineSubspace:
@@ -178,8 +180,8 @@ def random_point_of(flat: AffineSubspace, rng: random.Random) -> AffineSubspace:
     """A random member point flat: base plus a small combination of
     directions."""
     nums, den = flat.int_point
-    for row in flat.direction.int_rows:
-        c = rng.randint(-COEFF_BOUND, COEFF_BOUND)
+    rows = flat.direction.int_rows
+    for row, c in zip(rows, _draws(rng, -COEFF_BOUND, COEFF_BOUND, len(rows))):
         if c:
             nums = [x + c * den * y for x, y in zip(nums, row)]
     return AffineSubspace._canonical(
@@ -241,8 +243,8 @@ def gen_perp_to(
     room = n - a.dim
     if room < 1:
         raise InputError("ambient space leaves no orthogonal head room")
-    m = rng.randint(0, a.dim - 1)
-    k = rng.randint(m + 1, m + room)
+    m = _draw(rng, 0, a.dim - 1)
+    k = _draw(rng, m + 1, m + room)
     dir_m = rand_subspace_of(a.direction, m, rng)
     comp = xi_complement(space, a.direction, full_subspace(n))
     # dir_m lies in A's direction, which meets its complement only in zero
@@ -254,9 +256,9 @@ def rand_params(rng: random.Random, n: int) -> TypedPerpParams:
     """A uniform-ish satisfiable dimension type for ambient dimension n."""
     if n < 2:
         raise InputError("typed pairs need ambient dimension at least 2")
-    k1 = rng.randint(1, n - 1)
-    k2 = rng.randint(k1, n - 1)
-    m = rng.randint(max(0, k1 + k2 - n), k1 - 1)
+    k1 = _draw(rng, 1, n - 1)
+    k2 = _draw(rng, k1, n - 1)
+    m = _draw(rng, max(0, k1 + k2 - n), k1 - 1)
     return TypedPerpParams(m, k1, k2)
 
 

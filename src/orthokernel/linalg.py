@@ -113,11 +113,12 @@ def _primitive(row: list[int]) -> list[int]:
     return row
 
 
-def _rref_int(rows: list[list[int]], pivot_limit: Optional[int] = None) -> tuple[list[list[int]], list[int]]:
+def _rref_int(rows: Iterable[Sequence[int]], pivot_limit: Optional[int] = None) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan.
 
     Returns the nonzero echelon rows (each primitive, positive pivot, zeros
     above and below every pivot) together with the pivot column indices.
+    Every row kept is a new list; the input rows are never changed.
     ``pivot_limit`` restricts pivot search to the first columns, which lets
     callers reduce augmented systems without pivoting on the right-hand side.
     """
@@ -246,7 +247,7 @@ def _lies_in(rows: Iterable[Sequence[int]], w: LinearSubspace) -> bool:
 
 
 def _subspace_from_int_rows(rows: Sequence[Sequence[int]], ambient_dim: int) -> LinearSubspace:
-    rref_rows, pivots = _rref_int([list(r) for r in rows])
+    rref_rows, pivots = _rref_int(rows)
     return LinearSubspace(
         ambient_dim,
         tuple(tuple(r) for r in rref_rows),

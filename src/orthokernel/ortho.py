@@ -298,14 +298,38 @@ RETRIES = 64
 COEFF_BOUND = 3
 
 
+def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``count`` integers of [lo, hi], drawn as ``Random.randint`` draws them:
+    each is lo + getrandbits(k), k the bit length of the range's size, and
+    a draw past hi is dropped for the next one.  So the values and the
+    generator's state after them are those of as many ``randint`` calls,
+    and a range of one value still takes a word; only ``getrandbits`` is
+    relied on."""
+    size = hi - lo + 1
+    if size < 1:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    k = size.bit_length()
+    out = []
+    while len(out) < count:
+        r = rng.getrandbits(k)
+        if r < size:
+            out.append(lo + r)
+    return out
+
+
+def _draw(rng: random.Random, lo: int, hi: int) -> int:
+    """One integer of [lo, hi], drawn as ``_draws`` draws each."""
+    return _draws(rng, lo, hi, 1)[0]
+
+
 def _rand_int_point(n: int, rng: random.Random) -> tuple[list[int], int]:
     """A random point of Q^n as numerators over the lcm of its denominators.
 
     Each coordinate draws its numerator, then its denominator."""
     draws = [
         (
-            rng.randint(-NUMERATOR_BOUND, NUMERATOR_BOUND),
-            rng.randint(1, DENOMINATOR_BOUND),
+            _draw(rng, -NUMERATOR_BOUND, NUMERATOR_BOUND),
+            _draw(rng, 1, DENOMINATOR_BOUND),
         )
         for _ in range(n)
     ]
@@ -336,24 +360,23 @@ def _rand_extension(
     w, the result is a (len(base_rows) + k)-subspace of w between the two,
     which needs len(base_rows) + k <= rank w (flat_between's range check).
     """
-    if not 0 <= k <= w.rank:
-        raise InputError(f"cannot draw a {k}-dimensional subspace of rank {w.rank}")
+    rank = w.rank
+    if not 0 <= k <= rank:
+        raise InputError(f"cannot draw a {k}-dimensional subspace of rank {rank}")
     n = w.ambient_dim
-    if rng is None or k in (0, w.rank):
+    if rng is None or k in (0, rank):
         # nothing to draw
-        if not base_rows and k in (0, w.rank):
+        if not base_rows and k in (0, rank):
             # none or all of w
             return w if k else zero_subspace(n)
         return _subspace_from_int_rows([*base_rows, *w.int_rows[:k]], n)
+    target = len(base_rows) + k
     for _ in range(RETRIES):
-        coeffs = [
-            [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(w.rank)]
-            for _ in range(k)
-        ]
+        coeffs = [_draws(rng, -COEFF_BOUND, COEFF_BOUND, rank) for _ in range(k)]
         # the whole space's rows are the identity: the product is coeffs
-        rows = coeffs if w.rank == n else _mat_mul_int(coeffs, w.int_rows)
+        rows = coeffs if rank == n else _mat_mul_int(coeffs, w.int_rows)
         cand = _subspace_from_int_rows([*base_rows, *rows], n)
-        if cand.rank == len(base_rows) + k:
+        if cand.rank == target:
             return cand
     raise GenerationError(f"no independent {k}-subspace after {RETRIES} draws")
 

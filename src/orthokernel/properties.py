@@ -50,6 +50,7 @@ from .linalg import QuadraticSpace, zero_subspace
 from .ortho import (
     RETRIES,
     TypedPerpParams,
+    _draw,
     make_perp_pair,
     orthocomplement_in,
     perp_g,
@@ -114,23 +115,23 @@ def _mixed_pair(ctx: TrialContext):
     if r < 0.45:
         return make_perp_pair(ctx.space, rand_params(rng, n), rng)
     if r < 0.70:
-        k1 = rng.randint(0, n)
-        k2 = rng.randint(0, n)
-        m = rng.randint(max(0, k1 + k2 - n), min(k1, k2))
+        k1 = _draw(rng, 0, n)
+        k2 = _draw(rng, 0, n)
+        m = _draw(rng, max(0, k1 + k2 - n), min(k1, k2))
         return gen_pair_with_meet_dim(ctx.cfg, k1, k2, m, rng)
     if r < 0.85:
-        b = gen_subspace(ctx.cfg, rng.randint(0, n), rng)
-        return sub_flat(b, rng.randint(0, b.dim), rng), b
+        b = gen_subspace(ctx.cfg, _draw(rng, 0, n), rng)
+        return sub_flat(b, _draw(rng, 0, b.dim), rng), b
     return (
-        gen_subspace(ctx.cfg, rng.randint(0, n), rng),
-        gen_subspace(ctx.cfg, rng.randint(0, n), rng),
+        gen_subspace(ctx.cfg, _draw(rng, 0, n), rng),
+        gen_subspace(ctx.cfg, _draw(rng, 0, n), rng),
     )
 
 
 def _nested_pair(ctx: TrialContext, min_outer: int = 0):
     n = ctx.space.dim
-    outer = gen_subspace(ctx.cfg, ctx.rng.randint(min_outer, n), ctx.rng)
-    inner = sub_flat(outer, ctx.rng.randint(0, outer.dim), ctx.rng)
+    outer = gen_subspace(ctx.cfg, _draw(ctx.rng, min_outer, n), ctx.rng)
+    inner = sub_flat(outer, _draw(ctx.rng, 0, outer.dim), ctx.rng)
     return inner, outer
 
 
@@ -182,9 +183,9 @@ def _p_noinc(ctx: TrialContext) -> Optional[dict]:
 
 def _chain(ctx: TrialContext):
     n = ctx.space.dim
-    cdim = ctx.rng.randint(2, n)
-    bdim = ctx.rng.randint(1, cdim - 1)
-    adim = ctx.rng.randint(0, bdim - 1)
+    cdim = _draw(ctx.rng, 2, n)
+    bdim = _draw(ctx.rng, 1, cdim - 1)
+    adim = _draw(ctx.rng, 0, bdim - 1)
     c = gen_subspace(ctx.cfg, cdim, ctx.rng)
     b = sub_flat(c, bdim, ctx.rng)
     a = sub_flat(b, adim, ctx.rng)
@@ -217,8 +218,8 @@ def _p_uniq(ctx: TrialContext) -> Optional[dict]:
 
 def _p_pointmeet(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
-    k1 = ctx.rng.randint(1, n - 1)
-    k2 = ctx.rng.randint(1, n - k1)
+    k1 = _draw(ctx.rng, 1, n - 1)
+    k2 = _draw(ctx.rng, 1, n - k1)
     if ctx.rng.random() < 0.5:
         a, b = make_perp_pair(ctx.space, TypedPerpParams(0, k1, k2), ctx.rng)
     else:
@@ -233,13 +234,13 @@ def _p_perpxsup(ctx: TrialContext) -> Optional[dict]:
     rng = ctx.rng
     q = gen_point(ctx.cfg, rng)
     full = AffineSubspace.full(ctx.space)
-    y = flat_between(q, full, rng.randint(1, n - 1), rng)
+    y = flat_between(q, full, _draw(rng, 1, n - 1), rng)
     comp = orthocomplement_in(y, full, q)
-    x1 = flat_between(q, comp, rng.randint(0, comp.dim), rng)
+    x1 = flat_between(q, comp, _draw(rng, 0, comp.dim), rng)
     if rng.random() < 0.8:
-        x2 = flat_between(q, comp, rng.randint(0, comp.dim), rng)
+        x2 = flat_between(q, comp, _draw(rng, 0, comp.dim), rng)
     else:
-        x2 = flat_between(q, full, rng.randint(0, n), rng)
+        x2 = flat_between(q, full, _draw(rng, 0, n), rng)
     if perp_x(x1, y) and perp_x(x2, y):
         if not perp_x(join(x1, x2), y):
             return _ce("join broke shared-point orthogonality", y=y, x1=x1, x2=x2)
@@ -304,7 +305,7 @@ def _p_go_q_indep(ctx: TrialContext) -> Optional[dict]:
 
 def _p_sqcup(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
-    a = gen_subspace(ctx.cfg, ctx.rng.randint(1, n - 1), ctx.rng)
+    a = gen_subspace(ctx.cfg, _draw(ctx.rng, 1, n - 1), ctx.rng)
     b = gen_perp_to(a, random_point_of(a, ctx.rng), ctx.rng)
     c = gen_perp_to(a, random_point_of(a, ctx.rng), ctx.rng)
     if perp_g(a, b) and perp_g(a, c):
@@ -322,7 +323,7 @@ def _restriction_check(
     """a rel b survives shrinking b to a flat c with a ∩ b ⊆ c ⊆ b; margin 1
     keeps c off the meet, for a relation that fails on nested flats."""
     mm = meet(a, b)
-    c = flat_between(mm, b, ctx.rng.randint(mm.dim + margin, b.dim), ctx.rng)
+    c = flat_between(mm, b, _draw(ctx.rng, mm.dim + margin, b.dim), ctx.rng)
     if rel(a, b) and not rel(a, c):
         return _ce(f"restriction above the meet lost {name}", a=a, b=b, c=c)
     return None
@@ -335,7 +336,7 @@ def _piece_join_check(
     """a rel b survives joining b with a flat c with a ∩ b ⊆ c ⊆ a; margin 1
     keeps c off a, for a relation that fails on nested flats."""
     mm = meet(a, b)
-    c = flat_between(mm, a, ctx.rng.randint(mm.dim, a.dim - margin), ctx.rng)
+    c = flat_between(mm, a, _draw(ctx.rng, mm.dim, a.dim - margin), ctx.rng)
     if rel(a, b) and not rel(a, join(b, c)):
         return _ce(f"join with a piece of a lost {name}", a=a, b=b, c=c)
     return None
@@ -353,7 +354,7 @@ def _p_cosik(ctx: TrialContext) -> Optional[dict]:
 
 def _p_meetprop(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
-    a = gen_subspace(ctx.cfg, ctx.rng.randint(1, n - 1), ctx.rng)
+    a = gen_subspace(ctx.cfg, _draw(ctx.rng, 1, n - 1), ctx.rng)
     q = random_point_of(a, ctx.rng)
     b = gen_perp_to(a, q, ctx.rng)
     c = gen_perp_to(a, q, ctx.rng)
@@ -403,17 +404,17 @@ def _p_axo_d(ctx: TrialContext) -> Optional[dict]:
 def _p_axo_e(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
     rng = ctx.rng
-    a = gen_subspace(ctx.cfg, rng.randint(1, n - 1), rng)
+    a = gen_subspace(ctx.cfg, _draw(rng, 1, n - 1), rng)
     r = rng.random()
     if r < 0.5:
         b = gen_perp_to(a, random_point_of(a, rng), rng)
         c = gen_perp_to(a, random_point_of(a, rng), rng)
     elif r < 0.75:
-        b = super_flat(a, rng.randint(a.dim, n), rng)
+        b = super_flat(a, _draw(rng, a.dim, n), rng)
         c = gen_perp_to(a, random_point_of(a, rng), rng)
     else:
         b = gen_perp_to(a, random_point_of(a, rng), rng)
-        c = sub_flat(a, rng.randint(0, a.dim), rng)
+        c = sub_flat(a, _draw(rng, 0, a.dim), rng)
     if perp_go(a, b) and perp_go(a, c):
         if not perp_go(a, join(b, c)):
             return _ce("join lost perp_go", a=a, b=b, c=c)
@@ -433,18 +434,18 @@ def _p_axo_g(ctx: TrialContext) -> Optional[dict]:
 def _p_axo_h(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
     rng = ctx.rng
-    a = gen_subspace(ctx.cfg, rng.randint(1, n - 1), rng)
+    a = gen_subspace(ctx.cfg, _draw(rng, 1, n - 1), rng)
     q = random_point_of(a, rng)
     r = rng.random()
     if r < 0.6:
         b = gen_perp_to(a, q, rng)
         c = gen_perp_to(a, q, rng)
     elif r < 0.8:
-        b = super_flat(a, rng.randint(a.dim, n), rng)
+        b = super_flat(a, _draw(rng, a.dim, n), rng)
         c = gen_perp_to(a, q, rng)
     else:
         b = gen_perp_to(a, q, rng)
-        c = flat_between(q, a, rng.randint(0, a.dim), rng)
+        c = flat_between(q, a, _draw(rng, 0, a.dim), rng)
     if perp_go(a, b) and perp_go(a, c):
         bc = meet(b, c)
         if bc is not None and meet(a, bc) is not None:
@@ -460,9 +461,9 @@ def _p_axo_h(ctx: TrialContext) -> Optional[dict]:
 def _p_nontriv(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
     rng = ctx.rng
-    k1 = rng.randint(1, n)
-    k2 = rng.randint(k1, n)
-    m = rng.randint(0, k1 - 1)
+    k1 = _draw(rng, 1, n)
+    k2 = _draw(rng, k1, n)
+    m = _draw(rng, 0, k1 - 1)
     params = TypedPerpParams(m, k1, k2)
     if params.satisfiable_in(n):
         try:
@@ -529,8 +530,8 @@ _LEM2_ATTEMPTS = 8
 def _p_lem2(ctx: TrialContext) -> Optional[dict]:
     n = ctx.space.dim
     rng = ctx.rng
-    k1 = rng.randint(1, n - 2)
-    k2 = rng.randint(2, n - k1)
+    k1 = _draw(rng, 1, n - 2)
+    k2 = _draw(rng, 2, n - k1)
     l1, l2 = gen_line_pair(ctx.cfg, rng, orthogonal=rng.random() < 0.5)
     if line_perp_ground_truth(l1, l2):
         x1, x2 = lemma2_witness(l1, l2, k1, k2, rng if rng.random() < 0.5 else None)
@@ -546,8 +547,8 @@ def _p_lem2(ctx: TrialContext) -> Optional[dict]:
                        l1=l1, l2=l2, x1=x1, x2=x2)
     else:
         for _ in range(_LEM2_ATTEMPTS):
-            x1 = super_flat(l1, rng.randint(1, n - 1), rng)
-            x2 = super_flat(l2, rng.randint(1, n - 1), rng)
+            x1 = super_flat(l1, _draw(rng, 1, n - 1), rng)
+            x2 = super_flat(l2, _draw(rng, 1, n - 1), rng)
             if perp_x(x1, x2):
                 return _ce(
                     "non-orthogonal lines sit inside an orthogonal pair",

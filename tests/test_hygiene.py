@@ -4,7 +4,8 @@ Quick start names and the error classes and nothing else, no public name
 that only the tests read, no private function or class that the package
 does not read, every binding the benchmark's tracer patches still exists
 and the benchmark's self-tests pass, every CLI option and benchmark
-record is documented, and no trial builds a rational."""
+record is documented, no trial builds a rational, and the package draws
+its bounded integers through one helper."""
 
 import argparse
 import ast
@@ -239,3 +240,10 @@ def test_trials_build_no_fractions():
     finally:
         Fraction.__new__ = original
     assert built == 0
+
+
+def test_integer_draws_have_one_seam():
+    """Every bounded integer the package draws comes from ortho._draws,
+    which relies on getrandbits alone."""
+    drawing = [p.name for p in PACKAGE_DIR.glob("*.py") if ".randint(" in p.read_text()]
+    assert drawing == []

@@ -6,6 +6,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
+from orthokernel import ortho
 from orthokernel.errors import (
     GenerationError,
     InputError,
@@ -43,9 +44,14 @@ from orthokernel.linalg import (
     zero_subspace,
 )
 from orthokernel.ortho import (
+    COEFF_BOUND,
+    DENOMINATOR_BOUND,
+    NUMERATOR_BOUND,
     RETRIES,
     AffineIsometry,
     TypedPerpParams,
+    _draw,
+    _draws,
     _rand_extension,
     make_perp_pair,
     orthocomplement_in,
@@ -400,14 +406,33 @@ def test_rand_subspace_of_range_check(rng):
         rand_subspace_of(full_subspace(3), 4, rng)
 
 
-class _CountingRandom(random.Random):
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.draws = 0
+def _policy_ranges():
+    """Every (lo, hi) the package passes to _draws for ambient dimension
+    n <= 8: the fixed bounds of the draw policy and every range inside
+    [0, 8], which holds the dimension draws of the generators and the
+    property trials and ranges of one value."""
+    fixed = [(-COEFF_BOUND, COEFF_BOUND), (-NUMERATOR_BOUND, NUMERATOR_BOUND),
+             (1, DENOMINATOR_BOUND), (-3, -3)]
+    return fixed + [(lo, hi) for hi in range(9) for lo in range(hi + 1)]
 
-    def randint(self, a, b):
-        self.draws += 1
-        return super().randint(a, b)
+
+def test_draws_are_randint_draws():
+    """_draws gives the values of as many Random.randint calls and leaves
+    the generator in the same state, for every range the package draws
+    from, over 200 seeds and counts from 0 to 12; _draw is one of them."""
+    for seed in range(200):
+        for lo, hi in _policy_ranges():
+            count = (seed + lo + 3 * hi) % 13
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = _draws(got_rng, lo, hi, count)
+            assert got == [want_rng.randint(lo, hi) for _ in range(count)]
+            assert _draw(got_rng, lo, hi) == want_rng.randint(lo, hi)
+            assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_draws_refuse_an_empty_range():
+    with pytest.raises(ValueError):
+        _draws(random.Random(0), 1, 0, 1)
 
 
 def _between_reference(base, w, k, rng):
@@ -420,23 +445,33 @@ def _between_reference(base, w, k, rng):
     raise GenerationError("the reference draw gave up")
 
 
-def _extension_matches(base, w, k, seed):
+def _extension_matches(monkeypatch, base, w, k, seed):
     """_rand_extension equals its reference draw, from equal rngs left in
-    equal states; True when a draw was retried.  For base meeting w only
-    in zero the reference is the sum of base and rand_subspace_of's draw,
-    for base inside w it is _between_reference."""
-    want_rng, got_rng = random.Random(seed), _CountingRandom(seed)
+    equal states; True when a draw was retried, seen as more coefficients
+    drawn through ortho._draws than one draw of k rows takes.  For base
+    meeting w only in zero the reference is the sum of base and
+    rand_subspace_of's draw, for base inside w it is _between_reference."""
+    want_rng, got_rng = random.Random(seed), random.Random(seed)
     if subspace_sum(base, w) == w:
         want = _between_reference(base, w, k, want_rng)
     else:
         want = subspace_sum(base, rand_subspace_of(w, k, want_rng))
-    assert _rand_extension(base.int_rows, w, k, got_rng) == want
+    drawn = []
+
+    def counting(*args):
+        values = _draws(*args)
+        drawn.extend(values)
+        return values
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ortho, "_draws", counting)
+        assert _rand_extension(base.int_rows, w, k, got_rng) == want
     assert got_rng.getstate() == want_rng.getstate()
-    return 0 < k < w.rank and got_rng.draws > k * w.rank
+    return 0 < k < w.rank and len(drawn) > k * w.rank
 
 
 @pytest.mark.parametrize("form", ["identity", "diag", "tridiag"])
-def test_fused_extension_is_the_sum_of_the_same_draw(form):
+def test_fused_extension_is_the_sum_of_the_same_draw(form, monkeypatch):
     for n in range(1, 7):
         space = resolve_space(n, form)
         full = full_subspace(n)
@@ -452,19 +487,20 @@ def test_fused_extension_is_the_sum_of_the_same_draw(form):
                 w = rand_subspace_of(full, rng.randint(0, n - base.rank), rng)
                 if subspace_sum(base, w).rank != base.rank + w.rank:
                     continue
-            _extension_matches(base, w, rng.randint(0, w.rank), rng.getrandbits(32))
+            k = rng.randint(0, w.rank)
+            _extension_matches(monkeypatch, base, w, k, rng.getrandbits(32))
             # base inside w, as flat_between uses it
             w = subspace_sum(base, w)
             k = rng.randint(0, w.rank - base.rank)
-            _extension_matches(base, w, k, rng.getrandbits(32))
+            _extension_matches(monkeypatch, base, w, k, rng.getrandbits(32))
     # one line from a plane: about one draw in 49 collapses and is redrawn
     space = resolve_space(3, form)
     base = rref_basis([(1, 1, 1)], 3)
     w = xi_complement(space, base, full_subspace(3))
-    assert sum(_extension_matches(base, w, 1, seed) for seed in range(300)) > 0
+    assert sum(_extension_matches(monkeypatch, base, w, 1, s) for s in range(300)) > 0
     # a plane through that line: one draw in 7 collapses onto it or to zero
     w = rref_basis([(1, 1, 1), (1, 0, 0)], 3)
-    assert sum(_extension_matches(base, w, 1, seed) for seed in range(100)) > 5
+    assert sum(_extension_matches(monkeypatch, base, w, 1, s) for s in range(100)) > 5
 
 
 @pytest.mark.parametrize("form", ["identity", "diag", "tridiag"])

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tokenize
@@ -121,6 +122,49 @@ def test_full_check_refuses_bad_dims(dims, tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "--dims" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        (["--trials", "0"], []),
+        (["--trials", "1", "--props", "P-NOPE"], []),
+        # dimension 3 runs and writes its report before 1 is refused
+        (["--trials", "1", "--props", "P-SYM", "--dims", "3,1"], [3]),
+    ],
+)
+def test_full_check_stops_at_a_refused_dimension(argv, ran, tmp_path):
+    out = tmp_path / "reports"
+    proc = run_script(FULL_CHECK, *argv, "--out", str(out))
+    assert proc.returncode == 2
+    assert [ln for ln in proc.stdout.splitlines() if ln.startswith("dim ")] == [
+        f"dim {n}: exit 0, report written to {out / f'check-dim{n}.json'}" for n in ran
+    ]
+    assert sorted(p.name for p in out.iterdir()) == [f"check-dim{n}.json" for n in ran]
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.splitlines()[-1].endswith("exit 2, no report written")
+
+
+def test_full_check_stops_when_a_generator_gives_up(monkeypatch, capsys, tmp_path):
+    """check exits 2 on a GenerationError as on refused input, and writes
+    no report either way, so the run stops there as well."""
+    from orthokernel import properties
+    from orthokernel.errors import GenerationError
+
+    def gives_up(ctx):
+        raise GenerationError("no draw after 64 tries")
+
+    monkeypatch.setitem(properties.REGISTRY, "P-SYM", gives_up)
+    out = tmp_path / "reports"
+    argv = ["--trials", "1", "--props", "P-SYM", "--dims", "3,4", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", [str(FULL_CHECK), *argv])
+    assert runpy.run_path(str(FULL_CHECK))["main"]() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: no draw after 64 tries", "dim 3: exit 2, no report written"
+    ]
+    assert list(out.iterdir()) == []
 
 
 def _run_with_stated_outputs(block, namespace):

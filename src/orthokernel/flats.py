@@ -265,10 +265,12 @@ def _meet_parts(
     A point p1 + D1^T a lies on x2 iff E (D1^T a) = E (p2 - p1) for the
     equations E of x2's direction; with p2 - p1 = delta / e over a common
     denominator, the system E D1^T a = E delta / e is reduced in integers
-    once.  Returns its reduced augmented rows (the last column is the right
-    side, times e), their pivot columns and e.  The meet's direction has
-    dimension dim(x1) - len(pivots), which is all the relations read;
-    ``meet`` alone reads the common point and the direction from the rows.
+    once, column c the coefficient of D1's row k1 - 1 - c and column k1
+    the right side, times e.  The flats are disjoint exactly when the last
+    pivot falls on the right side.  Otherwise returns the reduced rows,
+    their pivot columns and e.  The meet's direction has dimension
+    dim(x1) - len(pivots), which is all the relations read; ``meet`` alone
+    reads the common point and the direction from the rows.
 
     The result is memoised in x1's instance dict under id(x2), next to x2
     itself, so the entry lives and dies with x1 and a reused id can never
@@ -278,26 +280,16 @@ def _meet_parts(
     hit = memo.get(id(x2))
     if hit is not None and hit[0] is x2:
         return hit[1]
-    parts = _solve_meet(x1, x2)
-    memo[id(x2)] = (x2, parts)
-    return parts
-
-
-def _solve_meet(
-    x1: AffineSubspace, x2: AffineSubspace
-) -> Optional[tuple[list[list[int]], list[int], int]]:
-    """``_meet_parts`` uncached; column c is the coefficient of D1's row k1 - 1 - c."""
     r1 = x1.direction.int_rows
     delta, e = _point_difference(x1, x2)
     aug = [
         [sum(map(mul, eq, row)) for row in reversed(r1)] + [sum(map(mul, eq, delta))]
         for eq in x2.direction.equations
     ]
-    rows, pivots = _rref_int(aug, pivot_limit=len(r1))
-    if len(rows) > len(pivots):
-        # rows past the pivots vanish on the coefficients: 0 = nonzero
-        return None
-    return rows, pivots, e
+    rows, pivots = _rref_int(aug)
+    parts = None if pivots and pivots[-1] == len(r1) else (rows, pivots, e)
+    memo[id(x2)] = (x2, parts)
+    return parts
 
 
 def meet(x1: AffineSubspace, x2: AffineSubspace) -> Optional[AffineSubspace]:

@@ -234,12 +234,16 @@ def gen_perp_to(
     C's direction is an m-dimensional piece of A's direction, m < dim(A),
     extended inside the xi-complement of A's whole direction, which makes
     the complement of the meet inside C orthogonal to all of A.  Requires
-    q ∈ A, dim(A) ≥ 1, and head room dim(A) < n.
+    q ∈ A, dim(A) ≥ 1 and head room dim(A) < n, checked before any draw.
     """
     space = a.space
     n = space.dim
     if not q.is_point:
         raise InputError("q must be a point flat")
+    if a.is_point:
+        raise InputError("A must have dimension at least 1")
+    if not is_subflat(q, a):
+        raise PreconditionError("q must lie on A")
     room = n - a.dim
     if room < 1:
         raise InputError("ambient space leaves no orthogonal head room")

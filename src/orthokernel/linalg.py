@@ -11,8 +11,10 @@ form scaled to integers, and every product of rows with it is taken over
 the form's nonzero entries (``QuadraticSpace.int_form_entries``) alone, so
 a diagonal form costs n multiplications per row and a tridiagonal one
 3n - 2, not n^2.  Rank, determinant and definiteness come from one
-fraction-free forward pass (``_forward_steps``) and its pivot steps, and
-every inverse from one augmented reduction (``_int_inverse``).
+fraction-free forward pass (``_forward_steps``) and its pivot steps.
+Every reduced system comes from one plain Gauss-Jordan (``_rref_int``);
+an augmented one, the inverse's [A | I] (``_int_inverse``) or the meet's
+(``flats._meet_parts``), is answered by where its pivots fall.
 
 A k-dimensional subspace D has two sides: its k canonical rows and its
 n - k equations (``LinearSubspace.equations``), with
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InputError, PreconditionError
 
@@ -113,14 +115,14 @@ def _primitive(row: list[int]) -> list[int]:
     return row
 
 
-def _rref_int(rows: Iterable[Sequence[int]], pivot_limit: Optional[int] = None) -> tuple[list[list[int]], list[int]]:
+def _rref_int(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan.
 
     Returns the nonzero echelon rows (each primitive, positive pivot, zeros
     above and below every pivot) together with the pivot column indices.
-    Every row kept is a new list; the input rows are never changed.
-    ``pivot_limit`` restricts pivot search to the first columns, which lets
-    callers reduce augmented systems without pivoting on the right-hand side.
+    Every row kept is a new list; the input rows are never changed.  An
+    augmented system is answered by where its pivots fall: a pivot in a
+    right-hand column is a row that reads 0 = nonzero on the left.
     """
     gcd = math.gcd
     work = []
@@ -130,7 +132,7 @@ def _rref_int(rows: Iterable[Sequence[int]], pivot_limit: Optional[int] = None) 
             work.append([x // g for x in row] if g > 1 else list(row))
     if not work:
         return [], []
-    ncols = len(work[0]) if pivot_limit is None else pivot_limit
+    ncols = len(work[0])
     nrows = len(work)
     pivots: list[int] = []
     r = 0
@@ -158,9 +160,7 @@ def _rref_int(rows: Iterable[Sequence[int]], pivot_limit: Optional[int] = None) 
         r += 1
         if r == nrows:
             return work, pivots
-    # under a pivot_limit, rows nonzero only beyond the limit must survive:
-    # they are the inconsistency witnesses of augmented systems
-    return work[:r] + [row for row in work[r:] if any(row)], pivots
+    return work[:r], pivots
 
 
 def _forward_steps(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -334,8 +334,9 @@ def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """
     k = len(rows)
     aug = [[*row, *(int(i == j) for j in range(k))] for i, row in enumerate(rows)]
-    red, pivots = _rref_int(aug, pivot_limit=k)
-    if len(pivots) < k:
+    red, pivots = _rref_int(aug)
+    # [rows | I] has rank k; regular rows put its pivots on its first k columns
+    if pivots != list(range(k)):
         raise PreconditionError("matrix is singular")
     d = math.lcm(*[row[i] for i, row in enumerate(red)])
     return [[v * (d // row[i]) for v in row[k:]] for i, row in enumerate(red)], d

@@ -4,12 +4,12 @@ A line pair is decided in two stages.  The wrap stage uses only the metric
 and incidence and never queries the oracle: it turns the lines, once, into
 flats meeting in a point, the lines moved to cross when k2 = 1 and else a
 perp-x pair built around their common perpendicular (lemma 2); for
-non-orthogonal lines no such wrapping exists, which the feet system
-detects.  The decide stage asks the oracle about that pair
-(Y1, X2), lifted to the typed relation by extending Y1 with an m-flat drawn
-inside X2 through the common point (lemma 1); the extension's meet with X2
-is exactly that m-flat, so the lifted query has the right dimension type
-whether or not the configuration is orthogonal.
+non-orthogonal lines no such wrapping exists, so the wrap tests the lines'
+directions first and refuses those.  The decide stage asks the oracle
+about that pair (Y1, X2), lifted to the typed relation by extending Y1
+with an m-flat drawn inside X2 through the common point (lemma 1); the
+extension's meet with X2 is exactly that m-flat, so the lifted query has
+the right dimension type whether or not the configuration is orthogonal.
 
 Two execution modes: WITNESS follows the constructions above and is exact;
 SAMPLED replaces the canonical extension by random incidence-valid
@@ -25,7 +25,6 @@ from operator import mul
 from typing import Callable, Optional
 
 from .errors import (
-    GenerationError,
     InputError,
     InternalError,
     PreconditionError,
@@ -46,6 +45,7 @@ from .ortho import (
     _meet_dim,
     _rand_extension,
     perp_m,
+    perp_subspaces,
     perp_x,
 )
 
@@ -224,7 +224,7 @@ def lemma2_witness(
     space = l1.space
     n = space.dim
     if k1 + k2 > n:
-        raise GenerationError(f"k1 + k2 = {k1 + k2} exceeds dimension {n}")
+        raise PreconditionError(f"k1 + k2 = {k1 + k2} exceeds dimension {n}")
     q, p = common_perpendicular_feet(l1, l2)
     # p - q scaled by a positive integer
     w, _ = _point_difference(q, p)
@@ -275,8 +275,9 @@ def _wrap_line_pair(
     Draws nothing and queries nothing.
 
     The smaller dimension goes first.  For k2 = 1 the pair is the lines
-    moved to cross; otherwise it is the lemma-2 wrapping pair, which a
-    non-orthogonal pair does not admit.  Parallel lines admit neither.
+    moved to cross; otherwise it is the lemma-2 wrapping pair, which only
+    orthogonal lines admit: the wrap tests that under the space's form and
+    refuses the rest.  Parallel lines admit neither.
     """
     _check_same_space(l1, l2)
     if l1.dim != 1 or l2.dim != 1:
@@ -302,10 +303,9 @@ def _wrap_line_pair(
         if parallel(l1w, l2w):
             return None, oracle
         return (l1w, AffineSubspace(space, origin, l2.direction)), oracle
-    try:
-        return lemma2_witness(l1w, l2w, params.k1 - params.m, params.k2), oracle
-    except PreconditionError:
+    if not perp_subspaces(l1w, l2w):
         return None, oracle
+    return lemma2_witness(l1w, l2w, params.k1 - params.m, params.k2), oracle
 
 
 def reconstruct_line_perp(

@@ -266,6 +266,26 @@ def test_gen_perp_to_validates_room(rng):
         gen_perp_to(b, b, rng)
 
 
+def test_gen_perp_to_refuses_a_point_flat_a(rng):
+    cfg = GenConfig(dim=3)
+    p = gen_point(cfg, rng)
+    state = rng.getstate()
+    with pytest.raises(InputError, match="dimension at least 1"):
+        gen_perp_to(p, p, rng)
+    assert rng.getstate() == state
+
+
+def test_gen_perp_to_refuses_q_off_a(rng):
+    cfg = GenConfig(dim=4)
+    a = gen_subspace(cfg, 2, rng)
+    q = gen_point(cfg, rng)
+    assert not is_subflat(q, a)
+    state = rng.getstate()
+    with pytest.raises(PreconditionError, match="q must lie on A"):
+        gen_perp_to(a, q, rng)
+    assert rng.getstate() == state
+
+
 def test_rand_params_always_satisfiable(rng):
     for n in (2, 3, 4, 5, 6):
         for _ in range(50):

@@ -4,8 +4,9 @@ Quick start names and the error classes and nothing else, no public name
 that only the tests read, no private function or class that the package
 does not read, every binding the benchmark's tracer patches still exists
 and the benchmark's self-tests pass, every CLI option and benchmark
-record is documented, no trial builds a rational, and the package draws
-its bounded integers through one helper."""
+record is documented, no trial builds a rational, the package draws its
+bounded integers through one helper, and it catches its own errors only at
+its boundaries."""
 
 import argparse
 import ast
@@ -182,6 +183,71 @@ def test_unread_private_name_is_detected(tmp_path):
     with open(package / "flats.py", "a") as out:
         out.write("\n\ndef _helper(x):\n    return _helper(x - 1) if x else 0\n")
     assert _unread_private_names(tmp_path) == ["_helper"]
+
+
+# the boundaries where the package turns its own errors into an outcome:
+# the CLI's exit code 2, a trial's counterexample, and the refusal that
+# P-NONTRIV checks for
+ERROR_BOUNDARIES = {"cli.main", "properties._run_slice"}
+REFUSAL_HANDLERS = {("properties._p_nontriv", ("UnsatisfiableParams",))}
+
+
+def _kernel_error_handlers(root: Path) -> list[tuple[str, tuple[str, ...]]]:
+    """Every ``except`` clause of the package that can catch a KernelError:
+    one that names a class of ``errors.py``, or catches everything.  Each
+    is given as ("module.function", the names it catches)."""
+    kernel_errors = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.KernelError)
+    }
+    catch_all = {"Exception", "BaseException"}
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            if isinstance(child, ast.ExceptHandler):
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                names = tuple(
+                    "" if t is None else t.id if isinstance(t, ast.Name) else t.attr
+                    for t in types
+                )
+                if any(n in kernel_errors or n in catch_all or not n for n in names):
+                    found.append((where, names))
+            visit(child, inner)
+
+    for path in sorted((root / "src" / "orthokernel").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def _misplaced_handlers(root: Path) -> list[tuple[str, tuple[str, ...]]]:
+    return [
+        (where, names)
+        for where, names in _kernel_error_handlers(root)
+        if where not in ERROR_BOUNDARIES and (where, names) not in REFUSAL_HANDLERS
+    ]
+
+
+def test_kernel_errors_are_caught_only_at_the_boundaries():
+    # a precondition failure caught mid-pipeline would read as a verdict
+    assert _misplaced_handlers(PACKAGE_DIR.parents[1]) == []
+
+
+def test_misplaced_kernel_error_handler_is_detected(tmp_path):
+    package = tmp_path / "src" / "orthokernel"
+    package.mkdir(parents=True)
+    for path in PACKAGE_DIR.glob("*.py"):
+        (package / path.name).write_text(path.read_text())
+    with open(package / "reconstruct.py", "a") as out:
+        out.write(
+            "\n\ndef _wrapped(l1, l2):\n    try:\n        return lemma2_witness(l1, l2, 1, 2)"
+            "\n    except PreconditionError:\n        return None\n"
+        )
+    assert _misplaced_handlers(tmp_path) == [("reconstruct._wrapped", ("PreconditionError",))]
 
 
 def _long_options(parser: argparse.ArgumentParser) -> set[str]:

@@ -242,6 +242,10 @@ def test_inverse_rejects_singular():
         mat_inverse(((QQ(1), QQ(2)), (QQ(2), QQ(4))))
 
 
+def test_inverse_of_the_empty_matrix_is_empty():
+    assert mat_inverse(()) == ()
+
+
 # ---------------------------------------------------------------------------
 # bilinear forms
 

@@ -11,7 +11,6 @@ import orthokernel.linalg as linalg_module
 import orthokernel.ortho as ortho_module
 import orthokernel.reconstruct as reconstruct_module
 from orthokernel.errors import (
-    GenerationError,
     InputError,
     PreconditionError,
 )
@@ -388,7 +387,7 @@ def test_lemma2_witness_rejects_line_against_line(q3):
 def test_lemma2_witness_needs_room(q3):
     l1 = line(q3, (0, 0, 0), (1, 0, 0))
     l2 = line(q3, (0, 0, 1), (0, 1, 0))
-    with pytest.raises(GenerationError):
+    with pytest.raises(PreconditionError):
         lemma2_witness(l1, l2, 2, 2)
 
 
@@ -514,8 +513,24 @@ def test_judge_line_pair_wraps_each_pair_once(monkeypatch, params):
     for i in range(12):
         l1, l2 = gen_line_pair(cfg, random.Random(i), orthogonal=(i % 2 == 0))
         judge_line_pair(l1, l2, params, "both", 5, random.Random(100 + i))
-    # orthogonal pairs are wrapped, skew ones fail to be: one attempt each
-    assert len(calls) == 12
+    # the wrap refuses the skew pairs itself: only the 6 orthogonal pairs
+    # reach lemma 2, once each
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize(
+    "params", JUDGED_TYPES[1:], ids=lambda p: f"{p.m}-{p.k1}-{p.k2}"
+)
+def test_a_failing_lemma2_on_orthogonal_lines_is_not_a_verdict(monkeypatch, params):
+    # the wrap refuses skew pairs by its own test, so a precondition failure
+    # inside lemma 2 is a fault and must escape, not read as False
+    def failing(*args, **kwargs):
+        raise PreconditionError("planted")
+
+    monkeypatch.setattr(reconstruct_module, "lemma2_witness", failing)
+    l1, l2 = gen_line_pair(GenConfig(dim=4, seed=0), random.Random(0), orthogonal=True)
+    with pytest.raises(PreconditionError, match="planted"):
+        judge_line_pair(l1, l2, params, "both", 5, random.Random(0))
 
 
 @pytest.mark.parametrize(

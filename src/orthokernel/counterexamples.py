@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from .errors import InternalError
 from .flats import AffineSubspace, is_subflat, meet
-from .linalg import QQ, QuadraticSpace, rref_basis
+from .generators import resolve_space
+from .linalg import _subspace_from_int_rows
 from .ortho import perp_g
 
 # (label, direction rows of A, B, C through the origin, named checks with
@@ -49,14 +50,12 @@ _INSTANCES = (
 
 def emit_counterexamples() -> list[dict]:
     """Build, verify, and serialize both instances."""
-    space = QuadraticSpace.euclidean(3)
-    origin = (QQ(0),) * space.dim
+    space = resolve_space(3, "identity")
     instances = []
     for label, rows, checks in _INSTANCES:
+        # the origin has zeros at every pivot, so each flat is canonical
         flats = {
-            name: AffineSubspace.make(
-                space, origin, rref_basis([[QQ(x) for x in r] for r in dirs], space.dim)
-            )
+            name: AffineSubspace(space, ((0,) * 3, 1), _subspace_from_int_rows(dirs, 3))
             for name, dirs in rows.items()
         }
         for name, check, want in checks:

@@ -14,8 +14,9 @@ strings straight to integers, leaving ``Fraction`` as the fallback parser
 for any other entry, and reduces the basis rows to canonical form.
 Equality and hashing of flats are plain structural comparisons of
 integers.  The empty set is not a flat; ``meet`` returns None for disjoint
-arguments.  ``meet`` and the relations read one reduced system, cached on
-the first flat; ``meet`` does no elimination of its own.
+arguments.  ``meet`` and the relations read one reduced system, kept in a
+one-partner slot on the first flat; ``meet`` does no elimination of its
+own.
 """
 
 from __future__ import annotations
@@ -272,14 +273,14 @@ def _meet_parts(
     dim(x1) - len(pivots), which is all the relations read; ``meet`` alone
     reads the common point and the direction from the rows.
 
-    The result is memoised in x1's instance dict under id(x2), next to x2
-    itself, so the entry lives and dies with x1 and a reused id can never
-    match; callers must not mutate it.
+    The result is kept in one slot of x1's instance dict, next to x2, and
+    read back only for that same x2: a flat holds at most one partner
+    alive, and the relations revisit only the pair they just met.  Callers
+    must not mutate it.
     """
-    memo = x1.__dict__.setdefault("_meets", {})
-    hit = memo.get(id(x2))
-    if hit is not None and hit[0] is x2:
-        return hit[1]
+    slot = x1.__dict__.get("_meet")
+    if slot is not None and slot[0] is x2:
+        return slot[1]
     r1 = x1.direction.int_rows
     delta, e = _point_difference(x1, x2)
     aug = [
@@ -288,7 +289,7 @@ def _meet_parts(
     ]
     rows, pivots = _rref_int(aug)
     parts = None if pivots and pivots[-1] == len(r1) else (rows, pivots, e)
-    memo[id(x2)] = (x2, parts)
+    x1.__dict__["_meet"] = (x2, parts)
     return parts
 
 

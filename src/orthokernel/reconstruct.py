@@ -185,7 +185,7 @@ def common_perpendicular_feet(
         raise PreconditionError("both arguments must be lines")
     (d1,), (f1,) = l1.direction.int_rows, l1.form_rows
     (d2,), (f2,) = l2.direction.int_rows, l2.form_rows
-    if sum(map(mul, f1, d2)):
+    if not perp_subspaces(l1, l2):
         raise PreconditionError("lines are not orthogonal")
     delta, e = _point_difference(l1, l2)
     (u1, e1), (u2, e2) = l1.int_point, l2.int_point
@@ -261,18 +261,15 @@ def line_perp_ground_truth(l1: AffineSubspace, l2: AffineSubspace) -> bool:
     _check_same_space(l1, l2)
     if l1.dim != 1 or l2.dim != 1:
         raise PreconditionError("both arguments must be lines")
-    return not sum(map(mul, l1.form_rows[0], l2.direction.int_rows[0]))
+    return perp_subspaces(l1, l2)
 
 
 def _wrap_line_pair(
-    l1: AffineSubspace,
-    l2: AffineSubspace,
-    params: TypedPerpParams,
-    oracle: PerpOracle,
+    l1: AffineSubspace, l2: AffineSubspace, oracle: PerpOracle
 ) -> tuple[Optional[tuple[AffineSubspace, AffineSubspace]], PerpOracle]:
     """The wrap stage: the point-meet pair standing for the two lines, or
-    None when there is none, with the oracle's slots in that pair's order.
-    Draws nothing and queries nothing.
+    None when there is none, with the oracle's slots in that pair's order;
+    the type is the oracle's.  Draws nothing and queries nothing.
 
     The smaller dimension goes first.  For k2 = 1 the pair is the lines
     moved to cross; otherwise it is the lemma-2 wrapping pair, which only
@@ -282,8 +279,7 @@ def _wrap_line_pair(
     _check_same_space(l1, l2)
     if l1.dim != 1 or l2.dim != 1:
         raise InputError("both arguments must be lines")
-    if params != oracle.params:
-        raise InputError("params disagree with the oracle")
+    params = oracle.params
     space = l1.space
     if not params.satisfiable_in(space.dim):
         raise InputError("params are unsatisfiable in this dimension")
@@ -319,7 +315,9 @@ def reconstruct_line_perp(
     """Decide line orthogonality using only the typed oracle plus incidence:
     wrap the lines in a point-meet pair (metric and incidence only), then
     decide that pair through the oracle."""
-    core, oracle = _wrap_line_pair(l1, l2, params, oracle)
+    if params != oracle.params:
+        raise InputError("params disagree with the oracle")
+    core, oracle = _wrap_line_pair(l1, l2, oracle)
     return core is not None and decide_perp0(*core, oracle, mode, rng)
 
 
@@ -358,7 +356,7 @@ def judge_line_pair(
     truth is always computed."""
     if mode not in ("witness", "sampled", "both"):
         raise InputError(f"unknown mode: {mode!r}")
-    core, oracle = _wrap_line_pair(l1, l2, params, ground_truth_oracle(params))
+    core, oracle = _wrap_line_pair(l1, l2, ground_truth_oracle(params))
     witness = sampled = None
     if mode != "sampled":
         witness = core is not None and decide_perp0(

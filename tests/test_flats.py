@@ -1,8 +1,10 @@
 """Affine flats: canonical form, membership, the meet/join lattice and the
 wire format."""
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction as QQ
 
 import pytest
@@ -493,6 +495,24 @@ def test_meet_is_solved_once_per_ordered_pair(monkeypatch, relation):
     assert len(solves) == 2
     relation(x2, x1)
     assert len(solves) == 2
+    # one slot per flat, matched by identity: an equal twin of x2 takes it,
+    # so meeting x2 again after the twin costs one more solve
+    _, twin = _meeting_planes()
+    relation(x1, twin)
+    assert len(solves) == 3
+    assert relation(x1, x2) == first and len(solves) == 4
+
+
+def test_a_flat_keeps_at_most_one_partner_alive():
+    x1, _ = _meeting_planes()
+    refs = []
+    for i in range(1000):
+        partner = line(SPACE4, (i, 0, 0, 0), (0, 1, 0, 0))
+        perp_g(x1, partner)
+        refs.append(weakref.ref(partner))
+    del partner
+    gc.collect()
+    assert sum(r() is not None for r in refs) <= 1
 
 
 def test_meet_memo_stays_out_of_equality_hash_repr_and_wire():
@@ -534,7 +554,7 @@ def test_meet_after_the_relations_equals_a_fresh_meet(form):
                     if 0 < a1.dim and 0 < a2.dim:
                         m = min(a1.dim, a2.dim) - 1
                         perp_m(a1, a2, TypedPerpParams(m, a1.dim, a2.dim))
-                    assert id(a2) in vars(a1)["_meets"]
+                    assert vars(a1)["_meet"][0] is a2
                     got = meet(a1, a2)
                     fresh = meet(
                         AffineSubspace.from_wire(a1.space, a1.to_wire()),

@@ -23,7 +23,7 @@ import pytest
 
 import orthokernel
 from orthokernel import errors, properties
-from orthokernel.cli import build_parser
+from orthokernel.cli import build_parser, main
 from orthokernel.generators import NAMED_FORMS, GenConfig, resolve_space
 
 PACKAGE_DIR = Path(orthokernel.__file__).parent
@@ -306,6 +306,37 @@ def test_trials_build_no_fractions():
     finally:
         Fraction.__new__ = original
     assert built == 0
+
+
+def test_subcommands_build_no_fractions(capsys):
+    # with the spaces resolved, every subcommand but check (covered above)
+    # builds, decides and writes its flats in integers
+    resolve_space(6, "identity")
+    resolve_space(3, "identity")
+    params = ["--m", "1", "--k1", "2", "--k2", "3"]
+    runs = [
+        ["witness", "--dim", "6", "--count", "3", *params],
+        ["witness", "--dim", "6", "--count", "3", "--lemma", "1", *params],
+        ["witness", "--dim", "6", "--count", "3", "--lemma", "2", *params],
+        ["reconstruct", "--dim", "6", "--pairs", "20", *params],
+        ["counterexample"],
+    ]
+    original = vars(Fraction)["__new__"]
+    built = {}
+
+    def counting_new(cls, *args, **kwargs):
+        built[name] = built.get(name, 0) + 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counting_new
+    try:
+        for argv in runs:
+            name = " ".join(argv)
+            assert main(argv) == 0
+    finally:
+        Fraction.__new__ = original
+    capsys.readouterr()
+    assert built == {}
 
 
 def test_integer_draws_have_one_seam():

@@ -7,10 +7,10 @@ the intersection, exact reflection isometries, and an oracle-based pipeline
 that recovers line orthogonality from a typed orthogonality predicate plus
 incidence data.  A seeded property harness and a CLI sit on top.
 
-Rationals exist only at the boundary (``AffineSubspace.make``,
-``from_point``, ``from_points``, ``from_wire`` and form parsing); inside,
-flats hold integers.  A point is a 0-dimensional flat: the generators,
-``translate_through``, ``orthocomplement_in`` and
+Rationals exist only at the boundary, read by one function,
+``linalg.int_vector`` (with ``scalar`` as its fallback); inside, flats and
+the ``QuadraticSpace`` form hold integers.  A point is a 0-dimensional
+flat: the generators, ``translate_through``, ``orthocomplement_in`` and
 ``common_perpendicular_feet`` take or return point flats, and membership
 of a point in a flat is ``is_subflat(point, flat)``.
 

@@ -6,12 +6,13 @@ its base point is the unique member whose coordinates vanish at every pivot
 column of the direction.  The base point is stored only as integers over
 their least positive common denominator, with no rational view of it.  A
 point is the flat with a zero direction, so membership is
-``is_subflat(point, x)``; rationals enter only through
-``make``, ``from_point``, ``from_points`` and ``from_wire``.  The wire
-format is written and read in integers too: ``to_wire`` reduces each
+``is_subflat(point, x)``; rationals enter only through ``make``,
+``from_point``, ``from_points`` and ``from_wire``, and each reads them with
+``linalg.int_vector``, the package's one reader of rational input.  The
+wire format is written and read in integers too: ``to_wire`` reduces each
 coordinate by one gcd, and ``from_wire`` reads the canonical "p" and "p/q"
-strings straight to integers, leaving ``Fraction`` as the fallback parser
-for any other entry, and reduces the basis rows to canonical form.
+strings straight to integers, leaving ``scalar`` as the fallback for any
+other entry, and reduces the basis rows to canonical form.
 Equality and hashing of flats are plain structural comparisons of
 integers.  The empty set is not a flat; ``meet`` returns None for disjoint
 arguments.  ``meet`` and the relations read one reduced system, kept in a
@@ -22,7 +23,6 @@ own.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -30,10 +30,9 @@ from typing import Optional, Sequence
 
 from .errors import InputError
 from .linalg import (
-    QQ,
     LinearSubspace,
     QuadraticSpace,
-    _int_vector,
+    Scalarish,
     _kernel_in,
     _lies_in,
     _mat_mul_int,
@@ -42,10 +41,7 @@ from .linalg import (
     _times_form,
     _times_inverse,
     full_subspace,
-    rref_basis,
-    scalar,
-    vec_sub,
-    vector,
+    int_vector,
     zero_subspace,
 )
 
@@ -74,13 +70,13 @@ class AffineSubspace:
     def make(
         cls,
         space: QuadraticSpace,
-        point: Sequence[QQ],
+        point: Sequence[Scalarish],
         direction: LinearSubspace,
     ) -> "AffineSubspace":
-        pt = vector(point)
-        if len(pt) != space.dim:
+        nums, den = int_vector(point)
+        if len(nums) != space.dim:
             raise InputError("point length differs from ambient dimension")
-        return cls._canonical(space, *_int_vector(pt), direction)
+        return cls._canonical(space, nums, den, direction)
 
     @classmethod
     def _canonical(
@@ -105,19 +101,23 @@ class AffineSubspace:
         return cls(space, (tuple(nums), den), direction)
 
     @classmethod
-    def from_point(cls, space: QuadraticSpace, point: Sequence[QQ]) -> "AffineSubspace":
+    def from_point(cls, space: QuadraticSpace, point: Sequence[Scalarish]) -> "AffineSubspace":
         return cls.make(space, point, zero_subspace(space.dim))
 
     @classmethod
     def from_points(
-        cls, space: QuadraticSpace, points: Sequence[Sequence[QQ]]
+        cls, space: QuadraticSpace, points: Sequence[Sequence[Scalarish]]
     ) -> "AffineSubspace":
-        """Affine hull of a nonempty point set."""
+        """Affine hull of a nonempty point set: through the first point u / e,
+        spanned by each difference p / f - u / e taken times e f."""
         if not points:
             raise InputError("affine hull needs at least one point")
-        base = vector(points[0])
-        diffs = [vec_sub(vector(p), base) for p in points[1:]]
-        return cls.make(space, base, rref_basis(diffs, space.dim))
+        read = [int_vector(p) for p in points]
+        if any(len(nums) != space.dim for nums, _ in read):
+            raise InputError("point length differs from ambient dimension")
+        (u, e), *rest = read
+        diffs = [[a * e - b * f for a, b in zip(nums, u)] for nums, f in rest]
+        return cls._canonical(space, u, e, _subspace_from_int_rows(diffs, space.dim))
 
     @classmethod
     def full(cls, space: QuadraticSpace) -> "AffineSubspace":
@@ -172,8 +172,8 @@ class AffineSubspace:
             and all(isinstance(r, list) for r in rows)
         ):
             raise InputError("malformed flat payload: point and basis rows must be lists")
-        nums, den = int_vector_from_wire(point)
-        int_rows = [int_vector_from_wire(r)[0] for r in rows]
+        nums, den = int_vector(point)
+        int_rows = [int_vector(r)[0] for r in rows]
         if len(nums) != space.dim or any(len(r) != space.dim for r in int_rows):
             raise InputError("flat payload does not match ambient dimension")
         direction = _subspace_from_int_rows(int_rows, space.dim)
@@ -199,44 +199,8 @@ def int_vector_to_wire(nums: Sequence[int], den: int) -> list[str]:
     return out
 
 
-# the canonical wire strings; anything else is parsed by ``scalar``
-_WIRE_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def int_vector_from_wire(entries: list) -> tuple[list[int], int]:
-    """Wire entries as integer numerators over the lcm of their denominators.
-
-    Canonical strings ("p" and "p/q") are read as integers, "0" with no
-    pattern match at all; any other entry goes through :func:`scalar`, so
-    the accepted entries, their values and the errors are those of
-    ``vector``.
-    """
-    nums, dens = [], []
-    for x in entries:
-        if x == "0":
-            nums.append(0)
-            dens.append(1)
-            continue
-        m = _WIRE_RATIO.fullmatch(x) if isinstance(x, str) else None
-        p = q = 0
-        if m is not None:
-            try:
-                p, q = int(m[1]), int(m[2] or 1)
-            except ValueError:  # past int's digit limit
-                pass
-        if not q:  # not canonical, or a zero denominator: scalar decides
-            r = scalar(x)
-            p, q = r.numerator, r.denominator
-        nums.append(p)
-        dens.append(q)
-    den = math.lcm(*dens)
-    if den == 1:
-        return nums, 1
-    return [p * (den // q) for p, q in zip(nums, dens)], den
-
-
 def _check_same_space(x1: AffineSubspace, x2: AffineSubspace) -> None:
-    # spaces come from resolve_space's cache; == compares the forms entry by entry
+    # spaces come from resolve_space's cache; == compares the integer forms
     if x1.space is not x2.space and x1.space != x2.space:
         raise InputError("flats live in different ambient spaces")
 

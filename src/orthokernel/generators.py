@@ -19,7 +19,6 @@ from typing import Optional, Union
 from .errors import GenerationError, InputError, PreconditionError
 from .flats import AffineSubspace, is_subflat
 from .linalg import (
-    QQ,
     QuadraticSpace,
     _forward_steps,
     _subspace_from_int_rows,
@@ -85,10 +84,10 @@ def form_label(form: FormSpec) -> str:
     return form if isinstance(form, str) else "custom"
 
 
-def tridiagonal_form(n: int) -> tuple[tuple[QQ, ...], ...]:
+def tridiagonal_form(n: int) -> tuple[tuple[int, ...], ...]:
     """2 on the diagonal, 1 off: positive definite in every dimension."""
     return tuple(
-        tuple(QQ(2) if i == j else QQ(1) if abs(i - j) == 1 else QQ(0) for j in range(n))
+        tuple(2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n))
         for i in range(n)
     )
 
@@ -98,7 +97,7 @@ def resolve_space(dim: int, form: FormSpec) -> QuadraticSpace:
     if form == "identity":
         return QuadraticSpace.euclidean(dim)
     if form == "diag":
-        return QuadraticSpace.diagonal([QQ(i) for i in range(1, dim + 1)])
+        return QuadraticSpace.diagonal(range(1, dim + 1))
     if form == "tridiag":
         return QuadraticSpace(dim, tridiagonal_form(dim))
     space = QuadraticSpace.from_matrix(form)

@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Scalars at the API are `fractions.Fraction` (aliased ``QQ``); every
+One function, ``int_vector``, reads rational input (ints, ``Fraction``s,
+aliased ``QQ``, and "p/q" strings) as integers over one denominator; every
 predicate downstream is an exact algebraic condition, so nothing here ever
-rounds.  Row reduction runs fraction-free over machine/bignum integers:
-each row is scaled by the lcm of its denominators and kept primitive
-(gcd 1) during elimination.  Subspaces are stored in reduced row-echelon
+rounds.  Row reduction runs fraction-free over machine/bignum integers,
+rows kept primitive (gcd 1).  Subspaces are stored in reduced row-echelon
 form as primitive integer rows, which makes equality of subspaces plain
-structural equality.  The form enters as ``QuadraticSpace.int_form``, the
+structural equality.  A ``QuadraticSpace`` holds only ``int_form``, the
 form scaled to integers, and every product of rows with it is taken over
 the form's nonzero entries (``QuadraticSpace.int_form_entries``) alone, so
 a diagonal form costs n multiplications per row and a tridiagonal one
@@ -24,16 +24,17 @@ equally the row space of E F^-1; ``xi_complement`` works on whichever
 side has fewer rows.  A complement inside W and a meet's direction are
 read by ``_kernel_in`` from one reduction over W's rows in reverse order.
 
-Rationals exist only at the boundary: parsing scalars, vectors and forms
-(``scalar``, ``vector``, ``matrix``, ``rref_basis``, ``QuadraticSpace``)
-and the rational results of ``determinant`` (public, with no caller in
-the package) and ``mat_inverse`` (which has none either: it stays for the
-benchmark's tracer, which patches it).
+Rationals exist only at the boundary: input, read by ``int_vector`` and
+its fallback ``scalar``, and the rational results of ``determinant``
+(public, with no caller in the package), ``mat_inverse`` (which has none
+either: it stays for the benchmark's tracer, which patches it) and
+``mat_mul``, which ``ortho.AffineIsometry`` reads.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -65,18 +66,56 @@ def scalar(x: Scalarish) -> QQ:
     raise InputError(f"not a rational: {x!r}")
 
 
-def vector(entries: Iterable[Scalarish]) -> Vector:
+# the canonical wire strings, read without a Fraction; anything else is
+# parsed by ``scalar``
+_WIRE_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def int_vector(entries: Iterable[Scalarish]) -> tuple[list[int], int]:
+    """Rational entries as integer numerators over the lcm of their
+    denominators as written ("0/5" counts 5): the one reader of rational
+    input.
+
+    Ints and the canonical wire strings ("p" and "p/q") are read as
+    integers, "0" with no pattern match at all; any other entry goes
+    through :func:`scalar`, which decides its value and its errors.  A str
+    or bytes is refused as a whole vector.
+    """
     if isinstance(entries, (str, bytes)):
         raise InputError(f"not a vector: {entries!r}")
-    return tuple(scalar(x) for x in entries)
+    nums, dens = [], []
+    for x in entries:
+        if x == "0":
+            nums.append(0)
+            dens.append(1)
+            continue
+        m = _WIRE_RATIO.fullmatch(x) if isinstance(x, str) else None
+        p = q = 0
+        if m is not None:
+            try:
+                p, q = int(m[1]), int(m[2] or 1)
+            except ValueError:  # past int's digit limit
+                pass
+        if not q:  # not canonical, or a zero denominator: scalar decides
+            if type(x) is int:
+                p, q = x, 1
+            else:
+                r = scalar(x)
+                p, q = r.numerator, r.denominator
+        nums.append(p)
+        dens.append(q)
+    den = math.lcm(*dens)
+    if den == 1:
+        return nums, 1
+    return [p * (den // q) for p, q in zip(nums, dens)], den
 
 
-def matrix(rows: Iterable[Iterable[Scalarish]]) -> Matrix:
-    return tuple(vector(r) for r in rows)
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
+def _int_matrix(rows: Iterable[Iterable[Scalarish]]) -> list[list[int]]:
+    """Rational rows times the lcm of their entries' denominators in lowest
+    terms: the least positive integral multiple of the matrix."""
+    read = [int_vector(row) for row in rows]
+    lcm = math.lcm(*[den // math.gcd(den, *nums) for nums, den in read])
+    return [[x * lcm // den for x in nums] for nums, den in read]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -86,25 +125,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(QQ(1) if i == j else QQ(0) for j in range(n)) for i in range(n)
-    )
-
-
 # ---------------------------------------------------------------------------
 # integer row machinery (fraction-free elimination core)
-
-
-def _int_vector(row: Sequence[QQ]) -> tuple[list[int], int]:
-    """Numerators of a rational row over the lcm of its denominators."""
-    den = math.lcm(*[x.denominator for x in row])
-    return [x.numerator * (den // x.denominator) for x in row], den
-
-
-def _int_row(row: Sequence[QQ]) -> list[int]:
-    """Scale a rational row by the lcm of its denominators."""
-    return _int_vector(row)[0]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -268,15 +290,16 @@ def full_subspace(ambient_dim: int) -> LinearSubspace:
     return LinearSubspace(ambient_dim, rows, tuple(range(ambient_dim)))
 
 
-def rref_basis(vectors: Iterable[Sequence[QQ]], ambient_dim: int) -> LinearSubspace:
+def rref_basis(vectors: Iterable[Sequence[Scalarish]], ambient_dim: int) -> LinearSubspace:
     """Canonical RREF basis of the span of the given rational vectors."""
     rows = []
-    for v in map(vector, vectors):
-        if len(v) != ambient_dim:
+    for v in vectors:
+        nums, _ = int_vector(v)
+        if len(nums) != ambient_dim:
             raise InputError(
-                f"vector has length {len(v)}, ambient dimension is {ambient_dim}"
+                f"vector has length {len(nums)}, ambient dimension is {ambient_dim}"
             )
-        rows.append(_int_row(v))
+        rows.append(nums)
     return _subspace_from_int_rows(rows, ambient_dim)
 
 
@@ -342,14 +365,14 @@ def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return [[v * (d // row[i]) for v in row[k:]] for i, row in enumerate(red)], d
 
 
-def mat_inverse(m: Matrix) -> Matrix:
+def mat_inverse(m: Sequence[Sequence[Scalarish]]) -> Matrix:
     """The inverse of a square rational matrix: the rational view of
     ``_int_inverse``.  With row i scaled to integers by c_i, N = C M and
     N A = d I, so M^-1 = A C / d."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise InputError("matrix is not square")
-    scaled = [_int_vector(row) for row in m]
+    scaled = [int_vector(row) for row in m]
     a, d = _int_inverse([r for r, _ in scaled])
     return tuple(
         tuple(QQ(v * c, d) for v, (_, c) in zip(row, scaled)) for row in a
@@ -360,12 +383,12 @@ def mat_inverse(m: Matrix) -> Matrix:
 # determinants and the quadratic space
 
 
-def determinant(m: Sequence[Sequence[QQ]]) -> QQ:
+def determinant(m: Sequence[Sequence[Scalarish]]) -> QQ:
     n = len(m)
     if any(len(r) != n for r in m):
         raise InputError("matrix is not square")
     # the integer rows' determinant over the product of the rows' denominators
-    scaled = [_int_vector(row) for row in m]
+    scaled = [int_vector(row) for row in m]
     steps = _forward_steps([r for r, _ in scaled])
     if len(steps) < n:
         return QQ(0)
@@ -376,71 +399,68 @@ def determinant(m: Sequence[Sequence[QQ]]) -> QQ:
     return QQ(det, math.prod(d for _, d in scaled))
 
 
-def is_symmetric(form: Sequence[Sequence[QQ]]) -> bool:
+def is_symmetric(form: Sequence[Sequence[Union[QQ, int]]]) -> bool:
     n = len(form)
     return all(len(r) == n for r in form) and all(
         form[i][j] == form[j][i] for i in range(n) for j in range(i + 1, n)
     )
 
 
-def is_positive_definite(form: Sequence[Sequence[QQ]]) -> bool:
+def is_positive_definite(form: Sequence[Sequence[Scalarish]]) -> bool:
     """Sylvester's criterion: every leading principal minor is positive.
 
-    One forward pass over the rows scaled to integers, which keeps every
-    leading minor's sign: while the steps take the top row, the k-th pivot
+    One forward pass over the form scaled to integers (``_int_matrix``),
+    which keeps every leading minor's sign: while the steps take the top row, the k-th pivot
     is the k-th leading minor; a step past the top row finds it zero.
 
     Positive definiteness guarantees the form is anisotropic, which the
     whole orthogonality layer relies on (orthogonal subspaces can only
     share the zero direction).
     """
-    if not is_symmetric(form):
+    rows = _int_matrix(form)
+    if not is_symmetric(rows):
         raise InputError("form must be symmetric")
-    steps = _forward_steps([_int_row(row) for row in form])
-    return len(steps) == len(form) and all(i == 0 and pv > 0 for i, pv in steps)
+    steps = _forward_steps(rows)
+    return len(steps) == len(rows) and all(i == 0 and pv > 0 for i, pv in steps)
 
 
 @dataclass(frozen=True)
 class QuadraticSpace:
-    """Q^n equipped with a symmetric positive-definite bilinear form."""
+    """Q^n with a symmetric positive-definite bilinear form, held only as
+    ``int_form``: the rational form (read by ``diagonal`` or
+    ``from_matrix``) times the lcm of its denominators.  No relation changes
+    under a positive factor, so spaces compare by their integer forms."""
 
     dim: int
-    form: Matrix
+    int_form: tuple[IntRow, ...]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InputError("dimension must be positive")
-        if len(self.form) != self.dim or any(len(r) != self.dim for r in self.form):
+        form = self.int_form
+        if len(form) != self.dim or any(len(r) != self.dim for r in form):
             raise InputError("form must be a dim x dim matrix")
-        if not is_positive_definite(self.form):
+        if any(type(x) is not int for row in form for x in row):
+            raise InputError("form entries must be ints; see from_matrix")
+        if not is_positive_definite(form):
             raise InputError("form must be positive definite")
 
     @classmethod
     def euclidean(cls, dim: int) -> "QuadraticSpace":
-        return cls(dim, identity_matrix(dim))
+        return cls(dim, full_subspace(dim).int_rows)
 
     @classmethod
-    def diagonal(cls, weights: Sequence[Scalarish]) -> "QuadraticSpace":
-        w = vector(weights)
-        n = len(w)
+    def diagonal(cls, weights: Iterable[Scalarish]) -> "QuadraticSpace":
+        (w,) = _int_matrix([weights])
         form = tuple(
-            tuple(w[i] if i == j else QQ(0) for j in range(n)) for i in range(n)
+            tuple(x if i == j else 0 for j in range(len(w))) for i, x in enumerate(w)
         )
-        return cls(n, form)
+        return cls(len(w), form)
 
     @classmethod
     def from_matrix(cls, rows: Iterable[Iterable[Scalarish]]) -> "QuadraticSpace":
-        form = matrix(rows)
+        form = tuple(map(tuple, _int_matrix(rows)))
         return cls(len(form), form)
-
-    @cached_property
-    def int_form(self) -> tuple[IntRow, ...]:
-        """The form scaled by a positive integer; orthogonality is unchanged."""
-        den = math.lcm(*[x.denominator for row in self.form for x in row])
-        return tuple(
-            tuple(x.numerator * (den // x.denominator) for x in row)
-            for row in self.form
-        )
 
     @cached_property
     def int_form_entries(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:

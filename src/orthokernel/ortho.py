@@ -209,7 +209,8 @@ def perp_m(x1: AffineSubspace, x2: AffineSubspace, params: TypedPerpParams) -> b
 
 @dataclass(frozen=True)
 class AffineIsometry:
-    """Affine map p ↦ A p + t whose linear part preserves the form."""
+    """Affine map p ↦ A p + t whose linear part preserves the form: A^T F A
+    = F, checked on ``int_form``, which a positive factor leaves as it is."""
 
     space: QuadraticSpace
     matrix: Matrix
@@ -222,7 +223,8 @@ class AffineIsometry:
         if len(self.translation) != n:
             raise InputError("translation length differs from ambient dimension")
         at = tuple(zip(*self.matrix))
-        if mat_mul(mat_mul(at, self.space.form), self.matrix) != self.space.form:
+        form = self.space.int_form
+        if mat_mul(mat_mul(at, form), self.matrix) != form:
             raise InputError("linear part does not preserve the form")
 
 

@@ -21,10 +21,8 @@ from orthokernel.linalg import (
     Matrix,
     QuadraticSpace,
     Vector,
-    identity_matrix,
     mat_inverse,
     mat_mul,
-    vec_sub,
     zero_subspace,
 )
 from orthokernel.ortho import AffineIsometry
@@ -32,6 +30,16 @@ from orthokernel.ortho import AffineIsometry
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
+def identity_matrix(n: int) -> Matrix:
+    return tuple(
+        tuple(QQ(1) if i == j else QQ(0) for j in range(n)) for i in range(n)
+    )
+
+
+def vec_sub(u: Vector, v: Vector) -> Vector:
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -58,11 +66,12 @@ def rational_basis(subspace: LinearSubspace) -> Matrix:
 
 
 def bilinear_eval(space: QuadraticSpace, u: Sequence[QQ], v: Sequence[QQ]) -> QQ:
-    """Exact value of the space's bilinear form on two vectors."""
+    """Exact value of the space's integer form on two vectors: a positive
+    multiple of the rational form's value, as ``int_form`` is."""
     if len(u) != space.dim or len(v) != space.dim:
         raise InputError(f"vectors must have length {space.dim}")
     return sum(
-        (ui * sum(f * vj for f, vj in zip(row, v)) for ui, row in zip(u, space.form)),
+        (ui * sum(f * vj for f, vj in zip(row, v)) for ui, row in zip(u, space.int_form)),
         start=QQ(0),
     )
 
@@ -156,8 +165,8 @@ def projection_reflection(x: AffineSubspace) -> AffineIsometry:
         proj = tuple((QQ(0),) * n for _ in range(n))
     else:
         bt = tuple(zip(*b))
-        gram = mat_mul(mat_mul(b, space.form), bt)
-        proj = mat_mul(mat_mul(bt, mat_inverse(gram)), mat_mul(b, space.form))
+        gram = mat_mul(mat_mul(b, space.int_form), bt)
+        proj = mat_mul(mat_mul(bt, mat_inverse(gram)), mat_mul(b, space.int_form))
     ident = identity_matrix(n)
     a = tuple(
         tuple(2 * proj[i][j] - ident[i][j] for j in range(n)) for i in range(n)

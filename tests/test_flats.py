@@ -2,8 +2,10 @@
 wire format."""
 
 import gc
+import json
 import math
 import random
+import sys
 import weakref
 from fractions import Fraction as QQ
 
@@ -15,7 +17,6 @@ import orthokernel.flats as flats_module
 from orthokernel.errors import InputError
 from orthokernel.flats import (
     AffineSubspace,
-    int_vector_from_wire,
     int_vector_to_wire,
     is_subflat,
     join,
@@ -36,8 +37,9 @@ from orthokernel.generators import (
 from orthokernel.linalg import (
     QuadraticSpace,
     _subspace_from_int_rows,
+    int_vector,
     rref_basis,
-    vector,
+    scalar,
 )
 from orthokernel.ortho import TypedPerpParams, perp_g, perp_go, perp_m, perp_x
 
@@ -48,6 +50,7 @@ from rational_reference import (
     subspace_intersect,
     vec_add,
     vec_scale,
+    vec_sub,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -107,6 +110,38 @@ def test_affine_hull_of_points(q3):
     assert not is_subflat(AffineSubspace.from_point(q3, qv(0, 0, 0)), hull)
 
 
+@st.composite
+def point_sets(draw):
+    """A dimension and a nonempty list of rational points, some repeated."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    points = draw(st.lists(st.tuples(*[rationals] * n), min_size=1, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(points), max_size=2))
+    order = draw(st.permutations(points + repeats))
+    return n, order
+
+
+@settings(max_examples=80)
+@given(point_sets())
+def test_affine_hull_is_make_of_the_rational_differences(case):
+    n, points = case
+    space = QuadraticSpace.euclidean(n)
+    diffs = [vec_sub(p, points[0]) for p in points[1:]]
+    want = AffineSubspace.make(space, points[0], rref_basis(diffs, n))
+    assert AffineSubspace.from_points(space, points) == want
+
+
+def test_affine_hull_rejects_wrong_point_length(q3):
+    for points in (
+        [qv(0, 0, 0), qv(1, 0)],
+        [qv(1, 0), qv(0, 0, 0)],
+        [qv(0, 0, 0), qv(1, 0, 0, 0)],
+    ):
+        with pytest.raises(InputError):
+            AffineSubspace.from_points(q3, points)
+    with pytest.raises(InputError):
+        AffineSubspace.from_points(q3, [])
+
+
 def test_make_rejects_wrong_point_length(q3):
     with pytest.raises(InputError):
         AffineSubspace.make(q3, qv(0, 0), rref_basis([], 3))
@@ -138,12 +173,18 @@ def test_wire_rejects_malformed(q2, q3):
             AffineSubspace.from_wire(q2, data)
 
 
+def _read(entries):
+    """The values ``int_vector`` reads from the entries."""
+    nums, den = int_vector(entries)
+    return tuple(QQ(x, den) for x in nums)
+
+
 def test_vector_wire_round_trip():
     v = qv("1/2", -3, 0, "8/2")
     assert int_vector_to_wire([1, -6, 0, 8], 2) == ["1/2", "-3", "0", "4"]
-    assert vector(int_vector_to_wire([1, -6, 0, 8], 2)) == v
+    assert _read(int_vector_to_wire([1, -6, 0, 8], 2)) == v
     assert int_vector_to_wire([-3, 14], 7) == ["-3/7", "2"]
-    assert vector(["-3/7", "2"]) == qv("-3/7", 2)
+    assert _read(["-3/7", "2"]) == qv("-3/7", 2)
 
 
 def test_zero_wire_entries_keep_their_strings_and_values():
@@ -154,21 +195,78 @@ def test_zero_wire_entries_keep_their_strings_and_values():
     assert int_vector_to_wire([0, -7, 0], 1) == ["0", "-7", "0"]
     # every spelling of zero reads as 0; "0/5" keeps its denominator
     entries = ["0", "-0", "00", "0/5", "3"]
-    ints, den = int_vector_from_wire(entries)
+    ints, den = int_vector(entries)
     assert [QQ(x, den) for x in ints] == [0, 0, 0, 0, 3]
     assert (ints, den) == ([0, 0, 0, 0, 15], 5)
-    assert int_vector_from_wire(["0", "2", "-3", "0"]) == ([0, 2, -3, 0], 1)
-    assert int_vector_from_wire(["0", "1/2", "-3/4"]) == ([0, 2, -3], 4)
+    assert int_vector(["0", "2", "-3", "0"]) == ([0, 2, -3, 0], 1)
+    assert int_vector(["0", "1/2", "-3/4"]) == ([0, 2, -3], 4)
     space = QuadraticSpace.euclidean(len(entries))
     flat = AffineSubspace.from_wire(space, {"point": entries, "basis": []})
     assert rational_point(flat) == (0, 0, 0, 0, 3)
     for bad in (["0/0"], ["0", "0/0"], ["0/0", "0"]):
         with pytest.raises(InputError):
-            int_vector_from_wire(bad)
+            int_vector(bad)
         with pytest.raises(InputError):
             AffineSubspace.from_wire(
                 QuadraticSpace.euclidean(len(bad)), {"point": bad, "basis": []}
             )
+
+
+# one of each kind of entry the reader takes: ints, Fractions, canonical
+# strings, strings only scalar reads, and a JSON number
+READER_ENTRIES = (
+    0, 7, -12, 10**40, QQ(-3, 7), QQ(5), "4", "-3/7", "0",
+    "2/4", " 1/2 ", "1.5", "+3", "-0", json.loads("-17"),
+)
+
+
+@pytest.mark.parametrize("entry", READER_ENTRIES, ids=repr)
+def test_every_entry_reads_to_the_value_scalar_gives(entry):
+    assert _read([entry]) == (scalar(entry),)
+    assert _read(["1/3", entry, 2]) == (QQ(1, 3), scalar(entry), 2)
+
+
+def test_one_vector_of_every_kind_reads_over_one_denominator():
+    nums, den = int_vector(READER_ENTRIES)
+    assert den == 28 and _read(READER_ENTRIES) == tuple(map(scalar, READER_ENTRIES))
+
+
+@pytest.mark.parametrize(
+    "entry", [True, False, 1.5, "1/0", "1" * (sys.get_int_max_str_digits() + 1), None, b"1"],
+    ids=lambda x: repr(x)[:12],
+)
+def test_the_reader_refuses_what_scalar_refuses(entry):
+    with pytest.raises(InputError):
+        scalar(entry)
+    with pytest.raises(InputError):
+        int_vector([1, entry])
+
+
+@pytest.mark.parametrize("whole", ["12", "", b"12"])
+def test_the_reader_refuses_a_string_as_the_whole_vector(whole):
+    with pytest.raises(InputError, match="not a vector"):
+        int_vector(whole)
+
+
+def test_ints_and_canonical_strings_build_no_fraction(monkeypatch):
+    original = vars(QQ)["__new__"]
+    built = []
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(QQ, "__new__", counting_new)
+    read = int_vector([0, 5, -3, 10**40, "0", "-0", "7", "-2/3", "10/4", "0/5"])
+    space = QuadraticSpace.from_matrix([["1/2", 0], [0, "3"]])
+    hull = AffineSubspace.from_points(space, [["1/2", 0], [3, "-2/3"], ["1/2", 0]])
+    monkeypatch.undo()
+    assert built == []
+    assert read == ([0, 300, -180, 60 * 10**40, 0, 0, 420, -40, 150, 0], 60)
+    assert space.int_form == ((1, 0), (0, 6))
+    assert hull == AffineSubspace.make(
+        space, qv("1/2", 0), rref_basis([qv("5/2", "-2/3")], 2)
+    )
 
 
 def _custom_form(n):
@@ -263,7 +361,7 @@ def test_canonical_basis_rows_read_back_to_their_direction():
             ]
             flat = AffineSubspace.make(space, [0] * n, rref_basis(rows, n))
             payload = flat.to_wire()
-            int_rows = [int_vector_from_wire(r)[0] for r in payload["basis"]]
+            int_rows = [int_vector(r)[0] for r in payload["basis"]]
             direction = AffineSubspace.from_wire(space, payload).direction
             want = _subspace_from_int_rows(int_rows, n)
             assert direction.int_rows == want.int_rows == flat.direction.int_rows
@@ -288,7 +386,7 @@ def test_near_canonical_basis_rows_are_reduced(case):
     space = QuadraticSpace.euclidean(3)
     basis = NEAR_CANONICAL_BASES[case]
     point = ["1/2", "-3", "7"]
-    int_rows = [int_vector_from_wire(r)[0] for r in basis]
+    int_rows = [int_vector(r)[0] for r in basis]
     flat = AffineSubspace.from_wire(space, {"point": point, "basis": basis})
     want = _subspace_from_int_rows(int_rows, 3)
     assert flat.direction.int_rows == want.int_rows

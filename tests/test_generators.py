@@ -68,8 +68,8 @@ def test_form_label():
 
 def test_tridiagonal_form_shape():
     m = tridiagonal_form(4)
-    assert m[0] == (QQ(2), QQ(1), QQ(0), QQ(0))
-    assert m[2] == (QQ(0), QQ(1), QQ(2), QQ(1))
+    assert m[0] == (2, 1, 0, 0)
+    assert m[2] == (0, 1, 2, 1)
     assert all(m[i][j] == m[j][i] for i in range(4) for j in range(4))
 
 
@@ -78,13 +78,13 @@ def test_resolve_named_forms():
     assert resolve_space(3, "diag") == QuadraticSpace.diagonal(
         [QQ(1), QQ(2), QQ(3)]
     )
-    assert resolve_space(3, "tridiag").form == tridiagonal_form(3)
+    assert resolve_space(3, "tridiag").int_form == tridiagonal_form(3)
     assert set(NAMED_FORMS) == {"identity", "diag", "tridiag"}
 
 
 def test_resolve_custom_matrix_form():
     space = resolve_space(2, (("2", "1"), ("1", "2")))
-    assert space.form == ((QQ(2), QQ(1)), (QQ(1), QQ(2)))
+    assert space.int_form == ((2, 1), (1, 2))
 
 
 def test_resolve_rejects_indefinite_custom_form():

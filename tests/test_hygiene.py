@@ -287,11 +287,20 @@ def test_registry_is_a_dict_of_every_property():
     assert len(properties.ALL_PROPERTY_IDS) == len(set(properties.ALL_PROPERTY_IDS)) == 29
 
 
+# a custom form of "p/q" strings, positive definite by diagonal dominance
+CUSTOM_FORM = (
+    ("3", "1/2", "0", "-1/3"),
+    ("1/2", "5/2", "1/4", "0"),
+    ("0", "1/4", "2", "1/5"),
+    ("-1/3", "0", "1/5", "7/3"),
+)
+
+
 def test_trials_build_no_fractions():
-    # rationals enter only where forms and flats are parsed; with the forms
-    # resolved, a run over every property and form stays in integers
-    for form in NAMED_FORMS:
-        resolve_space(4, form)
+    # rationals are read to integers as forms and flats are parsed; from
+    # cold space caches, a run over every property and form, a custom form
+    # of "p/q" strings among them, builds no Fraction at all
+    resolve_space.cache_clear()
     original = vars(Fraction)["__new__"]
     built = 0
 
@@ -302,17 +311,23 @@ def test_trials_build_no_fractions():
 
     Fraction.__new__ = counting_new
     try:
-        properties.run_suite(GenConfig(dim=4), properties.ALL_PROPERTY_IDS, 20)
+        properties.run_suite(
+            GenConfig(dim=4),
+            properties.ALL_PROPERTY_IDS,
+            20,
+            [*NAMED_FORMS, CUSTOM_FORM],
+        )
     finally:
         Fraction.__new__ = original
     assert built == 0
 
 
-def test_subcommands_build_no_fractions(capsys):
-    # with the spaces resolved, every subcommand but check (covered above)
-    # builds, decides and writes its flats in integers
-    resolve_space(6, "identity")
-    resolve_space(3, "identity")
+def test_subcommands_build_no_fractions(capsys, tmp_path):
+    # from cold space caches, every subcommand builds, decides and writes
+    # its flats in integers, and check reads a custom form file to integers
+    resolve_space.cache_clear()
+    form_file = tmp_path / "form.json"
+    form_file.write_text(json.dumps(CUSTOM_FORM))
     params = ["--m", "1", "--k1", "2", "--k2", "3"]
     runs = [
         ["witness", "--dim", "6", "--count", "3", *params],
@@ -320,6 +335,7 @@ def test_subcommands_build_no_fractions(capsys):
         ["witness", "--dim", "6", "--count", "3", "--lemma", "2", *params],
         ["reconstruct", "--dim", "6", "--pairs", "20", *params],
         ["counterexample"],
+        ["check", "--dim", "4", "--trials", "5", "--props", "core", "--form", str(form_file)],
     ]
     original = vars(Fraction)["__new__"]
     built = {}

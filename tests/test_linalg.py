@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import fields
 from fractions import Fraction as QQ
 
 import pytest
@@ -20,6 +21,7 @@ from orthokernel.linalg import (
     _times_form,
     determinant,
     full_subspace,
+    int_vector,
     is_positive_definite,
     is_symmetric,
     mat_inverse,
@@ -27,7 +29,6 @@ from orthokernel.linalg import (
     rref_basis,
     scalar,
     subspace_sum,
-    vector,
     xi_complement,
     zero_subspace,
 )
@@ -102,7 +103,7 @@ def test_a_string_is_not_a_vector():
     with pytest.raises(InputError):
         rref_basis([[1, "x"]], 2)
     with pytest.raises(InputError):
-        vector(b"12")
+        int_vector(b"12")
 
 
 def _deficient_int_matrix(rng, nrows, ncols):
@@ -265,7 +266,7 @@ def test_bilinear_weighted_diagonal():
 
 @given(vec_strategy(3), vec_strategy(3))
 def test_bilinear_symmetric(u, v):
-    space = QuadraticSpace(3, ((QQ(2), QQ(1), QQ(0)), (QQ(1), QQ(2), QQ(1)), (QQ(0), QQ(1), QQ(2))))
+    space = QuadraticSpace(3, ((2, 1, 0), (1, 2, 1), (0, 1, 2)))
     assert bilinear_eval(space, u, v) == bilinear_eval(space, v, u)
 
 
@@ -346,12 +347,55 @@ def test_is_positive_definite_rejects_asymmetric():
 
 def test_space_rejects_indefinite_form():
     with pytest.raises(InputError):
-        QuadraticSpace(2, ((QQ(1), QQ(0)), (QQ(0), QQ(-1))))
+        QuadraticSpace(2, ((1, 0), (0, -1)))
 
 
 def test_space_rejects_asymmetric_form():
     with pytest.raises(InputError):
-        QuadraticSpace(2, ((QQ(1), QQ(2)), (QQ(0), QQ(1))))
+        QuadraticSpace(2, ((1, 2), (0, 1)))
+
+
+def test_space_holds_only_its_integer_form():
+    with pytest.raises(InputError):
+        QuadraticSpace(2, ((QQ(1), 0), (0, 1)))
+    with pytest.raises(InputError):
+        QuadraticSpace(2, ((True, 0), (0, 1)))
+    want = ((1, 0), (0, 2))
+    assert QuadraticSpace.from_matrix([["1/2", "0"], ["0", "1"]]).int_form == want
+    assert QuadraticSpace.from_matrix([["2/4", 0], [0, QQ(1)]]).int_form == want
+    assert QuadraticSpace.diagonal(["1/2", 1]).int_form == want
+    assert [f.name for f in fields(QuadraticSpace)] == ["dim", "int_form"]
+
+
+def test_spaces_compare_by_their_integer_form():
+    half = QuadraticSpace.from_matrix([["1/2", "0"], ["0", "1/2"]])
+    assert half == QuadraticSpace.euclidean(2)
+    assert half != QuadraticSpace.diagonal([1, 2])
+    # the form is scaled by its denominators only, not divided by its gcd
+    assert QuadraticSpace.diagonal([3, 3]) != QuadraticSpace.euclidean(2)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["1", "0"], ["0"]],
+        [["1", "0", "0"], ["0", "1", "0"]],
+        [["1", "0"], ["0", "1"], ["0", "0"]],
+        [],
+        "12",
+    ],
+)
+def test_form_parsers_refuse_ragged_and_non_square_rows(rows):
+    with pytest.raises(InputError):
+        QuadraticSpace.from_matrix(rows)
+
+
+def test_raw_space_refuses_ragged_and_non_square_rows():
+    for dim, form in ((2, ((1, 0), (0,))), (2, ((1, 0, 0), (0, 1, 0))), (1, ((1, 0),))):
+        with pytest.raises(InputError):
+            QuadraticSpace(dim, form)
+    with pytest.raises(InputError):
+        QuadraticSpace.diagonal([])
 
 
 def test_is_symmetric_detects_ragged():
@@ -389,7 +433,7 @@ def test_complement_requires_containment(q3):
 @given(vecs_strategy(4, 3), vecs_strategy(4, 2))
 def test_complement_dimension_and_involution(ws, extra):
     space = QuadraticSpace(4, tuple(
-        tuple(QQ(2) if i == j else QQ(1) if abs(i - j) == 1 else QQ(0) for j in range(4))
+        tuple(2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(4))
         for i in range(4)
     ))
     w = rref_basis(ws, 4)

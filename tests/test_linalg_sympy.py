@@ -23,13 +23,13 @@ from orthokernel.flats import AffineSubspace, meet
 from orthokernel.linalg import (
     QuadraticSpace,
     _forward_steps,
-    _int_row,
     _kernel_in,
     _rref_int,
     _times_form,
     _xi_complement_rows,
     determinant,
     full_subspace,
+    int_vector,
     is_positive_definite,
     mat_inverse,
     rref_basis,
@@ -110,10 +110,10 @@ def test_rank_rref_and_kernel_match_sympy(index):
     assert ours.rank == ref.rank() == len(ref_pivots)
     assert ours.pivots == tuple(ref_pivots)
     assert list(rational_basis(ours)) == _from_sympy(ref_rref[: len(ref_pivots), :])
-    assert len(_forward_steps([_int_row(row) for row in rows])) == ours.rank
+    assert len(_forward_steps([int_vector(row)[0] for row in rows])) == ours.rank
 
     # the rows reduced with their columns reversed, read through the helper
-    reversed_rows = [_int_row(row)[::-1] for row in rows]
+    reversed_rows = [int_vector(row)[0][::-1] for row in rows]
     kernel = _kernel_in(*_rref_int(reversed_rows), full_subspace(cols))
     assert kernel == _sympy_span(ref.nullspace(), cols)
 
@@ -168,7 +168,7 @@ def test_complement_in_full_space_matches_sympy(index):
     cols = len(rows[0])
     form = _dense_form(cols)
     space = QuadraticSpace.from_matrix(form)
-    int_rows = [_int_row(row) for row in rows]
+    int_rows = [int_vector(row)[0] for row in rows]
     for product_rows in (int_rows, rref_basis(rows, cols).int_rows):
         ours = _times_form(product_rows, space)
         ref_product = _int_matrix(product_rows, cols) * sympy.Matrix(space.int_form)

@@ -57,7 +57,7 @@ def _invertible(n: int, rng: random.Random):
 def _moved_space(space: QuadraticSpace, a) -> QuadraticSpace:
     inv = mat_inverse(a)
     inv_t = tuple(zip(*inv))
-    return QuadraticSpace(space.dim, mat_mul(mat_mul(inv_t, space.form), inv))
+    return QuadraticSpace.from_matrix(mat_mul(mat_mul(inv_t, space.int_form), inv))
 
 
 def _move(flat: AffineSubspace, a, space: QuadraticSpace) -> AffineSubspace:

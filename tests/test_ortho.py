@@ -36,6 +36,7 @@ from orthokernel.generators import (
     trial_rng,
 )
 from orthokernel.linalg import (
+    QuadraticSpace,
     full_subspace,
     mat_mul,
     rref_basis,
@@ -239,6 +240,42 @@ def test_perp_m_axes(q3):
     assert perp_m(x_axis, y_axis, TypedPerpParams(0, 1, 1))
 
 
+# pairs of the type's dimensions whose Gram matrix D1 F D2^T has rank m
+# but whose directions meet in fewer than m dimensions: only the meet
+# dimension tells them from a perp_m pair
+SHORT_MEET_PAIRS = {
+    "(1,2,2) in Q^4": (
+        TypedPerpParams(1, 2, 2),
+        [(1, 0, 0, 0), (0, 1, 0, 0)],
+        [(1, 0, 1, 0), (0, 0, 0, 1)],
+        0,
+    ),
+    "(2,3,3) in Q^5": (
+        TypedPerpParams(2, 3, 3),
+        [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)],
+        [(1, 0, 0, 0, 0), (0, 1, 0, 1, 0), (0, 0, 0, 0, 1)],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("case", SHORT_MEET_PAIRS)
+def test_perp_m_refuses_a_meet_smaller_than_its_type(case, weighted):
+    params, rows1, rows2, meet_dim = SHORT_MEET_PAIRS[case]
+    n = len(rows1[0])
+    space = (
+        QuadraticSpace.diagonal(range(1, n + 1)) if weighted else QuadraticSpace.euclidean(n)
+    )
+    x1 = AffineSubspace.make(space, [0] * n, rref_basis(rows1, n))
+    x2 = AffineSubspace.make(space, [0] * n, rref_basis(rows2, n))
+    assert meet(x1, x2).dim == meet_dim < params.m
+    gram = [[bilinear_eval(space, u, v) for v in rows2] for u in rows1]
+    assert rref_basis(gram, len(rows2)).rank == params.m
+    assert not perp_m(x1, x2, params)
+    assert not perp_m(x2, x1, params)
+
+
 def test_typed_params_validation():
     with pytest.raises(InputError):
         TypedPerpParams(-1, 1, 1)
@@ -361,7 +398,7 @@ def test_reflection_fixes_flat_and_preserves_form(q3_weighted, rng):
         )
         r = reflection(flat)
         at = tuple(zip(*r.matrix))
-        assert mat_mul(mat_mul(at, space.form), r.matrix) == space.form
+        assert mat_mul(mat_mul(at, space.int_form), r.matrix) == space.int_form
         basis = rational_basis(flat.direction)
         for _ in range(3):
             coeffs = [rng.randint(-2, 2) for _ in basis]

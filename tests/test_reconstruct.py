@@ -32,7 +32,6 @@ from orthokernel.linalg import (
     full_subspace,
     rref_basis,
     subspace_sum,
-    vec_sub,
     xi_complement,
 )
 from orthokernel.ortho import (
@@ -63,6 +62,7 @@ from rational_reference import (
     rational_point,
     vec_add,
     vec_scale,
+    vec_sub,
 )
 
 

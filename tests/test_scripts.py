@@ -18,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "scripts" / "reconstruct_demo.py"
 FULL_CHECK = ROOT / "scripts" / "run_full_check.py"
+CHECK_INTERPRETERS = ROOT / "scripts" / "check_interpreters.py"
 
 # the feet and verdict lines of scripts/reconstruct_demo.py
 DEMO_CASES = {
@@ -165,6 +166,25 @@ def test_full_check_stops_when_a_generator_gives_up(monkeypatch, capsys, tmp_pat
         "error: no draw after 64 tries", "dim 3: exit 2, no report written"
     ]
     assert list(out.iterdir()) == []
+
+
+def test_pinned_outputs_hold_under_this_interpreter():
+    proc = run_script(CHECK_INTERPRETERS, sys.executable)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 7 and all(ln.startswith("ok ") for ln in lines)
+
+
+def test_check_interpreters_names_the_first_mismatch(tmp_path):
+    # an "interpreter" that writes no report and the wrong stdout
+    fake = tmp_path / "python"
+    fake.write_text("#!/bin/sh\necho 0\n")
+    fake.chmod(0o755)
+    proc = run_script(CHECK_INTERPRETERS, str(fake))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"mismatch: {fake} -m orthokernel check --dim 4")
+    assert "no report written" in proc.stderr
+    assert run_script(CHECK_INTERPRETERS).returncode == 2
 
 
 def _run_with_stated_outputs(block, namespace):

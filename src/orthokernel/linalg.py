@@ -7,14 +7,15 @@ rounds.  Row reduction runs fraction-free over machine/bignum integers,
 rows kept primitive (gcd 1).  Subspaces are stored in reduced row-echelon
 form as primitive integer rows, which makes equality of subspaces plain
 structural equality.  A ``QuadraticSpace`` holds only ``int_form``, the
-form scaled to integers, and every product of rows with it is taken over
-the form's nonzero entries (``QuadraticSpace.int_form_entries``) alone, so
-a diagonal form costs n multiplications per row and a tridiagonal one
-3n - 2, not n^2.  Rank, determinant and definiteness come from one
-fraction-free forward pass (``_forward_steps``) and its pivot steps.
-Every reduced system comes from one plain Gauss-Jordan (``_rref_int``);
-an augmented one, the inverse's [A | I] (``_int_inverse``) or the meet's
-(``flats._meet_parts``), is answered by where its pivots fall.
+form's least positive integral multiple, and every product of rows with
+it is taken over the form's nonzero entries
+(``QuadraticSpace.int_form_entries``) alone, so a diagonal form costs n
+multiplications per row and a tridiagonal one 3n - 2, not n^2.  Rank,
+determinant and definiteness come from one fraction-free forward pass
+(``_forward_steps``) and its pivot steps.  Every reduced system comes from
+one plain Gauss-Jordan (``_rref_int``); an augmented one, the inverse's
+[A | I] (``_int_inverse``) or the meet's (``flats._meet_parts``), is
+answered by where its pivots fall.
 
 A k-dimensional subspace D has two sides: its k canonical rows and its
 n - k equations (``LinearSubspace.equations``), with
@@ -112,7 +113,8 @@ def int_vector(entries: Iterable[Scalarish]) -> tuple[list[int], int]:
 
 def _int_matrix(rows: Iterable[Iterable[Scalarish]]) -> list[list[int]]:
     """Rational rows times the lcm of their entries' denominators in lowest
-    terms: the least positive integral multiple of the matrix."""
+    terms: a positive integral multiple of the matrix, with the signs of
+    its entries and of its leading minors."""
     read = [int_vector(row) for row in rows]
     lcm = math.lcm(*[den // math.gcd(den, *nums) for nums, den in read])
     return [[x * lcm // den for x in nums] for nums, den in read]
@@ -427,9 +429,11 @@ def is_positive_definite(form: Sequence[Sequence[Scalarish]]) -> bool:
 @dataclass(frozen=True)
 class QuadraticSpace:
     """Q^n with a symmetric positive-definite bilinear form, held only as
-    ``int_form``: the rational form (read by ``diagonal`` or
-    ``from_matrix``) times the lcm of its denominators.  No relation changes
-    under a positive factor, so spaces compare by their integer forms."""
+    ``int_form``: the least positive integral multiple of the form, the
+    rational form (read by ``diagonal`` or ``from_matrix``) times the lcm of
+    its denominators, then divided by the gcd of its entries, as the raw
+    constructor's integers are.  No relation changes under a positive
+    factor, so spaces compare by their integer forms."""
 
     dim: int
     int_form: tuple[IntRow, ...]
@@ -442,6 +446,10 @@ class QuadraticSpace:
             raise InputError("form must be a dim x dim matrix")
         if any(type(x) is not int for row in form for x in row):
             raise InputError("form entries must be ints; see from_matrix")
+        g = math.gcd(*[x for row in form for x in row])
+        if g > 1:
+            form = tuple(tuple(x // g for x in row) for row in form)
+            object.__setattr__(self, "int_form", form)
         if not is_positive_definite(form):
             raise InputError("form must be positive definite")
 

@@ -56,6 +56,7 @@ from .linalg import (
     _forward_steps,
     _int_inverse,
     _mat_mul_int,
+    _rref_int,
     _subspace_from_int_rows,
     full_subspace,
     mat_mul,
@@ -380,6 +381,26 @@ def _rand_extension(
         cand = _subspace_from_int_rows([*base_rows, *rows], n)
         if cand.rank == target:
             return cand
+    raise GenerationError(f"no independent {k}-subspace after {RETRIES} draws")
+
+
+def _rand_coefficients(
+    k: int, rank: int, rng: random.Random
+) -> tuple[tuple[int, ...], ...]:
+    """k random combinations of the rows of a w of the given rank, for
+    0 < k < rank, as their reduced coefficient rows.
+
+    The draws, redraws and GenerationError are _rand_extension's: when its
+    base meets w only in zero, the extension has full rank exactly when the
+    k drawn rows do.  Each draw is reduced once, and the reduced rows name
+    the subspace of w the draw picks, the span of the rows times w's: two
+    draws pick the same subspace exactly when their rows are equal."""
+    for _ in range(RETRIES):
+        rows, _ = _rref_int(
+            [_draws(rng, -COEFF_BOUND, COEFF_BOUND, rank) for _ in range(k)]
+        )
+        if len(rows) == k:
+            return tuple(map(tuple, rows))
     raise GenerationError(f"no independent {k}-subspace after {RETRIES} draws")
 
 

@@ -14,7 +14,8 @@ the right dimension type whether or not the configuration is orthogonal.
 Two execution modes: WITNESS follows the constructions above and is exact;
 SAMPLED replaces the canonical extension by random incidence-valid
 candidates and answers with the conjunction of oracle replies, so a false
-answer is sound and a true answer is probabilistic.
+answer is sound and a true answer is probabilistic.  A predicate answers
+the same question the same way, so each distinct candidate is asked once.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .flats import (
     parallel,
 )
 from .linalg import (
+    _mat_mul_int,
+    _subspace_from_int_rows,
     _xi_complement_rows,
     full_subspace,
     zero_subspace,
@@ -43,6 +46,7 @@ from .linalg import (
 from .ortho import (
     TypedPerpParams,
     _meet_dim,
+    _rand_coefficients,
     _rand_extension,
     perp_m,
     perp_subspaces,
@@ -138,12 +142,15 @@ def decide_perp0(
 ) -> bool:
     """Decide point-meet orthogonality of (y1, x2) through the typed oracle.
 
-    WITNESS queries the canonical extension once.  SAMPLED queries K
+    WITNESS queries the canonical extension once.  SAMPLED draws K
     incidence-valid candidates y1 ⊔ T with T a random m-flat inside x2
-    through the common point and returns the conjunction.  The directions of
-    y1 and x2 meet only in zero, so a candidate is one reduction of y1's rows
-    and the m drawn rows and always has dimension k1: no candidate is
-    rejected, only a collapsed draw is redrawn, as rand_subspace_of does.
+    through the common point and returns the conjunction of the answers.
+    T is drawn as m combinations of x2's rows, reduced to the rows that name
+    it, and redrawn while they have rank below m, as rand_subspace_of draws.
+    A T drawn before has been asked about and is skipped; the answer, the
+    draws and the rng's state after the decision are those of asking every
+    draw.  The directions of y1 and x2 meet only in zero, so a new candidate
+    is one reduction of y1's rows and T's and always has dimension k1.
     """
     _check_same_space(y1, x2)
     params = oracle.params
@@ -156,11 +163,18 @@ def decide_perp0(
     if params.m == 0:
         return oracle.query(y1, x2)
     sample_rng = rng if rng is not None else random.Random(mode.seed)
+    y1_rows, x2_rows = y1.direction.int_rows, x2.direction.int_rows
+    asked = set()
     for _ in range(mode.samples):
+        # T in x2's coordinates; a T already asked about has its answer
+        coeffs = _rand_coefficients(params.m, params.k2, sample_rng)
+        if coeffs in asked:
+            continue
+        asked.add(coeffs)
         # y1 ⊔ T: the common point lies on y1, so the directions' sum
         # through y1's base point
-        direction = _rand_extension(
-            y1.direction.int_rows, x2.direction, params.m, sample_rng
+        direction = _subspace_from_int_rows(
+            [*y1_rows, *_mat_mul_int(coeffs, x2_rows)], y1.ambient_dim
         )
         candidate = AffineSubspace._canonical(y1.space, *y1.int_point, direction)
         if not oracle.query(candidate, x2):

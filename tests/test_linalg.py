@@ -32,6 +32,7 @@ from orthokernel.linalg import (
     xi_complement,
     zero_subspace,
 )
+from orthokernel.ortho import perp_g
 
 from conftest import qv
 from rational_reference import (
@@ -371,8 +372,29 @@ def test_spaces_compare_by_their_integer_form():
     half = QuadraticSpace.from_matrix([["1/2", "0"], ["0", "1/2"]])
     assert half == QuadraticSpace.euclidean(2)
     assert half != QuadraticSpace.diagonal([1, 2])
-    # the form is scaled by its denominators only, not divided by its gcd
-    assert QuadraticSpace.diagonal([3, 3]) != QuadraticSpace.euclidean(2)
+    # the form is divided by the gcd of its entries on every route
+    assert QuadraticSpace.diagonal([3, 3]) == QuadraticSpace.euclidean(2)
+
+
+def test_every_route_holds_the_least_integral_form():
+    want = ((2, 1), (1, 3))
+    for space in (
+        QuadraticSpace(2, ((6, 3), (3, 9))),
+        QuadraticSpace.from_matrix([["2/3", "1/3"], ["1/3", "1"]]),
+        QuadraticSpace.from_matrix([[4, 2], [2, 6]]),
+    ):
+        assert space.int_form == want
+    assert QuadraticSpace.diagonal(["3/2", 3, 6]).int_form == (
+        (1, 0, 0), (0, 2, 0), (0, 0, 4)
+    )
+    # flats of spaces whose forms differ by a positive factor are related
+    three = QuadraticSpace.diagonal([3, 3])
+    a = AffineSubspace.make(three, qv(0, 0), rref_basis([qv(1, 1)], 2))
+    b = AffineSubspace.make(
+        QuadraticSpace.euclidean(2), qv(1, 1), rref_basis([qv(1, -1)], 2)
+    )
+    assert perp_g(a, b) and perp_g(b, a)
+    assert not perp_g(a, AffineSubspace.make(three, qv(0, 0), rref_basis([qv(1, 0)], 2)))
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,20 @@
 """Line-orthogonality recovery pipeline: feet, witnesses, both decision modes."""
 
 import hashlib
+import importlib
+import itertools
 import json
+import pkgutil
 import random
 
 import pytest
 
-import orthokernel.flats as flats_module
+import orthokernel
 import orthokernel.linalg as linalg_module
 import orthokernel.ortho as ortho_module
 import orthokernel.reconstruct as reconstruct_module
 from orthokernel.errors import (
+    GenerationError,
     InputError,
     PreconditionError,
 )
@@ -27,6 +31,7 @@ from orthokernel.generators import (
     gen_line_pair,
     gen_pair_with_meet_dim,
     random_point_of,
+    space_of,
 )
 from orthokernel.linalg import (
     full_subspace,
@@ -36,6 +41,8 @@ from orthokernel.linalg import (
 )
 from orthokernel.ortho import (
     TypedPerpParams,
+    _rand_extension,
+    make_perp_pair,
     orthocomplement_in,
     perp_m,
     perp_x,
@@ -283,13 +290,25 @@ def test_decide_perp0_witness_uses_one_query(q4):
     assert len(calls) == 1
 
 
-def test_decide_perp0_sampled_queries_every_candidate(q4, rng):
+def _distinct_draws(x2, m, samples, seed):
+    """How many distinct m-subspaces of x2's direction `samples` draws of
+    rand_subspace_of pick from random.Random(seed)."""
+    rng = random.Random(seed)
+    return len({rand_subspace_of(x2.direction, m, rng) for _ in range(samples)})
+
+
+def test_decide_perp0_sampled_queries_every_candidate(q4):
+    # every distinct candidate once: y1 ⊔ T determines T = (y1 ⊔ T) ⊓ x2
     params = TypedPerpParams(m=1, k1=2, k2=2)
     y1 = line(q4, (0, 0, 0, 0), (1, 0, 0, 0))
     x2 = flat(q4, (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     oracle, calls = counting_oracle(params)
-    assert decide_perp0(y1, x2, oracle, ReconstructionMode.sampled(6), rng)
-    assert len(calls) == 6
+    distinct = _distinct_draws(x2, 1, 20, 12345)
+    assert distinct < 20
+    assert decide_perp0(
+        y1, x2, oracle, ReconstructionMode.sampled(20), random.Random(12345)
+    )
+    assert len(calls) == distinct
 
 
 def test_decide_perp0_zero_meet_queries_directly(q3):
@@ -673,15 +692,21 @@ def test_line_ground_truth_matches_the_rational_form():
 
 A_RECON_GRID = ((0, 1, 1), (1, 2, 2), (1, 2, 3), (2, 3, 3))
 
-# sha256 over every queried candidate's wire form, the queries per pair and
-# the rng state after each pair, over the grid below
+# sha256 over every queried candidate's wire form and the queries per pair,
+# and sha256 over the rng state after each pair, over the grid below.  A
+# sampled decision asks about each distinct candidate once, but draws as
+# one candidate per draw does (_reference_sampled below), so the states
+# are those of asking every draw.
 PINNED_SAMPLED_CANDIDATES = (
-    "27d81aae8b9d2eb92baab97aae2a6832de19eb6c2b3b10d5fe172a8005928578"
+    "4175aec09037b59189ebfe41c323f1f493b87c30fcb4239a6353de868d0a2919"
+)
+PINNED_SAMPLED_RNG_STATES = (
+    "a3aa22d776ab02d8e3b690181d5e3193d32bbc07b9d6572f38d4d8af7e125615"
 )
 
 
 def test_sampled_candidates_are_pinned():
-    h = hashlib.sha256()
+    queries, states = hashlib.sha256(), hashlib.sha256()
     for m, k1, k2 in A_RECON_GRID:
         params = TypedPerpParams(m, k1, k2)
         for n in range(k1 + k2 - m, 7):
@@ -700,10 +725,112 @@ def test_sampled_candidates_are_pinned():
                         l1, l2, params, PerpOracle(params, query),
                         ReconstructionMode.sampled(20), rng,
                     )
-                    h.update(json.dumps(queried, sort_keys=True).encode())
-                    h.update(f"{len(queried)}".encode())
-                    h.update(repr(rng.getstate()).encode())
-    assert h.hexdigest() == PINNED_SAMPLED_CANDIDATES
+                    queries.update(json.dumps(queried, sort_keys=True).encode())
+                    queries.update(f"{len(queried)}".encode())
+                    states.update(repr(rng.getstate()).encode())
+    assert queries.hexdigest() == PINNED_SAMPLED_CANDIDATES
+    assert states.hexdigest() == PINNED_SAMPLED_RNG_STATES
+
+
+# ---------------------------------------------------------------------------
+# the sampled decision against one candidate per draw
+
+
+def _reference_sampled(y1, x2, oracle, samples, rng):
+    """The sampled loop with one _rand_extension candidate per draw and
+    every candidate asked, repeats included."""
+    for _ in range(samples):
+        direction = _rand_extension(
+            y1.direction.int_rows, x2.direction, oracle.params.m, rng
+        )
+        candidate = AffineSubspace._canonical(y1.space, *y1.int_point, direction)
+        if not oracle.query(candidate, x2):
+            return False
+    return True
+
+
+def _recording_oracles(params):
+    """The ground-truth, always-true and always-false oracles of params,
+    each logging the wire form of every query into the returned list."""
+    answers = (ground_truth_oracle(params).query, lambda a, b: True, lambda a, b: False)
+    log = []
+
+    def recording(answer):
+        def query(a, b):
+            log.append(json.dumps([a.to_wire(), b.to_wire()], sort_keys=True))
+            return answer(a, b)
+
+        return PerpOracle(params, query)
+
+    return [recording(answer) for answer in answers], log
+
+
+def test_sampled_decision_is_one_candidate_per_draw_without_repeats():
+    types = [
+        (n, TypedPerpParams(m, k1, k2))
+        for n in range(3, 8)
+        for m in range(1, n)
+        for k1 in range(m + 1, n)
+        for k2 in range(m + 1, n)
+        if k1 + k2 - m <= n
+    ]
+    assert len(types) == 70
+    asked = repeated = 0
+    for n, params in types:
+        for form in NAMED_FORMS:
+            cfg = GenConfig(dim=n, seed=0, form=form)
+            rng = random.Random(f"sampled-reference:{n}:{form}:{params}")
+            # an orthogonal pair, and one in general position
+            lifted = TypedPerpParams(0, params.k1 - params.m, params.k2)
+            pairs = [
+                make_perp_pair(space_of(cfg), lifted, rng),
+                gen_pair_with_meet_dim(cfg, lifted.k1, lifted.k2, 0, rng),
+            ]
+            oracles, log = _recording_oracles(params)
+            for (y1, x2), seed in itertools.product(pairs, range(2)):
+                for oracle in oracles:
+                    got_rng, want_rng = random.Random(seed), random.Random(seed)
+                    log.clear()
+                    want = _reference_sampled(y1, x2, oracle, 20, want_rng)
+                    want_log = list(dict.fromkeys(log))
+                    repeated += len(log) - len(want_log)
+                    log.clear()
+                    mode = ReconstructionMode.sampled(20)
+                    assert decide_perp0(y1, x2, oracle, mode, got_rng) == want
+                    assert got_rng.getstate() == want_rng.getstate()
+                    assert log == want_log
+                    asked += len(log)
+    # the repeats the decision skips are a sizable share of the queries
+    assert repeated > asked // 10
+
+
+class _ZeroDraws(random.Random):
+    """An rng whose every bounded draw is 0 in [-3, 3]: getrandbits(3)
+    always gives 3, and its calls are counted."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return 3
+
+
+def test_a_collapsed_draw_fails_as_one_candidate_per_draw_did(q4):
+    params = TypedPerpParams(m=1, k1=2, k2=2)
+    y1 = line(q4, (0, 0, 0, 0), (1, 0, 0, 0))
+    x2 = flat(q4, (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    oracle = ground_truth_oracle(params)
+    raised = []
+    for decide, samples in (
+        (decide_perp0, ReconstructionMode.sampled(5)), (_reference_sampled, 5)
+    ):
+        rng = _ZeroDraws()
+        with pytest.raises(GenerationError) as info:
+            decide(y1, x2, oracle, samples, rng)
+        raised.append((str(info.value), rng.calls))
+    assert raised[0] == raised[1] == ("no independent 1-subspace after 64 draws", 64 * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -801,20 +928,38 @@ def test_witnesses_match_their_reference_routes(n, form):
 
 
 def _count_eliminations(monkeypatch):
-    """Every _rref_int and _forward_steps call the kernel modules make from
-    now on."""
+    """Every _rref_int and _forward_steps call the package makes from now
+    on, by name: each is patched wherever an orthokernel module binds it."""
     calls = []
+    modules = [
+        importlib.import_module(f"orthokernel.{info.name}")
+        for info in pkgutil.iter_modules(orthokernel.__path__)
+        if info.name != "__main__"
+    ]
     for name in ("_rref_int", "_forward_steps"):
         real = getattr(linalg_module, name)
 
-        def counting(*args, real=real, **kwargs):
-            calls.append(1)
+        def counting(*args, name=name, real=real, **kwargs):
+            calls.append(name)
             return real(*args, **kwargs)
 
-        for module in (linalg_module, flats_module, ortho_module):
-            if hasattr(module, name):
+        for module in modules:
+            if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_a_pair_draw_is_counted_through_the_generators(monkeypatch, m):
+    # per accepted draw one forward pass for the rank test and one
+    # reduction per direction, and one more for the m-dimensional base;
+    # the generators bind _forward_steps themselves
+    cfg = GenConfig(dim=6, seed=0, form="tridiag")
+    calls = _count_eliminations(monkeypatch)
+    gen_pair_with_meet_dim(cfg, 3, 3, m, random.Random(9))
+    assert calls.count("_forward_steps") == 1
+    assert calls.count("_rref_int") == 2 + (m > 0)
+    assert len(calls) == 3 + (m > 0)
 
 
 def _lines_to_wrap():
@@ -825,18 +970,21 @@ def _lines_to_wrap():
 def test_sampled_candidates_take_one_elimination_each(monkeypatch):
     params = TypedPerpParams(m=1, k1=2, k2=3)
     x1, x2 = lemma2_witness(*_lines_to_wrap(), 1, 3)
+    distinct = _distinct_draws(x2, 1, 20, 5)
+    assert distinct < 20
     # an oracle that does no linear algebra of its own
     oracle = PerpOracle(params, lambda a, b: True)
     calls = _count_eliminations(monkeypatch)
     used = []
-    for samples in (1, 7):
+    for samples in (1, 20):
         calls.clear()
         assert decide_perp0(
             x1, x2, oracle, ReconstructionMode.sampled(samples), random.Random(5)
         )
         used.append(len(calls))
-    # one reduction per candidate; a draw followed by a sum took two
-    assert used[1] - used[0] == 6
+    # one reduction of the drawn coefficients per draw, and one of the
+    # ambient rows per distinct candidate; both runs reduce the meet system
+    assert used[1] - used[0] == 19 + (distinct - 1)
 
 
 def _witness_eliminations(monkeypatch, k2):

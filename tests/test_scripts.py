@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "scripts" / "reconstruct_demo.py"
 FULL_CHECK = ROOT / "scripts" / "run_full_check.py"
 CHECK_INTERPRETERS = ROOT / "scripts" / "check_interpreters.py"
+LEDGER = ROOT / "scripts" / "ledger.py"
 
 # the feet and verdict lines of scripts/reconstruct_demo.py
 DEMO_CASES = {
@@ -185,6 +186,15 @@ def test_check_interpreters_names_the_first_mismatch(tmp_path):
     assert proc.stderr.startswith(f"mismatch: {fake} -m orthokernel check --dim 4")
     assert "no report written" in proc.stderr
     assert run_script(CHECK_INTERPRETERS).returncode == 2
+
+
+def test_the_committed_ledger_is_a_fresh_run(tmp_path):
+    # a change to the kernel's work regenerates LEDGER.json and names the
+    # lines that moved
+    path = tmp_path / "ledger.json"
+    proc = run_script(LEDGER, str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_text() == (ROOT / "LEDGER.json").read_text()
 
 
 def _run_with_stated_outputs(block, namespace):

@@ -5,10 +5,11 @@ Usage: python scripts/ledger.py [PATH]
 
 Writes PATH (default ``LEDGER.json`` at the repository root) with, for
 each unit of work, how often it called the elimination routines
-(``_rref_int``, ``_forward_steps``, ``_echelon_kernel``) and the bounded
-draw ``_draws``, how often ``_meet_parts`` found its pair's system in the
-meet slot ("meet_hits") or reduced it ("meet_misses"), and how many
-oracle queries the decisions made. The units are:
+(``_rref_int``, ``_forward_steps``, ``_echelon_kernel``), the product of
+rows with the form ``_times_form`` and the bounded draw ``_draws``, how
+often ``_meet_parts`` found its pair's system in the meet slot
+("meet_hits") or reduced it ("meet_misses"), and how many oracle queries
+the decisions made. The units are:
 
 - "properties": each property id at dims 3-6 under each named form, 8
   trials of ``run_suite``;
@@ -51,7 +52,7 @@ from orthokernel.properties import ALL_PROPERTY_IDS, run_suite  # noqa: E402
 from check_interpreters import PINNED  # noqa: E402
 
 KEYS = (
-    "_rref_int", "_forward_steps", "_echelon_kernel", "_draws",
+    "_rref_int", "_forward_steps", "_echelon_kernel", "_times_form", "_draws",
     "meet_hits", "meet_misses", "queries",
 )
 A_RECON_GRID = ((0, 1, 1), (1, 2, 2), (1, 2, 3), (2, 3, 3))
@@ -109,6 +110,7 @@ def _wrappers(counts: Counter) -> dict:
             linalg._rref_int,
             linalg._forward_steps,
             linalg._echelon_kernel,
+            linalg._times_form,
             orthokernel.ortho._draws,
         )
     }

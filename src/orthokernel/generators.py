@@ -128,10 +128,6 @@ def gen_point(cfg: GenConfig, rng: random.Random) -> AffineSubspace:
     )
 
 
-def _rand_int_vector(n: int, rng: random.Random) -> tuple[int, ...]:
-    return tuple(_draws(rng, -COEFF_BOUND, COEFF_BOUND, n))
-
-
 def gen_subspace(cfg: GenConfig, k: int, rng: random.Random) -> AffineSubspace:
     """A random flat of exact dimension k."""
     space = space_of(cfg)
@@ -159,8 +155,8 @@ def gen_pair_with_meet_dim(
     full = full_subspace(n)
     for _ in range(RETRIES):
         base = rand_subspace_of(full, m, rng).int_rows
-        ext1 = tuple(_rand_int_vector(n, rng) for _ in range(k1 - m))
-        ext2 = tuple(_rand_int_vector(n, rng) for _ in range(k2 - m))
+        ext1 = tuple(_draws(rng, -COEFF_BOUND, COEFF_BOUND, n) for _ in range(k1 - m))
+        ext2 = tuple(_draws(rng, -COEFF_BOUND, COEFF_BOUND, n) for _ in range(k2 - m))
         # base has rank m: all k1 + k2 - m rows are independent exactly when
         # both directions have full rank and their sum has rank k1 + k2 - m
         if len(_forward_steps(base + ext1 + ext2)) != k1 + k2 - m:

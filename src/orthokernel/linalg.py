@@ -10,10 +10,10 @@ structural equality.  A ``QuadraticSpace`` holds only ``int_form``, the
 form's least positive integral multiple, and every product of rows with
 it is taken over the form's nonzero entries
 (``QuadraticSpace.int_form_entries``) alone, so a diagonal form costs n
-multiplications per row and a tridiagonal one 3n - 2, not n^2.  Rank,
-determinant and definiteness come from one fraction-free forward pass
-(``_forward_steps``) and its pivot steps.  Every reduced system comes from
-one plain Gauss-Jordan (``_rref_int``); an augmented one, the inverse's
+multiplications per row and a tridiagonal one 3n - 2, not n^2.  Rank and
+definiteness come from one fraction-free forward pass (``_forward_steps``)
+and its pivot steps.  Every reduced system comes from one plain
+Gauss-Jordan (``_rref_int``); an augmented one, the inverse's
 [A | I] (``_int_inverse``) or the meet's (``flats._meet_parts``), is
 answered by where its pivots fall.
 
@@ -25,11 +25,13 @@ equally the row space of E F^-1; ``xi_complement`` works on whichever
 side has fewer rows.  A complement inside W and a meet's direction are
 read by ``_kernel_in`` from one reduction over W's rows in reverse order.
 
-Rationals exist only at the boundary: input, read by ``int_vector`` and
-its fallback ``scalar``, and the rational results of ``determinant``
-(public, with no caller in the package), ``mat_inverse`` (which has none
-either: it stays for the benchmark's tracer, which patches it) and
-``mat_mul``, which ``ortho.AffineIsometry`` reads.
+Rationals exist only at the boundary.  Input is read by ``int_vector``,
+whose fallback ``scalar`` decides the value and the error of any entry
+that is not an int or a canonical "p" or "p/q" string.  Two results stay
+rational, and no module of the package calls either: ``mat_inverse``, and
+``mat_mul``, which ``ortho.AffineIsometry`` reads.  They stay because the
+benchmark's tracer patches ``mat_inverse`` and ``ortho.reflection`` by
+name, until its spans follow the live kernel.
 """
 
 from __future__ import annotations
@@ -382,23 +384,7 @@ def mat_inverse(m: Sequence[Sequence[Scalarish]]) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# determinants and the quadratic space
-
-
-def determinant(m: Sequence[Sequence[Scalarish]]) -> QQ:
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise InputError("matrix is not square")
-    # the integer rows' determinant over the product of the rows' denominators
-    scaled = [int_vector(row) for row in m]
-    steps = _forward_steps([r for r, _ in scaled])
-    if len(steps) < n:
-        return QQ(0)
-    det = steps[-1][1] if steps else 1
-    # taking the row at index i moves it past i others
-    if sum(i for i, _ in steps) % 2:
-        det = -det
-    return QQ(det, math.prod(d for _, d in scaled))
+# the quadratic space
 
 
 def is_symmetric(form: Sequence[Sequence[Union[QQ, int]]]) -> bool:

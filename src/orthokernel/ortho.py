@@ -394,7 +394,9 @@ def _rand_coefficients(
     base meets w only in zero, the extension has full rank exactly when the
     k drawn rows do.  Each draw is reduced once, and the reduced rows name
     the subspace of w the draw picks, the span of the rows times w's: two
-    draws pick the same subspace exactly when their rows are equal."""
+    draws pick the same subspace exactly when their rows are equal.  The
+    rows are those of rand_subspace_of(full_subspace(rank), k, rng), which
+    would build a LinearSubspace per draw on the sampled decision's path."""
     for _ in range(RETRIES):
         rows, _ = _rref_int(
             [_draws(rng, -COEFF_BOUND, COEFF_BOUND, rank) for _ in range(k)]

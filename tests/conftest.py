@@ -43,3 +43,16 @@ def rng():
 def qv(*entries):
     """Shorthand rational vector from ints or 'p/q' strings."""
     return tuple(QQ(e) for e in entries)
+
+
+class ZeroDraws(random.Random):
+    """An rng whose every bounded draw is 0 in [-3, 3]: getrandbits(3)
+    always gives 3, and its calls are counted."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return 3

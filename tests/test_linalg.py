@@ -1,6 +1,5 @@
 """Exact linear algebra: canonical bases, solving, forms, complements."""
 
-import itertools
 import random
 from dataclasses import fields
 from fractions import Fraction as QQ
@@ -19,7 +18,6 @@ from orthokernel.linalg import (
     _rref_int,
     _subspace_from_int_rows,
     _times_form,
-    determinant,
     full_subspace,
     int_vector,
     is_positive_definite,
@@ -180,57 +178,7 @@ def test_grassmann_dimension_formula(us, vs):
 
 
 # ---------------------------------------------------------------------------
-# determinants and inverses
-
-
-def _cofactor_det(m):
-    n = len(m)
-    if n == 0:
-        return QQ(1)
-    if n == 1:
-        return m[0][0]
-    total = QQ(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _cofactor_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
-@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3))
-def test_determinant_matches_cofactor_expansion(rows):
-    rows = [tuple(r) for r in rows]
-    assert determinant(rows) == _cofactor_det(rows)
-
-
-def _permutation_matrices(n):
-    """Every n x n permutation matrix with the parity of its permutation."""
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
-        )
-        rows = [tuple(QQ(int(perm[i] == j)) for j in range(n)) for i in range(n)]
-        yield rows, inversions % 2
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_determinant_of_permutation_matrices_is_their_sign(n):
-    parities = set()
-    for rows, odd in _permutation_matrices(n):
-        assert determinant(rows) == (-1 if odd else 1)
-        parities.add(odd)
-    assert parities == ({0} if n == 1 else {0, 1})
-
-
-def test_determinant_of_the_empty_matrix_is_one():
-    assert determinant([]) == 1
-
-
-def test_determinant_is_zero_below_full_rank():
-    assert determinant([[QQ(1), QQ(2)], [QQ(2), QQ(4)]]) == 0
-    assert determinant([[QQ(0), QQ(0)], [QQ(1), QQ(5)]]) == 0
-    # the only nonzero column is skipped past, so the rank falls short
-    assert determinant([[QQ(0), QQ(3)], [QQ(0), QQ(1, 2)]]) == 0
+# inverses
 
 
 def test_inverse_round_trip():
@@ -326,15 +274,29 @@ def _symmetric_rational_matrix(rng, n):
     return rows
 
 
+def _cofactor_det(m):
+    n = len(m)
+    if n == 0:
+        return QQ(1)
+    if n == 1:
+        return m[0][0]
+    total = QQ(0)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = m[0][j] * _cofactor_det(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
 def test_is_positive_definite_is_every_leading_minor_positive():
-    # Sylvester's criterion spelled out with one determinant per minor
+    # Sylvester's criterion spelled out with one cofactor expansion per minor
     rng = random.Random(20261019)
     seen = set()
     for _ in range(300):
         n = rng.randint(1, 6)
         rows = _symmetric_rational_matrix(rng, n)
         want = all(
-            determinant([row[:k] for row in rows[:k]]) > 0 for k in range(1, n + 1)
+            _cofactor_det([row[:k] for row in rows[:k]]) > 0 for k in range(1, n + 1)
         )
         assert is_positive_definite(rows) is want
         seen.add(want)

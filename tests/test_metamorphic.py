@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from orthokernel.errors import PreconditionError
 from orthokernel.flats import AffineSubspace, is_subflat, join, meet, translate_through
 from orthokernel.generators import (
     GenConfig,
@@ -23,7 +24,6 @@ from orthokernel.generators import (
 )
 from orthokernel.linalg import (
     QuadraticSpace,
-    determinant,
     mat_inverse,
     mat_mul,
     rref_basis,
@@ -50,8 +50,11 @@ def _invertible(n: int, rng: random.Random):
             tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
             for _ in range(n)
         )
-        if determinant(a) != 0:
-            return a
+        try:
+            mat_inverse(a)
+        except PreconditionError:  # singular: draw again
+            continue
+        return a
 
 
 def _moved_space(space: QuadraticSpace, a) -> QuadraticSpace:

@@ -53,6 +53,7 @@ from orthokernel.ortho import (
     TypedPerpParams,
     _draw,
     _draws,
+    _rand_coefficients,
     _rand_extension,
     make_perp_pair,
     orthocomplement_in,
@@ -67,7 +68,7 @@ from orthokernel.ortho import (
     unique_complement,
 )
 
-from conftest import qv
+from conftest import ZeroDraws, qv
 from rational_reference import (
     apply_isometry,
     bilinear_eval,
@@ -538,6 +539,47 @@ def test_fused_extension_is_the_sum_of_the_same_draw(form, monkeypatch):
     # a plane through that line: one draw in 7 collapses onto it or to zero
     w = rref_basis([(1, 1, 1), (1, 0, 0)], 3)
     assert sum(_extension_matches(monkeypatch, base, w, 1, s) for s in range(100)) > 5
+
+
+def test_coefficient_draws_are_rand_subspace_of_draws(monkeypatch):
+    """_rand_coefficients(k, r, rng) is the canonical rows of
+    rand_subspace_of's k-draw from Q^r for 1 <= k < r <= 6, from equal rngs
+    left in equal states, redrawn draws included; on an rng whose every
+    draw collapses both give up with the same GenerationError after the
+    same draws.  The retry rule is written in both and must stay one rule;
+    4 of the 1500 draws here are redrawn."""
+    drawn = []
+
+    def counting(*args):
+        values = _draws(*args)
+        drawn.extend(values)
+        return values
+
+    retried = 0
+    for r in range(2, 7):
+        full = full_subspace(r)
+        for k in range(1, r):
+            for seed in range(100):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                want = rand_subspace_of(full, k, want_rng).int_rows
+                drawn.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(ortho, "_draws", counting)
+                    assert _rand_coefficients(k, r, got_rng) == want
+                assert got_rng.getstate() == want_rng.getstate()
+                retried += len(drawn) > k * r
+            raised = []
+            for draw in (
+                lambda rng: _rand_coefficients(k, r, rng),
+                lambda rng: rand_subspace_of(full, k, rng),
+            ):
+                rng = ZeroDraws()
+                with pytest.raises(GenerationError) as info:
+                    draw(rng)
+                raised.append((str(info.value), rng.calls))
+            assert raised[0] == raised[1]
+            assert raised[0][0] == f"no independent {k}-subspace after {RETRIES} draws"
+    assert retried > 0
 
 
 @pytest.mark.parametrize("form", ["identity", "diag", "tridiag"])

@@ -62,7 +62,7 @@ from orthokernel.reconstruct import (
     reconstruct_line_perp,
 )
 
-from conftest import qv
+from conftest import ZeroDraws, qv
 from rational_reference import (
     bilinear_eval,
     rational_basis,
@@ -804,19 +804,6 @@ def test_sampled_decision_is_one_candidate_per_draw_without_repeats():
     assert repeated > asked // 10
 
 
-class _ZeroDraws(random.Random):
-    """An rng whose every bounded draw is 0 in [-3, 3]: getrandbits(3)
-    always gives 3, and its calls are counted."""
-
-    def __init__(self):
-        super().__init__(0)
-        self.calls = 0
-
-    def getrandbits(self, k):
-        self.calls += 1
-        return 3
-
-
 def test_a_collapsed_draw_fails_as_one_candidate_per_draw_did(q4):
     params = TypedPerpParams(m=1, k1=2, k2=2)
     y1 = line(q4, (0, 0, 0, 0), (1, 0, 0, 0))
@@ -826,7 +813,7 @@ def test_a_collapsed_draw_fails_as_one_candidate_per_draw_did(q4):
     for decide, samples in (
         (decide_perp0, ReconstructionMode.sampled(5)), (_reference_sampled, 5)
     ):
-        rng = _ZeroDraws()
+        rng = ZeroDraws()
         with pytest.raises(GenerationError) as info:
             decide(y1, x2, oracle, samples, rng)
         raised.append((str(info.value), rng.calls))

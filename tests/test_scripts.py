@@ -20,6 +20,7 @@ DEMO = ROOT / "scripts" / "reconstruct_demo.py"
 FULL_CHECK = ROOT / "scripts" / "run_full_check.py"
 CHECK_INTERPRETERS = ROOT / "scripts" / "check_interpreters.py"
 LEDGER = ROOT / "scripts" / "ledger.py"
+UNREACHED = ROOT / "scripts" / "unreached.py"
 
 # the feet and verdict lines of scripts/reconstruct_demo.py
 DEMO_CASES = {
@@ -188,13 +189,73 @@ def test_check_interpreters_names_the_first_mismatch(tmp_path):
     assert run_script(CHECK_INTERPRETERS).returncode == 2
 
 
+def _ledger_changes(committed: dict, fresh: dict) -> list:
+    """Each (section, unit, counter, committed, fresh) that differs; a unit
+    or counter present on one side only reads None on the other."""
+    out = []
+    for section in sorted(committed.keys() | fresh.keys()):
+        old, new = committed.get(section, {}), fresh.get(section, {})
+        for unit in sorted(old.keys() | new.keys()):
+            a, b = old.get(unit, {}), new.get(unit, {})
+            for counter in sorted(a.keys() | b.keys()):
+                if a.get(counter) != b.get(counter):
+                    out.append((section, unit, counter, a.get(counter), b.get(counter)))
+    return out
+
+
+def test_ledger_changes_name_each_moved_counter():
+    committed = {"cli": {"counterexample": {"_draws": 0, "_rref_int": 9}}}
+    fresh = {"cli": {"counterexample": {"_draws": 0, "_rref_int": 8, "queries": 1}}}
+    assert _ledger_changes(committed, fresh) == [
+        ("cli", "counterexample", "_rref_int", 9, 8),
+        ("cli", "counterexample", "queries", None, 1),
+    ]
+    assert _ledger_changes(fresh, fresh) == []
+
+
 def test_the_committed_ledger_is_a_fresh_run(tmp_path):
-    # a change to the kernel's work regenerates LEDGER.json and names the
-    # lines that moved
+    # a change to the kernel's work regenerates LEDGER.json; the message
+    # names the lines that moved
     path = tmp_path / "ledger.json"
     proc = run_script(LEDGER, str(path))
     assert proc.returncode == 0, proc.stderr
-    assert path.read_text() == (ROOT / "LEDGER.json").read_text()
+    fresh, committed = path.read_text(), (ROOT / "LEDGER.json").read_text()
+    if fresh != committed:
+        changes = _ledger_changes(json.loads(committed), json.loads(fresh))
+        pytest.fail(
+            "LEDGER.json is not a fresh run; (section, unit, counter, committed, fresh):\n"
+            + "\n".join(map(str, changes))
+        )
+
+
+# what scripts/unreached.py prints: each function that none of the README's
+# commands enters, with its reason in ROADMAP item 9
+UNREACHED_NAMES = """\
+orthokernel.flats
+  AffineSubspace.make
+  AffineSubspace.from_point
+  AffineSubspace.from_points
+orthokernel.linalg
+  scalar
+  mat_mul
+  rref_basis
+  mat_inverse
+orthokernel.ortho
+  AffineIsometry.__post_init__
+  reflection
+orthokernel.properties
+  _wire
+  _ce
+  run_property
+orthokernel.reconstruct
+  reconstruct_line_perp
+"""
+
+
+def test_unreached_lists_the_justified_names():
+    proc = run_script(UNREACHED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == UNREACHED_NAMES
 
 
 def _run_with_stated_outputs(block, namespace):

@@ -82,10 +82,11 @@ def _wrappers(counts: Counter) -> dict:
         return counted
 
     def meet_parts(real):
-        # the slot _meet_parts keeps in x1's instance dict: (partner, parts)
+        # the slot _meet_parts keeps in x1's instance dict:
+        # (weak reference to the partner, parts)
         def counted(x1, x2):
             slot = x1.__dict__.get("_meet")
-            hit = slot is not None and slot[0] is x2
+            hit = slot is not None and slot[0]() is x2
             counts["meet_hits" if hit else "meet_misses"] += 1
             return real(x1, x2)
 

@@ -23,6 +23,7 @@ own.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -237,13 +238,14 @@ def _meet_parts(
     dim(x1) - len(pivots), which is all the relations read; ``meet`` alone
     reads the common point and the direction from the rows.
 
-    The result is kept in one slot of x1's instance dict, next to x2, and
-    read back only for that same x2: a flat holds at most one partner
-    alive, and the relations revisit only the pair they just met.  Callers
-    must not mutate it.
+    The result is kept in one slot of x1's instance dict, next to a weak
+    reference to x2, and read back only for that same x2: a flat holds no
+    partner alive, so a pair related both ways is no reference cycle, and
+    the relations revisit only the pair they just met.  Callers must not
+    mutate it.
     """
     slot = x1.__dict__.get("_meet")
-    if slot is not None and slot[0] is x2:
+    if slot is not None and slot[0]() is x2:
         return slot[1]
     r1 = x1.direction.int_rows
     delta, e = _point_difference(x1, x2)
@@ -253,7 +255,7 @@ def _meet_parts(
     ]
     rows, pivots = _rref_int(aug)
     parts = None if pivots and pivots[-1] == len(r1) else (rows, pivots, e)
-    x1.__dict__["_meet"] = (x2, parts)
+    x1.__dict__["_meet"] = (weakref.ref(x2), parts)
     return parts
 
 

@@ -373,36 +373,32 @@ def _rand_extension(
             # none or all of w
             return w if k else zero_subspace(n)
         return _subspace_from_int_rows([*base_rows, *w.int_rows[:k]], n)
-    target = len(base_rows) + k
+    # a w of full rank is the whole space, whose rows are the unit rows
+    w_rows = None if rank == n else w.int_rows
+    return LinearSubspace(n, *_reduced_draw(base_rows, w_rows, k, rank, rng))
+
+
+def _reduced_draw(
+    base_rows: Sequence[Sequence[int]],
+    w_rows: Optional[Sequence[Sequence[int]]],
+    k: int,
+    rank: int,
+    rng: random.Random,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Reduce base_rows with k random combinations of w_rows, the rows of
+    a w of the given rank (None: the whole space's unit rows, whose
+    combinations are the coefficients), and return the reduced rows and
+    pivots of the first draw that keeps all len(base_rows) + k rows.  The
+    one rank-checked draw: at most RETRIES draws, then GenerationError.
+    With no base and w_rows None the rows name the subspace of any such w
+    that the draw picks (their span times its rows): equal rows, equal pick."""
     for _ in range(RETRIES):
         coeffs = [_draws(rng, -COEFF_BOUND, COEFF_BOUND, rank) for _ in range(k)]
-        # the whole space's rows are the identity: the product is coeffs
-        rows = coeffs if rank == n else _mat_mul_int(coeffs, w.int_rows)
-        cand = _subspace_from_int_rows([*base_rows, *rows], n)
-        if cand.rank == target:
-            return cand
-    raise GenerationError(f"no independent {k}-subspace after {RETRIES} draws")
-
-
-def _rand_coefficients(
-    k: int, rank: int, rng: random.Random
-) -> tuple[tuple[int, ...], ...]:
-    """k random combinations of the rows of a w of the given rank, for
-    0 < k < rank, as their reduced coefficient rows.
-
-    The draws, redraws and GenerationError are _rand_extension's: when its
-    base meets w only in zero, the extension has full rank exactly when the
-    k drawn rows do.  Each draw is reduced once, and the reduced rows name
-    the subspace of w the draw picks, the span of the rows times w's: two
-    draws pick the same subspace exactly when their rows are equal.  The
-    rows are those of rand_subspace_of(full_subspace(rank), k, rng), which
-    would build a LinearSubspace per draw on the sampled decision's path."""
-    for _ in range(RETRIES):
-        rows, _ = _rref_int(
-            [_draws(rng, -COEFF_BOUND, COEFF_BOUND, rank) for _ in range(k)]
-        )
-        if len(rows) == k:
-            return tuple(map(tuple, rows))
+        if w_rows is not None:
+            coeffs = _mat_mul_int(coeffs, w_rows)
+        rows, pivots = _rref_int([*base_rows, *coeffs])
+        if len(rows) == len(base_rows) + k:
+            return tuple(map(tuple, rows)), tuple(pivots)
     raise GenerationError(f"no independent {k}-subspace after {RETRIES} draws")
 
 

@@ -46,8 +46,8 @@ from .linalg import (
 from .ortho import (
     TypedPerpParams,
     _meet_dim,
-    _rand_coefficients,
     _rand_extension,
+    _reduced_draw,
     perp_m,
     perp_subspaces,
     perp_x,
@@ -167,7 +167,7 @@ def decide_perp0(
     asked = set()
     for _ in range(mode.samples):
         # T in x2's coordinates; a T already asked about has its answer
-        coeffs = _rand_coefficients(params.m, params.k2, sample_rng)
+        coeffs, _ = _reduced_draw((), None, params.m, params.k2, sample_rng)
         if coeffs in asked:
             continue
         asked.add(coeffs)

@@ -613,6 +613,24 @@ def test_a_flat_keeps_at_most_one_partner_alive():
     assert sum(r() is not None for r in refs) <= 1
 
 
+def test_a_pair_related_both_ways_is_freed_without_the_collector():
+    """Each flat's meet slot holds its partner weakly, so perp_g both ways
+    makes no reference cycle: the pair goes when its names do, with the
+    cyclic collector off."""
+    x1, x2 = _meeting_planes()
+    perp_g(x1, x2)
+    perp_g(x2, x1)
+    assert "_meet" in vars(x1) and "_meet" in vars(x2)
+    refs = [weakref.ref(x1), weakref.ref(x2)]
+    gc.collect()
+    gc.disable()
+    try:
+        del x1, x2
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_meet_memo_stays_out_of_equality_hash_repr_and_wire():
     x1, x2 = _meeting_planes()
     twin, _ = _meeting_planes()
@@ -652,7 +670,7 @@ def test_meet_after_the_relations_equals_a_fresh_meet(form):
                     if 0 < a1.dim and 0 < a2.dim:
                         m = min(a1.dim, a2.dim) - 1
                         perp_m(a1, a2, TypedPerpParams(m, a1.dim, a2.dim))
-                    assert vars(a1)["_meet"][0] is a2
+                    assert vars(a1)["_meet"][0]() is a2
                     got = meet(a1, a2)
                     fresh = meet(
                         AffineSubspace.from_wire(a1.space, a1.to_wire()),

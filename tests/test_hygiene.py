@@ -5,8 +5,8 @@ that only the tests read, no private function or class that the package
 does not read, every binding the benchmark's tracer patches still exists
 and the benchmark's self-tests pass, every CLI option and benchmark
 record is documented, no trial builds a rational, the package draws its
-bounded integers through one helper, and it catches its own errors only at
-its boundaries."""
+bounded integers through one helper and its random subspaces through one
+loop, and it catches its own errors only at its boundaries."""
 
 import argparse
 import ast
@@ -360,3 +360,16 @@ def test_integer_draws_have_one_seam():
     which relies on getrandbits alone."""
     drawing = [p.name for p in PACKAGE_DIR.glob("*.py") if ".randint(" in p.read_text()]
     assert drawing == []
+
+
+def test_the_rank_checked_draw_gives_up_in_one_place():
+    """Every random subspace is drawn, reduced and redrawn by one loop, so
+    the package raises its "no independent k-subspace" GenerationError in
+    one place."""
+    raises = [
+        path.stem
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and "no independent" in ast.unparse(node)
+    ]
+    assert raises == ["ortho"]

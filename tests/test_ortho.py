@@ -53,8 +53,8 @@ from orthokernel.ortho import (
     TypedPerpParams,
     _draw,
     _draws,
-    _rand_coefficients,
     _rand_extension,
+    _reduced_draw,
     make_perp_pair,
     orthocomplement_in,
     perp_g,
@@ -542,12 +542,12 @@ def test_fused_extension_is_the_sum_of_the_same_draw(form, monkeypatch):
 
 
 def test_coefficient_draws_are_rand_subspace_of_draws(monkeypatch):
-    """_rand_coefficients(k, r, rng) is the canonical rows of
+    """The shared loop's coefficient draw, _reduced_draw((), None, k, r,
+    rng) as the sampled decision takes it, is the canonical rows of
     rand_subspace_of's k-draw from Q^r for 1 <= k < r <= 6, from equal rngs
     left in equal states, redrawn draws included; on an rng whose every
     draw collapses both give up with the same GenerationError after the
-    same draws.  The retry rule is written in both and must stay one rule;
-    4 of the 1500 draws here are redrawn."""
+    same draws.  4 of the 1500 draws here are redrawn."""
     drawn = []
 
     def counting(*args):
@@ -565,12 +565,12 @@ def test_coefficient_draws_are_rand_subspace_of_draws(monkeypatch):
                 drawn.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(ortho, "_draws", counting)
-                    assert _rand_coefficients(k, r, got_rng) == want
+                    assert _reduced_draw((), None, k, r, got_rng)[0] == want
                 assert got_rng.getstate() == want_rng.getstate()
                 retried += len(drawn) > k * r
             raised = []
             for draw in (
-                lambda rng: _rand_coefficients(k, r, rng),
+                lambda rng: _reduced_draw((), None, k, r, rng),
                 lambda rng: rand_subspace_of(full, k, rng),
             ):
                 rng = ZeroDraws()

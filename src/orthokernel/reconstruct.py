@@ -4,8 +4,9 @@ A line pair is decided in two stages.  The wrap stage uses only the metric
 and incidence and never queries the oracle: it turns the lines, once, into
 flats meeting in a point, the lines moved to cross when k2 = 1 and else a
 perp-x pair built around their common perpendicular (lemma 2); for
-non-orthogonal lines no such wrapping exists, so the wrap tests the lines'
-directions first and refuses those.  The decide stage asks the oracle
+non-orthogonal lines no such wrapping exists, so the wrap first tests the
+directions of the lines as given and refuses those; it moves the lines only
+for a pair it hands on.  The decide stage asks the oracle
 about that pair (Y1, X2), lifted to the typed relation by extending Y1
 with an m-flat drawn inside X2 through the common point (lemma 1); the
 extension's meet with X2 is exactly that m-flat, so the lifted query has
@@ -288,7 +289,9 @@ def _wrap_line_pair(
     The smaller dimension goes first.  For k2 = 1 the pair is the lines
     moved to cross; otherwise it is the lemma-2 wrapping pair, which only
     orthogonal lines admit: the wrap tests that under the space's form and
-    refuses the rest.  Parallel lines admit neither.
+    refuses the rest.  Parallel lines admit neither.  Both tests read only
+    the directions, so they run on the lines as given; the lines are moved
+    only for a pair that is handed on.
     """
     _check_same_space(l1, l2)
     if l1.dim != 1 or l2.dim != 1:
@@ -305,16 +308,19 @@ def _wrap_line_pair(
     # verdicts are translation-invariant; normalize to a base point at zero
     # (the origin has zeros at every pivot, so it is already canonical)
     origin = ((0,) * space.dim, 1)
+    if params.k2 == 1:
+        # lines against lines leave no room for a wrapping pair: move both
+        # through the origin and ask about the crossing directly
+        if parallel(l1, l2):
+            return None, oracle
+        return (
+            AffineSubspace(space, origin, l1.direction),
+            AffineSubspace(space, origin, l2.direction),
+        ), oracle
+    if not perp_subspaces(l1, l2):
+        return None, oracle
     l1w = AffineSubspace(space, origin, l1.direction)
     l2w = AffineSubspace._canonical(space, *_point_difference(l1, l2), l2.direction)
-    if params.k2 == 1:
-        # lines against lines leave no room for a wrapping pair: move l2
-        # through l1's base point and ask about the crossing directly
-        if parallel(l1w, l2w):
-            return None, oracle
-        return (l1w, AffineSubspace(space, origin, l2.direction)), oracle
-    if not perp_subspaces(l1w, l2w):
-        return None, oracle
     return lemma2_witness(l1w, l2w, params.k1 - params.m, params.k2), oracle
 
 

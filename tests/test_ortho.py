@@ -541,13 +541,25 @@ def test_fused_extension_is_the_sum_of_the_same_draw(form, monkeypatch):
     assert sum(_extension_matches(monkeypatch, base, w, 1, s) for s in range(100)) > 5
 
 
+def _reference_coefficient_draw(k, r, rng):
+    """The draw policy spelled out: k rows of coefficients in Q^r, each
+    entry a bounded draw, redrawn while their span has rank below k."""
+    for _ in range(RETRIES):
+        rows = [_draws(rng, -COEFF_BOUND, COEFF_BOUND, r) for _ in range(k)]
+        span = rref_basis(rows, r)
+        if span.rank == k:
+            return span.int_rows, span.pivots
+    raise GenerationError(f"no independent {k}-subspace after {RETRIES} draws")
+
+
 def test_coefficient_draws_are_rand_subspace_of_draws(monkeypatch):
     """The shared loop's coefficient draw, _reduced_draw((), None, k, r,
-    rng) as the sampled decision takes it, is the canonical rows of
-    rand_subspace_of's k-draw from Q^r for 1 <= k < r <= 6, from equal rngs
-    left in equal states, redrawn draws included; on an rng whose every
-    draw collapses both give up with the same GenerationError after the
-    same draws.  4 of the 1500 draws here are redrawn."""
+    rng) as the sampled decision takes it, is the canonical rows and pivots
+    of the draw policy written out above, and the rows of rand_subspace_of's
+    k-draw from Q^r, for 1 <= k < r <= 6, from equal rngs left in equal
+    states, redrawn draws included; on an rng whose every draw collapses
+    all three give up with the same GenerationError after the same draws.
+    4 of the 1500 draws here are redrawn."""
     drawn = []
 
     def counting(*args):
@@ -560,16 +572,19 @@ def test_coefficient_draws_are_rand_subspace_of_draws(monkeypatch):
         full = full_subspace(r)
         for k in range(1, r):
             for seed in range(100):
-                got_rng, want_rng = random.Random(seed), random.Random(seed)
-                want = rand_subspace_of(full, k, want_rng).int_rows
+                rngs = [random.Random(seed) for _ in range(3)]
+                want_rows, want_pivots = _reference_coefficient_draw(k, r, rngs[0])
                 drawn.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(ortho, "_draws", counting)
-                    assert _reduced_draw((), None, k, r, got_rng)[0] == want
-                assert got_rng.getstate() == want_rng.getstate()
+                    got = _reduced_draw((), None, k, r, rngs[1])
+                assert got == (want_rows, want_pivots)
+                assert rand_subspace_of(full, k, rngs[2]).int_rows == want_rows
+                assert rngs[1].getstate() == rngs[0].getstate() == rngs[2].getstate()
                 retried += len(drawn) > k * r
             raised = []
             for draw in (
+                lambda rng: _reference_coefficient_draw(k, r, rng),
                 lambda rng: _reduced_draw((), None, k, r, rng),
                 lambda rng: rand_subspace_of(full, k, rng),
             ):
@@ -577,7 +592,7 @@ def test_coefficient_draws_are_rand_subspace_of_draws(monkeypatch):
                 with pytest.raises(GenerationError) as info:
                     draw(rng)
                 raised.append((str(info.value), rng.calls))
-            assert raised[0] == raised[1]
+            assert raised[0] == raised[1] == raised[2]
             assert raised[0][0] == f"no independent {k}-subspace after {RETRIES} draws"
     assert retried > 0
 

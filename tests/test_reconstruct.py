@@ -6,6 +6,7 @@ import itertools
 import json
 import pkgutil
 import random
+from collections import Counter
 
 import pytest
 
@@ -730,6 +731,88 @@ def test_sampled_candidates_are_pinned():
                     states.update(repr(rng.getstate()).encode())
     assert queries.hexdigest() == PINNED_SAMPLED_CANDIDATES
     assert states.hexdigest() == PINNED_SAMPLED_RNG_STATES
+
+
+# ---------------------------------------------------------------------------
+# the wrap stage tests the lines as given and moves only what it hands on
+
+
+def _a_recon_configs():
+    """Each type of the A-RECON grid with each dimension up to 6 that
+    admits it and each named form."""
+    for m, k1, k2 in A_RECON_GRID:
+        params = TypedPerpParams(m, k1, k2)
+        for n in range(k1 + k2 - m, 7):
+            for form in NAMED_FORMS:
+                yield params, GenConfig(dim=n, seed=0, form=form, perp_params=params)
+
+
+def _moved(l, rng):
+    """l moved by a random integer vector."""
+    u, e = l.int_point
+    nums = [a + e * rng.randint(-9, 9) for a in u]
+    return AffineSubspace._canonical(l.space, nums, e, l.direction)
+
+
+def _wrap_inputs(cfg, seed):
+    """Line pairs from one seed: a generated pair, orthogonal on even seeds,
+    and the first line against a parallel translate of itself."""
+    rng = random.Random(seed)
+    l1, l2 = gen_line_pair(cfg, rng, orthogonal=seed % 2 == 0)
+    return rng, [(l1, l2), (l1, _moved(l1, rng))]
+
+
+def test_the_wrap_moves_only_the_pairs_it_hands_on(monkeypatch):
+    """Over the A-RECON grid, neither a k2 = 1 pair nor a refused k2 > 1
+    pair canonicalizes a flat or takes a point difference in the wrap."""
+    counts = Counter()
+    canonical = AffineSubspace._canonical.__func__
+    difference = reconstruct_module._point_difference
+
+    def counting_canonical(cls, *args):
+        counts["_canonical"] += 1
+        return canonical(cls, *args)
+
+    def counting_difference(*args):
+        counts["_point_difference"] += 1
+        return difference(*args)
+
+    monkeypatch.setattr(AffineSubspace, "_canonical", classmethod(counting_canonical))
+    monkeypatch.setattr(reconstruct_module, "_point_difference", counting_difference)
+    seen = Counter()
+    for params, cfg in _a_recon_configs():
+        oracle = ground_truth_oracle(params)
+        for seed in range(10):
+            _, pairs = _wrap_inputs(cfg, seed)
+            for l1, l2 in pairs:
+                counts.clear()
+                core, _ = reconstruct_module._wrap_line_pair(l1, l2, oracle)
+                kind = (params.k2 == 1, core is None)
+                seen[kind] += 1
+                if kind != (False, False):
+                    assert not counts, (params, cfg.dim, cfg.form, seed)
+    # both kinds of k2 = 1 pair, and refused and wrapped k2 > 1 pairs
+    assert len(seen) == 4
+
+
+def test_the_wrap_is_translation_invariant():
+    """Moving each line by its own vector leaves the refused pairs refused
+    and the wrapped ones wrapped, and the k2 = 1 pair the same."""
+    seen = Counter()
+    for params, cfg in _a_recon_configs():
+        oracle = ground_truth_oracle(params)
+        for seed in range(10):
+            rng, pairs = _wrap_inputs(cfg, seed)
+            for l1, l2 in pairs:
+                core, _ = reconstruct_module._wrap_line_pair(l1, l2, oracle)
+                moved, _ = reconstruct_module._wrap_line_pair(
+                    _moved(l1, rng), _moved(l2, rng), oracle
+                )
+                assert (moved is None) == (core is None)
+                if params.k2 == 1:
+                    assert moved == core
+                seen[params.k2 == 1, core is None] += 1
+    assert len(seen) == 4
 
 
 # ---------------------------------------------------------------------------

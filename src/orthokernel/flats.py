@@ -18,6 +18,12 @@ integers.  The empty set is not a flat; ``meet`` returns None for disjoint
 arguments.  ``meet`` and the relations read one reduced system, kept in a
 one-partner slot on the first flat; ``meet`` does no elimination of its
 own.
+
+What depends only on a direction and the space is kept with the
+direction, so every translate reads it: the equations
+(``LinearSubspace.equations``), and the form rows and complement rows,
+each in one slot keyed by the space.  A flat keeps only what depends on
+its base point too, the meet slot.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
@@ -55,6 +60,9 @@ class AffineSubspace:
     the denominator the least positive one that makes every coordinate an
     integer.  Construct via :meth:`make` (or the module helpers), which
     canonicalize; the raw constructor expects already-canonical parts.
+    ``form_rows`` and ``complement_rows`` are kept on the direction, shared
+    by every flat with that direction in the same space; the flat itself
+    keeps only its meet slot (see ``_meet_parts``).
     """
 
     space: QuadraticSpace
@@ -124,16 +132,30 @@ class AffineSubspace:
     def full(cls, space: QuadraticSpace) -> "AffineSubspace":
         return cls._canonical(space, [0] * space.dim, 1, full_subspace(space.dim))
 
-    @cached_property
+    @property
     def form_rows(self) -> list[list[int]]:
-        """The direction rows times the space's scaled form."""
-        return _times_form(self.direction.int_rows, self.space)
+        """The direction rows times the space's scaled form, kept with the
+        direction in one slot keyed by the space."""
+        # a plain property: before Python 3.12 a cached_property takes a
+        # lock on every new flat's first read
+        d, space = self.direction, self.space
+        slot = d.__dict__.get("_form_rows")
+        if slot is None or slot[0] is not space:
+            slot = space, _times_form(d.int_rows, space)
+            d.__dict__["_form_rows"] = slot
+        return slot[1]
 
-    @cached_property
+    @property
     def complement_rows(self) -> list[list[int]]:
         """The direction's equations times the space's scaled inverse form:
-        rows spanning the xi-complement of the direction."""
-        return _times_inverse(self.direction.equations, self.space)
+        rows spanning the xi-complement of the direction, kept with the
+        direction in one slot keyed by the space."""
+        d, space = self.direction, self.space
+        slot = d.__dict__.get("_complement_rows")
+        if slot is None or slot[0] is not space:
+            slot = space, _times_inverse(d.equations, space)
+            d.__dict__["_complement_rows"] = slot
+        return slot[1]
 
     @property
     def dim(self) -> int:
@@ -243,15 +265,24 @@ def _meet_parts(
     partner alive, so a pair related both ways is no reference cycle, and
     the relations revisit only the pair they just met.  Callers must not
     mutate it.
+
+    Flats with one base point, as the line wrap's origin lines are, have
+    p2 - p1 = 0: the right side is a column of zeros, formed without its
+    products, over the point's own denominator, and such flats always meet.
     """
     slot = x1.__dict__.get("_meet")
     if slot is not None and slot[0]() is x2:
         return slot[1]
     r1 = x1.direction.int_rows
-    delta, e = _point_difference(x1, x2)
+    eqs = x2.direction.equations
+    if x1.int_point == x2.int_point:
+        e, rhs = x1.int_point[1], [0] * len(eqs)
+    else:
+        delta, e = _point_difference(x1, x2)
+        rhs = [sum(map(mul, eq, delta)) for eq in eqs]
     aug = [
-        [sum(map(mul, eq, row)) for row in reversed(r1)] + [sum(map(mul, eq, delta))]
-        for eq in x2.direction.equations
+        [sum(map(mul, eq, row)) for row in reversed(r1)] + [b]
+        for eq, b in zip(eqs, rhs)
     ]
     rows, pivots = _rref_int(aug)
     parts = None if pivots and pivots[-1] == len(r1) else (rows, pivots, e)

@@ -243,7 +243,9 @@ class LinearSubspace:
 
     ``int_rows`` are the echelon basis rows scaled to primitive integer
     vectors (positive pivots).  Two subspaces are equal iff their canonical
-    forms coincide.
+    forms coincide.  Besides ``equations``, ``flats.AffineSubspace`` keeps
+    the subspace's products with a space's form in its instance dict, so
+    that every flat with this direction reads them.
     """
 
     ambient_dim: int

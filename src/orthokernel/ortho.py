@@ -73,7 +73,8 @@ from .linalg import (
 def _gram(x1: AffineSubspace, x2: AffineSubspace) -> list[list[int]]:
     """D1 F D2^T for the direction rows D1, D2 and the scaled form F.
 
-    F is symmetric, so this is D1 (D2 F)^T, from x2's cached form rows."""
+    F is symmetric, so this is D1 (D2 F)^T, from the form rows kept with
+    x2's direction."""
     fd2 = x2.form_rows
     return [[sum(map(mul, u, fv)) for fv in fd2] for u in x1.direction.int_rows]
 
@@ -134,8 +135,8 @@ def _complement_perp(x1: AffineSubspace, x2: AffineSubspace, m: int) -> bool:
 
 def _equations_perp(x1: AffineSubspace, x2: AffineSubspace, m: int) -> bool:
     """``_complement_perp`` on the directions' xi-complements C1, C2: the
-    Gram matrix E1 F^-1 E2^T, from x1's equations and x2's cached
-    complement rows, has rank n - k1 - k2 + m = dim(C1 ∩ C2)."""
+    Gram matrix E1 F^-1 E2^T, from x1's equations and the complement rows
+    kept with x2's direction, has rank n - k1 - k2 + m = dim(C1 ∩ C2)."""
     cr = x2.complement_rows
     gram = [[sum(map(mul, e, c)) for c in cr] for e in x1.direction.equations]
     return len(_forward_steps(gram)) == x1.space.dim - x1.dim - x2.dim + m

@@ -27,21 +27,35 @@ from orthokernel.flats import (
 from orthokernel.generators import (
     NAMED_FORMS,
     GenConfig,
+    gen_line_pair,
     gen_pair_with_meet_dim,
     gen_point,
     gen_subspace,
+    rand_params,
     random_point_of,
     resolve_space,
+    space_of,
     sub_flat,
 )
 from orthokernel.linalg import (
     QuadraticSpace,
     _subspace_from_int_rows,
+    _times_form,
+    _times_inverse,
+    full_subspace,
     int_vector,
     rref_basis,
     scalar,
 )
-from orthokernel.ortho import TypedPerpParams, perp_g, perp_go, perp_m, perp_x
+from orthokernel.ortho import (
+    TypedPerpParams,
+    make_perp_pair,
+    perp_g,
+    perp_go,
+    perp_m,
+    perp_subspaces,
+    perp_x,
+)
 
 from conftest import qv
 from rational_reference import (
@@ -713,3 +727,93 @@ def test_is_subflat_is_a_meet_equal_to_the_inner_flat(form):
                     assert got == (together == inner)
                     outcomes.add((got, together is None))
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+# ---------------------------------------------------------------------------
+# what is kept with the direction, and meets through one base point
+
+
+def test_form_rows_are_kept_per_direction_and_space():
+    """One direction read under two spaces in turn gets each space's rows
+    and verdicts: the slot on the direction answers only for its space."""
+    n = 4
+    identity, tridiag = resolve_space(n, "identity"), resolve_space(n, "tridiag")
+
+    def span(*rows):
+        return _subspace_from_int_rows(rows, n)
+
+    e1, e2, e3, e4 = full_subspace(n).int_rows
+    # each x2 direction, with an x1 direction it meets in dimension m
+    cases = [
+        (span(e1), span(e2), 0),
+        (span(e1, e2), span(e2, e3), 1),
+        # (2, 3, 3) at n = 4 is decided from x2's complement rows
+        (span(e1, e2, e3), span(e2, e3, e4), 2),
+    ]
+    origin = (0,) * n
+    for _ in range(3):
+        for space in (identity, tridiag):
+            for d1, d2, m in cases:
+                x1 = AffineSubspace.make(space, origin, d1)
+                x2 = AffineSubspace.make(space, (1, 0, 0, 0), d2)
+                assert x2.direction is d2
+                assert x2.form_rows == _times_form(d2.int_rows, space)
+                assert x2.complement_rows == _times_inverse(d2.equations, space)
+                # under the identity x1's part outside the meet is e1, which
+                # is orthogonal to x2; under the tridiagonal form it is not
+                want = space is identity
+                if m == 0:
+                    assert perp_subspaces(x1, x2) is want
+                params = TypedPerpParams(m, d1.rank, d2.rank)
+                assert perp_m(x1, x2, params) is want
+
+
+def _through(space, point, direction):
+    nums, den = point
+    return AffineSubspace._canonical(space, list(nums), den, direction)
+
+
+@pytest.mark.parametrize("form", NAMED_FORMS)
+def test_meet_through_one_base_point_takes_the_zero_offset(form):
+    """Flats with one canonical base point meet in the flat through it along
+    the directions' intersection; their verdicts are those of the same
+    directions placed through another common point, where the base points
+    differ."""
+    rng = random.Random(f"zero-offset:{form}")
+    zero_offsets = moved_offsets = 0
+    for n in (3, 4, 5, 6):
+        cfg = GenConfig(dim=n, seed=0, form=form)
+        space = space_of(cfg)
+        origin = ((0,) * n, 1)
+        pairs = []
+        for i in range(6):
+            # the wrap's k2 = 1 pairs: lines moved to the origin
+            l1, l2 = gen_line_pair(cfg, rng, orthogonal=i % 2 == 0)
+            if not parallel(l1, l2):
+                pairs.append(
+                    (l1.direction, l2.direction, TypedPerpParams(0, 1, 1), origin)
+                )
+            params = rand_params(rng, n)
+            x1, x2 = make_perp_pair(space, params, rng)
+            # a point with zeros at both directions' pivots is canonical
+            # for both
+            free = set(range(n)) - {*x1.direction.pivots, *x2.direction.pivots}
+            nums = [rng.randint(-3, 3) if c in free else 0 for c in range(n)]
+            point = (nums, rng.randint(1, 3))
+            pairs.append((x1.direction, x2.direction, params, point))
+        for d1, d2, params, point in pairs:
+            x1, x2 = _through(space, point, d1), _through(space, point, d2)
+            assert x1.int_point == x2.int_point
+            zero_offsets += 1
+            got = meet(x1, x2)
+            assert got == _through(space, point, subspace_intersect(d1, d2))
+            q = gen_point(cfg, rng)
+            y1, y2 = translate_through(x1, q), translate_through(x2, q)
+            moved_offsets += y1.int_point != y2.int_point
+            assert meet(y1, y2) == translate_through(got, q)
+            for a1, a2, b1, b2 in ((x1, x2, y1, y2), (x2, x1, y2, y1)):
+                assert perp_go(a1, a2) == perp_go(b1, b2)
+                assert perp_g(a1, a2) == perp_g(b1, b2)
+            assert perp_m(x1, x2, params) == perp_m(y1, y2, params)
+            assert perp_m(x1, x2, params) or params.k2 == 1
+    assert zero_offsets > 30 and moved_offsets > zero_offsets // 2

@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 import orthokernel
+import orthokernel.flats as flats_module
 import orthokernel.linalg as linalg_module
 import orthokernel.ortho as ortho_module
 import orthokernel.reconstruct as reconstruct_module
@@ -536,6 +537,42 @@ def test_judge_line_pair_wraps_each_pair_once(monkeypatch, params):
     # the wrap refuses the skew pairs itself: only the 6 orthogonal pairs
     # reach lemma 2, once each
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("form", NAMED_FORMS)
+@pytest.mark.parametrize(
+    "params, orthogonal, products",
+    [
+        # l2's direction (the wrap's test, lemma 2's translate l2w and the
+        # truth), l1's (lemma 2's l1w) and the wrapped x2's (the oracle)
+        (TypedPerpParams(1, 2, 3), True, 3),
+        # l2's direction: the wrap's test refuses, the truth reuses them
+        (TypedPerpParams(1, 2, 3), False, 1),
+        # l2's direction, shared by the origin line that both modes ask
+        # about, and read again by the truth
+        (TypedPerpParams(0, 1, 1), True, 1),
+        (TypedPerpParams(0, 1, 1), False, 1),
+    ],
+    ids=["123-orthogonal", "123-skew", "011-orthogonal", "011-skew"],
+)
+def test_a_judged_pair_forms_each_directions_rows_once(
+    monkeypatch, form, params, orthogonal, products
+):
+    calls = []
+    real = flats_module._times_form
+
+    def counting(rows, space):
+        calls.append(rows)
+        return real(rows, space)
+
+    monkeypatch.setattr(flats_module, "_times_form", counting)
+    cfg = GenConfig(dim=6, seed=0, form=form)
+    for i in range(10):
+        l1, l2 = gen_line_pair(cfg, random.Random(i), orthogonal=orthogonal)
+        calls.clear()
+        judge_line_pair(l1, l2, params, "both", 20, random.Random(100 + i))
+        assert len(calls) == products
+        assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,10 @@
 """Walk one line-orthogonality reconstruction end to end, verbosely.
 
 Draws a pair of lines (orthogonal unless --oblique), prints the common
-perpendicular feet and the pair of flats the typed oracle was asked about
-in witness mode (recorded by an oracle wrapped around the ground truth),
-then compares the witness-mode and sampled-mode verdicts against the direct
+perpendicular feet and every pair of flats the typed oracle was asked
+about in witness mode, one per flat of the exact cover inside the larger
+flat (recorded by an oracle wrapped around the ground truth), then
+compares the witness-mode and sampled-mode verdicts against the direct
 direction check they are meant to reproduce.
 """
 
@@ -81,8 +82,8 @@ def main():
         print(f"  on l2: {json.dumps(pt.to_wire()['point'])}")
     if asked:
         print(
-            "pair the oracle was asked about in witness mode"
-            " (l1's base point moved to the origin):"
+            "pairs the oracle was asked about in witness mode, one per flat"
+            " of the cover (l1's base point moved to the origin):"
         )
         for x1, x2 in asked:
             show("x1", x1)

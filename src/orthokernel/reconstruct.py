@@ -6,17 +6,16 @@ flats meeting in a point, the lines moved to cross when k2 = 1 and else a
 perp-x pair built around their common perpendicular (lemma 2); for
 non-orthogonal lines no such wrapping exists, so the wrap first tests the
 directions of the lines as given and refuses those; it moves the lines only
-for a pair it hands on.  The decide stage asks the oracle
-about that pair (Y1, X2), lifted to the typed relation by extending Y1
-with an m-flat drawn inside X2 through the common point (lemma 1); the
-extension's meet with X2 is exactly that m-flat, so the lifted query has
-the right dimension type whether or not the configuration is orthogonal.
+for a pair it hands on.  The decide stage reads no form: it asks the
+oracle about that pair (Y1, X2), lifted to the typed relation by extending
+Y1 with m-flats T inside X2 through the common point (lemma 1); each
+extension's meet with X2 is exactly T, so the lifted query has the right
+dimension type whether or not the configuration is orthogonal.
 
-Two execution modes: WITNESS follows the constructions above and is exact;
-SAMPLED replaces the canonical extension by random incidence-valid
-candidates and answers with the conjunction of oracle replies, so a false
-answer is sound and a true answer is probabilistic.  A predicate answers
-the same question the same way, so each distinct candidate is asked once.
+Two execution modes choose the T's: WITNESS asks a fixed cover of X2 by
+m-flats meeting only in zero and is exact; SAMPLED draws K random ones, so
+a false answer is sound and a true answer is probabilistic.  Both answer
+with the conjunction of the replies, and ask each distinct candidate once.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import (
     InputError,
@@ -143,44 +142,54 @@ def decide_perp0(
 ) -> bool:
     """Decide point-meet orthogonality of (y1, x2) through the typed oracle.
 
-    WITNESS queries the canonical extension once.  SAMPLED draws K
-    incidence-valid candidates y1 ⊔ T with T a random m-flat inside x2
-    through the common point and returns the conjunction of the answers.
-    T is drawn as m combinations of x2's rows, reduced to the rows that name
-    it, and redrawn while they have rank below m, as rand_subspace_of draws.
-    A T drawn before has been asked about and is skipped; the answer, the
-    draws and the rng's state after the decision are those of asking every
-    draw.  The directions of y1 and x2 meet only in zero, so a new candidate
-    is one reduction of y1's rows and T's and always has dimension k1.
+    Both modes ask about candidates y1 ⊔ T, T an m-flat inside x2 through
+    the common point, and return the conjunction of the answers.  A
+    candidate passes exactly when T holds the oracle's projection of y1's
+    direction onto x2's, which is zero for an orthogonal pair.  WITNESS
+    asks x2's rows without each block of k2 - m consecutive rows, the
+    blocks covering every row and the last ending at row k2; these T meet
+    only in zero, so the answer is exact.  SAMPLED draws K T's as
+    rand_subspace_of draws, reduced to the rows that name T; a T drawn
+    before is skipped, and the answer, the draws and the rng's state are
+    those of asking every draw.  Each candidate is one reduction of y1's
+    rows and T's, of dimension k1, since the directions meet only in zero.
     """
     _check_same_space(y1, x2)
     params = oracle.params
     if y1.dim != params.k1 - params.m or x2.dim != params.k2:
         raise PreconditionError("flat dimensions do not match oracle params")
-    if mode.kind == "witness":
-        return oracle.query(lemma1_witness(y1, x2, params.m), x2)
     if _meet_dim(y1, x2) != 0:
         raise PreconditionError("flats must intersect in a single point")
     if params.m == 0:
         return oracle.query(y1, x2)
-    sample_rng = rng if rng is not None else random.Random(mode.seed)
     y1_rows, x2_rows = y1.direction.int_rows, x2.direction.int_rows
-    asked = set()
-    for _ in range(mode.samples):
-        # T in x2's coordinates; a T already asked about has its answer
-        coeffs, _ = _reduced_draw((), None, params.m, params.k2, sample_rng)
-        if coeffs in asked:
-            continue
-        asked.add(coeffs)
+    if mode.kind == "witness":
+        gap = params.k2 - params.m
+        starts = [min(s, params.m) for s in range(0, params.k2, gap)]
+        flats = ([*x2_rows[:s], *x2_rows[s + gap :]] for s in starts)
+    else:
+        flats = _sampled_flats(x2_rows, params.m, mode, rng)
+    for t_rows in flats:
         # y1 ⊔ T: the common point lies on y1, so the directions' sum
         # through y1's base point
-        direction = _subspace_from_int_rows(
-            [*y1_rows, *_mat_mul_int(coeffs, x2_rows)], y1.ambient_dim
-        )
+        direction = _subspace_from_int_rows([*y1_rows, *t_rows], y1.ambient_dim)
         candidate = AffineSubspace._canonical(y1.space, *y1.int_point, direction)
         if not oracle.query(candidate, x2):
             return False
     return True
+
+
+def _sampled_flats(
+    x2_rows: tuple, m: int, mode: ReconstructionMode, rng: Optional[random.Random]
+) -> Iterator[list[list[int]]]:
+    """Each distinct T the mode draws, as rows; from rng, else the seed."""
+    sample_rng = rng if rng is not None else random.Random(mode.seed)
+    asked = set()
+    for _ in range(mode.samples):
+        coeffs, _ = _reduced_draw((), None, m, len(x2_rows), sample_rng)
+        if coeffs not in asked:
+            asked.add(coeffs)
+            yield _mat_mul_int(coeffs, x2_rows)
 
 
 def common_perpendicular_feet(

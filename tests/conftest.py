@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from orthokernel.linalg import QQ, QuadraticSpace
+from orthokernel.flats import AffineSubspace
+from orthokernel.linalg import QQ, QuadraticSpace, _subspace_from_int_rows
 
 # one PASS/FAIL line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES: list = []
@@ -56,3 +57,15 @@ class ZeroDraws(random.Random):
     def getrandbits(self, k):
         self.calls += 1
         return 3
+
+
+def tilted(y1, x2, row=0):
+    """y1 with x2's canonical row number ``row`` added to its first row,
+    through the same point.  It still meets x2 in that point alone; if
+    (y1, x2) is orthogonal under some form, the tilted y1's direction
+    projects onto x2's along that row, so under that form the tilted pair
+    is not orthogonal, yet every m-flat of x2 holding the row passes."""
+    first, *rest = y1.direction.int_rows
+    moved = [a + b for a, b in zip(first, x2.direction.int_rows[row])]
+    direction = _subspace_from_int_rows([moved, *rest], y1.ambient_dim)
+    return AffineSubspace._canonical(y1.space, *y1.int_point, direction)

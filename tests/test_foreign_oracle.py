@@ -2,12 +2,13 @@
 
 The oracle here is ``perp_m`` under another positive-definite form than
 the space's, asked about the flats re-homed into that form's space.  The
-decide stage and the lines wrapped for k2 = 1 follow the oracle's form
-exactly.  For k2 > 1 (k2 the larger dimension of the type, as the wrap
-orders it) the wrap builds its pair from the space's form and refuses
-lines that are not orthogonal under it, so those verdicts follow the
-space's form, not the oracle's: line reconstruction assumes the two forms
-agree.
+decide stage reads no form, so it follows the oracle's form: witness mode
+exactly, sampled mode up to its sampling error on "true", which no pair
+here meets.  So do the lines wrapped for k2 = 1.  For k2 > 1 (k2 the
+larger dimension of the type, as the wrap orders it) the wrap builds its
+pair from the space's form and refuses lines that are not orthogonal
+under it, so those verdicts follow the space's form, not the oracle's:
+line reconstruction assumes the two forms agree.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from orthokernel.generators import (
     resolve_space,
 )
 from orthokernel.ortho import TypedPerpParams, make_perp_pair, perp_m, perp_subspaces
+from conftest import tilted
 from orthokernel.reconstruct import (
     PerpOracle,
     ReconstructionMode,
@@ -33,7 +35,12 @@ from orthokernel.reconstruct import (
 DIMS = (4, 5)
 # every ordered pair of distinct named forms: (the space's, the oracle's)
 FORM_PAIRS = list(itertools.permutations(NAMED_FORMS, 2))
+# the decide stage's grid: dims 3-6 and every ordered pair of named forms,
+# the same form twice included
+DECIDE_DIMS = (3, 4, 5, 6)
+DECIDE_FORM_PAIRS = list(itertools.product(NAMED_FORMS, repeat=2))
 MODES = (ReconstructionMode.witness(), ReconstructionMode.sampled(5))
+TILTED = 12
 
 
 def rehome(x: AffineSubspace, form: str) -> AffineSubspace:
@@ -60,10 +67,10 @@ def satisfiable_types(n: int) -> list[TypedPerpParams]:
     ]
 
 
-def grid():
-    for n in DIMS:
+def grid(dims=DIMS, form_pairs=FORM_PAIRS):
+    for n in dims:
         for (space_form, oracle_form), params in itertools.product(
-            FORM_PAIRS, satisfiable_types(n)
+            form_pairs, satisfiable_types(n)
         ):
             seed = f"{n}:{space_form}:{oracle_form}:{params}"
             yield n, space_form, oracle_form, params, random.Random(seed)
@@ -89,32 +96,41 @@ def line_pairs(n, space_form, oracle_form, count, rng):
 def test_the_grid_covers_every_satisfiable_type():
     assert [len(satisfiable_types(n)) for n in DIMS] == [10, 20]
     assert len(FORM_PAIRS) == 6
+    assert [len(satisfiable_types(n)) for n in DECIDE_DIMS] == [4, 10, 20, 35]
+    assert len(DECIDE_FORM_PAIRS) == 9
 
 
 def test_decide_stage_follows_the_oracles_form():
     decisions = agreed = orthogonal = 0
-    for n, space_form, oracle_form, params, rng in grid():
+    for n, space_form, oracle_form, params, rng in grid(DECIDE_DIMS, DECIDE_FORM_PAIRS):
         if params.k1 > params.k2:
             # the wrap swaps such a type before the decide stage sees it
             continue
         oracle = foreign_oracle(params, oracle_form)
         point_type = TypedPerpParams(0, params.k1 - params.m, params.k2)
-        for i in range(8):
-            if i % 2:
+        # 8 pairs, half orthogonal under the oracle's form, then for m >= 1
+        # TILTED pairs orthogonal under it but for one row of x2, each row
+        # in turn
+        for i in range(8 + TILTED * (params.m > 0)):
+            if i % 2 or i >= 8:
                 # orthogonal under the oracle's form, with a common point
                 pair = make_perp_pair(resolve_space(n, oracle_form), point_type, rng)
+                if i >= 8:
+                    pair = tilted(*pair, row=i % params.k2), pair[1]
             else:
                 cfg = GenConfig(dim=n, form=space_form)
                 pair = gen_pair_with_meet_dim(cfg, point_type.k1, point_type.k2, 0, rng)
             y1, x2 = (rehome(x, space_form) for x in pair)
             want = perp_subspaces(rehome(y1, oracle_form), rehome(x2, oracle_form))
+            assert not (want and i >= 8)
             orthogonal += want
             for mode in MODES:
                 decisions += 1
                 agreed += decide_perp0(y1, x2, oracle, mode, rng) == want
-    # 20 types (k1 <= k2) x 6 form pairs x 8 pairs x 2 modes; one drawn pair
-    # of the other half is orthogonal too
-    assert (decisions, orthogonal) == (1920, 481)
+    # 45 types (k1 <= k2) over dims 3-6 x 9 form pairs x 8 pairs x 2 modes,
+    # and TILTED pairs x 2 modes for the 24 of them with m >= 1 x 9 form
+    # pairs; 6 drawn pairs of the other half are orthogonal too
+    assert (decisions, orthogonal) == (11664, 1620 + 6)
     assert agreed == decisions
 
 

@@ -64,7 +64,7 @@ from orthokernel.reconstruct import (
     reconstruct_line_perp,
 )
 
-from conftest import ZeroDraws, qv
+from conftest import ZeroDraws, qv, tilted
 from rational_reference import (
     bilinear_eval,
     rational_basis,
@@ -283,13 +283,18 @@ def test_decide_perp0_tilted_is_false(q4):
     assert len(calls) == 1
 
 
-def test_decide_perp0_witness_uses_one_query(q4):
+def test_decide_perp0_witness_asks_the_cover(q4):
+    # k2 - m = 1: the first T is x2's second row, the second T its first
     params = TypedPerpParams(m=1, k1=2, k2=2)
     y1 = line(q4, (0, 0, 0, 0), (1, 0, 0, 0))
     x2 = flat(q4, (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-    oracle, calls = counting_oracle(params)
-    decide_perp0(y1, x2, oracle, ReconstructionMode.witness())
-    assert len(calls) == 1
+    asked = []
+    oracle = PerpOracle(params, lambda a, b: asked.append(a) or perp_m(a, b, params))
+    assert decide_perp0(y1, x2, oracle, ReconstructionMode.witness())
+    assert [meet(a, x2) for a in asked] == [
+        line(q4, (0, 0, 0, 0), (0, 0, 1, 0)),
+        line(q4, (0, 0, 0, 0), (0, 1, 0, 0)),
+    ]
 
 
 def _distinct_draws(x2, m, samples, seed):
@@ -362,6 +367,95 @@ def test_decide_perp0_rejects_a_line_meet(q4, params, mode):
     with pytest.raises(PreconditionError, match="single point"):
         decide_perp0(y1, x2, oracle, mode)
     assert calls == []
+
+
+def _package_modules():
+    return [
+        importlib.import_module(f"orthokernel.{info.name}")
+        for info in pkgutil.iter_modules(orthokernel.__path__)
+        if info.name != "__main__"
+    ]
+
+
+def _form_reads_outside(monkeypatch, reads):
+    """Record in reads every form product the package makes from now on,
+    and every read of a flat's form or complement rows, except inside a
+    query to an oracle that the returned function has wrapped."""
+    asking = []
+    for name in ("_times_form", "_times_inverse", "_xi_complement_rows"):
+        real = getattr(linalg_module, name)
+
+        def counting(*args, name=name, real=real, **kwargs):
+            if not asking:
+                reads.append(name)
+            return real(*args, **kwargs)
+
+        for module in _package_modules():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    for name in ("form_rows", "complement_rows"):
+        real = getattr(AffineSubspace, name).fget
+
+        def reading(self, name=name, real=real):
+            if not asking:
+                reads.append(name)
+            return real(self)
+
+        monkeypatch.setattr(AffineSubspace, name, property(reading))
+
+    def allowed(oracle):
+        def query(x1, x2):
+            asking.append(1)
+            try:
+                return oracle.query(x1, x2)
+            finally:
+                asking.pop()
+
+        return PerpOracle(oracle.params, query)
+
+    return allowed
+
+
+@pytest.mark.parametrize("form", NAMED_FORMS)
+def test_the_decide_stage_reads_no_form(monkeypatch, form):
+    # point-meet pairs of every satisfiable type in dims 3-6, orthogonal
+    # and tilted, judged before the count starts; the ground-truth oracle
+    # reads the form in its queries
+    rng = random.Random(form)
+    pairs = []
+    for n in range(3, 7):
+        space = space_of(GenConfig(dim=n, form=form))
+        for m in range(n):
+            for k1, k2 in itertools.product(range(m + 1, n + 1), repeat=2):
+                params = TypedPerpParams(m, k1, k2)
+                if not params.satisfiable_in(n):
+                    continue
+                y1, x2 = make_perp_pair(space, TypedPerpParams(0, k1 - m, k2), rng)
+                pairs += [(params, y1, x2), (params, tilted(y1, x2), x2)]
+    assert len(pairs) == 2 * (4 + 10 + 20 + 35)
+    want = [perp_x(y1, x2) for _, y1, x2 in pairs]
+    assert want == [True, False] * (len(pairs) // 2)
+    reads = []
+    allowed = _form_reads_outside(monkeypatch, reads)
+    modes = (ReconstructionMode.witness(), ReconstructionMode.sampled(5))
+    for ((params, y1, x2), truth), mode in itertools.product(zip(pairs, want), modes):
+        oracle = allowed(ground_truth_oracle(params))
+        assert decide_perp0(y1, x2, oracle, mode, rng) == truth
+    assert reads == []
+    # an always-true oracle is asked each flat of the cover, an always-false
+    # one only the first
+    for params, y1, x2 in pairs:
+        cover = -(-params.k2 // (params.k2 - params.m))
+        for answer, asked in ((True, cover), (False, 1)):
+            calls = []
+            oracle = PerpOracle(params, lambda a, b: calls.append(1) or answer)
+            assert decide_perp0(y1, x2, oracle, modes[0]) is answer
+            assert len(calls) == asked
+    assert reads == []
+    # the count is live: lemma 1 builds its T from the form
+    params, y1, x2 = pairs[-1]
+    lemma1_witness(y1, x2, params.m)
+    assert "_xi_complement_rows" in reads
 
 
 # ---------------------------------------------------------------------------
@@ -1038,11 +1132,7 @@ def _count_eliminations(monkeypatch):
     """Every _rref_int and _forward_steps call the package makes from now
     on, by name: each is patched wherever an orthokernel module binds it."""
     calls = []
-    modules = [
-        importlib.import_module(f"orthokernel.{info.name}")
-        for info in pkgutil.iter_modules(orthokernel.__path__)
-        if info.name != "__main__"
-    ]
+    modules = _package_modules()
     for name in ("_rref_int", "_forward_steps"):
         real = getattr(linalg_module, name)
 

@@ -89,8 +89,9 @@ def test_reconstruct_demo_prints_the_same_feet_and_verdicts(case):
 @pytest.mark.parametrize(
     "argv, dims",
     [
-        # k1 > k2: the oracle's slots are swapped back for the query
-        (["--dim", "4", "--m", "1", "--k1", "3", "--k2", "2"], (3, 2)),
+        # k1 > k2: the oracle's slots are swapped back for each query, one
+        # per flat of the cover, ceil(3 / 2) = 2
+        (["--dim", "4", "--m", "1", "--k1", "3", "--k2", "2"], (3, 2, 3, 2)),
         # k2 = 1 but wrapped, since the swapped type has k2 = 2
         (["--dim", "3", "--m", "0", "--k1", "2", "--k2", "1"], (2, 1)),
         # skew lines with k2 > 1 have no wrapping pair

@@ -13,10 +13,10 @@ the decisions made. The units are:
 
 - "properties": each property id at dims 3-6 under each named form, 8
   trials of ``run_suite``;
-- "decisions": the witness and the sampled (K = 20) decision of 8 line
-  pairs, half of them orthogonal, for each (m, k1, k2) of the A-RECON grid,
-  dimension and named form; the wrap stage runs uncounted, and "decided"
-  says how many pairs it left to decide;
+- "decisions": the wrap, the witness and the sampled (K = 20) decision of
+  8 line pairs, half of them orthogonal, for each (m, k1, k2) of the
+  A-RECON grid, dimension and named form; the wrap line counts all 8
+  pairs, and "decided" says how many pairs it left to decide;
 - "cli": each command that ``check_interpreters.py`` pins, run in process.
 
 Every count repeats exactly for the same sources, so a change to the
@@ -173,18 +173,18 @@ def _decisions(counts: Counter) -> dict:
     sampled = reconstruct.ReconstructionMode.sampled(SAMPLES)
     for m, k1, k2 in A_RECON_GRID:
         params = TypedPerpParams(m, k1, k2)
+        oracle = reconstruct.ground_truth_oracle(params)
         for n in range(k1 + k2 - m, 7):
             for form in NAMED_FORMS:
                 cfg = GenConfig(dim=n, seed=SEED, form=form, perp_params=params)
-                lines = {"witness": Counter(), "sampled": Counter()}
+                lines = {"wrap": Counter(), "witness": Counter(), "sampled": Counter()}
                 decided = 0
                 for i in range(PAIRS):
                     rng = random.Random(i)
                     l1, l2 = gen_line_pair(cfg, rng, orthogonal=i % 2 == 0)
-                    core, oracle = reconstruct._wrap_line_pair(
-                        l1, l2, reconstruct.ground_truth_oracle(params)
-                    )
                     counts.clear()
+                    core = reconstruct._wrap_line_pair(l1, l2, params)
+                    lines["wrap"].update(_take(counts))
                     if core is None:
                         continue
                     decided += 1
@@ -192,8 +192,8 @@ def _decisions(counts: Counter) -> dict:
                     lines["witness"].update(_take(counts))
                     reconstruct.decide_perp0(*core, oracle, sampled, rng)
                     lines["sampled"].update(_take(counts))
-                for mode, line in lines.items():
-                    key = f"m={m} k1={k1} k2={k2} dim={n} {form} {mode}"
+                for stage, line in lines.items():
+                    key = f"m={m} k1={k1} k2={k2} dim={n} {form} {stage}"
                     out[key] = {"decided": decided, **{k: line[k] for k in KEYS}}
     return out
 

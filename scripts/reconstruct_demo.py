@@ -83,7 +83,7 @@ def main():
     if asked:
         print(
             "pairs the oracle was asked about in witness mode, one per flat"
-            " of the cover (l1's base point moved to the origin):"
+            " of the cover (both lines moved through the origin):"
         )
         for x1, x2 in asked:
             show("x1", x1)

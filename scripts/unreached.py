@@ -48,7 +48,7 @@ def commands(workdir: Path) -> list:
         [*lemma, "1"],
         [*lemma, "2"],
         [*recon, *TYPE, "--seed", "7"],
-        # k1 > k2 reaches the wrap's swap
+        # k1 > k2 reaches the wrap with the larger flat first
         [*recon, "--m", "1", "--k1", "3", "--k2", "2"],
         [*recon, *TYPE, "--mode", "witness"],
         [*recon, *TYPE, "--mode", "sampled", "--samples", "50"],

@@ -266,7 +266,7 @@ def _meet_parts(
     the relations revisit only the pair they just met.  Callers must not
     mutate it.
 
-    Flats with one base point, as the line wrap's origin lines are, have
+    Flats with one base point, as every pair the line wrap hands on is, have
     p2 - p1 = 0: the right side is a column of zeros, formed without its
     products, over the point's own denominator, and such flats always meet.
     """

@@ -189,10 +189,6 @@ class TypedPerpParams:
     def satisfiable_in(self, dim: int) -> bool:
         return self.k1 + self.k2 - self.m <= dim
 
-    @property
-    def swapped(self) -> "TypedPerpParams":
-        return TypedPerpParams(self.m, self.k2, self.k1)
-
 
 def perp_m(x1: AffineSubspace, x2: AffineSubspace, params: TypedPerpParams) -> bool:
     """perp_g restricted to dims (k1, k2) with meet of dimension m."""

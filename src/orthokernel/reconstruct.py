@@ -1,10 +1,11 @@
 """Recovering line orthogonality from a black-box typed relation.
 
 A line pair is decided in two stages.  The wrap stage uses only the metric
-and incidence and never queries the oracle: it turns the lines, once, into
-flats meeting in a point, the lines moved to cross when k2 = 1 and else a
-perp-x pair built around their common perpendicular (lemma 2); for
-non-orthogonal lines no such wrapping exists, so the wrap first tests the
+and incidence and is given no oracle.  Line orthogonality depends only on
+the directions, so it moves both lines, once, through the origin, where
+they cross, and hands on those lines for the type (0, 1, 1) and else the
+perp-x pair lemma 2 builds around them, which meets in the origin; for
+non-orthogonal lines no such pair exists, so the wrap first tests the
 directions of the lines as given and refuses those; it moves the lines only
 for a pair it hands on.  The decide stage reads no form: it asks the
 oracle about that pair (Y1, X2), lifted to the typed relation by extending
@@ -289,48 +290,45 @@ def line_perp_ground_truth(l1: AffineSubspace, l2: AffineSubspace) -> bool:
 
 
 def _wrap_line_pair(
-    l1: AffineSubspace, l2: AffineSubspace, oracle: PerpOracle
-) -> tuple[Optional[tuple[AffineSubspace, AffineSubspace]], PerpOracle]:
-    """The wrap stage: the point-meet pair standing for the two lines, or
-    None when there is none, with the oracle's slots in that pair's order;
-    the type is the oracle's.  Draws nothing and queries nothing.
+    l1: AffineSubspace, l2: AffineSubspace, params: TypedPerpParams
+) -> Optional[tuple[AffineSubspace, AffineSubspace]]:
+    """The wrap stage: the point-meet pair of type params standing for the
+    two lines, in the oracle's slot order, or None when there is none.
+    Reads the metric and incidence only, and draws nothing.
 
-    The smaller dimension goes first.  For k2 = 1 the pair is the lines
-    moved to cross; otherwise it is the lemma-2 wrapping pair, which only
-    orthogonal lines admit: the wrap tests that under the space's form and
-    refuses the rest.  Parallel lines admit neither.  Both tests read only
-    the directions, so they run on the lines as given; the lines are moved
-    only for a pair that is handed on.
+    Line orthogonality depends only on the directions, so the pair is built
+    from the lines moved through the origin, where they cross.  For
+    (0, 1, 1) it is those crossing lines; otherwise it is their lemma-2
+    wrapping pair, l1 in the first flat and l2 in the second, or the other
+    way round when k2 = 1 < k1.  Only orthogonal lines admit that pair: the
+    wrap tests that under the space's form and refuses the rest.  Parallel
+    lines admit neither.  Both tests read only the directions, so they run
+    on the lines as given; the lines are moved only for a pair that is
+    handed on.
     """
     _check_same_space(l1, l2)
     if l1.dim != 1 or l2.dim != 1:
         raise InputError("both arguments must be lines")
-    params = oracle.params
     space = l1.space
     if not params.satisfiable_in(space.dim):
         raise InputError("params are unsatisfiable in this dimension")
-    if params.k1 > params.k2:
-        swapped = params.swapped
-        inner = oracle
-        oracle = PerpOracle(swapped, lambda a, b: inner.query(b, a))
-        params = swapped
-    # verdicts are translation-invariant; normalize to a base point at zero
-    # (the origin has zeros at every pivot, so it is already canonical)
-    origin = ((0,) * space.dim, 1)
-    if params.k2 == 1:
-        # lines against lines leave no room for a wrapping pair: move both
-        # through the origin and ask about the crossing directly
+    # the dimensions of the point-meet pair
+    k1, k2 = params.k1 - params.m, params.k2
+    if k1 == k2 == 1:
         if parallel(l1, l2):
-            return None, oracle
-        return (
-            AffineSubspace(space, origin, l1.direction),
-            AffineSubspace(space, origin, l2.direction),
-        ), oracle
-    if not perp_subspaces(l1, l2):
-        return None, oracle
-    l1w = AffineSubspace(space, origin, l1.direction)
-    l2w = AffineSubspace._canonical(space, *_point_difference(l1, l2), l2.direction)
-    return lemma2_witness(l1w, l2w, params.k1 - params.m, params.k2), oracle
+            return None
+    elif not perp_subspaces(l1, l2):
+        return None
+    # the origin has zeros at every pivot, so it is already canonical
+    origin = ((0,) * space.dim, 1)
+    o1 = AffineSubspace(space, origin, l1.direction)
+    o2 = AffineSubspace(space, origin, l2.direction)
+    if k2 > 1:
+        return lemma2_witness(o1, o2, k1, k2)
+    if k1 > 1:
+        x2, y1 = lemma2_witness(o2, o1, k2, k1)
+        return y1, x2
+    return o1, o2
 
 
 def reconstruct_line_perp(
@@ -346,7 +344,7 @@ def reconstruct_line_perp(
     decide that pair through the oracle."""
     if params != oracle.params:
         raise InputError("params disagree with the oracle")
-    core, oracle = _wrap_line_pair(l1, l2, oracle)
+    core = _wrap_line_pair(l1, l2, params)
     return core is not None and decide_perp0(*core, oracle, mode, rng)
 
 
@@ -385,7 +383,8 @@ def judge_line_pair(
     truth is always computed."""
     if mode not in ("witness", "sampled", "both"):
         raise InputError(f"unknown mode: {mode!r}")
-    core, oracle = _wrap_line_pair(l1, l2, ground_truth_oracle(params))
+    core = _wrap_line_pair(l1, l2, params)
+    oracle = ground_truth_oracle(params)
     witness = sampled = None
     if mode != "sampled":
         witness = core is not None and decide_perp0(

@@ -4,11 +4,11 @@ The oracle here is ``perp_m`` under another positive-definite form than
 the space's, asked about the flats re-homed into that form's space.  The
 decide stage reads no form, so it follows the oracle's form: witness mode
 exactly, sampled mode up to its sampling error on "true", which no pair
-here meets.  So do the lines wrapped for k2 = 1.  For k2 > 1 (k2 the
-larger dimension of the type, as the wrap orders it) the wrap builds its
-pair from the space's form and refuses lines that are not orthogonal
-under it, so those verdicts follow the space's form, not the oracle's:
-line reconstruction assumes the two forms agree.
+here meets.  So do the crossing lines the wrap hands on for the type
+(0, 1, 1).  For every other type the wrap builds its pair from the
+space's form and refuses lines that are not orthogonal under it, so
+those verdicts follow the space's form, not the oracle's: line
+reconstruction assumes the two forms agree.
 """
 
 import itertools
@@ -103,9 +103,6 @@ def test_the_grid_covers_every_satisfiable_type():
 def test_decide_stage_follows_the_oracles_form():
     decisions = agreed = orthogonal = 0
     for n, space_form, oracle_form, params, rng in grid(DECIDE_DIMS, DECIDE_FORM_PAIRS):
-        if params.k1 > params.k2:
-            # the wrap swaps such a type before the decide stage sees it
-            continue
         oracle = foreign_oracle(params, oracle_form)
         point_type = TypedPerpParams(0, params.k1 - params.m, params.k2)
         # 8 pairs, half orthogonal under the oracle's form, then for m >= 1
@@ -127,10 +124,10 @@ def test_decide_stage_follows_the_oracles_form():
             for mode in MODES:
                 decisions += 1
                 agreed += decide_perp0(y1, x2, oracle, mode, rng) == want
-    # 45 types (k1 <= k2) over dims 3-6 x 9 form pairs x 8 pairs x 2 modes,
-    # and TILTED pairs x 2 modes for the 24 of them with m >= 1 x 9 form
-    # pairs; 6 drawn pairs of the other half are orthogonal too
-    assert (decisions, orthogonal) == (11664, 1620 + 6)
+    # 69 types over dims 3-6 x 9 form pairs x 8 pairs x 2 modes, and TILTED
+    # pairs x 2 modes for the 35 of them with m >= 1 x 9 form pairs; 6
+    # drawn pairs of the other half are orthogonal too
+    assert (decisions, orthogonal) == (17496, 2484 + 6)
     assert agreed == decisions
 
 
@@ -176,7 +173,7 @@ def test_lines_for_k2_above_one_follow_the_spaces_form():
                 refused += 1
     assert (orthogonal, refused) == (349, 336)
     # the 13 pairs orthogonal under both forms reach the oracle, which
-    # accepts the space's wrapping pair for 2 of them
+    # accepts the space's wrapping pair for 1 of them
     assert len(wrapped) == 13
-    assert wrapped.count((True, True)) == 2
-    assert wrapped.count((False, False)) == 11
+    assert wrapped.count((True, True)) == 1
+    assert wrapped.count((False, False)) == 12

@@ -282,7 +282,6 @@ def test_typed_params_validation():
         TypedPerpParams(-1, 1, 1)
     with pytest.raises(InputError):
         TypedPerpParams(1, 1, 2)
-    assert TypedPerpParams(1, 3, 2).swapped == TypedPerpParams(1, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -575,7 +575,8 @@ def test_reconstruct_agrees_with_direct_check(rng):
         assert not (truth and not s)
 
 
-# a line against a line, a wrapped type, and one whose slots are swapped
+# a line against a line, a wrapped type, and one whose first flat is the
+# larger
 JUDGED_TYPES = (
     TypedPerpParams(m=0, k1=1, k2=1),
     TypedPerpParams(m=1, k1=2, k2=2),
@@ -637,8 +638,8 @@ def test_judge_line_pair_wraps_each_pair_once(monkeypatch, params):
 @pytest.mark.parametrize(
     "params, orthogonal, products",
     [
-        # l2's direction (the wrap's test, lemma 2's translate l2w and the
-        # truth), l1's (lemma 2's l1w) and the wrapped x2's (the oracle)
+        # l2's direction (the wrap's test, its origin line and the truth),
+        # l1's (its origin line) and the wrapped x2's (the oracle)
         (TypedPerpParams(1, 2, 3), True, 3),
         # l2's direction: the wrap's test refuses, the truth reuses them
         (TypedPerpParams(1, 2, 3), False, 1),
@@ -830,7 +831,7 @@ A_RECON_GRID = ((0, 1, 1), (1, 2, 2), (1, 2, 3), (2, 3, 3))
 # one candidate per draw does (_reference_sampled below), so the states
 # are those of asking every draw.
 PINNED_SAMPLED_CANDIDATES = (
-    "4175aec09037b59189ebfe41c323f1f493b87c30fcb4239a6353de868d0a2919"
+    "09d552bce123b28a58364af25ad45606e3713784c73f99e926ff87f5b3660c6f"
 )
 PINNED_SAMPLED_RNG_STATES = (
     "a3aa22d776ab02d8e3b690181d5e3193d32bbc07b9d6572f38d4d8af7e125615"
@@ -868,10 +869,14 @@ def test_sampled_candidates_are_pinned():
 # the wrap stage tests the lines as given and moves only what it hands on
 
 
-def _a_recon_configs():
-    """Each type of the A-RECON grid with each dimension up to 6 that
-    admits it and each named form."""
-    for m, k1, k2 in A_RECON_GRID:
+# the A-RECON grid and three types whose first flat is the larger one
+WRAP_TYPES = (*A_RECON_GRID, (0, 3, 2), (1, 3, 2), (0, 2, 1))
+
+
+def _a_recon_configs(types=A_RECON_GRID):
+    """Each type of the A-RECON grid, or of types, with each dimension up
+    to 6 that admits it and each named form."""
+    for m, k1, k2 in types:
         params = TypedPerpParams(m, k1, k2)
         for n in range(k1 + k2 - m, 7):
             for form in NAMED_FORMS:
@@ -912,12 +917,11 @@ def test_the_wrap_moves_only_the_pairs_it_hands_on(monkeypatch):
     monkeypatch.setattr(reconstruct_module, "_point_difference", counting_difference)
     seen = Counter()
     for params, cfg in _a_recon_configs():
-        oracle = ground_truth_oracle(params)
         for seed in range(10):
             _, pairs = _wrap_inputs(cfg, seed)
             for l1, l2 in pairs:
                 counts.clear()
-                core, _ = reconstruct_module._wrap_line_pair(l1, l2, oracle)
+                core = reconstruct_module._wrap_line_pair(l1, l2, params)
                 kind = (params.k2 == 1, core is None)
                 seen[kind] += 1
                 if kind != (False, False):
@@ -928,22 +932,21 @@ def test_the_wrap_moves_only_the_pairs_it_hands_on(monkeypatch):
 
 def test_the_wrap_is_translation_invariant():
     """Moving each line by its own vector leaves the refused pairs refused
-    and the wrapped ones wrapped, and the k2 = 1 pair the same."""
+    and hands on the same pair for the others, for every type, the ones
+    whose first flat is the larger included."""
     seen = Counter()
-    for params, cfg in _a_recon_configs():
-        oracle = ground_truth_oracle(params)
+    for params, cfg in _a_recon_configs(WRAP_TYPES):
         for seed in range(10):
             rng, pairs = _wrap_inputs(cfg, seed)
             for l1, l2 in pairs:
-                core, _ = reconstruct_module._wrap_line_pair(l1, l2, oracle)
-                moved, _ = reconstruct_module._wrap_line_pair(
-                    _moved(l1, rng), _moved(l2, rng), oracle
+                core = reconstruct_module._wrap_line_pair(l1, l2, params)
+                moved = reconstruct_module._wrap_line_pair(
+                    _moved(l1, rng), _moved(l2, rng), params
                 )
-                assert (moved is None) == (core is None)
-                if params.k2 == 1:
-                    assert moved == core
+                assert moved == core, (params, cfg.dim, cfg.form, seed)
                 seen[params.k2 == 1, core is None] += 1
     assert len(seen) == 4
+    assert seen[False, False] + seen[True, False] == 439
 
 
 # ---------------------------------------------------------------------------
@@ -1216,6 +1219,17 @@ def test_lemma2_skips_a_complement_it_does_not_draw_from(monkeypatch):
     # with k2 = 2 there is no complement for x2 either: its d2 and w
     # already span it (the lines do not meet); lemma 1 as above
     assert _witness_eliminations(monkeypatch, 2) == [(3, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("k2", [2, 3])
+def test_lemma2_on_crossing_lines_pads_x2_from_one_complement(monkeypatch, k2):
+    # the wrap hands lemma 2 the lines through the origin, so w = 0 and x2
+    # is d2 padded from a complement whatever k2 is: 4 eliminations
+    origin = ((0,) * 6, 1)
+    o1, o2 = (AffineSubspace(l.space, origin, l.direction) for l in _lines_to_wrap())
+    calls = _count_eliminations(monkeypatch)
+    lemma2_witness(o1, o2, 1, k2)
+    assert len(calls) == 4
 
 
 def _meeting_pair():

@@ -2,16 +2,14 @@
 
 A line pair is decided in two stages.  The wrap stage uses only the metric
 and incidence and is given no oracle.  Line orthogonality depends only on
-the directions, so it moves both lines, once, through the origin, where
-they cross, and hands on those lines for the type (0, 1, 1) and else the
-perp-x pair lemma 2 builds around them, which meets in the origin; for
-non-orthogonal lines no such pair exists, so the wrap first tests the
-directions of the lines as given and refuses those; it moves the lines only
-for a pair it hands on.  The decide stage reads no form: it asks the
-oracle about that pair (Y1, X2), lifted to the typed relation by extending
-Y1 with m-flats T inside X2 through the common point (lemma 1); each
-extension's meet with X2 is exactly T, so the lifted query has the right
-dimension type whether or not the configuration is orthogonal.
+the directions, so it tests the lines as given, refuses a pair that admits
+no wrapping, and builds the pair it hands on through the origin: the lines
+moved there for the type (0, 1, 1), else their directions padded to a
+perp-x pair, which only orthogonal lines admit.  The decide stage reads no
+form: it asks the oracle about that pair (Y1, X2), lifted to the typed
+relation by extending Y1 with m-flats T inside X2 through the common point
+(lemma 1); each extension's meet with X2 is exactly T, so the lifted query
+has the right dimension type whether or not the pair is orthogonal.
 
 Two execution modes choose the T's: WITNESS asks a fixed cover of X2 by
 m-flats meeting only in zero and is exact; SAMPLED draws K random ones, so
@@ -24,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     InputError,
@@ -38,6 +36,8 @@ from .flats import (
     parallel,
 )
 from .linalg import (
+    LinearSubspace,
+    QuadraticSpace,
     _mat_mul_int,
     _subspace_from_int_rows,
     _xi_complement_rows,
@@ -227,6 +227,28 @@ def common_perpendicular_feet(
     )
 
 
+def _wrapping_directions(
+    space: QuadraticSpace,
+    rows1: Sequence[Sequence[int]],
+    rows2: Sequence[Sequence[int]],
+    k1: int,
+    k2: int,
+    rng: Optional[random.Random],
+) -> tuple[LinearSubspace, LinearSubspace]:
+    """The directions (k1, k2) of a wrapping pair of mutually orthogonal
+    rows: rows2 padded to k2, then rows1 to k1, each from the xi-complement
+    of its rows and those padded before, built only when rows are drawn from it."""
+    full = full_subspace(space.dim)
+
+    def pad(rows, k, before):
+        n = len(rows)
+        comp = _xi_complement_rows(space, [*before, *rows], full) if k > n else full
+        return _rand_extension(rows, comp, k - n, rng)
+
+    dir2 = pad(rows2, k2, rows1)
+    return pad(rows1, k1, dir2.int_rows), dir2
+
+
 def lemma2_witness(
     l1: AffineSubspace,
     l2: AffineSubspace,
@@ -234,12 +256,10 @@ def lemma2_witness(
     k2: int,
     rng: Optional[random.Random] = None,
 ) -> tuple[AffineSubspace, AffineSubspace]:
-    """Wrap orthogonal lines in a perp-x pair of dimensions (k1, k2).
-
-    x2 spans l2's direction and the common-perpendicular vector w, padded
-    from the xi-complement of span(d1, d2, w); x1 spans l1's direction,
-    padded from the xi-complement of x2's direction.  x2 needs w inside it
-    so that it reaches across to l1's foot, which is where k2 > 1 is spent.
+    """Wrap orthogonal lines in a perp-x pair of dimensions (k1, k2): x1
+    through l1's foot q spans l1's direction, and x2 through l2's foot p
+    spans l2's direction and w = p - q, which reaches across to q and is
+    where k2 > 1 is spent; each is padded as a wrapping pair is.
     """
     _check_same_space(l1, l2)
     if l1.dim != 1 or l2.dim != 1:
@@ -251,31 +271,12 @@ def lemma2_witness(
     if k1 + k2 > n:
         raise PreconditionError(f"k1 + k2 = {k1 + k2} exceeds dimension {n}")
     q, p = common_perpendicular_feet(l1, l2)
-    # p - q scaled by a positive integer
+    # p - q scaled by a positive integer, orthogonal to both lines
     w, _ = _point_difference(q, p)
-    d1 = l1.direction.int_rows[0]
-    d2 = l2.direction.int_rows[0]
-
-    # d1, d2 and w are mutually orthogonal: core2 has rank 2 unless the
-    # lines meet (w = 0), and the complements come from spanning rows.  A
-    # complement is built only when rows are drawn from it; an extension by
-    # nothing reads no rows and draws nothing, so it is handed the whole
-    # space instead
-    full = full_subspace(n)
-    core2 = [d2, w] if any(w) else [d2]
-    comp2 = full
-    if k2 > len(core2):
-        comp2 = _xi_complement_rows(space, [d1, d2, w], full)
-    dir2 = _rand_extension(core2, comp2, k2 - len(core2), rng)
-    x2 = AffineSubspace._canonical(space, *p.int_point, dir2)
-
-    # the complement of dir2, then of d1 inside it, is that of dir2 + d1
-    rest1 = full
-    if k1 > 1:
-        rest1 = _xi_complement_rows(space, [*dir2.int_rows, d1], full)
-    dir1 = _rand_extension([d1], rest1, k1 - 1, rng)
+    rows2 = [*l2.direction.int_rows, w] if any(w) else l2.direction.int_rows
+    dir1, dir2 = _wrapping_directions(space, l1.direction.int_rows, rows2, k1, k2, rng)
     x1 = AffineSubspace._canonical(space, *q.int_point, dir1)
-
+    x2 = AffineSubspace._canonical(space, *p.int_point, dir2)
     if x1.dim != k1 or x2.dim != k2 or not perp_x(x1, x2):
         raise InternalError("wrapping pair failed its own construction")
     return x1, x2
@@ -297,14 +298,10 @@ def _wrap_line_pair(
     Reads the metric and incidence only, and draws nothing.
 
     Line orthogonality depends only on the directions, so the pair is built
-    from the lines moved through the origin, where they cross.  For
-    (0, 1, 1) it is those crossing lines; otherwise it is their lemma-2
-    wrapping pair, l1 in the first flat and l2 in the second, or the other
-    way round when k2 = 1 < k1.  Only orthogonal lines admit that pair: the
-    wrap tests that under the space's form and refuses the rest.  Parallel
-    lines admit neither.  Both tests read only the directions, so they run
-    on the lines as given; the lines are moved only for a pair that is
-    handed on.
+    through the origin: for (0, 1, 1) the lines moved there, else their
+    directions padded as lemma 2 pads lines that meet.  Only orthogonal
+    lines admit that pair, and parallel lines admit neither: the wrap tests
+    the lines as given under the space's form and refuses the rest.
     """
     _check_same_space(l1, l2)
     if l1.dim != 1 or l2.dim != 1:
@@ -314,21 +311,23 @@ def _wrap_line_pair(
         raise InputError("params are unsatisfiable in this dimension")
     # the dimensions of the point-meet pair
     k1, k2 = params.k1 - params.m, params.k2
+    # the origin has zeros at every pivot, so it is already canonical
+    origin = ((0,) * space.dim, 1)
     if k1 == k2 == 1:
         if parallel(l1, l2):
             return None
-    elif not perp_subspaces(l1, l2):
+        return (
+            AffineSubspace(space, origin, l1.direction),
+            AffineSubspace(space, origin, l2.direction),
+        )
+    if not perp_subspaces(l1, l2):
         return None
-    # the origin has zeros at every pivot, so it is already canonical
-    origin = ((0,) * space.dim, 1)
-    o1 = AffineSubspace(space, origin, l1.direction)
-    o2 = AffineSubspace(space, origin, l2.direction)
-    if k2 > 1:
-        return lemma2_witness(o1, o2, k1, k2)
-    if k1 > 1:
-        x2, y1 = lemma2_witness(o2, o1, k2, k1)
-        return y1, x2
-    return o1, o2
+    rows1, rows2 = l1.direction.int_rows, l2.direction.int_rows
+    dirs = _wrapping_directions(space, rows1, rows2, k1, k2, None)
+    x1, x2 = (AffineSubspace(space, origin, d) for d in dirs)
+    if x1.dim != k1 or x2.dim != k2 or not perp_x(x1, x2):
+        raise InternalError("wrapping pair failed its own construction")
+    return x1, x2
 
 
 def reconstruct_line_perp(

@@ -618,19 +618,19 @@ def test_judge_line_pair_rejects_an_unknown_mode(mode):
 )
 def test_judge_line_pair_wraps_each_pair_once(monkeypatch, params):
     calls = []
-    real = reconstruct_module.lemma2_witness
+    real = reconstruct_module._wrapping_directions
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(reconstruct_module, "lemma2_witness", counting)
+    monkeypatch.setattr(reconstruct_module, "_wrapping_directions", counting)
     cfg = GenConfig(dim=4, seed=0)
     for i in range(12):
         l1, l2 = gen_line_pair(cfg, random.Random(i), orthogonal=(i % 2 == 0))
         judge_line_pair(l1, l2, params, "both", 5, random.Random(100 + i))
     # the wrap refuses the skew pairs itself: only the 6 orthogonal pairs
-    # reach lemma 2, once each
+    # are padded, once each
     assert len(calls) == 6
 
 
@@ -638,9 +638,9 @@ def test_judge_line_pair_wraps_each_pair_once(monkeypatch, params):
 @pytest.mark.parametrize(
     "params, orthogonal, products",
     [
-        # l2's direction (the wrap's test, its origin line and the truth),
-        # l1's (its origin line) and the wrapped x2's (the oracle)
-        (TypedPerpParams(1, 2, 3), True, 3),
+        # l2's direction (the wrap's test and the truth) and the wrapped
+        # x2's (the oracle); the wrap solves no feet, so l1's are not formed
+        (TypedPerpParams(1, 2, 3), True, 2),
         # l2's direction: the wrap's test refuses, the truth reuses them
         (TypedPerpParams(1, 2, 3), False, 1),
         # l2's direction, shared by the origin line that both modes ask
@@ -675,11 +675,11 @@ def test_a_judged_pair_forms_each_directions_rows_once(
 )
 def test_a_failing_lemma2_on_orthogonal_lines_is_not_a_verdict(monkeypatch, params):
     # the wrap refuses skew pairs by its own test, so a precondition failure
-    # inside lemma 2 is a fault and must escape, not read as False
+    # inside lemma 2's padding is a fault and must escape, not read as False
     def failing(*args, **kwargs):
         raise PreconditionError("planted")
 
-    monkeypatch.setattr(reconstruct_module, "lemma2_witness", failing)
+    monkeypatch.setattr(reconstruct_module, "_wrapping_directions", failing)
     l1, l2 = gen_line_pair(GenConfig(dim=4, seed=0), random.Random(0), orthogonal=True)
     with pytest.raises(PreconditionError, match="planted"):
         judge_line_pair(l1, l2, params, "both", 5, random.Random(0))
@@ -947,6 +947,34 @@ def test_the_wrap_is_translation_invariant():
                 seen[params.k2 == 1, core is None] += 1
     assert len(seen) == 4
     assert seen[False, False] + seen[True, False] == 439
+
+
+def test_a_judged_pair_solves_no_feet_and_tests_orthogonality_twice(monkeypatch):
+    """Over the A-RECON grid, judging a pair tests its directions for
+    orthogonality in the wrap, for a type other than (0, 1, 1), and for
+    the truth, and nowhere else: the wrap's lines cross, so it solves for
+    no feet."""
+    counts = Counter()
+    for name in ("perp_subspaces", "common_perpendicular_feet"):
+        real = getattr(reconstruct_module, name)
+
+        def counting(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(reconstruct_module, name, counting)
+    seen = Counter()
+    for params, cfg in _a_recon_configs():
+        for seed in range(10):
+            rng, pairs = _wrap_inputs(cfg, seed)
+            for l1, l2 in pairs:
+                counts.clear()
+                verdicts = judge_line_pair(l1, l2, params, "both", 5, rng)
+                tests = 1 + (params.k2 > 1)
+                assert counts == {"perp_subspaces": tests}, (params, cfg, seed)
+                seen[params.k2 > 1, verdicts.witness] += 1
+    # both verdicts for each kind of type
+    assert len(seen) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1223,8 +1251,8 @@ def test_lemma2_skips_a_complement_it_does_not_draw_from(monkeypatch):
 
 @pytest.mark.parametrize("k2", [2, 3])
 def test_lemma2_on_crossing_lines_pads_x2_from_one_complement(monkeypatch, k2):
-    # the wrap hands lemma 2 the lines through the origin, so w = 0 and x2
-    # is d2 padded from a complement whatever k2 is: 4 eliminations
+    # lines that cross, here both moved through the origin, have w = 0, so
+    # x2 is d2 padded from a complement whatever k2 is: 4 eliminations
     origin = ((0,) * 6, 1)
     o1, o2 = (AffineSubspace(l.space, origin, l.direction) for l in _lines_to_wrap())
     calls = _count_eliminations(monkeypatch)

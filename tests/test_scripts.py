@@ -92,7 +92,7 @@ def test_reconstruct_demo_prints_the_same_feet_and_verdicts(case):
         # k1 > k2: one query per flat of the cover of the 2-flat x2,
         # ceil(2 / 1) = 2, each in the oracle's own slot order
         (["--dim", "4", "--m", "1", "--k1", "3", "--k2", "2"], (3, 2, 3, 2)),
-        # k2 = 1 < k1: lemma 2 wraps l1 in the plane, l2 stays a line
+        # k2 = 1 < k1: the wrap pads l1 to the plane, l2 stays a line
         (["--dim", "3", "--m", "0", "--k1", "2", "--k2", "1"], (2, 1)),
         # skew lines of any type but (0, 1, 1) have no wrapping pair
         (["--oblique"], None),

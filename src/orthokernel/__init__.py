@@ -3,9 +3,10 @@
 Everything is exact over Q, so every predicate here is a decision, not an
 approximation: subspace calculus in row echelon form, affine flats with
 meet/join, a family of orthogonality relations graded by the dimension of
-the intersection, exact reflection isometries, and an oracle-based pipeline
-that recovers line orthogonality from a typed orthogonality predicate plus
-incidence data.  A seeded property harness and a CLI sit on top.
+the intersection, exact reflections held as integers, and an oracle-based
+pipeline that recovers line orthogonality from a typed orthogonality
+predicate plus incidence data.  A seeded property harness and a CLI sit
+on top.
 
 Rationals exist only at the boundary, read by one function,
 ``linalg.int_vector`` (with ``scalar`` as its fallback); inside, flats and

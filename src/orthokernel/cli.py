@@ -166,8 +166,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         raise InputError("--count must be at least 1")
     seed = _resolve_seed(args.seed)
     params = _parse_params(args, required=True)
-    if params.k1 > params.k2:
-        raise InputError("witness generation needs k1 <= k2")
+    if args.lemma == 1 and params.k1 > params.k2:
+        raise InputError("the lemma 1 witness needs k1 <= k2")
     cfg = GenConfig(dim=args.dim, seed=seed, perp_params=params)
     space = space_of(cfg)
     payload: dict = {

@@ -49,7 +49,8 @@ class GenConfig:
 
     How coordinates are drawn and how often a collapsed draw is retried is
     fixed in :mod:`orthokernel.ortho` (``NUMERATOR_BOUND``,
-    ``DENOMINATOR_BOUND``, ``RETRIES``), not configured here.
+    ``DENOMINATOR_BOUND``, ``COEFF_BOUND``, ``RETRIES``), not configured
+    here.
     """
 
     dim: int

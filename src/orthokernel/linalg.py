@@ -14,7 +14,7 @@ multiplications per row and a tridiagonal one 3n - 2, not n^2.  Rank and
 definiteness come from one fraction-free forward pass (``_forward_steps``)
 and its pivot steps.  Every reduced system comes from one plain
 Gauss-Jordan (``_rref_int``); an augmented one, the inverse's
-[A | I] (``_int_inverse``) or the meet's (``flats._meet_parts``), is
+[A | I] (``mat_inverse``) or the meet's (``flats._meet_parts``), is
 answered by where its pivots fall.
 
 A k-dimensional subspace D has two sides: its k canonical rows and its
@@ -27,11 +27,9 @@ read by ``_kernel_in`` from one reduction over W's rows in reverse order.
 
 Rationals exist only at the boundary.  Input is read by ``int_vector``,
 whose fallback ``scalar`` decides the value and the error of any entry
-that is not an int or a canonical "p" or "p/q" string.  Two results stay
-rational, and no module of the package calls either: ``mat_inverse``, and
-``mat_mul``, which ``ortho.AffineIsometry`` reads.  They stay because the
-benchmark's tracer patches ``mat_inverse`` and ``ortho.reflection`` by
-name, until its spans follow the live kernel.
+that is not an int or a canonical "p" or "p/q" string.  Past it every
+value is an integer; ``mat_inverse``, for one, returns an integer matrix
+and its scale.
 """
 
 from __future__ import annotations
@@ -48,8 +46,6 @@ from .errors import InputError, PreconditionError
 
 QQ = Fraction
 
-Vector = tuple[QQ, ...]
-Matrix = tuple[Vector, ...]
 IntRow = tuple[int, ...]
 
 Scalarish = Union[QQ, int, str]
@@ -120,13 +116,6 @@ def _int_matrix(rows: Iterable[Iterable[Scalarish]]) -> list[list[int]]:
     read = [int_vector(row) for row in rows]
     lcm = math.lcm(*[den // math.gcd(den, *nums) for nums, den in read])
     return [[x * lcm // den for x in nums] for nums, den in read]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +342,17 @@ def _kernel_in(
     return LinearSubspace(w.ambient_dim, tuple(map(tuple, rows)), tuple(own))
 
 
-def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+def mat_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """(A, d) with rows . A = d I and d > 0, for a square integer matrix.
 
     One fraction-free reduction of [rows | I] leaves diag(p) on the left
     and diag(p) rows^-1 on the right; scaling each row to the lcm d of the
-    pivots gives A = d rows^-1.  Raises PreconditionError when the rows are
-    singular.
+    pivots gives A = d rows^-1.  Raises InputError when the matrix is not
+    square and PreconditionError when its rows are singular.
     """
     k = len(rows)
+    if any(len(r) != k for r in rows):
+        raise InputError("matrix is not square")
     aug = [[*row, *(int(i == j) for j in range(k))] for i, row in enumerate(rows)]
     red, pivots = _rref_int(aug)
     # [rows | I] has rank k; regular rows put its pivots on its first k columns
@@ -369,20 +360,6 @@ def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
         raise PreconditionError("matrix is singular")
     d = math.lcm(*[row[i] for i, row in enumerate(red)])
     return [[v * (d // row[i]) for v in row[k:]] for i, row in enumerate(red)], d
-
-
-def mat_inverse(m: Sequence[Sequence[Scalarish]]) -> Matrix:
-    """The inverse of a square rational matrix: the rational view of
-    ``_int_inverse``.  With row i scaled to integers by c_i, N = C M and
-    N A = d I, so M^-1 = A C / d."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise InputError("matrix is not square")
-    scaled = [int_vector(row) for row in m]
-    a, d = _int_inverse([r for r, _ in scaled])
-    return tuple(
-        tuple(QQ(v * c, d) for v, (_, c) in zip(row, scaled)) for row in a
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +449,7 @@ class QuadraticSpace:
         """A positive integer multiple of the inverse form, with no common
         factor: ``int_form`` times it is a positive multiple of the
         identity.  It is symmetric, as the form is."""
-        a, _ = _int_inverse(self.int_form)
+        a, _ = mat_inverse(self.int_form)
         g = math.gcd(*[x for row in a for x in row])
         return tuple(tuple(x // g for x in row) for row in a)
 

@@ -24,6 +24,10 @@ one, which the graded relations take when it has under a quarter of the
 entries, as for a hyperplane against a flat of codimension 2.  The zero
 test (m = 0) stays on the directions: it needs no elimination, and with
 m = 0, k1 + k2 <= n, so the complements' matrix is never the smaller.
+
+A reflection is held as integers, a matrix, a translation and one scale
+(``reflection``), and ``reflections_commute`` decides on them; no
+rational isometry is built.
 """
 
 from __future__ import annotations
@@ -48,18 +52,14 @@ from .flats import (
     is_subflat,
 )
 from .linalg import (
-    QQ,
     LinearSubspace,
-    Matrix,
     QuadraticSpace,
-    Vector,
     _forward_steps,
-    _int_inverse,
     _mat_mul_int,
     _rref_int,
     _subspace_from_int_rows,
     full_subspace,
-    mat_mul,
+    mat_inverse,
     subspace_sum,
     xi_complement,
     zero_subspace,
@@ -205,46 +205,14 @@ def perp_m(x1: AffineSubspace, x2: AffineSubspace, params: TypedPerpParams) -> b
 # reflections
 
 
-@dataclass(frozen=True)
-class AffineIsometry:
-    """Affine map p ↦ A p + t whose linear part preserves the form: A^T F A
-    = F, checked on ``int_form``, which a positive factor leaves as it is."""
-
-    space: QuadraticSpace
-    matrix: Matrix
-    translation: Vector
-
-    def __post_init__(self) -> None:
-        n = self.space.dim
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
-            raise InputError("matrix shape differs from ambient dimension")
-        if len(self.translation) != n:
-            raise InputError("translation length differs from ambient dimension")
-        at = tuple(zip(*self.matrix))
-        form = self.space.int_form
-        if mat_mul(mat_mul(at, form), self.matrix) != form:
-            raise InputError("linear part does not preserve the form")
-
-
-def reflection(x: AffineSubspace) -> AffineIsometry:
-    """The involutory isometry fixing the flat x pointwise: the rational
-    view of ``_int_reflection``, matrix A / d and translation T / (d e)."""
-    a, t, d = _int_reflection(x)
-    de = d * x.int_point[1]
-    return AffineIsometry(
-        x.space,
-        tuple(tuple(QQ(v, d) for v in row) for row in a),
-        tuple(QQ(v, de) for v in t),
-    )
-
-
-def _int_reflection(x: AffineSubspace) -> tuple[list[list[int]], list[int], int]:
-    """Reflection in x as integers (A, T, d): p -> (A p + T / e) / d, where
-    the point of x has denominator e.
+def reflection(x: AffineSubspace) -> tuple[list[list[int]], list[int], int]:
+    """The involutory isometry fixing the flat x pointwise, as integers
+    (A, T, d): p -> (A p + T / e) / d, where the point of x has
+    denominator e.
 
     The linear part is 2P - I, where P projects onto x's direction along
     its xi-complement: P = B^T (B F B^T)^{-1} B F for direction rows B and
-    the scaled form F.  With L (B F B^T)^{-1} integral (``_int_inverse``),
+    the scaled form F.  With L (B F B^T)^{-1} integral (``mat_inverse``),
     A = 2 B^T (L (B F B^T)^{-1}) B F - L I is that linear part scaled by
     d = L; T = d u - A u for the point u / e.
     """
@@ -254,7 +222,7 @@ def _int_reflection(x: AffineSubspace) -> tuple[list[list[int]], list[int], int]
         a = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
         d = 1
     else:
-        ginv, d = _int_inverse(_gram(x, x))
+        ginv, d = mat_inverse(_gram(x, x))
         proj = _mat_mul_int(tuple(zip(*b)), _mat_mul_int(ginv, x.form_rows))
         a = [[2 * v - (d if i == j else 0) for j, v in enumerate(r)]
              for i, r in enumerate(proj)]
@@ -271,8 +239,8 @@ def reflections_commute(x1: AffineSubspace, x2: AffineSubspace) -> bool:
     agree iff e1 A1 T2 + d2 e2 T1 = e2 A2 T1 + d1 e1 T2.
     """
     _check_same_space(x1, x2)
-    a1, t1, d1 = _int_reflection(x1)
-    a2, t2, d2 = _int_reflection(x2)
+    a1, t1, d1 = reflection(x1)
+    a2, t2, d2 = reflection(x2)
     if _mat_mul_int(a1, a2) != _mat_mul_int(a2, a1):
         return False
     e1, e2 = x1.int_point[1], x2.int_point[1]

@@ -747,8 +747,9 @@ def run_suite(
         # its wrapping pairs need k1 >= 1, k2 >= 2 and k1 + k2 <= dim
         raise InputError("P-LEM2 needs ambient dimension at least 3")
     params = cfg.perp_params
-    if params is not None and params.k1 > params.k2:
-        raise InputError("pinned params need k1 <= k2")
+    if params is not None and params.k1 > params.k2 and "P-LEM1-BWD" in property_ids:
+        # lemma 1 extends a (k1 - m)-flat by m directions of the k2-flat
+        raise InputError("P-LEM1-BWD needs pinned params with k1 <= k2")
     if forms is None:
         forms = default_forms()
     rows = [

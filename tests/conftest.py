@@ -1,7 +1,10 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import orthokernel
 from orthokernel.flats import AffineSubspace
 from orthokernel.linalg import QQ, QuadraticSpace, _subspace_from_int_rows
 
@@ -14,6 +17,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def _no_seed_from_the_caller(monkeypatch):
+    # a seedless command reads ORTHOKERNEL_SEED; the tests that need it set it
+    monkeypatch.delenv("ORTHOKERNEL_SEED", raising=False)
 
 
 @pytest.fixture
@@ -39,6 +48,16 @@ def q3_weighted():
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+def package_modules():
+    """Every module of the package but ``__main__``, for patching a name
+    wherever a module binds it."""
+    return [
+        importlib.import_module(f"orthokernel.{info.name}")
+        for info in pkgutil.iter_modules(orthokernel.__path__)
+        if info.name != "__main__"
+    ]
 
 
 def qv(*entries):

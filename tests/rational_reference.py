@@ -1,31 +1,39 @@
 """Rational reference helpers for the tests.
 
 These build, in plain rationals, what the package decides in integers:
-the reflection in a flat from the projection formula, the identity
-isometry, the image of a point, composition and equality of isometries,
-the matrix-vector product, the kernel of a matrix and the intersection
-of two subspaces by plain Gauss-Jordan over ``Fraction``, the bilinear
+the product and the inverse of matrices, the inverse by plain
+Gauss-Jordan over ``Fraction``; affine isometries that check they keep
+the form, the reflection in a flat from the projection formula, the
+identity isometry, the image of a point, composition and equality of
+isometries; the matrix-vector product, the kernel of a matrix and the
+intersection of two subspaces, again by plain Gauss-Jordan; the bilinear
 form on two vectors, the base point of a flat and the basis of a
 subspace as rationals.  The tests use them as the independent side of
-their checks; nothing in the package calls them.
+their checks; nothing in the package calls them.  One adapter,
+``rational_reflection``, is not independent: it reads the package's
+integer reflection as a rational isometry, for the tests that compare it
+with the projection formula.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction as QQ
 from typing import Sequence
 
-from orthokernel.errors import InputError
+from orthokernel.errors import InputError, PreconditionError
 from orthokernel.flats import AffineSubspace
-from orthokernel.linalg import (
-    LinearSubspace,
-    Matrix,
-    QuadraticSpace,
-    Vector,
-    mat_inverse,
-    mat_mul,
-    zero_subspace,
-)
-from orthokernel.ortho import AffineIsometry
+from orthokernel.linalg import LinearSubspace, QuadraticSpace, zero_subspace
+from orthokernel.ortho import reflection
+
+Vector = tuple[QQ, ...]
+Matrix = tuple[Vector, ...]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
@@ -150,6 +158,54 @@ def subspace_intersect(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
             ]
         )
     return canonical_subspace(vecs, n)
+
+
+def mat_inverse(m: Sequence[Sequence[QQ]]) -> Matrix:
+    """The inverse of a square rational matrix, from the reduced form of
+    [m | I]; PreconditionError when m is singular, when a pivot falls in
+    the right half."""
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise InputError("matrix is not square")
+    aug = [[*row, *(QQ(int(i == j)) for j in range(n))] for i, row in enumerate(m)]
+    red, pivots = rational_rref(aug, 2 * n)
+    if pivots != list(range(n)):
+        raise PreconditionError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in red)
+
+
+@dataclass(frozen=True)
+class AffineIsometry:
+    """Affine map p ↦ A p + t whose linear part preserves the form: A^T F A
+    = F, checked on ``int_form``, which a positive factor leaves as it is."""
+
+    space: QuadraticSpace
+    matrix: Matrix
+    translation: Vector
+
+    def __post_init__(self) -> None:
+        n = self.space.dim
+        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
+            raise InputError("matrix shape differs from ambient dimension")
+        if len(self.translation) != n:
+            raise InputError("translation length differs from ambient dimension")
+        at = tuple(zip(*self.matrix))
+        form = self.space.int_form
+        if mat_mul(mat_mul(at, form), self.matrix) != form:
+            raise InputError("linear part does not preserve the form")
+
+
+def rational_reflection(x: AffineSubspace) -> AffineIsometry:
+    """The package's reflection in x, (A, T, d) as integers, read as the
+    isometry with matrix A / d and translation T / (d e), e the
+    denominator of x's point."""
+    a, t, d = reflection(x)
+    de = d * x.int_point[1]
+    return AffineIsometry(
+        x.space,
+        tuple(tuple(QQ(v, d) for v in row) for row in a),
+        tuple(QQ(v, de) for v in t),
+    )
 
 
 def projection_reflection(x: AffineSubspace) -> AffineIsometry:

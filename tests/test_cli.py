@@ -300,6 +300,17 @@ def test_check_rejects_swapped_pinned_params(capsys):
     assert code == 2 and "k1 <= k2" in err
 
 
+def test_check_accepts_swapped_pinned_params_without_lemma_one(capsys):
+    # only P-LEM1-BWD needs k1 <= k2; these ids read the pinned type
+    code, out, _ = run_cli(
+        capsys,
+        "check", "--dim", "5", "--trials", "6", "--form", "all",
+        "--props", "P-LEM1-FWD,P-RECON,P-MODE-CONSIST",
+        "--m", "0", "--k1", "3", "--k2", "2",
+    )
+    assert code == 0 and "total violations: 0" in out
+
+
 def test_check_rejects_partial_params(capsys):
     code, _, err = run_cli(capsys, "check", "--dim", "4", "--trials", "2", "--m", "1")
     assert code == 2 and "together" in err
@@ -391,6 +402,21 @@ def test_witness_lemma_two_items(capsys):
         x1 = AffineSubspace.from_wire(space, item["x1"])
         x2 = AffineSubspace.from_wire(space, item["x2"])
         assert perp_x(x1, x2)
+
+
+def test_witness_swapped_params_need_lemma_one_only(capsys):
+    argv = ("witness", "--dim", "5", "--count", "3", "--m", "0", "--k1", "3", "--k2", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    space = resolve_space(5, "identity")
+    params = TypedPerpParams(0, 3, 2)
+    for item in json.loads(out)["witnesses"]:
+        x1 = AffineSubspace.from_wire(space, item["x1"])
+        x2 = AffineSubspace.from_wire(space, item["x2"])
+        assert perp_m(x1, x2, params)
+    assert run_cli(capsys, *argv, "--lemma", "2")[0] == 0
+    code, _, err = run_cli(capsys, *argv, "--lemma", "1")
+    assert code == 2 and "k1 <= k2" in err
 
 
 def test_witness_requires_params(capsys):

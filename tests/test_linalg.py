@@ -23,7 +23,6 @@ from orthokernel.linalg import (
     is_positive_definite,
     is_symmetric,
     mat_inverse,
-    mat_mul,
     rref_basis,
     scalar,
     subspace_sum,
@@ -182,18 +181,21 @@ def test_grassmann_dimension_formula(us, vs):
 
 
 def test_inverse_round_trip():
-    m = ((QQ(2), QQ(1)), (QQ(1), QQ(2)))
-    ident = ((QQ(1), QQ(0)), (QQ(0), QQ(1)))
-    assert mat_mul(m, mat_inverse(m)) == ident
+    m = ((2, 1), (1, 2))
+    a, d = mat_inverse(m)
+    assert d == 3 and a == [[2, -1], [-1, 2]]
+    assert _mat_mul_int(m, a) == [[d, 0], [0, d]]
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(PreconditionError):
-        mat_inverse(((QQ(1), QQ(2)), (QQ(2), QQ(4))))
+        mat_inverse(((1, 2), (2, 4)))
+    with pytest.raises(InputError):
+        mat_inverse(((1, 2),))
 
 
 def test_inverse_of_the_empty_matrix_is_empty():
-    assert mat_inverse(()) == ()
+    assert mat_inverse(()) == ([], 1)
 
 
 # ---------------------------------------------------------------------------

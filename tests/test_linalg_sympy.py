@@ -131,11 +131,16 @@ def _sympy_span(vectors, cols):
 def test_determinant_and_inverse_match_sympy(index):
     rows = CASES[index]
     ref = _to_sympy(rows)
+    # row i is N_i / c_i, so N = C M and N A = d I give M^-1 = A C / d
+    scaled = [int_vector(row) for row in rows]
     if ref.det() == 0:
         with pytest.raises(PreconditionError):
-            mat_inverse(tuple(tuple(r) for r in rows))
+            mat_inverse([n for n, _ in scaled])
     else:
-        assert list(mat_inverse(tuple(tuple(r) for r in rows))) == _from_sympy(ref.inv())
+        a, d = mat_inverse([n for n, _ in scaled])
+        assert d > 0
+        inv = [tuple(Fraction(v * c, d) for v, (_, c) in zip(row, scaled)) for row in a]
+        assert inv == _from_sympy(ref.inv())
 
 
 def _dense_form(n):

@@ -22,12 +22,7 @@ from orthokernel.generators import (
     space_of,
     sub_flat,
 )
-from orthokernel.linalg import (
-    QuadraticSpace,
-    mat_inverse,
-    mat_mul,
-    rref_basis,
-)
+from orthokernel.linalg import QuadraticSpace, rref_basis
 from orthokernel.ortho import (
     TypedPerpParams,
     make_perp_pair,
@@ -38,7 +33,13 @@ from orthokernel.ortho import (
     reflections_commute,
 )
 
-from rational_reference import mat_vec, rational_basis, rational_point
+from rational_reference import (
+    mat_inverse,
+    mat_mul,
+    mat_vec,
+    rational_basis,
+    rational_point,
+)
 
 PAIRS_PER_CASE = 24
 TYPED_PAIRS_PER_CASE = 8

@@ -1,16 +1,13 @@
 """Line-orthogonality recovery pipeline: feet, witnesses, both decision modes."""
 
 import hashlib
-import importlib
 import itertools
 import json
-import pkgutil
 import random
 from collections import Counter
 
 import pytest
 
-import orthokernel
 import orthokernel.flats as flats_module
 import orthokernel.linalg as linalg_module
 import orthokernel.ortho as ortho_module
@@ -64,7 +61,7 @@ from orthokernel.reconstruct import (
     reconstruct_line_perp,
 )
 
-from conftest import ZeroDraws, qv, tilted
+from conftest import ZeroDraws, package_modules, qv, tilted
 from rational_reference import (
     bilinear_eval,
     rational_basis,
@@ -369,14 +366,6 @@ def test_decide_perp0_rejects_a_line_meet(q4, params, mode):
     assert calls == []
 
 
-def _package_modules():
-    return [
-        importlib.import_module(f"orthokernel.{info.name}")
-        for info in pkgutil.iter_modules(orthokernel.__path__)
-        if info.name != "__main__"
-    ]
-
-
 def _form_reads_outside(monkeypatch, reads):
     """Record in reads every form product the package makes from now on,
     and every read of a flat's form or complement rows, except inside a
@@ -390,7 +379,7 @@ def _form_reads_outside(monkeypatch, reads):
                 reads.append(name)
             return real(*args, **kwargs)
 
-        for module in _package_modules():
+        for module in package_modules():
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     for name in ("form_rows", "complement_rows"):
@@ -1163,7 +1152,7 @@ def _count_eliminations(monkeypatch):
     """Every _rref_int and _forward_steps call the package makes from now
     on, by name: each is patched wherever an orthokernel module binds it."""
     calls = []
-    modules = _package_modules()
+    modules = package_modules()
     for name in ("_rref_int", "_forward_steps"):
         real = getattr(linalg_module, name)
 

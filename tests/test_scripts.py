@@ -238,12 +238,7 @@ orthokernel.flats
   AffineSubspace.from_points
 orthokernel.linalg
   scalar
-  mat_mul
   rref_basis
-  mat_inverse
-orthokernel.ortho
-  AffineIsometry.__post_init__
-  reflection
 orthokernel.properties
   _wire
   _ce

@@ -46,7 +46,10 @@ def main():
 
     try:
         params = TypedPerpParams(args.m, args.k1, args.k2)
-        cfg = GenConfig(dim=args.dim, seed=args.seed, perp_params=params)
+        cfg = GenConfig(
+            dim=args.dim, seed=args.seed, perp_params=params,
+            sample_count=args.samples,
+        )
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,9 @@ One JSON report per dimension, all three default forms, core properties by
 default (pass --props all to include the reconstruction set). Exit status 1
 when any dimension reports a violation; exit status 2, with no further
 dimension run, as soon as check exits 2 for one and writes no report: it
-refused the input, or a generator gave up in a trial.
+refused the input, or a generator gave up in a trial.  A --dims that names
+no dimension, or an --out that cannot be made a directory (an existing
+file, say), exits 2 before any dimension runs.
 """
 
 import argparse
@@ -40,7 +42,14 @@ def main():
         )
         return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(
+            f"error: --out needs a directory, cannot make {args.out!r}: {exc.strerror}",
+            file=sys.stderr,
+        )
+        return 2
     failing = 0
     t0 = time.perf_counter()
     for n in dims:

@@ -216,9 +216,7 @@ def flat_between(
         )
     if outer.dim < outer.ambient_dim and not is_subflat(inner, outer):
         raise PreconditionError("inner must be a subflat of outer")
-    direction = _rand_extension(
-        inner.direction.int_rows, outer.direction, k - inner.dim, rng
-    )
+    direction = _rand_extension(inner.direction, outer.direction, k - inner.dim, rng)
     return AffineSubspace._canonical(inner.space, *inner.int_point, direction)
 
 
@@ -248,7 +246,7 @@ def gen_perp_to(
     dir_m = rand_subspace_of(a.direction, m, rng)
     comp = xi_complement(space, a.direction, full_subspace(n))
     # dir_m lies in A's direction, which meets its complement only in zero
-    direction = _rand_extension(dir_m.int_rows, comp, k - m, rng)
+    direction = _rand_extension(dir_m, comp, k - m, rng)
     return AffineSubspace._canonical(space, *q.int_point, direction)
 
 

@@ -481,11 +481,11 @@ def _times_inverse(rows: Iterable[Sequence[int]], space: QuadraticSpace) -> list
 def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -> LinearSubspace:
     """{x in W : xi(x, d) = 0 for all d in D}, for D a subspace of W.
 
-    With a positive-definite form the result is a true complement of D
-    inside W: the dimensions add up and the intersection is zero.  In the
-    whole space the complement is taken from the smaller side of D: the
-    kernel of its k rows times F (``_xi_complement_rows``) while
-    k <= n - k, else the row space of its n - k equations times F^-1
+    The form is anisotropic, so D ∩ D^⊥ = 0 and the result is a true
+    complement of D inside W: the dimensions add up and the intersection
+    is zero.  In the whole space the complement is taken from the smaller
+    side of D: the kernel of its k rows times F (``_xi_complement_rows``)
+    while k <= n - k, else the row space of its n - k equations times F^-1
     (``_equations_complement``).  Inside a smaller W it is always the
     former, over W's rows.  Either way the result is the canonical subspace.
     """

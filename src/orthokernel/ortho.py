@@ -6,9 +6,10 @@ orthocomplement of M's direction inside x1's direction, is orthogonal to
 x2: any valid witness has its direction inside that complement, and the
 join condition forces equality.  It is settled by one rank: with direction
 rows D1, D2 (k1 and k2 of them), the form F and m = dim(D1 ∩ D2),
-D1 ∩ D2^⊥ has dimension k1 - rank(D1 F D2^T).  Because F is positive
-definite, that space lies inside Z1 (it is orthogonal to D2, hence to M)
-and meets M only in zero, while Z1 has dimension exactly k1 - m.  So
+D1 ∩ D2^⊥ has dimension k1 - rank(D1 F D2^T).  That space lies inside Z1
+(it is orthogonal to D2, hence to M).  Because F is anisotropic,
+F(v, v) ≠ 0 for v ≠ 0 (as for every positive-definite form), it meets M
+only in zero, and M ∩ M^⊥ = 0 gives Z1 dimension exactly k1 - m.  So
 Z1 ⊥ D2 exactly when the Gram matrix D1 F D2^T has rank m, and plain
 orthogonality of directions is its all-zero case.  No search is involved.
 
@@ -115,10 +116,10 @@ def _complement_perp(x1: AffineSubspace, x2: AffineSubspace, m: int) -> bool:
     """The canonical witness test: Z1, the xi-complement of the meet's
     direction inside x1's direction, is orthogonal to x2's direction.
 
-    ``m`` is the dimension of the meet's direction.  With a positive-definite
-    form, D1 ∩ D2^⊥ lies inside Z1, misses the meet's direction, and has
-    dimension k1 - rank(D1 F D2^T), while Z1 has dimension k1 - m; so the
-    test holds exactly when the Gram matrix has rank m (see the module
+    ``m`` is the dimension of the meet's direction M.  D1 ∩ D2^⊥ lies in
+    Z1 and has dimension k1 - rank(D1 F D2^T); the form is anisotropic, so
+    it misses M, and Z1 has dimension k1 - m as M ∩ M^⊥ = 0.  So the test
+    holds exactly when the Gram matrix has rank m (see the module
     docstring).  For m = 0 that is a zero Gram matrix.  Otherwise the rank
     is the number of steps of one forward pass, over the k1 x k2 Gram
     matrix, or over the (n - k1) x (n - k2) one of ``_equations_perp``
@@ -307,40 +308,41 @@ def _rand_int_point(n: int, rng: random.Random) -> tuple[list[int], int]:
 
 def rand_subspace_of(w: LinearSubspace, k: int, rng: random.Random) -> LinearSubspace:
     """A random k-dimensional subspace of w (small integer combinations)."""
-    return _rand_extension((), w, k, rng)
+    return _rand_extension(zero_subspace(w.ambient_dim), w, k, rng)
 
 
 def _rand_extension(
-    base_rows: Sequence[Sequence[int]],
+    base: LinearSubspace,
     w: LinearSubspace,
     k: int,
     rng: Optional[random.Random],
 ) -> LinearSubspace:
-    """span(base_rows) extended by k random combinations of w's rows, from
-    one reduction per draw; a draw is redrawn while the extension has rank
-    below len(base_rows) + k.  base_rows must be independent.  With rng
-    None nothing is drawn: the extension is by w's first k canonical rows.
+    """base extended by k random combinations of w's rows (w's first k
+    canonical rows with rng None), from one reduction per draw, redrawn
+    while the extension has rank below rank(base) + k; base itself, with
+    the products kept on it, when k = 0.
 
-    When w meets span(base_rows) only in zero, this is
-    subspace_sum(span(base_rows), rand_subspace_of(w, k, rng)): the sum
-    has full rank exactly when the draw does, so every draw, retry and
-    GenerationError is rand_subspace_of's.  When span(base_rows) lies in
-    w, the result is a (len(base_rows) + k)-subspace of w between the two,
-    which needs len(base_rows) + k <= rank w (flat_between's range check).
+    When w meets base only in zero, this is
+    subspace_sum(base, rand_subspace_of(w, k, rng)): the sum has full rank
+    exactly when the draw does, so every draw, retry and GenerationError is
+    rand_subspace_of's.  When base lies in w, the result is a
+    (rank(base) + k)-subspace of w between the two, which needs
+    rank(base) + k <= rank w (flat_between's range check).
     """
     rank = w.rank
     if not 0 <= k <= rank:
         raise InputError(f"cannot draw a {k}-dimensional subspace of rank {rank}")
+    if not k:
+        return base
     n = w.ambient_dim
-    if rng is None or k in (0, rank):
+    if rng is None or k == rank:
         # nothing to draw
-        if not base_rows and k in (0, rank):
-            # none or all of w
-            return w if k else zero_subspace(n)
-        return _subspace_from_int_rows([*base_rows, *w.int_rows[:k]], n)
+        if base.is_zero and k == rank:
+            return w
+        return _subspace_from_int_rows([*base.int_rows, *w.int_rows[:k]], n)
     # a w of full rank is the whole space, whose rows are the unit rows
     w_rows = None if rank == n else w.int_rows
-    return LinearSubspace(n, *_reduced_draw(base_rows, w_rows, k, rank, rng))
+    return LinearSubspace(n, *_reduced_draw(base.int_rows, w_rows, k, rank, rng))
 
 
 def _reduced_draw(
@@ -390,9 +392,9 @@ def make_perp_pair(
     q = _rand_int_point(n, rng)
     dir_m = rand_subspace_of(full, params.m, rng)
     comp1 = xi_complement(space, dir_m, full)
-    d1 = _rand_extension(dir_m.int_rows, comp1, params.k1 - params.m, rng)
+    d1 = _rand_extension(dir_m, comp1, params.k1 - params.m, rng)
     comp2 = xi_complement(space, d1, full)
-    d2 = _rand_extension(dir_m.int_rows, comp2, params.k2 - params.m, rng)
+    d2 = _rand_extension(dir_m, comp2, params.k2 - params.m, rng)
     x1 = AffineSubspace._canonical(space, *q, d1)
     x2 = AffineSubspace._canonical(space, *q, d2)
     if not perp_m(x1, x2, params):

@@ -125,7 +125,7 @@ def lemma1_witness(
         raise InternalError("orthocomplement misses x2 at the required dimension")
     # y1 and x2 meet in a point, so their directions meet only in zero
     x1 = AffineSubspace._canonical(
-        space, *y1.int_point, _rand_extension(y1.direction.int_rows, wx2, m, rng)
+        space, *y1.int_point, _rand_extension(y1.direction, wx2, m, rng)
     )
     if x1.dim != y1.dim + m:
         raise InternalError("extension has the wrong dimension")
@@ -227,26 +227,34 @@ def common_perpendicular_feet(
     )
 
 
-def _wrapping_directions(
+def _wrapping_pair(
     space: QuadraticSpace,
-    rows1: Sequence[Sequence[int]],
-    rows2: Sequence[Sequence[int]],
+    point: tuple[Sequence[int], int],
+    dir1: LinearSubspace,
+    dir2: LinearSubspace,
     k1: int,
     k2: int,
     rng: Optional[random.Random],
-) -> tuple[LinearSubspace, LinearSubspace]:
-    """The directions (k1, k2) of a wrapping pair of mutually orthogonal
-    rows: rows2 padded to k2, then rows1 to k1, each from the xi-complement
-    of its rows and those padded before, built only when rows are drawn from it."""
+) -> tuple[AffineSubspace, AffineSubspace]:
+    """The perp-x pair (x1, x2) of dimensions (k1, k2) through the point
+    (numerators, denominator) of mutually orthogonal directions: dir2
+    padded to k2, then dir1 to k1, each from the xi-complement of its rows
+    and those padded before; a direction that gains no rows is handed on
+    as it is.  An InternalError says the pair is not perp-x."""
     full = full_subspace(space.dim)
 
-    def pad(rows, k, before):
-        n = len(rows)
-        comp = _xi_complement_rows(space, [*before, *rows], full) if k > n else full
-        return _rand_extension(rows, comp, k - n, rng)
+    def pad(d, k, before):
+        if k == d.rank:
+            return d
+        comp = _xi_complement_rows(space, [*before, *d.int_rows], full)
+        return _rand_extension(d, comp, k - d.rank, rng)
 
-    dir2 = pad(rows2, k2, rows1)
-    return pad(rows1, k1, dir2.int_rows), dir2
+    dir2 = pad(dir2, k2, dir1.int_rows)
+    dir1 = pad(dir1, k1, dir2.int_rows)
+    x1, x2 = (AffineSubspace._canonical(space, *point, d) for d in (dir1, dir2))
+    if x1.dim != k1 or x2.dim != k2 or not perp_x(x1, x2):
+        raise InternalError("wrapping pair failed its own construction")
+    return x1, x2
 
 
 def lemma2_witness(
@@ -256,11 +264,10 @@ def lemma2_witness(
     k2: int,
     rng: Optional[random.Random] = None,
 ) -> tuple[AffineSubspace, AffineSubspace]:
-    """Wrap orthogonal lines in a perp-x pair of dimensions (k1, k2): x1
-    through l1's foot q spans l1's direction, and x2 through l2's foot p
-    spans l2's direction and w = p - q, which reaches across to q and is
-    where k2 > 1 is spent; each is padded as a wrapping pair is.
-    """
+    """Wrap orthogonal lines in a perp-x pair of dimensions (k1, k2) through
+    l1's foot q: x1 spans l1's direction, and x2 spans l2's direction and
+    w = p - q for l2's foot p, which reaches across to q (so x2 holds p)
+    and is where k2 > 1 is spent; each is padded as a wrapping pair is."""
     _check_same_space(l1, l2)
     if l1.dim != 1 or l2.dim != 1:
         raise PreconditionError("both arguments must be lines")
@@ -273,13 +280,10 @@ def lemma2_witness(
     q, p = common_perpendicular_feet(l1, l2)
     # p - q scaled by a positive integer, orthogonal to both lines
     w, _ = _point_difference(q, p)
-    rows2 = [*l2.direction.int_rows, w] if any(w) else l2.direction.int_rows
-    dir1, dir2 = _wrapping_directions(space, l1.direction.int_rows, rows2, k1, k2, rng)
-    x1 = AffineSubspace._canonical(space, *q.int_point, dir1)
-    x2 = AffineSubspace._canonical(space, *p.int_point, dir2)
-    if x1.dim != k1 or x2.dim != k2 or not perp_x(x1, x2):
-        raise InternalError("wrapping pair failed its own construction")
-    return x1, x2
+    dir2 = l2.direction
+    if any(w):
+        dir2 = _subspace_from_int_rows([*dir2.int_rows, w], n)
+    return _wrapping_pair(space, q.int_point, l1.direction, dir2, k1, k2, rng)
 
 
 def line_perp_ground_truth(l1: AffineSubspace, l2: AffineSubspace) -> bool:
@@ -322,12 +326,7 @@ def _wrap_line_pair(
         )
     if not perp_subspaces(l1, l2):
         return None
-    rows1, rows2 = l1.direction.int_rows, l2.direction.int_rows
-    dirs = _wrapping_directions(space, rows1, rows2, k1, k2, None)
-    x1, x2 = (AffineSubspace(space, origin, d) for d in dirs)
-    if x1.dim != k1 or x2.dim != k2 or not perp_x(x1, x2):
-        raise InternalError("wrapping pair failed its own construction")
-    return x1, x2
+    return _wrapping_pair(space, origin, l1.direction, l2.direction, k1, k2, None)
 
 
 def reconstruct_line_perp(

@@ -522,7 +522,7 @@ def _extension_matches(monkeypatch, base, w, k, seed):
 
     with monkeypatch.context() as patch:
         patch.setattr(ortho, "_draws", counting)
-        assert _rand_extension(base.int_rows, w, k, got_rng) == want
+        assert _rand_extension(base, w, k, got_rng) == want
     assert got_rng.getstate() == want_rng.getstate()
     return 0 < k < w.rank and len(drawn) > k * w.rank
 
@@ -638,7 +638,7 @@ def test_extension_without_rng_takes_the_first_canonical_rows(form):
                 for k in range(w.rank + 1):
                     want = rref_basis([*rational_basis(base), *w_rows[:k]], n)
                     state = random.getstate()
-                    assert _rand_extension(base.int_rows, w, k, None) == want
+                    assert _rand_extension(base, w, k, None) == want
                     assert random.getstate() == state
 
 

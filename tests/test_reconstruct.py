@@ -27,6 +27,7 @@ from orthokernel.flats import (
 from orthokernel.generators import (
     NAMED_FORMS,
     GenConfig,
+    flat_between,
     gen_line_pair,
     gen_pair_with_meet_dim,
     random_point_of,
@@ -607,13 +608,13 @@ def test_judge_line_pair_rejects_an_unknown_mode(mode):
 )
 def test_judge_line_pair_wraps_each_pair_once(monkeypatch, params):
     calls = []
-    real = reconstruct_module._wrapping_directions
+    real = reconstruct_module._wrapping_pair
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(reconstruct_module, "_wrapping_directions", counting)
+    monkeypatch.setattr(reconstruct_module, "_wrapping_pair", counting)
     cfg = GenConfig(dim=4, seed=0)
     for i in range(12):
         l1, l2 = gen_line_pair(cfg, random.Random(i), orthogonal=(i % 2 == 0))
@@ -668,7 +669,7 @@ def test_a_failing_lemma2_on_orthogonal_lines_is_not_a_verdict(monkeypatch, para
     def failing(*args, **kwargs):
         raise PreconditionError("planted")
 
-    monkeypatch.setattr(reconstruct_module, "_wrapping_directions", failing)
+    monkeypatch.setattr(reconstruct_module, "_wrapping_pair", failing)
     l1, l2 = gen_line_pair(GenConfig(dim=4, seed=0), random.Random(0), orthogonal=True)
     with pytest.raises(PreconditionError, match="planted"):
         judge_line_pair(l1, l2, params, "both", 5, random.Random(0))
@@ -974,9 +975,7 @@ def _reference_sampled(y1, x2, oracle, samples, rng):
     """The sampled loop with one _rand_extension candidate per draw and
     every candidate asked, repeats included."""
     for _ in range(samples):
-        direction = _rand_extension(
-            y1.direction.int_rows, x2.direction, oracle.params.m, rng
-        )
+        direction = _rand_extension(y1.direction, x2.direction, oracle.params.m, rng)
         candidate = AffineSubspace._canonical(y1.space, *y1.int_point, direction)
         if not oracle.query(candidate, x2):
             return False
@@ -1234,19 +1233,59 @@ def test_witnesses_take_fewer_eliminations(monkeypatch):
 
 def test_lemma2_skips_a_complement_it_does_not_draw_from(monkeypatch):
     # with k2 = 2 there is no complement for x2 either: its d2 and w
-    # already span it (the lines do not meet); lemma 1 as above
-    assert _witness_eliminations(monkeypatch, 2) == [(3, 3), (3, 3)]
+    # already span it (the lines do not meet), reduced once, and neither
+    # direction is reduced again; lemma 1 as above
+    assert _witness_eliminations(monkeypatch, 2) == [(2, 3), (2, 3)]
 
 
 @pytest.mark.parametrize("k2", [2, 3])
 def test_lemma2_on_crossing_lines_pads_x2_from_one_complement(monkeypatch, k2):
     # lines that cross, here both moved through the origin, have w = 0, so
-    # x2 is d2 padded from a complement whatever k2 is: 4 eliminations
+    # x2 is d2 padded from a complement whatever k2 is, and l1's direction
+    # is handed on as it is: the complement, the padding and the meet
     origin = ((0,) * 6, 1)
     o1, o2 = (AffineSubspace(l.space, origin, l.direction) for l in _lines_to_wrap())
     calls = _count_eliminations(monkeypatch)
     lemma2_witness(o1, o2, 1, k2)
-    assert len(calls) == 4
+    assert len(calls) == 3
+
+
+def test_a_wrapped_pair_hands_on_l1s_direction(monkeypatch):
+    """Over the A-RECON grid, an orthogonal pair of each k2 > 1 type wraps
+    in 3 eliminations: x2's complement and padding, and the self-check's
+    meet system.  l1's direction gains no rows (k1 - m = 1) and is handed
+    on as x1's, where it was reduced again (4)."""
+    calls = _count_eliminations(monkeypatch)
+    wrapped = Counter()
+    for params, cfg in _a_recon_configs():
+        if params.k2 == 1:
+            continue
+        for seed in range(0, 10, 2):
+            l1, l2 = gen_line_pair(cfg, random.Random(seed), orthogonal=True)
+            calls.clear()
+            x1, _ = reconstruct_module._wrap_line_pair(l1, l2, params)
+            assert len(calls) == 3, (params, cfg.dim, cfg.form, seed)
+            assert x1.direction is l1.direction
+            wrapped[params] += 1
+    assert len(wrapped) == 3
+
+
+@pytest.mark.parametrize("form", NAMED_FORMS)
+def test_a_flat_between_that_adds_no_rows_keeps_its_direction(monkeypatch, form):
+    # inner's direction, with the products kept on it, is handed on as it
+    # is: nothing is drawn and nothing reduced, where it was reduced again
+    cfg = GenConfig(dim=5, seed=0, form=form)
+    rng = random.Random(6)
+    flat, outer = gen_pair_with_meet_dim(cfg, 2, 4, 2, rng)
+    assert is_subflat(flat, outer)
+    point = random_point_of(flat, rng)
+    calls = _count_eliminations(monkeypatch)
+    state = rng.getstate()
+    for inner in (point, flat):
+        for big in (outer, AffineSubspace.full(flat.space)):
+            got = flat_between(inner, big, inner.dim, rng)
+            assert got == inner and got.direction is inner.direction
+    assert not calls and rng.getstate() == state
 
 
 def _meeting_pair():

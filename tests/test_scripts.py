@@ -119,6 +119,12 @@ def test_reconstruct_demo_refuses_unsatisfiable_params():
     assert proc.stderr.startswith("error:") and "unsatisfiable in dimension 3" in proc.stderr
 
 
+def test_reconstruct_demo_refuses_no_samples():
+    proc = run_demo("--samples", "0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: sample_count must be at least 1\n"
+
+
 @pytest.mark.parametrize("dims", ["", " , ", "3,x", "3.5"])
 def test_full_check_refuses_bad_dims(dims, tmp_path):
     out = tmp_path / "reports"
@@ -126,6 +132,19 @@ def test_full_check_refuses_bad_dims(dims, tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "--dims" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["report", "report/reports"])
+def test_full_check_refuses_an_out_it_cannot_make_a_directory(name, tmp_path):
+    # an existing file, and a path under one
+    (tmp_path / "report").write_text("kept\n")
+    proc = run_script(
+        FULL_CHECK, "--dims", "3", "--trials", "1", "--out", str(tmp_path / name)
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: --out needs a directory")
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
+    assert (tmp_path / "report").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

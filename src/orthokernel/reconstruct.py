@@ -12,9 +12,10 @@ relation by extending Y1 with m-flats T inside X2 through the common point
 has the right dimension type whether or not the pair is orthogonal.
 
 Two execution modes choose the T's: WITNESS asks a fixed cover of X2 by
-m-flats meeting only in zero and is exact; SAMPLED draws K random ones, so
-a false answer is sound and a true answer is probabilistic.  Both answer
-with the conjunction of the replies, and ask each distinct candidate once.
+m-flats meeting only in zero and is exact; SAMPLED draws K random ones and
+stops asking once those asked meet only in zero: a false answer is sound, a
+true one exact if it stopped so and probable otherwise.  Both answer with
+the conjunction of the replies, and ask each distinct candidate once.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from .flats import (
 from .linalg import (
     LinearSubspace,
     QuadraticSpace,
+    _echelon_kernel,
     _mat_mul_int,
+    _rref_int,
     _subspace_from_int_rows,
     _xi_complement_rows,
     full_subspace,
@@ -151,9 +154,11 @@ def decide_perp0(
     blocks covering every row and the last ending at row k2; these T meet
     only in zero, so the answer is exact.  SAMPLED draws K T's as
     rand_subspace_of draws, reduced to the rows that name T; a T drawn
-    before is skipped, and the answer, the draws and the rng's state are
-    those of asking every draw.  Each candidate is one reduction of y1's
-    rows and T's, of dimension k1, since the directions meet only in zero.
+    before is skipped, and once the T's asked meet only in zero all later
+    ones would pass, so they are drawn but not asked: the answer, the draws
+    and the rng's state are those of asking every draw.  Each candidate is
+    one reduction of y1's rows and T's, of dimension k1, since the
+    directions meet only in zero.
     """
     _check_same_space(y1, x2)
     params = oracle.params
@@ -183,14 +188,18 @@ def decide_perp0(
 def _sampled_flats(
     x2_rows: tuple, m: int, mode: ReconstructionMode, rng: Optional[random.Random]
 ) -> Iterator[list[list[int]]]:
-    """Each distinct T the mode draws, as rows; from rng, else the seed."""
+    """Each distinct T of all K draws, as rows, until those asked meet only
+    in zero (their annihilators span Q^k2); drawn from rng, else the seed."""
     sample_rng = rng if rng is not None else random.Random(mode.seed)
-    asked = set()
+    k2 = len(x2_rows)
+    asked, annihilators = set(), []
     for _ in range(mode.samples):
-        coeffs, _ = _reduced_draw((), None, m, len(x2_rows), sample_rng)
-        if coeffs not in asked:
+        coeffs, pivots = _reduced_draw((), None, m, k2, sample_rng)
+        if len(annihilators) < k2 and coeffs not in asked:
             asked.add(coeffs)
             yield _mat_mul_int(coeffs, x2_rows)
+            annihilators.extend(_echelon_kernel(coeffs, pivots, k2))
+            annihilators = _rref_int(annihilators)[0]
 
 
 def common_perpendicular_feet(
@@ -200,7 +209,8 @@ def common_perpendicular_feet(
     lines.
 
     Requires orthogonal lines; the 2x2 system is then diagonal with
-    anisotropic (hence nonzero) entries.  Intersecting lines give q = p.
+    anisotropic (hence nonzero) entries.  Intersecting lines give q = p,
+    and each point is stored over a positive denominator.
     With the scaled form F, direction rows d1, d2 and p2 - p1 = delta / e,
     q = p1 + (delta F d1) / (e d1 F d1) d1 and
     p = p2 - (delta F d2) / (e d2 F d2) d2, every factor an integer.
@@ -214,9 +224,13 @@ def common_perpendicular_feet(
         raise PreconditionError("lines are not orthogonal")
     delta, e = _point_difference(l1, l2)
     (u1, e1), (u2, e2) = l1.int_point, l2.int_point
-    # F is positive definite, so g1, g2 > 0 and so are the denominators
+    # anisotropy gives g1, g2 != 0; a negative g is negated with its a
     g1, g2 = sum(map(mul, f1, d1)), sum(map(mul, f2, d2))
     a1, a2 = sum(map(mul, f1, delta)), sum(map(mul, f2, delta))
+    if g1 < 0:
+        g1, a1 = -g1, -a1
+    if g2 < 0:
+        g2, a2 = -g2, -a2
     s1, s2 = e // e1 * g1, e // e2 * g2
     q = [x * s1 + a1 * y for x, y in zip(u1, d1)]
     p = [x * s2 - a2 * y for x, y in zip(u2, d2)]

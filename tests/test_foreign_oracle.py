@@ -100,26 +100,33 @@ def test_the_grid_covers_every_satisfiable_type():
     assert len(DECIDE_FORM_PAIRS) == 9
 
 
+def decide_pairs(n, space_form, oracle_form, params, rng):
+    """The point-meet pairs (y1, x2) of the space for the decide stage of
+    type params, each with its orthogonality under the oracle's form: 8
+    pairs, half orthogonal under the oracle's form, then for m >= 1 TILTED
+    pairs orthogonal under it but for one row of x2, each row in turn.
+    Drawn from rng one at a time, after the caller's draws for the last."""
+    point_type = TypedPerpParams(0, params.k1 - params.m, params.k2)
+    for i in range(8 + TILTED * (params.m > 0)):
+        if i % 2 or i >= 8:
+            # orthogonal under the oracle's form, with a common point
+            pair = make_perp_pair(resolve_space(n, oracle_form), point_type, rng)
+            if i >= 8:
+                pair = tilted(*pair, row=i % params.k2), pair[1]
+        else:
+            cfg = GenConfig(dim=n, form=space_form)
+            pair = gen_pair_with_meet_dim(cfg, point_type.k1, point_type.k2, 0, rng)
+        y1, x2 = (rehome(x, space_form) for x in pair)
+        want = perp_subspaces(rehome(y1, oracle_form), rehome(x2, oracle_form))
+        assert not (want and i >= 8)
+        yield y1, x2, want
+
+
 def test_decide_stage_follows_the_oracles_form():
     decisions = agreed = orthogonal = 0
     for n, space_form, oracle_form, params, rng in grid(DECIDE_DIMS, DECIDE_FORM_PAIRS):
         oracle = foreign_oracle(params, oracle_form)
-        point_type = TypedPerpParams(0, params.k1 - params.m, params.k2)
-        # 8 pairs, half orthogonal under the oracle's form, then for m >= 1
-        # TILTED pairs orthogonal under it but for one row of x2, each row
-        # in turn
-        for i in range(8 + TILTED * (params.m > 0)):
-            if i % 2 or i >= 8:
-                # orthogonal under the oracle's form, with a common point
-                pair = make_perp_pair(resolve_space(n, oracle_form), point_type, rng)
-                if i >= 8:
-                    pair = tilted(*pair, row=i % params.k2), pair[1]
-            else:
-                cfg = GenConfig(dim=n, form=space_form)
-                pair = gen_pair_with_meet_dim(cfg, point_type.k1, point_type.k2, 0, rng)
-            y1, x2 = (rehome(x, space_form) for x in pair)
-            want = perp_subspaces(rehome(y1, oracle_form), rehome(x2, oracle_form))
-            assert not (want and i >= 8)
+        for y1, x2, want in decide_pairs(n, space_form, oracle_form, params, rng):
             orthogonal += want
             for mode in MODES:
                 decisions += 1

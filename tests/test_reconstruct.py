@@ -63,10 +63,19 @@ from orthokernel.reconstruct import (
 )
 
 from conftest import ZeroDraws, package_modules, qv, tilted
+from test_foreign_oracle import (
+    DECIDE_DIMS,
+    DECIDE_FORM_PAIRS,
+    decide_pairs,
+    foreign_oracle,
+    grid,
+)
 from rational_reference import (
     bilinear_eval,
     rational_basis,
+    rational_kernel,
     rational_point,
+    rational_rref,
     vec_add,
     vec_scale,
     vec_sub,
@@ -182,6 +191,24 @@ def test_feet_under_weighted_form(q3_weighted, rng):
         w = vec_sub(rational_point(p), rational_point(q))
         for ln in (l1, l2):
             assert bilinear_eval(q3_weighted, w, rational_basis(ln.direction)[0]) == 0
+
+
+def test_feet_have_positive_denominators_when_a_direction_has_negative_norm(
+    monkeypatch,
+):
+    # the feet need only anisotropic lines: under diag(1, 1, -3), admitted
+    # here, l1's direction e3 has norm -3, and its foot is stored as the
+    # same point is stored everywhere else, over a positive denominator
+    monkeypatch.setattr(linalg_module, "is_positive_definite", lambda form: True)
+    space = linalg_module.QuadraticSpace.diagonal([1, 1, -3])
+    l1 = line(space, (1, 2, 0), (0, 0, 1))
+    l2 = line(space, (0, 0, 5), (1, 0, 0))
+    q, p = common_perpendicular_feet(l1, l2)
+    assert q.int_point == ((1, 2, 5), 1)
+    assert (q, p) == (
+        AffineSubspace.from_point(space, qv(1, 2, 5)),
+        AffineSubspace.from_point(space, qv(1, 0, 5)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +329,22 @@ def _distinct_draws(x2, m, samples, seed):
     return len({rand_subspace_of(x2.direction, m, rng) for _ in range(samples)})
 
 
-def test_decide_perp0_sampled_queries_every_candidate(q4):
-    # every distinct candidate once: y1 ⊔ T determines T = (y1 ⊔ T) ⊓ x2
+def test_decide_perp0_sampled_stops_at_the_cover(q4):
+    # every distinct candidate once, since y1 ⊔ T determines
+    # T = (y1 ⊔ T) ⊓ x2, until the T's asked meet only in zero: two
+    # distinct lines of the plane x2 do, and every later candidate would
+    # pass, so it is drawn but not asked
     params = TypedPerpParams(m=1, k1=2, k2=2)
     y1 = line(q4, (0, 0, 0, 0), (1, 0, 0, 0))
     x2 = flat(q4, (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     oracle, calls = counting_oracle(params)
-    distinct = _distinct_draws(x2, 1, 20, 12345)
-    assert distinct < 20
-    assert decide_perp0(
-        y1, x2, oracle, ReconstructionMode.sampled(20), random.Random(12345)
-    )
-    assert len(calls) == distinct
+    assert _distinct_draws(x2, 1, 20, 12345) == 10
+    rng, bare = random.Random(12345), random.Random(12345)
+    assert decide_perp0(y1, x2, oracle, ReconstructionMode.sampled(20), rng)
+    assert len(calls) == 2
+    for _ in range(20):
+        rand_subspace_of(x2.direction, 1, bare)
+    assert rng.getstate() == bare.getstate()
 
 
 def test_decide_perp0_zero_meet_queries_directly(q3):
@@ -817,11 +848,11 @@ A_RECON_GRID = ((0, 1, 1), (1, 2, 2), (1, 2, 3), (2, 3, 3))
 
 # sha256 over every queried candidate's wire form and the queries per pair,
 # and sha256 over the rng state after each pair, over the grid below.  A
-# sampled decision asks about each distinct candidate once, but draws as
-# one candidate per draw does (_reference_sampled below), so the states
-# are those of asking every draw.
+# sampled decision asks about each distinct candidate once until those
+# asked cover x2, but draws as one candidate per draw does
+# (_reference_sampled below), so the states are those of asking every draw.
 PINNED_SAMPLED_CANDIDATES = (
-    "09d552bce123b28a58364af25ad45606e3713784c73f99e926ff87f5b3660c6f"
+    "d8709d516b3c498f012a2e434721d6556a97b5a4c3996214d61435deae5828e1"
 )
 PINNED_SAMPLED_RNG_STATES = (
     "a3aa22d776ab02d8e3b690181d5e3193d32bbc07b9d6572f38d4d8af7e125615"
@@ -982,6 +1013,21 @@ def _reference_sampled(y1, x2, oracle, samples, rng):
     return True
 
 
+def _cover_count(m, k2, samples, rng):
+    """How many distinct T's of `samples` draws from rng a sampled decision
+    that no reply refuses asks: those up to and including the first at
+    which the annihilators of their coefficient rows reach rank k2, so the
+    T's meet only in zero, else all.  Ranks are taken in plain rationals;
+    every draw is made, so rng is left as the decision leaves it."""
+    draws = [ortho_module._reduced_draw((), None, m, k2, rng) for _ in range(samples)]
+    annihilators = []
+    for count, (coeffs, _) in enumerate(dict.fromkeys(draws), 1):
+        annihilators += rational_kernel(coeffs, k2)
+        if len(rational_rref(annihilators, k2)[1]) == k2:
+            return count
+    return len(set(draws))
+
+
 def _recording_oracles(params):
     """The ground-truth, always-true and always-false oracles of params,
     each logging the wire form of every query into the returned list."""
@@ -1008,7 +1054,7 @@ def test_sampled_decision_is_one_candidate_per_draw_without_repeats():
         if k1 + k2 - m <= n
     ]
     assert len(types) == 70
-    asked = repeated = 0
+    asked = repeated = unasked = 0
     for n, params in types:
         for form in NAMED_FORMS:
             cfg = GenConfig(dim=n, seed=0, form=form)
@@ -1021,6 +1067,7 @@ def test_sampled_decision_is_one_candidate_per_draw_without_repeats():
             ]
             oracles, log = _recording_oracles(params)
             for (y1, x2), seed in itertools.product(pairs, range(2)):
+                cover = _cover_count(params.m, params.k2, 20, random.Random(seed))
                 for oracle in oracles:
                     got_rng, want_rng = random.Random(seed), random.Random(seed)
                     log.clear()
@@ -1031,10 +1078,95 @@ def test_sampled_decision_is_one_candidate_per_draw_without_repeats():
                     mode = ReconstructionMode.sampled(20)
                     assert decide_perp0(y1, x2, oracle, mode, got_rng) == want
                     assert got_rng.getstate() == want_rng.getstate()
-                    assert log == want_log
+                    # the distinct candidates up to the cover, or the refusal
+                    assert log == want_log[:cover]
                     asked += len(log)
-    # the repeats the decision skips are a sizable share of the queries
+                    unasked += len(want_log) - len(log)
+    # the repeats the decision skips are a sizable share of the queries,
+    # and so are the distinct candidates past the cover
     assert repeated > asked // 10
+    assert unasked > asked
+
+
+COVER_TYPES = ((1, 2, 2), (1, 2, 3), (2, 3, 3))
+
+
+def test_a_sampled_decision_asks_up_to_the_cover():
+    """On the wrapped orthogonal pairs of the k2 > 1 A-RECON types, a
+    sampled decision asks the distinct draws up to the cover, the
+    always-true oracle as many, the always-false one once, and leaves the
+    rng as K bare draws do."""
+    asked = Counter()
+    for params, cfg in _a_recon_configs(COVER_TYPES):
+        oracles, log = _recording_oracles(params)
+        for seed in range(10):
+            rng = random.Random(seed)
+            core = reconstruct_module._wrap_line_pair(
+                *gen_line_pair(cfg, rng, orthogonal=True), params
+            )
+            state = rng.getstate()
+            bare = random.Random()
+            bare.setstate(state)
+            cover = _cover_count(params.m, params.k2, 20, bare)
+            for oracle, verdict in zip(oracles, (True, True, False)):
+                want_rng, got_rng = random.Random(), random.Random()
+                want_rng.setstate(state)
+                got_rng.setstate(state)
+                log.clear()
+                _reference_sampled(*core, oracle, 20, want_rng)
+                want_log = list(dict.fromkeys(log))
+                log.clear()
+                mode = ReconstructionMode.sampled(20)
+                assert decide_perp0(*core, oracle, mode, got_rng) is verdict
+                assert log == want_log[: cover if verdict else 1]
+                if verdict:
+                    assert got_rng.getstate() == bare.getstate()
+            asked[params.m, params.k2, cover] += 1
+    # every decision covers x2: two distinct lines meet only in zero, and
+    # so do three planes of a 3-space unless they share a line
+    assert asked == {(1, 2, 2): 120, (1, 3, 2): 90, (2, 3, 3): 84, (2, 3, 4): 6}
+
+
+def test_the_cover_keeps_the_verdicts_and_states_under_a_foreign_form():
+    """On the decide-stage pairs of the foreign-form oracles, the tilted
+    ones included, sampled decisions answer and leave the rng as asking
+    every draw does."""
+    decisions = 0
+    for n, space_form, oracle_form, params, rng in grid(DECIDE_DIMS, DECIDE_FORM_PAIRS):
+        oracle = foreign_oracle(params, oracle_form)
+        for y1, x2, want in decide_pairs(n, space_form, oracle_form, params, rng):
+            want_rng = random.Random()
+            want_rng.setstate(rng.getstate())
+            reference = _reference_sampled(y1, x2, oracle, 5, want_rng)
+            got = decide_perp0(y1, x2, oracle, ReconstructionMode.sampled(5), rng)
+            assert got == reference == want
+            assert rng.getstate() == want_rng.getstate()
+            decisions += 1
+    assert decisions == 17496 // 2
+
+
+def test_a_decision_that_never_covers_asks_every_distinct_draw():
+    """One draw never covers x2 (m < k2), nor do two planes of a 3-space:
+    the always-true oracle is then asked each distinct draw."""
+    seen = Counter()
+    for params, cfg in _a_recon_configs(COVER_TYPES):
+        (_, oracle, _), log = _recording_oracles(params)
+        for samples in (1, 2) if params.m == 2 else (1,):
+            rng = random.Random(samples)
+            core = reconstruct_module._wrap_line_pair(
+                *gen_line_pair(cfg, rng, orthogonal=True), params
+            )
+            want_rng = random.Random()
+            want_rng.setstate(rng.getstate())
+            log.clear()
+            _reference_sampled(*core, oracle, samples, want_rng)
+            want_log = list(dict.fromkeys(log))
+            log.clear()
+            assert decide_perp0(*core, oracle, ReconstructionMode.sampled(samples), rng)
+            assert log == want_log
+            assert rng.getstate() == want_rng.getstate()
+            seen[samples, len(log)] += 1
+    assert seen == {(1, 1): 30, (2, 2): 9}
 
 
 def test_a_collapsed_draw_fails_as_one_candidate_per_draw_did(q4):
@@ -1186,8 +1318,8 @@ def _lines_to_wrap():
 def test_sampled_candidates_take_one_elimination_each(monkeypatch):
     params = TypedPerpParams(m=1, k1=2, k2=3)
     x1, x2 = lemma2_witness(*_lines_to_wrap(), 1, 3)
-    distinct = _distinct_draws(x2, 1, 20, 5)
-    assert distinct < 20
+    asked = _cover_count(1, 3, 20, random.Random(5))
+    assert asked == 2 < _distinct_draws(x2, 1, 20, 5)
     # an oracle that does no linear algebra of its own
     oracle = PerpOracle(params, lambda a, b: True)
     calls = _count_eliminations(monkeypatch)
@@ -1198,9 +1330,10 @@ def test_sampled_candidates_take_one_elimination_each(monkeypatch):
             x1, x2, oracle, ReconstructionMode.sampled(samples), random.Random(5)
         )
         used.append(len(calls))
-    # one reduction of the drawn coefficients per draw, and one of the
-    # ambient rows per distinct candidate; both runs reduce the meet system
-    assert used[1] - used[0] == 19 + (distinct - 1)
+    # one reduction of the drawn coefficients per draw, one of the ambient
+    # rows per candidate asked and one of the annihilators for the cover
+    # per candidate asked; both runs reduce the meet system
+    assert used[1] - used[0] == 19 + 2 * (asked - 1)
 
 
 def _witness_eliminations(monkeypatch, k2):

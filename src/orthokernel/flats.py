@@ -20,10 +20,11 @@ one-partner slot on the first flat; ``meet`` does no elimination of its
 own.
 
 What depends only on a direction and the space is kept with the
-direction, so every translate reads it: the equations
-(``LinearSubspace.equations``), and the form rows and complement rows,
-each in one slot keyed by the space.  A flat keeps only what depends on
-its base point too, the meet slot.
+direction, in ``linalg``, so every translate reads it: the equations
+(``LinearSubspace.equations``), and the form rows and complement rows
+(``LinearSubspace.form_rows`` and ``complement_rows``), each in one slot
+keyed by the space.  A flat keeps only what depends on its base point
+too, the meet slot; this module makes no product with the form.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from .linalg import (
     _mat_mul_int,
     _rref_int,
     _subspace_from_int_rows,
-    _times_form,
-    _times_inverse,
     full_subspace,
     int_vector,
     zero_subspace,
@@ -60,9 +59,10 @@ class AffineSubspace:
     the denominator the least positive one that makes every coordinate an
     integer.  Construct via :meth:`make` (or the module helpers), which
     canonicalize; the raw constructor expects already-canonical parts.
-    ``form_rows`` and ``complement_rows`` are kept on the direction, shared
-    by every flat with that direction in the same space; the flat itself
-    keeps only its meet slot (see ``_meet_parts``).
+    Products with the form are read from the direction,
+    ``direction.form_rows(space)`` and ``direction.complement_rows(space)``,
+    shared by every flat with that direction in the same space; the flat
+    itself keeps only its meet slot (see ``_meet_parts``).
     """
 
     space: QuadraticSpace
@@ -131,31 +131,6 @@ class AffineSubspace:
     @classmethod
     def full(cls, space: QuadraticSpace) -> "AffineSubspace":
         return cls._canonical(space, [0] * space.dim, 1, full_subspace(space.dim))
-
-    @property
-    def form_rows(self) -> list[list[int]]:
-        """The direction rows times the space's scaled form, kept with the
-        direction in one slot keyed by the space."""
-        # a plain property: before Python 3.12 a cached_property takes a
-        # lock on every new flat's first read
-        d, space = self.direction, self.space
-        slot = d.__dict__.get("_form_rows")
-        if slot is None or slot[0] is not space:
-            slot = space, _times_form(d.int_rows, space)
-            d.__dict__["_form_rows"] = slot
-        return slot[1]
-
-    @property
-    def complement_rows(self) -> list[list[int]]:
-        """The direction's equations times the space's scaled inverse form:
-        rows spanning the xi-complement of the direction, kept with the
-        direction in one slot keyed by the space."""
-        d, space = self.direction, self.space
-        slot = d.__dict__.get("_complement_rows")
-        if slot is None or slot[0] is not space:
-            slot = space, _times_inverse(d.equations, space)
-            d.__dict__["_complement_rows"] = slot
-        return slot[1]
 
     @property
     def dim(self) -> int:

@@ -22,7 +22,9 @@ n - k equations (``LinearSubspace.equations``), with
 ``QuadraticSpace.int_form_inverse`` a positive integer multiple of F^-1.
 The xi-complement of D in the whole space is the kernel of D F, or
 equally the row space of E F^-1; ``xi_complement`` works on whichever
-side has fewer rows.  A complement inside W and a meet's direction are
+side has fewer rows.  Each side's product is made once per space and
+kept with the subspace (``LinearSubspace.form_rows``, ``complement_rows``)
+for every reader.  A complement inside W and a meet's direction are
 read by ``_kernel_in`` from one reduction over W's rows in reverse order.
 
 Rationals exist only at the boundary.  Input is read by ``int_vector``,
@@ -232,9 +234,10 @@ class LinearSubspace:
 
     ``int_rows`` are the echelon basis rows scaled to primitive integer
     vectors (positive pivots).  Two subspaces are equal iff their canonical
-    forms coincide.  Besides ``equations``, ``flats.AffineSubspace`` keeps
-    the subspace's products with a space's form in its instance dict, so
-    that every flat with this direction reads them.
+    forms coincide.  Besides ``equations`` it keeps its products with a
+    space's form, ``form_rows`` and ``complement_rows``, one slot each
+    keyed by the space, read by every flat with this direction and every
+    complement taken of it.  Callers must not mutate them.
     """
 
     ambient_dim: int
@@ -254,6 +257,25 @@ class LinearSubspace:
         """Integer rows e, one per missing dimension, with e . v = 0 for
         every row of E exactly when v lies in the subspace."""
         return _echelon_kernel(self.int_rows, self.pivots, self.ambient_dim)
+
+    # plain dict slots: before Python 3.12 a cached_property takes a lock on
+    # every first read, and these are keyed by the space besides
+    def form_rows(self, space: QuadraticSpace) -> list[list[int]]:
+        """The rows times the space's ``int_form``."""
+        slot = self.__dict__.get("_form_rows")
+        if slot is None or slot[0] is not space:
+            slot = space, _times_form(self.int_rows, space)
+            self.__dict__["_form_rows"] = slot
+        return slot[1]
+
+    def complement_rows(self, space: QuadraticSpace) -> list[list[int]]:
+        """The equations times the space's ``int_form_inverse``: rows
+        spanning the xi-complement."""
+        slot = self.__dict__.get("_complement_rows")
+        if slot is None or slot[0] is not space:
+            slot = space, _times_inverse(self.equations, space)
+            self.__dict__["_complement_rows"] = slot
+        return slot[1]
 
 
 def _lies_in(rows: Iterable[Sequence[int]], w: LinearSubspace) -> bool:
@@ -380,9 +402,10 @@ def is_positive_definite(form: Sequence[Sequence[Scalarish]]) -> bool:
     which keeps every leading minor's sign: while the steps take the top row, the k-th pivot
     is the k-th leading minor; a step past the top row finds it zero.
 
-    Positive definiteness guarantees the form is anisotropic, which the
-    whole orthogonality layer relies on (orthogonal subspaces can only
-    share the zero direction).
+    Positive definiteness implies anisotropy, F(v, v) ≠ 0 for v ≠ 0, and
+    that is all the orthogonality layer relies on: a subspace meets its
+    xi-complement only in zero, so orthogonal subspaces share only the
+    zero direction.
     """
     rows = _int_matrix(form)
     if not is_symmetric(rows):
@@ -484,10 +507,12 @@ def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -
     The form is anisotropic, so D ∩ D^⊥ = 0 and the result is a true
     complement of D inside W: the dimensions add up and the intersection
     is zero.  In the whole space the complement is taken from the smaller
-    side of D: the kernel of its k rows times F (``_xi_complement_rows``)
-    while k <= n - k, else the row space of its n - k equations times F^-1
-    (``_equations_complement``).  Inside a smaller W it is always the
-    former, over W's rows.  Either way the result is the canonical subspace.
+    side of D, from the products kept with D: the kernel of its k
+    ``form_rows`` (``_xi_complement_rows``) while k <= n - k, else the row
+    space of its n - k ``complement_rows`` E F^-1, as F x vanishes on D
+    exactly when it is a combination of D's equations E.  Inside a smaller
+    W it is always the former, over W's rows.  Either way the result is
+    the canonical subspace.
     """
     if d.ambient_dim != space.dim or w.ambient_dim != space.dim:
         raise InputError("ambient dimension mismatch")
@@ -495,29 +520,19 @@ def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -
         return w
     if w.rank == space.dim:
         if 2 * d.rank > space.dim:
-            return _equations_complement(space, d)
+            return _subspace_from_int_rows(d.complement_rows(space), space.dim)
     elif not _lies_in(d.int_rows, w):
         raise PreconditionError("D must be a subspace of W")
-    return _xi_complement_rows(space, d.int_rows, w)
-
-
-def _equations_complement(space: QuadraticSpace, d: LinearSubspace) -> LinearSubspace:
-    """The xi-complement of D in the whole space, from D's equations E.
-
-    x is xi-orthogonal to D exactly when F x vanishes on D, that is when
-    F x is a combination of E's rows; so the complement is the row space
-    of E F^-1 (F^-1 is symmetric), n - k rows reduced once.
-    """
-    return _subspace_from_int_rows(_times_inverse(d.equations, space), space.dim)
+    return _xi_complement_rows(space, d.form_rows(space), w)
 
 
 def _xi_complement_rows(
-    space: QuadraticSpace, d_rows: Sequence[Sequence[int]], w: LinearSubspace
+    space: QuadraticSpace, fd: Sequence[Sequence[int]], w: LinearSubspace
 ) -> LinearSubspace:
-    """{x in W : xi(x, d) = 0 for every row d}, from any rows spanning D and
-    with no condition on how D sits against W: D F over W's rows (the
-    coordinates in the whole space), reversed, reduced once."""
-    fd = _times_form(d_rows, space)
+    """{x in W : xi(x, d) = 0 for every row d}, from fd, rows spanning D
+    already times the form (as ``LinearSubspace.form_rows`` are), with no
+    condition on how D sits against W: fd over W's rows (the coordinates
+    in the whole space), reversed, reduced once."""
     if w.rank < space.dim:
         fd = [[sum(map(mul, row, wi)) for wi in w.int_rows] for row in fd]
     return _kernel_in(*_rref_int([row[::-1] for row in fd]), w)

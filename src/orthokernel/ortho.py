@@ -76,7 +76,7 @@ def _gram(x1: AffineSubspace, x2: AffineSubspace) -> list[list[int]]:
 
     F is symmetric, so this is D1 (D2 F)^T, from the form rows kept with
     x2's direction."""
-    fd2 = x2.form_rows
+    fd2 = x2.direction.form_rows(x2.space)
     return [[sum(map(mul, u, fv)) for fv in fd2] for u in x1.direction.int_rows]
 
 
@@ -138,7 +138,7 @@ def _equations_perp(x1: AffineSubspace, x2: AffineSubspace, m: int) -> bool:
     """``_complement_perp`` on the directions' xi-complements C1, C2: the
     Gram matrix E1 F^-1 E2^T, from x1's equations and the complement rows
     kept with x2's direction, has rank n - k1 - k2 + m = dim(C1 ∩ C2)."""
-    cr = x2.complement_rows
+    cr = x2.direction.complement_rows(x2.space)
     gram = [[sum(map(mul, e, c)) for c in cr] for e in x1.direction.equations]
     return len(_forward_steps(gram)) == x1.space.dim - x1.dim - x2.dim + m
 
@@ -224,7 +224,8 @@ def reflection(x: AffineSubspace) -> tuple[list[list[int]], list[int], int]:
         d = 1
     else:
         ginv, d = mat_inverse(_gram(x, x))
-        proj = _mat_mul_int(tuple(zip(*b)), _mat_mul_int(ginv, x.form_rows))
+        fb = x.direction.form_rows(x.space)
+        proj = _mat_mul_int(tuple(zip(*b)), _mat_mul_int(ginv, fb))
         a = [[2 * v - (d if i == j else 0) for j, v in enumerate(r)]
              for i, r in enumerate(proj)]
     u, _ = x.int_point
@@ -380,8 +381,10 @@ def make_perp_pair(
     are mutually orthogonal and meet M's direction trivially.  Every draw
     follows the fixed policy above, so a draw whose rank collapses is
     redrawn up to RETRIES times, then GenerationError.  The pair is built
-    once: with a positive-definite form the construction cannot fail its
-    perp_m verification, and an InternalError says it did.
+    once: the form is anisotropic, F(v, v) ≠ 0 for v ≠ 0 (positive
+    definiteness implies it), so each complement misses what it
+    complements and the construction cannot fail its perp_m
+    verification; an InternalError says it did.
     """
     n = space.dim
     if not params.satisfiable_in(n):

@@ -105,11 +105,12 @@ def lemma1_witness(
     y1 ⊔ x2, and T an m-flat through q inside W ⊓ x2 (first canonical
     directions, or random under rng), the result is T ⊔ y1.  x2's direction
     lies in that join's, so W ⊓ x2 is q plus the directions of x2 that are
-    xi-orthogonal to y1: it is computed as such, and the result as y1's
-    direction and T's, in one reduction, through y1's base point; that
-    flat contains y1, hence q, so it is T ⊔ y1.  The result's meet with x2
-    equals T regardless of any orthogonality between y1 and x2.  The meets
-    are checked by their dimensions alone; none is built.
+    xi-orthogonal to y1: it is computed as such, from the form rows kept
+    with y1's direction, and the result as y1's direction and T's, in one
+    reduction, through y1's base point; that flat contains y1, hence q, so
+    it is T ⊔ y1.  The result's meet with x2 equals T regardless of any
+    orthogonality between y1 and x2.  The meets are checked by their
+    dimensions alone; none is built.
     """
     _check_same_space(y1, x2)
     if m < 0:
@@ -123,7 +124,7 @@ def lemma1_witness(
     if m == 0:
         return y1
     space = y1.space
-    wx2 = _xi_complement_rows(space, y1.direction.int_rows, x2.direction)
+    wx2 = _xi_complement_rows(space, y1.direction.form_rows(space), x2.direction)
     if wx2.rank < m:
         raise InternalError("orthocomplement misses x2 at the required dimension")
     # y1 and x2 meet in a point, so their directions meet only in zero
@@ -218,8 +219,8 @@ def common_perpendicular_feet(
     _check_same_space(l1, l2)
     if l1.dim != 1 or l2.dim != 1:
         raise PreconditionError("both arguments must be lines")
-    (d1,), (f1,) = l1.direction.int_rows, l1.form_rows
-    (d2,), (f2,) = l2.direction.int_rows, l2.form_rows
+    (d1,), (f1,) = l1.direction.int_rows, l1.direction.form_rows(l1.space)
+    (d2,), (f2,) = l2.direction.int_rows, l2.direction.form_rows(l2.space)
     if not perp_subspaces(l1, l2):
         raise PreconditionError("lines are not orthogonal")
     delta, e = _point_difference(l1, l2)
@@ -252,19 +253,21 @@ def _wrapping_pair(
 ) -> tuple[AffineSubspace, AffineSubspace]:
     """The perp-x pair (x1, x2) of dimensions (k1, k2) through the point
     (numerators, denominator) of mutually orthogonal directions: dir2
-    padded to k2, then dir1 to k1, each from the xi-complement of its rows
-    and those padded before; a direction that gains no rows is handed on
-    as it is.  An InternalError says the pair is not perp-x."""
+    padded to k2, then dir1 to k1, each from the xi-complement of itself
+    and the other direction as it then stands, read from the form rows
+    kept with both; a direction that gains no rows is handed on as it is.
+    An InternalError says the pair is not perp-x."""
     full = full_subspace(space.dim)
 
     def pad(d, k, before):
         if k == d.rank:
             return d
-        comp = _xi_complement_rows(space, [*before, *d.int_rows], full)
+        fd = [*before.form_rows(space), *d.form_rows(space)]
+        comp = _xi_complement_rows(space, fd, full)
         return _rand_extension(d, comp, k - d.rank, rng)
 
-    dir2 = pad(dir2, k2, dir1.int_rows)
-    dir1 = pad(dir1, k1, dir2.int_rows)
+    dir2 = pad(dir2, k2, dir1)
+    dir1 = pad(dir1, k1, dir2)
     x1, x2 = (AffineSubspace._canonical(space, *point, d) for d in (dir1, dir2))
     if x1.dim != k1 or x2.dim != k2 or not perp_x(x1, x2):
         raise InternalError("wrapping pair failed its own construction")

@@ -26,9 +26,8 @@ from orthokernel.generators import (
     space_of,
 )
 from orthokernel.linalg import (
-    _equations_complement,
     _forward_steps,
-    _times_form,
+    _subspace_from_int_rows,
     _xi_complement_rows,
     full_subspace,
     xi_complement,
@@ -114,7 +113,7 @@ def test_the_equations_side_needs_the_exact_meet_dimension():
     # the primal one 6 x 7
     space = space_of(GenConfig(dim=8, form="tridiag"))
     x1, x2 = make_perp_pair(space, TypedPerpParams(5, 6, 7), random.Random(3))
-    assert len(x1.direction.equations) * len(x2.complement_rows) == 2
+    assert len(x1.direction.equations) * len(x2.direction.complement_rows(space)) == 2
     assert _equations_perp(x1, x2, 5)
     assert not _equations_perp(x1, x2, 4) and not _equations_perp(x1, x2, 6)
 
@@ -128,12 +127,12 @@ def test_complement_is_the_same_subspace_from_either_side(n, form):
     for k in range(n + 1):
         for _ in range(3):
             d = rand_subspace_of(full, k, rng)
-            primal = _xi_complement_rows(space, d.int_rows, full)
-            assert _equations_complement(space, d) == primal
+            fd = d.form_rows(space)
+            primal = _xi_complement_rows(space, fd, full)
+            assert _subspace_from_int_rows(d.complement_rows(space), n) == primal
             assert xi_complement(space, d, full) == primal
             assert primal.rank == n - k
             # every complement row is xi-orthogonal to every row of d
-            fd = _times_form(d.int_rows, space)
             assert not any(sum(map(mul, f, r)) for f in fd for r in primal.int_rows)
 
 
@@ -153,7 +152,7 @@ def test_complement_inside_w_is_w_meet_the_full_complement(n, form):
         for w, other in ((d1, d2), (d2, d1)):
             for d in (other, rand_subspace_of(w, w.rank // 2, inner_rng)):
                 want = subspace_intersect(w, xi_complement(space, d, full))
-                assert _xi_complement_rows(space, d.int_rows, w) == want
+                assert _xi_complement_rows(space, d.form_rows(space), w) == want
                 shapes.add((w.rank, want.rank))
     # point flats, full-space flats and every complement dimension occur
     assert {(0, 0), (n, n)} <= shapes

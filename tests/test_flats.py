@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthokernel.flats as flats_module
+import orthokernel.linalg as linalg_module
 from orthokernel.errors import InputError
 from orthokernel.flats import (
     AffineSubspace,
@@ -46,6 +47,7 @@ from orthokernel.linalg import (
     int_vector,
     rref_basis,
     scalar,
+    xi_complement,
 )
 from orthokernel.ortho import (
     TypedPerpParams,
@@ -733,11 +735,22 @@ def test_is_subflat_is_a_meet_equal_to_the_inner_flat(form):
 # what is kept with the direction, and meets through one base point
 
 
-def test_form_rows_are_kept_per_direction_and_space():
+def test_form_rows_are_kept_per_direction_and_space(monkeypatch):
     """One direction read under two spaces in turn gets each space's rows
-    and verdicts: the slot on the direction answers only for its space."""
+    and verdicts: the slot on the direction answers only for its space,
+    and its complement reads the rows a relation has formed."""
     n = 4
     identity, tridiag = resolve_space(n, "identity"), resolve_space(n, "tridiag")
+    full = full_subspace(n)
+    products = []
+    for name in ("_times_form", "_times_inverse"):
+        real = getattr(linalg_module, name)
+
+        def counting(rows, space, name=name, real=real):
+            products.append(name)
+            return real(rows, space)
+
+        monkeypatch.setattr(linalg_module, name, counting)
 
     def span(*rows):
         return _subspace_from_int_rows(rows, n)
@@ -757,8 +770,7 @@ def test_form_rows_are_kept_per_direction_and_space():
                 x1 = AffineSubspace.make(space, origin, d1)
                 x2 = AffineSubspace.make(space, (1, 0, 0, 0), d2)
                 assert x2.direction is d2
-                assert x2.form_rows == _times_form(d2.int_rows, space)
-                assert x2.complement_rows == _times_inverse(d2.equations, space)
+                products.clear()
                 # under the identity x1's part outside the meet is e1, which
                 # is orthogonal to x2; under the tridiagonal form it is not
                 want = space is identity
@@ -766,6 +778,14 @@ def test_form_rows_are_kept_per_direction_and_space():
                     assert perp_subspaces(x1, x2) is want
                 params = TypedPerpParams(m, d1.rank, d2.rank)
                 assert perp_m(x1, x2, params) is want
+                # the slot held the other space's rows, so the relations
+                # formed d2's once; its complement in the whole space reads
+                # them and makes none
+                assert len(products) == 1
+                xi_complement(space, d2, full)
+                assert len(products) == 1
+                assert d2.form_rows(space) == _times_form(d2.int_rows, space)
+                assert d2.complement_rows(space) == _times_inverse(d2.equations, space)
 
 
 def _through(space, point, direction):

@@ -373,3 +373,34 @@ def test_the_rank_checked_draw_gives_up_in_one_place():
         if isinstance(node, ast.Raise) and "no independent" in ast.unparse(node)
     ]
     assert raises == ["ortho"]
+
+
+def _form_products(tree: ast.AST, owner: str = "") -> list[tuple[str, str]]:
+    """(innermost enclosing function, callee) for each call of
+    ``_times_form`` or ``_times_inverse`` under tree."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            out += _form_products(node, getattr(node, "name", "<lambda>"))
+            continue
+        if isinstance(node, ast.Call):
+            callee = ast.unparse(node.func).rpartition(".")[2]
+            if callee in ("_times_form", "_times_inverse"):
+                out.append((owner, callee))
+        out += _form_products(node, owner)
+    return out
+
+
+def test_products_with_the_form_are_made_in_one_place():
+    """Every product of rows with the form or its inverse is made, and kept,
+    by the direction: ``LinearSubspace.form_rows`` and ``complement_rows``
+    are the only callers of ``_times_form`` and ``_times_inverse``."""
+    calls = [
+        (path.stem, *call)
+        for path in MODULES
+        for call in _form_products(ast.parse(path.read_text()))
+    ]
+    assert calls == [
+        ("linalg", "form_rows", "_times_form"),
+        ("linalg", "complement_rows", "_times_inverse"),
+    ]

@@ -205,7 +205,7 @@ def test_complement_inside_a_smaller_subspace_matches_sympy(index):
     outer = _every_rank(form, rows, cols)
     for w in inner[1:-1]:
         for d in (inner[w.rank // 2], outer[(w.rank + 1) // 2]):
-            ours = _xi_complement_rows(space, d.int_rows, w)
+            ours = _xi_complement_rows(space, d.form_rows(space), w)
             assert ours == _sympy_complement_in(space, d.int_rows, w, cols)
 
 

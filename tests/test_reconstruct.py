@@ -8,7 +8,6 @@ from collections import Counter
 
 import pytest
 
-import orthokernel.flats as flats_module
 import orthokernel.linalg as linalg_module
 import orthokernel.ortho as ortho_module
 import orthokernel.reconstruct as reconstruct_module
@@ -34,6 +33,7 @@ from orthokernel.generators import (
     space_of,
 )
 from orthokernel.linalg import (
+    LinearSubspace,
     full_subspace,
     rref_basis,
     subspace_sum,
@@ -399,30 +399,19 @@ def test_decide_perp0_rejects_a_line_meet(q4, params, mode):
 
 
 def _form_reads_outside(monkeypatch, reads):
-    """Record in reads every form product the package makes from now on,
-    and every read of a flat's form or complement rows, except inside a
-    query to an oracle that the returned function has wrapped."""
+    """Record in reads every read of a direction's form or complement rows,
+    the one place the package makes a product with the form, except inside
+    a query to an oracle that the returned function has wrapped."""
     asking = []
-    for name in ("_times_form", "_times_inverse", "_xi_complement_rows"):
-        real = getattr(linalg_module, name)
-
-        def counting(*args, name=name, real=real, **kwargs):
-            if not asking:
-                reads.append(name)
-            return real(*args, **kwargs)
-
-        for module in package_modules():
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counting)
     for name in ("form_rows", "complement_rows"):
-        real = getattr(AffineSubspace, name).fget
+        real = getattr(LinearSubspace, name)
 
-        def reading(self, name=name, real=real):
+        def reading(self, space, name=name, real=real):
             if not asking:
                 reads.append(name)
-            return real(self)
+            return real(self, space)
 
-        monkeypatch.setattr(AffineSubspace, name, property(reading))
+        monkeypatch.setattr(LinearSubspace, name, reading)
 
     def allowed(oracle):
         def query(x1, x2):
@@ -476,7 +465,7 @@ def test_the_decide_stage_reads_no_form(monkeypatch, form):
     # the count is live: lemma 1 builds its T from the form
     params, y1, x2 = pairs[-1]
     lemma1_witness(y1, x2, params.m)
-    assert "_xi_complement_rows" in reads
+    assert "form_rows" in reads
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +649,8 @@ def test_judge_line_pair_wraps_each_pair_once(monkeypatch, params):
     "params, orthogonal, products",
     [
         # l2's direction (the wrap's test and the truth) and the wrapped
-        # x2's (the oracle); the wrap solves no feet, so l1's are not formed
+        # x2's (the self-check and the oracle); the padding reads l1's, made
+        # when the generator drew l2 from l1's complement
         (TypedPerpParams(1, 2, 3), True, 2),
         # l2's direction: the wrap's test refuses, the truth reuses them
         (TypedPerpParams(1, 2, 3), False, 1),
@@ -675,13 +665,13 @@ def test_a_judged_pair_forms_each_directions_rows_once(
     monkeypatch, form, params, orthogonal, products
 ):
     calls = []
-    real = flats_module._times_form
+    real = linalg_module._times_form
 
     def counting(rows, space):
         calls.append(rows)
         return real(rows, space)
 
-    monkeypatch.setattr(flats_module, "_times_form", counting)
+    monkeypatch.setattr(linalg_module, "_times_form", counting)
     cfg = GenConfig(dim=6, seed=0, form=form)
     for i in range(10):
         l1, l2 = gen_line_pair(cfg, random.Random(i), orthogonal=orthogonal)

@@ -352,21 +352,29 @@ def _reduced_draw(
     k: int,
     rank: int,
     rng: random.Random,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    reduce: bool = True,
+) -> Optional[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
     """Reduce base_rows with k random combinations of w_rows, the rows of
     a w of the given rank (None: the whole space's unit rows, whose
     combinations are the coefficients), and return the reduced rows and
     pivots of the first draw that keeps all len(base_rows) + k rows.  The
     one rank-checked draw: at most RETRIES draws, then GenerationError.
     With no base and w_rows None the rows name the subspace of any such w
-    that the draw picks (their span times its rows): equal rows, equal pick."""
+    that the draw picks (their span times its rows): equal rows, equal pick.
+    With reduce False the same draws are only rank-tested, by a nonzero
+    row or one forward pass, and None is returned."""
     for _ in range(RETRIES):
         coeffs = [_draws(rng, -COEFF_BOUND, COEFF_BOUND, rank) for _ in range(k)]
         if w_rows is not None:
             coeffs = _mat_mul_int(coeffs, w_rows)
-        rows, pivots = _rref_int([*base_rows, *coeffs])
-        if len(rows) == len(base_rows) + k:
-            return tuple(map(tuple, rows)), tuple(pivots)
+        rows = [*base_rows, *coeffs]
+        if not reduce:
+            if any(rows[0]) if len(rows) == 1 else len(_forward_steps(rows)) == len(rows):
+                return None
+            continue
+        reduced, pivots = _rref_int(rows)
+        if len(reduced) == len(rows):
+            return tuple(map(tuple, reduced)), tuple(pivots)
     raise GenerationError(f"no independent {k}-subspace after {RETRIES} draws")
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
 from typing import Callable, Optional, Sequence
 
-from .errors import GenerationError, InputError, UnsatisfiableParams
+from .errors import GenerationError, InputError, InternalError, UnsatisfiableParams
 from .flats import (
     AffineSubspace,
     is_subflat,
@@ -623,7 +623,7 @@ EXTENDED_PROPERTY_IDS: tuple[str, ...] = tuple(_EXTENDED)
 ALL_PROPERTY_IDS: tuple[str, ...] = CORE_PROPERTY_IDS + EXTENDED_PROPERTY_IDS
 
 # the runner looks trial functions up here at call time, so an entry
-# replaced before a run is the one that runs, in pool workers too
+# replaced before a run is the one that runs, in forked workers too
 REGISTRY: dict[str, TrialFn] = {**_CORE, **_EXTENDED}
 
 
@@ -657,6 +657,9 @@ class PropertyReport:
 
 
 def _run_slice(property_id: str, cfg: GenConfig, start: int, stop: int):
+    """Trials start..stop-1 of one row: (violations, first counterexample,
+    counters, seconds), or the GenerationError that ended them, as a value,
+    so that a forked worker can send it back like any other result."""
     t0 = time.perf_counter()
     fn = REGISTRY[property_id]
     space = space_of(cfg)
@@ -667,8 +670,8 @@ def _run_slice(property_id: str, cfg: GenConfig, start: int, stop: int):
         ctx = TrialContext(space, cfg, trial_rng(cfg.seed, property_id, t), counters)
         try:
             result = fn(ctx)
-        except GenerationError:
-            raise
+        except GenerationError as exc:
+            return exc
         except Exception as exc:
             # a trial that raises is that trial's violation, not the run's end
             result = {"reason": f"raised {type(exc).__name__}: {exc}"}
@@ -677,6 +680,58 @@ def _run_slice(property_id: str, cfg: GenConfig, start: int, stop: int):
             if first is None:
                 first = {"trial": t, **result}
     return violations, first, counters, time.perf_counter() - t0
+
+
+def _run_share(tasks, send) -> None:
+    """Send the list of the slices of tasks, in order, up to the first that
+    fails to generate: on a worker's pipe, or into the caller's list."""
+    parts = []
+    for task in tasks:
+        parts.append(_run_slice(*task))
+        if isinstance(parts[-1], GenerationError):
+            break
+    send(parts)
+
+
+def _scatter(tasks: list, jobs: int) -> list:
+    """Every task's slice, in task order: share w = tasks[w::jobs] runs in
+    one of jobs - 1 forked workers, share 0 here.  A worker that exits
+    without sending its share is an InternalError; the first GenerationError
+    in task order is raised once every worker is joined."""
+    shares, workers = [], []
+    try:
+        if jobs > 1:
+            context = get_context("fork")
+            for w in range(1, jobs):
+                pipe, end = context.Pipe(duplex=False)
+                worker = context.Process(target=_run_share, args=(tasks[w::jobs], end.send))
+                with end:
+                    worker.start()
+                workers.append((worker, pipe))
+        _run_share(tasks[::jobs], shares.append)
+        for worker, pipe in workers:
+            try:
+                shares.append(pipe.recv())
+            except EOFError:
+                worker.join()
+                raise InternalError(
+                    f"a check worker exited with code {worker.exitcode}"
+                    " before sending its trials"
+                ) from None
+    finally:
+        for worker, pipe in workers:
+            if len(shares) < jobs:
+                worker.terminate()
+            worker.join()
+            worker.close()
+            pipe.close()
+    parts = []
+    for i in range(len(tasks)):
+        part = shares[i % jobs][i // jobs]
+        if isinstance(part, GenerationError):
+            raise part
+        parts.append(part)
+    return parts
 
 
 def _notes_for(property_id: str, counters: Counter) -> Optional[str]:
@@ -728,11 +783,13 @@ def run_suite(
 
     Report order is fixed: property ids sorted lexicographically, forms in
     the given order inside each id.  With ``jobs > 1`` and at least four
-    trials per worker, every row is cut into ``jobs`` slices and all slices
-    of all rows go to one fork pool, opened by this call so that workers
-    see ``REGISTRY`` as it stands now.  Worker count never changes a
-    report: per-trial seeds are derived from the trial index and slices
-    fold in index order.
+    trials per job, every row is cut into ``jobs`` slices; this call runs
+    slice 0 of every row and forks ``jobs - 1`` workers, one per other
+    slice index, which see ``REGISTRY`` as it stands now and send their
+    slices back on a pipe.  A worker that dies first is an InternalError.
+    Job count never changes a report: per-trial seeds are derived from the
+    trial index, slices fold in index order, and a GenerationError is the
+    first in that order.
     """
     if not property_ids:
         raise InputError("no property ids given")
@@ -760,17 +817,15 @@ def run_suite(
     for _, row_cfg in rows:
         space_of(row_cfg)  # reject a bad form before any trial runs
     if jobs <= 1 or trials < 4 * jobs:
-        parts = [[_run_slice(pid, row_cfg, 0, trials)] for pid, row_cfg in rows]
-    else:
-        bounds = [trials * i // jobs for i in range(jobs + 1)]
-        tasks = [
-            (pid, row_cfg, bounds[i], bounds[i + 1])
-            for pid, row_cfg in rows
-            for i in range(jobs)
-        ]
-        with get_context("fork").Pool(jobs) as pool:
-            flat = pool.starmap(_run_slice, tasks)
-        parts = [flat[r * jobs : (r + 1) * jobs] for r in range(len(rows))]
+        jobs = 1
+    bounds = [trials * i // jobs for i in range(jobs + 1)]
+    tasks = [
+        (pid, row_cfg, bounds[i], bounds[i + 1])
+        for pid, row_cfg in rows
+        for i in range(jobs)
+    ]
+    flat = _scatter(tasks, jobs)
+    parts = [flat[r * jobs : (r + 1) * jobs] for r in range(len(rows))]
     return [
         _fold(pid, row_cfg, trials, row_parts)
         for (pid, row_cfg), row_parts in zip(rows, parts)

@@ -156,10 +156,10 @@ def decide_perp0(
     only in zero, so the answer is exact.  SAMPLED draws K T's as
     rand_subspace_of draws, reduced to the rows that name T; a T drawn
     before is skipped, and once the T's asked meet only in zero all later
-    ones would pass, so they are drawn but not asked: the answer, the draws
-    and the rng's state are those of asking every draw.  Each candidate is
-    one reduction of y1's rows and T's, of dimension k1, since the
-    directions meet only in zero.
+    ones would pass, so they are drawn and rank-tested but neither reduced
+    nor asked: the answer, the draws and the rng's state are those of
+    asking every draw.  Each candidate is one reduction of y1's rows and
+    T's, of dimension k1, since the directions meet only in zero.
     """
     _check_same_space(y1, x2)
     params = oracle.params
@@ -195,8 +195,12 @@ def _sampled_flats(
     k2 = len(x2_rows)
     asked, annihilators = set(), []
     for _ in range(mode.samples):
+        if len(annihilators) == k2:
+            # covered: the draw is made for the rng's state, not reduced
+            _reduced_draw((), None, m, k2, sample_rng, reduce=False)
+            continue
         coeffs, pivots = _reduced_draw((), None, m, k2, sample_rng)
-        if len(annihilators) < k2 and coeffs not in asked:
+        if coeffs not in asked:
             asked.add(coeffs)
             yield _mat_mul_int(coeffs, x2_rows)
             annihilators.extend(_echelon_kernel(coeffs, pivots, k2))

@@ -1,14 +1,22 @@
 """Property runner: registry, report shape, determinism, self-falsification."""
 
+import contextlib
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from bisect import bisect_right
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import orthokernel.properties as props
-from orthokernel.errors import InputError
+from orthokernel.cli import main
+from orthokernel.errors import GenerationError, InputError
 from orthokernel.generators import GenConfig, space_of, super_flat, trial_rng
 from orthokernel.ortho import TypedPerpParams
 from orthokernel.properties import (
@@ -213,7 +221,7 @@ def test_run_suite_custom_form_label():
 
 
 # ---------------------------------------------------------------------------
-# one pool per suite
+# one fork context per suite
 
 
 def counting_get_context(monkeypatch):
@@ -276,5 +284,119 @@ def test_elapsed_ms_sums_the_slices(monkeypatch):
 
     monkeypatch.setitem(REGISTRY, "P-SYM", slow)
     (report,) = run_suite(small_cfg(), ["P-SYM"], 16, ["identity"], jobs=2)
-    # two workers share the 16 trials; their loop times add up
+    # the caller and one worker share the 16 trials; their loop times add up
     assert report.elapsed_ms >= 160
+
+
+# ---------------------------------------------------------------------------
+# the caller's share and the forked workers
+
+
+def _logging_trial(path, cfg, property_id):
+    """The property's trial, appending its pid, form and trial index to
+    path, through which the forked workers' trials come back too."""
+    index = {trial_rng(cfg.seed, property_id, t).getstate(): t for t in range(64)}
+    honest = REGISTRY[property_id]
+
+    def trial(ctx):
+        with open(path, "a") as out:
+            out.write(f"{os.getpid()} {ctx.cfg.form} {index[ctx.rng.getstate()]}\n")
+        return honest(ctx)
+
+    return trial
+
+
+def test_the_caller_runs_slice_0_and_jobs_minus_1_workers_the_rest(monkeypatch, tmp_path):
+    cfg, jobs, trials = small_cfg(), 3, 13
+    log = tmp_path / "trials.log"
+    monkeypatch.setitem(REGISTRY, "P-SYM", _logging_trial(log, cfg, "P-SYM"))
+    run_suite(cfg, ["P-SYM"], trials, ["identity", "diag"], jobs=jobs)
+    runs = [line.split() for line in log.read_text().splitlines()]
+    forms = ("diag", "identity")
+    assert sorted((form, int(t)) for _, form, t in runs) == [
+        (form, t) for form in forms for t in range(trials)
+    ]
+    bounds = [trials * i // jobs for i in range(jobs + 1)]
+    slices = {}
+    for pid, form, t in runs:
+        slices.setdefault(int(pid), set()).add((form, bisect_right(bounds, int(t)) - 1))
+    assert slices.pop(os.getpid()) == {(form, 0) for form in forms}
+    assert sorted(map(sorted, slices.values())) == [
+        [(form, w) for form in forms] for w in range(1, jobs)
+    ]
+
+
+def _fails_in_workers(monkeypatch, error):
+    """P-SYM raises error in every process but this one."""
+    caller, honest = os.getpid(), REGISTRY["P-SYM"]
+
+    def trial(ctx):
+        if os.getpid() != caller:
+            raise error
+        return honest(ctx)
+
+    monkeypatch.setitem(REGISTRY, "P-SYM", trial)
+
+
+def test_a_generation_error_in_a_worker_exits_2(monkeypatch, capsys):
+    _fails_in_workers(monkeypatch, GenerationError("planted in a worker"))
+    argv = ["check", "--dim", "3", "--props", "P-SYM", "--form", "identity",
+            "--trials", "16", "--seed", "1", "--jobs", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: planted in a worker\n"
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_a_scattered_call_leaves_no_child_and_no_fd(monkeypatch, planted):
+    if planted:
+        _fails_in_workers(monkeypatch, GenerationError("planted in a worker"))
+    before = _open_fds()
+    with pytest.raises(GenerationError) if planted else contextlib.nullcontext():
+        run_suite(small_cfg(), ["P-PAR", "P-SYM"], 16, jobs=3)
+    assert multiprocessing.active_children() == []
+    assert _open_fds() <= before
+
+
+DYING_WORKER = """
+import multiprocessing, os
+from orthokernel import properties
+from orthokernel.errors import InternalError
+from orthokernel.generators import GenConfig
+
+caller, honest = os.getpid(), properties.REGISTRY["P-SYM"]
+
+def trial(ctx):
+    if os.getpid() != caller:
+        os._exit(3)
+    return honest(ctx)
+
+properties.REGISTRY["P-SYM"] = trial
+before = len(os.listdir("/proc/self/fd"))
+try:
+    properties.run_suite(GenConfig(dim=3, seed=1), ["P-SYM"], 16, ["identity"], jobs=2)
+except InternalError as exc:
+    print(exc)
+print(multiprocessing.active_children())
+print(len(os.listdir("/proc/self/fd")) - before)
+"""
+
+
+def test_a_dying_worker_makes_the_run_raise():
+    # in a subprocess: a runner that waits for the dead worker for good
+    # fails this test by its timeout instead of hanging the suite
+    src = Path(props.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", DYING_WORKER],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    message, children, fds = done.stdout.splitlines()
+    assert message == "a check worker exited with code 3 before sending its trials"
+    assert children == "[]" and int(fds) <= 0

@@ -126,6 +126,14 @@ def test_mode_rejects_nonpositive_samples():
         ReconstructionMode.sampled(0)
 
 
+# random.Random(-5) seeds as random.Random(5) does, and a str or a float
+# seeds it too
+@pytest.mark.parametrize("seed", [-5, 2**64, "7", 1.5])
+def test_mode_rejects_a_seed_outside_64_unsigned_bits(seed):
+    with pytest.raises(InputError, match="seed must fit in 64 unsigned bits"):
+        ReconstructionMode.sampled(20, seed)
+
+
 def test_ground_truth_oracle_matches_relation(q3, rng):
     params = TypedPerpParams(m=0, k1=1, k2=1)
     oracle = ground_truth_oracle(params)
@@ -1133,6 +1141,58 @@ def test_the_cover_keeps_the_verdicts_and_states_under_a_foreign_form():
             assert rng.getstate() == want_rng.getstate()
             decisions += 1
     assert decisions == 17496 // 2
+
+
+def test_a_seeded_decision_makes_no_draw_after_its_cover(monkeypatch):
+    """A sampled decision drawing from its own seed ends at the cover; the
+    same decision handed a generator of that seed draws on, for its
+    state."""
+    late = Counter()
+    real = reconstruct_module._reduced_draw
+
+    def counted(*args, reduce=True):
+        if not reduce:
+            late[handed] += 1
+        return real(*args, reduce=reduce)
+
+    monkeypatch.setattr(reconstruct_module, "_reduced_draw", counted)
+    decisions = 0
+    for params, cfg in _a_recon_configs(COVER_TYPES):
+        oracle = ground_truth_oracle(params)
+        for seed in range(10):
+            lines = gen_line_pair(cfg, random.Random(seed), orthogonal=True)
+            mode = ReconstructionMode.sampled(20, seed)
+            for handed in (False, True):
+                rng = random.Random(seed) if handed else None
+                assert reconstruct_line_perp(*lines, params, oracle, mode, rng)
+            decisions += 1
+    assert decisions == 300
+    assert late[False] == 0
+    assert late[True] > 10 * decisions
+
+
+def test_a_seeded_decision_asks_what_a_handed_generator_asks():
+    """Over the A-RECON grid, orthogonal and skew pairs, a sampled decision
+    from its own seed asks the candidates, in the order and with the
+    verdict, of the same decision handed random.Random(seed)."""
+    verdicts = Counter()
+    for params, cfg in _a_recon_configs():
+        oracles, log = _recording_oracles(params)
+        for seed in range(4):
+            lines = gen_line_pair(cfg, random.Random(seed), orthogonal=seed % 2 == 0)
+            mode = ReconstructionMode.sampled(20, seed)
+            for oracle in oracles:
+                log.clear()
+                handed = reconstruct_line_perp(
+                    *lines, params, oracle, mode, random.Random(seed)
+                )
+                handed_log = list(log)
+                log.clear()
+                assert reconstruct_line_perp(*lines, params, oracle, mode) is handed
+                assert log == handed_log
+                verdicts[handed, len(log) > 1] += 1
+    # true and false verdicts, and decisions of more than one query
+    assert verdicts.keys() == {(True, True), (True, False), (False, False)}
 
 
 def test_a_decision_that_never_covers_asks_every_distinct_draw():

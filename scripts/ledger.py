@@ -13,11 +13,11 @@ the decisions made. The units are:
 
 - "properties": each property id at dims 3-6 under each named form, 8
   trials of ``run_suite``;
-- "decisions": the wrap, the witness, the sampled (K = 20, drawing from
-  a handed generator) and the seeded (K = 20, drawing from its own seed)
-  decision of 8 line pairs, half of them orthogonal, for each (m, k1, k2)
-  of the A-RECON grid, dimension and named form; the wrap line counts all
-  8 pairs, and "decided" says how many pairs it left to decide;
+- "decisions": the wrap, the witness and the sampled (K = 20, drawing
+  from a handed generator, up to its cover) decision of 8 line pairs,
+  half of them orthogonal, for each (m, k1, k2) of the A-RECON grid,
+  dimension and named form; the wrap line counts all 8 pairs, and
+  "decided" says how many pairs it left to decide;
 - "cli": each command that ``check_interpreters.py`` pins, run in process.
 
 Every count repeats exactly for the same sources, so a change to the
@@ -178,10 +178,7 @@ def _decisions(counts: Counter) -> dict:
         for n in range(k1 + k2 - m, 7):
             for form in NAMED_FORMS:
                 cfg = GenConfig(dim=n, seed=SEED, form=form, perp_params=params)
-                lines = {
-                    stage: Counter()
-                    for stage in ("wrap", "witness", "sampled", "seeded")
-                }
+                lines = {stage: Counter() for stage in ("wrap", "witness", "sampled")}
                 decided = 0
                 for i in range(PAIRS):
                     rng = random.Random(i)
@@ -196,9 +193,6 @@ def _decisions(counts: Counter) -> dict:
                     lines["witness"].update(_take(counts))
                     reconstruct.decide_perp0(*core, oracle, sampled, rng)
                     lines["sampled"].update(_take(counts))
-                    seeded = reconstruct.ReconstructionMode.sampled(SAMPLES, i)
-                    reconstruct.decide_perp0(*core, oracle, seeded)
-                    lines["seeded"].update(_take(counts))
                 for stage, line in lines.items():
                     key = f"m={m} k1={k1} k2={k2} dim={n} {form} {stage}"
                     out[key] = {"decided": decided, **{k: line[k] for k in KEYS}}

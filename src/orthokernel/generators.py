@@ -60,6 +60,10 @@ class GenConfig:
     sample_count: int = 20
 
     def __post_init__(self) -> None:
+        # a bool is an int, and trial_rng hashes its str: True is not 1
+        for name in ("dim", "seed", "sample_count"):
+            if type(getattr(self, name)) is not int:
+                raise InputError(f"{name} must be an int")
         if self.dim < 1:
             raise InputError("dim must be positive")
         if self.sample_count < 1:

@@ -352,8 +352,7 @@ def _reduced_draw(
     k: int,
     rank: int,
     rng: random.Random,
-    reduce: bool = True,
-) -> Optional[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduce base_rows with k random combinations of w_rows, the rows of
     a w of the given rank (None: the whole space's unit rows, whose
     combinations are the coefficients), and return the reduced rows and
@@ -361,17 +360,12 @@ def _reduced_draw(
     one rank-checked draw: at most RETRIES draws, then GenerationError.
     With no base and w_rows None the rows name the subspace of any such w
     that the draw picks (their span times its rows): equal rows, equal pick.
-    With reduce False the same draws are only rank-tested, by a nonzero
-    row or one forward pass, and None is returned."""
+    A sampled decision takes one such draw per T and none after its cover."""
     for _ in range(RETRIES):
         coeffs = [_draws(rng, -COEFF_BOUND, COEFF_BOUND, rank) for _ in range(k)]
         if w_rows is not None:
             coeffs = _mat_mul_int(coeffs, w_rows)
         rows = [*base_rows, *coeffs]
-        if not reduce:
-            if any(rows[0]) if len(rows) == 1 else len(_forward_steps(rows)) == len(rows):
-                return None
-            continue
         reduced, pivots = _rref_int(rows)
         if len(reduced) == len(rows):
             return tuple(map(tuple, reduced)), tuple(pivots)

@@ -16,8 +16,7 @@ m-flats meeting only in zero and is exact; SAMPLED draws K random ones and
 stops asking once those asked meet only in zero: a false answer is sound, a
 true one exact if it stopped so and probable otherwise.  Both answer with
 the conjunction of the replies, and ask each distinct candidate once.  A
-sampled decision handed a generator still makes all K draws, for its
-state; one drawing from its own seed makes none after the cover.
+sampled decision makes no draw after its cover, from whichever generator.
 """
 
 from __future__ import annotations
@@ -83,10 +82,12 @@ class ReconstructionMode:
     def __post_init__(self) -> None:
         if self.kind not in ("witness", "sampled"):
             raise InputError(f"unknown mode kind: {self.kind!r}")
+        if type(self.samples) is not int:
+            raise InputError("samples must be an int")
         if self.kind == "sampled" and self.samples < 1:
             raise InputError("sampled mode needs at least one candidate")
-        # random.Random seeds -s as s, and takes a str or a float as well
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        # random.Random seeds -s as s, and takes a str, a float or a bool
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise InputError("seed must fit in 64 unsigned bits")
 
     @classmethod
@@ -161,12 +162,10 @@ def decide_perp0(
     only in zero, so the answer is exact.  SAMPLED draws K T's as
     rand_subspace_of draws, reduced to the rows that name T; a T drawn
     before is skipped, and once the T's asked meet only in zero all later
-    ones would pass, so none is asked.  Handed an rng, the decision still
-    draws and rank-tests them, without reducing them, so the answer, the
-    draws and the rng's state are those of asking every draw; drawing from
-    mode.seed, it ends at the cover, with the same answer and the same
-    candidates asked.  Each candidate is one reduction of y1's rows and
-    T's, of dimension k1, since the directions meet only in zero.
+    ones would pass, so none is drawn, from rng or from mode.seed: the
+    answer is that of asking every draw.  Each candidate is one reduction
+    of y1's rows and T's, of dimension k1, since the directions meet only
+    in zero.
     """
     _check_same_space(y1, x2)
     params = oracle.params
@@ -196,21 +195,15 @@ def decide_perp0(
 def _sampled_flats(
     x2_rows: tuple, m: int, mode: ReconstructionMode, rng: Optional[random.Random]
 ) -> Iterator[list[list[int]]]:
-    """Each distinct T of all K draws, as rows, until those asked meet only
-    in zero (their annihilators span Q^k2); drawn from rng, else the seed.
-    Past the cover, a handed rng still gets the rest of its K draws, for
-    its state; one made from the seed, which nothing else reads, ends
-    there."""
+    """Each distinct T of up to K draws, as rows, until those asked meet
+    only in zero (their annihilators span Q^k2), where the draws end; drawn
+    from rng, else the seed."""
     sample_rng = rng if rng is not None else random.Random(mode.seed)
     k2 = len(x2_rows)
     asked, annihilators = set(), []
     for _ in range(mode.samples):
         if len(annihilators) == k2:
-            if rng is None:
-                return
-            # covered: the draw is made for the handed rng's state, not reduced
-            _reduced_draw((), None, m, k2, sample_rng, reduce=False)
-            continue
+            return
         coeffs, pivots = _reduced_draw((), None, m, k2, sample_rng)
         if coeffs not in asked:
             asked.add(coeffs)

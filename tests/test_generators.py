@@ -54,6 +54,15 @@ def test_config_defaults_round_trip():
         {"dim": 3, "form": "hyperbolic"},
         {"dim": 3, "form": [["1", "0"], ["0", "1"]]},
         {"dim": 3, "perp_params": TypedPerpParams(0, 1, 3)},
+        # not plain ints; a bool is an int, and trial_rng hashes seed=True
+        # as "True", not as 1
+        {"dim": 4.0},
+        {"dim": True},
+        {"dim": 3, "seed": True},
+        {"dim": 3, "seed": 1.5},
+        {"dim": 3, "seed": "7"},
+        {"dim": 3, "sample_count": 2.5},
+        {"dim": 3, "sample_count": True},
     ],
 )
 def test_config_rejects_bad_values(kwargs):

@@ -576,10 +576,9 @@ def test_coefficient_draws_are_rand_subspace_of_draws(monkeypatch):
     rng) as the sampled decision takes it, is the canonical rows and pivots
     of the draw policy written out above, and the rows of rand_subspace_of's
     k-draw from Q^r, for 1 <= k < r <= 6, from equal rngs left in equal
-    states, redrawn draws included, as is the rank test alone that the
-    sampled decision makes once covered (reduce=False); on an rng whose
-    every draw collapses all four give up with the same GenerationError
-    after the same draws.  4 of the 1500 draws here are redrawn."""
+    states, redrawn draws included; on an rng whose every draw collapses
+    all three give up with the same GenerationError after the same draws.
+    4 of the 1500 draws here are redrawn."""
     drawn = []
 
     def counting(*args):
@@ -592,7 +591,7 @@ def test_coefficient_draws_are_rand_subspace_of_draws(monkeypatch):
         full = full_subspace(r)
         for k in range(1, r):
             for seed in range(100):
-                rngs = [random.Random(seed) for _ in range(4)]
+                rngs = [random.Random(seed) for _ in range(3)]
                 want_rows, want_pivots = _reference_coefficient_draw(k, r, rngs[0])
                 drawn.clear()
                 with monkeypatch.context() as patch:
@@ -600,7 +599,6 @@ def test_coefficient_draws_are_rand_subspace_of_draws(monkeypatch):
                     got = _reduced_draw((), None, k, r, rngs[1])
                 assert got == (want_rows, want_pivots)
                 assert rand_subspace_of(full, k, rngs[2]).int_rows == want_rows
-                assert _reduced_draw((), None, k, r, rngs[3], reduce=False) is None
                 assert len({rng.getstate() for rng in rngs}) == 1
                 retried += len(drawn) > k * r
             raised = []
@@ -608,13 +606,12 @@ def test_coefficient_draws_are_rand_subspace_of_draws(monkeypatch):
                 lambda rng: _reference_coefficient_draw(k, r, rng),
                 lambda rng: _reduced_draw((), None, k, r, rng),
                 lambda rng: rand_subspace_of(full, k, rng),
-                lambda rng: _reduced_draw((), None, k, r, rng, reduce=False),
             ):
                 rng = ZeroDraws()
                 with pytest.raises(GenerationError) as info:
                     draw(rng)
                 raised.append((str(info.value), rng.calls))
-            assert raised[0] == raised[1] == raised[2] == raised[3]
+            assert raised[0] == raised[1] == raised[2]
             assert raised[0][0] == f"no independent {k}-subspace after {RETRIES} draws"
     assert retried > 0
 

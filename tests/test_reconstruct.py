@@ -126,9 +126,15 @@ def test_mode_rejects_nonpositive_samples():
         ReconstructionMode.sampled(0)
 
 
-# random.Random(-5) seeds as random.Random(5) does, and a str or a float
-# seeds it too
-@pytest.mark.parametrize("seed", [-5, 2**64, "7", 1.5])
+@pytest.mark.parametrize("samples", [2.5, 20.0, True, "20"])
+def test_mode_rejects_samples_that_are_not_an_int(samples):
+    with pytest.raises(InputError, match="samples must be an int"):
+        ReconstructionMode.sampled(samples)
+
+
+# random.Random(-5) seeds as random.Random(5) does, and a str, a float or
+# a bool seeds it too
+@pytest.mark.parametrize("seed", [-5, 2**64, "7", 1.5, True])
 def test_mode_rejects_a_seed_outside_64_unsigned_bits(seed):
     with pytest.raises(InputError, match="seed must fit in 64 unsigned bits"):
         ReconstructionMode.sampled(20, seed)
@@ -341,7 +347,7 @@ def test_decide_perp0_sampled_stops_at_the_cover(q4):
     # every distinct candidate once, since y1 ⊔ T determines
     # T = (y1 ⊔ T) ⊓ x2, until the T's asked meet only in zero: two
     # distinct lines of the plane x2 do, and every later candidate would
-    # pass, so it is drawn but not asked
+    # pass, so it is neither drawn nor asked
     params = TypedPerpParams(m=1, k1=2, k2=2)
     y1 = line(q4, (0, 0, 0, 0), (1, 0, 0, 0))
     x2 = flat(q4, (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
@@ -350,8 +356,9 @@ def test_decide_perp0_sampled_stops_at_the_cover(q4):
     rng, bare = random.Random(12345), random.Random(12345)
     assert decide_perp0(y1, x2, oracle, ReconstructionMode.sampled(20), rng)
     assert len(calls) == 2
-    for _ in range(20):
-        rand_subspace_of(x2.direction, 1, bare)
+    drawn = set()
+    while len(drawn) < 2:
+        drawn.add(rand_subspace_of(x2.direction, 1, bare))
     assert rng.getstate() == bare.getstate()
 
 
@@ -847,13 +854,13 @@ A_RECON_GRID = ((0, 1, 1), (1, 2, 2), (1, 2, 3), (2, 3, 3))
 # sha256 over every queried candidate's wire form and the queries per pair,
 # and sha256 over the rng state after each pair, over the grid below.  A
 # sampled decision asks about each distinct candidate once until those
-# asked cover x2, but draws as one candidate per draw does
-# (_reference_sampled below), so the states are those of asking every draw.
+# asked cover x2, and draws no further (_cover_count below), so the states
+# are those of drawing up to the cover.
 PINNED_SAMPLED_CANDIDATES = (
     "d8709d516b3c498f012a2e434721d6556a97b5a4c3996214d61435deae5828e1"
 )
 PINNED_SAMPLED_RNG_STATES = (
-    "a3aa22d776ab02d8e3b690181d5e3193d32bbc07b9d6572f38d4d8af7e125615"
+    "b2e2646a4394859e70575260b25cfeeeaf60982604dfe94719ae5c2292bce121"
 )
 
 
@@ -1012,18 +1019,21 @@ def _reference_sampled(y1, x2, oracle, samples, rng):
 
 
 def _cover_count(m, k2, samples, rng):
-    """How many distinct T's of `samples` draws from rng a sampled decision
-    that no reply refuses asks: those up to and including the first at
-    which the annihilators of their coefficient rows reach rank k2, so the
-    T's meet only in zero, else all.  Ranks are taken in plain rationals;
-    every draw is made, so rng is left as the decision leaves it."""
-    draws = [ortho_module._reduced_draw((), None, m, k2, rng) for _ in range(samples)]
-    annihilators = []
-    for count, (coeffs, _) in enumerate(dict.fromkeys(draws), 1):
-        annihilators += rational_kernel(coeffs, k2)
-        if len(rational_rref(annihilators, k2)[1]) == k2:
-            return count
-    return len(set(draws))
+    """How many distinct T's of up to `samples` draws from rng a sampled
+    decision that no reply refuses asks: those up to and including the
+    first at which the annihilators of their coefficient rows reach rank
+    k2, so the T's meet only in zero, else all.  Ranks are taken in plain
+    rationals; the draws stop at the cover, so rng is left as the decision
+    leaves it."""
+    seen, annihilators = set(), []
+    for _ in range(samples):
+        coeffs, _ = ortho_module._reduced_draw((), None, m, k2, rng)
+        if coeffs not in seen:
+            seen.add(coeffs)
+            annihilators += rational_kernel(coeffs, k2)
+            if len(rational_rref(annihilators, k2)[1]) == k2:
+                break
+    return len(seen)
 
 
 def _recording_oracles(params):
@@ -1065,7 +1075,8 @@ def test_sampled_decision_is_one_candidate_per_draw_without_repeats():
             ]
             oracles, log = _recording_oracles(params)
             for (y1, x2), seed in itertools.product(pairs, range(2)):
-                cover = _cover_count(params.m, params.k2, 20, random.Random(seed))
+                covered = random.Random(seed)
+                cover = _cover_count(params.m, params.k2, 20, covered)
                 for oracle in oracles:
                     got_rng, want_rng = random.Random(seed), random.Random(seed)
                     log.clear()
@@ -1075,7 +1086,10 @@ def test_sampled_decision_is_one_candidate_per_draw_without_repeats():
                     log.clear()
                     mode = ReconstructionMode.sampled(20)
                     assert decide_perp0(y1, x2, oracle, mode, got_rng) == want
-                    assert got_rng.getstate() == want_rng.getstate()
+                    # the draws end at the cover, or where the reference's
+                    # end on a refusal
+                    want_state = (covered if want else want_rng).getstate()
+                    assert got_rng.getstate() == want_state
                     # the distinct candidates up to the cover, or the refusal
                     assert log == want_log[:cover]
                     asked += len(log)
@@ -1093,7 +1107,7 @@ def test_a_sampled_decision_asks_up_to_the_cover():
     """On the wrapped orthogonal pairs of the k2 > 1 A-RECON types, a
     sampled decision asks the distinct draws up to the cover, the
     always-true oracle as many, the always-false one once, and leaves the
-    rng as K bare draws do."""
+    rng as the bare draws up to the cover do."""
     asked = Counter()
     for params, cfg in _a_recon_configs(COVER_TYPES):
         oracles, log = _recording_oracles(params)
@@ -1127,35 +1141,42 @@ def test_a_sampled_decision_asks_up_to_the_cover():
 
 def test_the_cover_keeps_the_verdicts_and_states_under_a_foreign_form():
     """On the decide-stage pairs of the foreign-form oracles, the tilted
-    ones included, sampled decisions answer and leave the rng as asking
-    every draw does."""
+    ones included, sampled decisions answer as asking every draw does, and
+    leave the rng where their draws end: at the cover, or at a refusal."""
     decisions = 0
     for n, space_form, oracle_form, params, rng in grid(DECIDE_DIMS, DECIDE_FORM_PAIRS):
         oracle = foreign_oracle(params, oracle_form)
         for y1, x2, want in decide_pairs(n, space_form, oracle_form, params, rng):
-            want_rng = random.Random()
+            want_rng, covered = random.Random(), random.Random()
             want_rng.setstate(rng.getstate())
+            covered.setstate(rng.getstate())
             reference = _reference_sampled(y1, x2, oracle, 5, want_rng)
+            _cover_count(params.m, params.k2, 5, covered)
             got = decide_perp0(y1, x2, oracle, ReconstructionMode.sampled(5), rng)
             assert got == reference == want
-            assert rng.getstate() == want_rng.getstate()
+            assert rng.getstate() == (covered if got else want_rng).getstate()
             decisions += 1
     assert decisions == 17496 // 2
 
 
 def test_a_seeded_decision_makes_no_draw_after_its_cover(monkeypatch):
-    """A sampled decision drawing from its own seed ends at the cover; the
-    same decision handed a generator of that seed draws on, for its
-    state."""
-    late = Counter()
+    """A sampled decision ends at the cover whether it draws from its own
+    seed or from a generator handed to it: its draws cover x2, and those
+    before its last one do not."""
+    late, covered = Counter(), Counter()
     real = reconstruct_module._reduced_draw
+    drawn = []
 
-    def counted(*args, reduce=True):
-        if not reduce:
-            late[handed] += 1
-        return real(*args, reduce=reduce)
+    def recorded(*args):
+        got = real(*args)
+        drawn.append(got[0])
+        return got
 
-    monkeypatch.setattr(reconstruct_module, "_reduced_draw", counted)
+    def covers(draws, k2):
+        annihilators = [row for coeffs in draws for row in rational_kernel(coeffs, k2)]
+        return len(rational_rref(annihilators, k2)[1]) == k2
+
+    monkeypatch.setattr(reconstruct_module, "_reduced_draw", recorded)
     decisions = 0
     for params, cfg in _a_recon_configs(COVER_TYPES):
         oracle = ground_truth_oracle(params)
@@ -1164,11 +1185,14 @@ def test_a_seeded_decision_makes_no_draw_after_its_cover(monkeypatch):
             mode = ReconstructionMode.sampled(20, seed)
             for handed in (False, True):
                 rng = random.Random(seed) if handed else None
+                drawn.clear()
                 assert reconstruct_line_perp(*lines, params, oracle, mode, rng)
+                covered[handed] += covers(drawn, params.k2)
+                late[handed] += covers(drawn[:-1], params.k2)
             decisions += 1
     assert decisions == 300
-    assert late[False] == 0
-    assert late[True] > 10 * decisions
+    assert covered == {False: decisions, True: decisions}
+    assert late == {False: 0, True: 0}
 
 
 def test_a_seeded_decision_asks_what_a_handed_generator_asks():

@@ -8,8 +8,10 @@ each unit of work, how often it called the elimination routines
 (``_rref_int``, ``_forward_steps``, ``_echelon_kernel``), the product of
 rows with the form ``_times_form`` and the bounded draw ``_draws``, how
 often ``_meet_parts`` found its pair's system in the meet slot
-("meet_hits") or reduced it ("meet_misses"), and how many oracle queries
-the decisions made. The units are:
+("meet_hits") or reduced it ("meet_misses"), how often ``xi_complement``
+found the complement of a nonzero D in W's slot ("complement_hits") or
+computed it ("complement_misses"), and how many oracle queries the
+decisions made. The units are:
 
 - "properties": each property id at dims 3-6 under each named form, 8
   trials of ``run_suite``;
@@ -54,7 +56,7 @@ from check_interpreters import PINNED  # noqa: E402
 
 KEYS = (
     "_rref_int", "_forward_steps", "_echelon_kernel", "_times_form", "_draws",
-    "meet_hits", "meet_misses", "queries",
+    "meet_hits", "meet_misses", "complement_hits", "complement_misses", "queries",
 )
 A_RECON_GRID = ((0, 1, 1), (1, 2, 2), (1, 2, 3), (2, 3, 3))
 DIMS = range(3, 7)
@@ -93,6 +95,19 @@ def _wrappers(counts: Counter) -> dict:
 
         return counted
 
+    def complement(real):
+        # the slot xi_complement keeps in W's instance dict:
+        # (space, weak reference to D, complement); a zero D is answered by
+        # W and never reaches it
+        def counted(space, d, w):
+            if not d.is_zero:
+                slot = w.__dict__.get("_complement")
+                hit = slot is not None and slot[0] is space and slot[1]() is d
+                counts["complement_hits" if hit else "complement_misses"] += 1
+            return real(space, d, w)
+
+        return counted
+
     def decide(real):
         # every oracle query the kernel makes is made inside decide_perp0
         def counted(y1, x2, oracle, *args, **kwargs):
@@ -118,6 +133,7 @@ def _wrappers(counts: Counter) -> dict:
     }
     for real, wrap in (
         (orthokernel.flats._meet_parts, meet_parts),
+        (linalg.xi_complement, complement),
         (reconstruct.decide_perp0, decide),
     ):
         out[real.__name__] = (real, wrap(real))

@@ -23,7 +23,8 @@ What depends only on a direction and the space is kept with the
 direction, in ``linalg``, so every translate reads it: the equations
 (``LinearSubspace.equations``), and the form rows and complement rows
 (``LinearSubspace.form_rows`` and ``complement_rows``), each in one slot
-keyed by the space.  A flat keeps only what depends on its base point
+keyed by the space, and the last xi-complement taken inside it
+(``linalg.xi_complement``).  A flat keeps only what depends on its base point
 too, the meet slot; this module makes no product with the form.
 """
 

@@ -26,6 +26,10 @@ side has fewer rows.  Each side's product is made once per space and
 kept with the subspace (``LinearSubspace.form_rows``, ``complement_rows``)
 for every reader.  A complement inside W and a meet's direction are
 read by ``_kernel_in`` from one reduction over W's rows in reverse order.
+W keeps the last xi-complement taken inside it, in one slot keyed by the
+space and a weak reference to D, so the laws that ask for the same
+complement again (the canonical witness Z1 of one pair from several base
+points, two flats drawn orthogonal to one A) reduce once.
 
 Rationals exist only at the boundary.  Input is read by ``int_vector``,
 whose fallback ``scalar`` decides the value and the error of any entry
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -237,7 +242,8 @@ class LinearSubspace:
     forms coincide.  Besides ``equations`` it keeps its products with a
     space's form, ``form_rows`` and ``complement_rows``, one slot each
     keyed by the space, read by every flat with this direction and every
-    complement taken of it.  Callers must not mutate them.
+    complement taken of it, and the last complement taken inside it (see
+    ``xi_complement``).  Callers must not mutate them.
     """
 
     ambient_dim: int
@@ -513,17 +519,28 @@ def xi_complement(space: QuadraticSpace, d: LinearSubspace, w: LinearSubspace) -
     exactly when it is a combination of D's equations E.  Inside a smaller
     W it is always the former, over W's rows.  Either way the result is
     the canonical subspace.
+
+    W keeps the result in one slot of its instance dict, with the space and
+    a weak reference to D, filled only once D ⊆ W has been checked, and
+    hands the same object back when that space and that D ask again.  W
+    holds no D alive, and the slot stays out of ``==``, ``hash`` and
+    ``repr``.  A zero D is answered by W itself and never reaches the slot.
     """
     if d.ambient_dim != space.dim or w.ambient_dim != space.dim:
         raise InputError("ambient dimension mismatch")
     if d.is_zero:
         return w
-    if w.rank == space.dim:
-        if 2 * d.rank > space.dim:
-            return _subspace_from_int_rows(d.complement_rows(space), space.dim)
-    elif not _lies_in(d.int_rows, w):
+    slot = w.__dict__.get("_complement")
+    if slot is not None and slot[0] is space and slot[1]() is d:
+        return slot[2]
+    if w.rank == space.dim and 2 * d.rank > space.dim:
+        comp = _subspace_from_int_rows(d.complement_rows(space), space.dim)
+    elif w.rank < space.dim and not _lies_in(d.int_rows, w):
         raise PreconditionError("D must be a subspace of W")
-    return _xi_complement_rows(space, d.form_rows(space), w)
+    else:
+        comp = _xi_complement_rows(space, d.form_rows(space), w)
+    w.__dict__["_complement"] = (space, weakref.ref(d), comp)
+    return comp
 
 
 def _xi_complement_rows(

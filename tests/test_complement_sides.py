@@ -12,20 +12,38 @@ which includes point flats, full-space flats, nested pairs and pairs with
 k1 + k2 - m = n.  On the same grid the complement of D inside any W, with
 D inside W or not, is W's intersection with D's complement in the whole
 space, the intersection taken by the rational reference.
+
+W keeps the last complement taken inside it, keyed by the space and a
+weak reference to D: the same space and D get the kept subspace with no
+reduction, anything else a fresh one, and the laws that ask for one
+complement again reduce it once.
 """
 
+import gc
 import random
+import sys
+import weakref
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
+import orthokernel.linalg as linalg_module
+import orthokernel.properties as props
+from orthokernel.errors import PreconditionError
 from orthokernel.generators import (
     GenConfig,
     gen_pair_with_meet_dim,
+    gen_perp_to,
+    gen_subspace,
+    random_point_of,
+    resolve_space,
     space_of,
+    trial_rng,
 )
 from orthokernel.linalg import (
+    LinearSubspace,
     _forward_steps,
     _subspace_from_int_rows,
     _xi_complement_rows,
@@ -39,6 +57,7 @@ from orthokernel.ortho import (
     _gram,
     _meet_dim,
     make_perp_pair,
+    perp_g,
     perp_go,
     perp_m,
     rand_subspace_of,
@@ -73,6 +92,24 @@ def _types(n):
         for k2 in range(1, n)
         for m in range(max(0, k1 + k2 - n), min(k1, k2))
     ]
+
+
+@pytest.fixture
+def reduced(monkeypatch):
+    """The complements ``xi_complement`` reduces: one entry per call it
+    makes to ``_xi_complement_rows`` or ``_subspace_from_int_rows``."""
+    made = []
+    code = linalg_module.xi_complement.__code__
+    for name in ("_xi_complement_rows", "_subspace_from_int_rows"):
+        real = getattr(linalg_module, name)
+
+        def counting(*args, real=real):
+            if sys._getframe(1).f_code is code:
+                made.append(real.__name__)
+            return real(*args)
+
+        monkeypatch.setattr(linalg_module, name, counting)
+    return made
 
 
 def _pairs(n, form, rng):
@@ -120,7 +157,7 @@ def test_the_equations_side_needs_the_exact_meet_dimension():
 
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("n", DIMS)
-def test_complement_is_the_same_subspace_from_either_side(n, form):
+def test_complement_is_the_same_subspace_from_either_side(n, form, reduced):
     space = space_of(_cfg(n, form))
     full = full_subspace(n)
     rng = random.Random(f"complement:{n}:{form}")
@@ -130,7 +167,12 @@ def test_complement_is_the_same_subspace_from_either_side(n, form):
             fd = d.form_rows(space)
             primal = _xi_complement_rows(space, fd, full)
             assert _subspace_from_int_rows(d.complement_rows(space), n) == primal
-            assert xi_complement(space, d, full) == primal
+            kept = xi_complement(space, d, full)
+            assert kept == primal
+            # asked again, the whole space hands back the subspace it kept
+            made = len(reduced)
+            assert xi_complement(space, d, full) is kept
+            assert len(reduced) == made
             assert primal.rank == n - k
             # every complement row is xi-orthogonal to every row of d
             assert not any(sum(map(mul, f, r)) for f in fd for r in primal.int_rows)
@@ -157,3 +199,155 @@ def test_complement_inside_w_is_w_meet_the_full_complement(n, form):
     # point flats, full-space flats and every complement dimension occur
     assert {(0, 0), (n, n)} <= shapes
     assert {r for _, r in shapes} == set(range(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# the complement kept inside W
+
+
+def test_the_kept_complement_answers_only_its_space_and_its_d(reduced):
+    """Another space, an equal twin of D, or a D that has died (even one
+    whose id a new subspace reuses) gets a fresh reduction, equal to
+    ``_xi_complement_rows``; the slot holds one D, so D asked again after
+    its twin costs one more."""
+    n = 5
+    full = full_subspace(n)
+    identity, tridiag = resolve_space(n, "identity"), resolve_space(n, "tridiag")
+    rng = random.Random("kept-complement")
+
+    def fresh(space, d):
+        return _xi_complement_rows(space, d.form_rows(space), full)
+
+    d = rand_subspace_of(full, 2, rng)
+    first = xi_complement(identity, d, full)
+    assert first == fresh(identity, d) and len(reduced) == 1
+    assert xi_complement(identity, d, full) is first and len(reduced) == 1
+    assert xi_complement(tridiag, d, full) == fresh(tridiag, d)
+    assert len(reduced) == 2
+    assert xi_complement(identity, d, full) == first and len(reduced) == 3
+    twin = _subspace_from_int_rows(d.int_rows, n)
+    assert twin == d and twin is not d
+    assert xi_complement(identity, twin, full) == first and len(reduced) == 4
+    assert xi_complement(identity, d, full) == first and len(reduced) == 5
+    # d dies, and a new subspace is made at its address
+    other = rand_subspace_of(full, 2, rng)
+    dead = id(d)
+    del d, twin
+    made = []
+    while not made or id(made[-1]) != dead and len(made) < 100_000:
+        made.append(LinearSubspace(n, other.int_rows, other.pivots))
+    reuse = made[-1]
+    assert id(reuse) == dead
+    before = len(reduced)
+    assert xi_complement(identity, reuse, full) == fresh(identity, reuse)
+    assert len(reduced) == before + 1
+
+
+@pytest.mark.parametrize("form", ("identity", "tridiag"))
+def test_the_kept_complement_inside_w_equals_a_fresh_one(form, reduced):
+    """Inside a smaller W, as from the whole space, on either side of D:
+    each D's complement is reduced when it is asked after another D, and
+    handed back as it is when asked twice running."""
+    n = 6
+    space = resolve_space(n, form)
+    full = full_subspace(n)
+    rng = random.Random(f"kept-inside:{form}")
+    for k in range(n + 1):
+        w = rand_subspace_of(full, k, rng)
+        ds = [rand_subspace_of(w, j, rng) for j in range(1, k + 1)]
+        for again in (False, True):
+            for d in ds:
+                before = len(reduced)
+                got = xi_complement(space, d, w)
+                assert got == _xi_complement_rows(space, d.form_rows(space), w)
+                # the slot held another D, unless d is the only one drawn
+                made = len(reduced)
+                assert made == before + (not again or len(ds) > 1)
+                assert xi_complement(space, d, w) is got
+                assert len(reduced) == made
+
+
+def test_the_whole_space_keeps_no_d_alive():
+    space = resolve_space(4, "tridiag")
+    full = full_subspace(4)
+    rng = random.Random("kept-alive")
+    refs = []
+    for _ in range(1000):
+        d = rand_subspace_of(full, rng.randint(1, 3), rng)
+        xi_complement(space, d, full)
+        refs.append(weakref.ref(d))
+    del d
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_a_refused_complement_leaves_the_slot_as_it_was(reduced):
+    n = 5
+    space = resolve_space(n, "diag")
+    full = full_subspace(n)
+    rng = random.Random("kept-refused")
+    w = rand_subspace_of(full, 3, rng)
+    inside = rand_subspace_of(w, 1, rng)
+    kept = xi_complement(space, inside, w)
+    slot = vars(w)["_complement"]
+    outside = _subspace_from_int_rows([w.equations[0]], n)
+    made = len(reduced)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            xi_complement(space, outside, w)
+        assert vars(w)["_complement"] is slot
+    assert len(reduced) == made
+    assert xi_complement(space, inside, w) is kept and len(reduced) == made
+
+
+def test_the_kept_complement_stays_out_of_equality_hash_and_repr():
+    space = resolve_space(4, "diag")
+    rng = random.Random("kept-identity")
+    w = rand_subspace_of(full_subspace(4), 3, rng)
+    twin = _subspace_from_int_rows(w.int_rows, 4)
+    xi_complement(space, rand_subspace_of(w, 1, rng), w)
+    assert "_complement" in vars(w) and "_complement" not in vars(twin)
+    assert w == twin and hash(w) == hash(twin)
+    assert repr(w) == repr(twin)
+
+
+def test_p_go_q_indep_reduces_each_of_its_two_complements_once(monkeypatch, reduced):
+    """A trial takes the meet's complement inside each flat of its pair from
+    three base points: six asks over two complements, two reductions."""
+    asked = []
+    real = props.orthocomplement_in
+
+    def counted(x, v, q):
+        before = len(reduced)
+        out = real(x, v, q)
+        asked.append(len(reduced) - before)
+        return out
+
+    monkeypatch.setattr(props, "orthocomplement_in", counted)
+    cfg = GenConfig(dim=6, seed=1)
+    space = space_of(cfg)
+    kinds = Counter()
+    for t in range(24):
+        asked.clear()
+        rng = trial_rng(cfg.seed, "P-GO-Q-INDEP", t)
+        ctx = props.TrialContext(space, cfg, rng, Counter())
+        assert props.REGISTRY["P-GO-Q-INDEP"](ctx) is None
+        # the two later base points reduce nothing; a point meet is answered
+        # by W itself, and two flats with one direction share its slot
+        assert len(asked) == 6 and asked[2:] == [0] * 4
+        kinds[tuple(asked[:2])] += 1
+    assert kinds[(1, 1)] >= 6
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_two_flats_drawn_orthogonal_to_one_a_reduce_its_complement_once(k, reduced):
+    # at n = 6 a 2-dimensional A is reduced from its rows, a 4-dimensional
+    # one from its equations
+    cfg = GenConfig(dim=6, seed=0, form="tridiag")
+    rng = random.Random(f"perp-to:{k}")
+    a = gen_subspace(cfg, k, rng)
+    reduced.clear()
+    c1 = gen_perp_to(a, random_point_of(a, rng), rng)
+    c2 = gen_perp_to(a, random_point_of(a, rng), rng)
+    assert len(reduced) == 1
+    assert perp_g(a, c1) and perp_g(a, c2)

@@ -10,10 +10,10 @@ since these values are load-bearing for everything built on perp_g.
 from __future__ import annotations
 
 from .errors import InternalError
-from .flats import AffineSubspace, is_subflat, meet
+from .flats import AffineSubspace, is_subflat
 from .generators import resolve_space
 from .linalg import _subspace_from_int_rows
-from .ortho import perp_g
+from .ortho import _meet_dim, perp_g
 
 # (label, direction rows of A, B, C through the origin, named checks with
 # the value each must take); checks look perp_g up when they run
@@ -41,7 +41,7 @@ _INSTANCES = (
             ("C strictly inside B",
              lambda f: is_subflat(f["C"], f["B"]) and f["C"].dim == f["B"].dim - 1,
              True),
-            ("A meets C", lambda f: meet(f["A"], f["C"]) is not None, True),
+            ("A meets C", lambda f: _meet_dim(f["A"], f["C"]) is not None, True),
             ("perp_g(A,C)", lambda f: perp_g(f["A"], f["C"]), False),
         ),
     ),

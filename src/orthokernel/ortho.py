@@ -182,6 +182,10 @@ class TypedPerpParams:
     k2: int
 
     def __post_init__(self) -> None:
+        # a bool is an int, and serialises as true
+        for name in ("m", "k1", "k2"):
+            if type(getattr(self, name)) is not int:
+                raise InputError(f"{name} must be an int")
         if self.m < 0:
             raise InputError("m must be nonnegative")
         if not (self.m < self.k1 and self.m < self.k2):
@@ -238,13 +242,18 @@ def reflections_commute(x1: AffineSubspace, x2: AffineSubspace) -> bool:
 
     With reflection i as p -> (A_i p + T_i / e_i) / d_i, the linear parts
     commute iff A1 A2 = A2 A1, and the translations of the two composites
-    agree iff e1 A1 T2 + d2 e2 T1 = e2 A2 T1 + d1 e1 T2.
+    agree iff e1 A1 T2 + d2 e2 T1 = e2 A2 T1 + d1 e1 T2.  The composites
+    are compared row by row, an entry at a time, and the first entry that
+    differs decides False; only commuting linear parts are formed in full.
     """
     _check_same_space(x1, x2)
     a1, t1, d1 = reflection(x1)
     a2, t2, d2 = reflection(x2)
-    if _mat_mul_int(a1, a2) != _mat_mul_int(a2, a1):
-        return False
+    cols1, cols2 = tuple(zip(*a1)), tuple(zip(*a2))
+    for r1, r2 in zip(a1, a2):
+        for c1, c2 in zip(cols1, cols2):
+            if sum(map(mul, r1, c2)) != sum(map(mul, r2, c1)):
+                return False
     e1, e2 = x1.int_point[1], x2.int_point[1]
     return all(
         e1 * sum(map(mul, r1, t2)) + d2 * e2 * s1

@@ -7,6 +7,12 @@ controlled sub/super-flat draws) because rejection sampling would almost
 never reach them; every antecedent is still re-checked honestly before the
 conclusion is asserted, so a generator bug cannot hide a violation.
 
+A law builds only what its verdict reads.  Its clauses run cheapest
+deciding clause first: P-UNIQ and P-AXO-d test the relation on a candidate
+complement before they build its meet with b.  Where a law only asks
+whether two flats meet, it reads the meet's dimension (``_meet_dim``, the
+system the relations read too) and builds no meet flat.
+
 Trial seeds derive from (master seed, property id, trial index), which makes
 reports independent of execution order and of the worker count.
 """
@@ -51,6 +57,7 @@ from .ortho import (
     RETRIES,
     TypedPerpParams,
     _draw,
+    _meet_dim,
     make_perp_pair,
     orthocomplement_in,
     perp_g,
@@ -152,7 +159,7 @@ def _meet_nonempty_check(ctx: TrialContext, rel: Relation, name: str) -> Optiona
     a, b = _mixed_pair(ctx)
     if ctx.rng.random() < 0.3:
         b = translate_through(b, gen_point(ctx.cfg, ctx.rng))
-    if rel(a, b) and meet(a, b) is None:
+    if rel(a, b) and _meet_dim(a, b) is None:
         return _ce(f"{name} held for a disjoint pair", a=a, b=b)
     return None
 
@@ -168,7 +175,7 @@ def _p_par(ctx: TrialContext) -> Optional[dict]:
     else:
         pt = gen_point(ctx.cfg, ctx.rng)
     c = translate_through(b, pt)
-    if perp_g(a, b) and parallel(b, c) and meet(a, c) is not None:
+    if perp_g(a, b) and parallel(b, c) and _meet_dim(a, c) is not None:
         if not perp_g(a, c):
             return _ce("parallel transport broke perp_g", a=a, b=b, c=c)
     return None
@@ -197,7 +204,7 @@ def _uniq_check(ctx: TrialContext, rel: Relation) -> Optional[dict]:
     bp = unique_complement(a, b, c)
 
     def clauses(cand: AffineSubspace) -> bool:
-        return meet(b, cand) == a and rel(b, cand) and join(b, cand) == c
+        return rel(b, cand) and meet(b, cand) == a and join(b, cand) == c
 
     if not clauses(bp):
         return _ce("complement fails its defining clauses", a=a, b=b, c=c, bp=bp)
@@ -251,7 +258,7 @@ def _p_refl(ctx: TrialContext) -> Optional[dict]:
     a, b = _mixed_pair(ctx)
     if ctx.rng.random() < 0.125:
         b = translate_through(b, gen_point(ctx.cfg, ctx.rng))
-        if meet(a, b) is None:
+        if _meet_dim(a, b) is None:
             # no shared point: the equivalence is out of scope, so only
             # record how often the reflections happen to commute anyway
             ctx.note("disjoint_pairs")
@@ -360,7 +367,7 @@ def _p_meetprop(ctx: TrialContext) -> Optional[dict]:
     c = gen_perp_to(a, q, ctx.rng)
     if perp_g(a, b) and perp_g(a, c):
         bc = meet(b, c)
-        if bc is not None and meet(a, bc) is not None:
+        if bc is not None and _meet_dim(a, bc) is not None:
             if not (perp_g(a, bc) or is_subflat(bc, a)):
                 return _ce("meet of two orthogonal flats lost both outcomes",
                            a=a, b=b, c=c)
@@ -448,7 +455,7 @@ def _p_axo_h(ctx: TrialContext) -> Optional[dict]:
         c = flat_between(q, a, _draw(rng, 0, a.dim), rng)
     if perp_go(a, b) and perp_go(a, c):
         bc = meet(b, c)
-        if bc is not None and meet(a, bc) is not None:
+        if bc is not None and _meet_dim(a, bc) is not None:
             if not perp_go(a, bc):
                 return _ce("meet lost perp_go", a=a, b=b, c=c)
     return None
@@ -796,6 +803,9 @@ def run_suite(
     unknown = [p for p in property_ids if p not in REGISTRY]
     if unknown:
         raise InputError(f"unknown property ids: {', '.join(unknown)}")
+    for name, value in (("trials", trials), ("jobs", jobs)):
+        if type(value) is not int:
+            raise InputError(f"{name} must be an int")
     if trials < 1:
         raise InputError("trials must be positive")
     if cfg.dim < 2:

@@ -6,7 +6,8 @@ does not read, every binding the benchmark's tracer patches still exists
 and the benchmark's self-tests pass, every CLI option and benchmark
 record is documented, no trial builds a rational, the package draws its
 bounded integers through one helper and its random subspaces through one
-loop, and it catches its own errors only at its boundaries."""
+loop, it catches its own errors only at its boundaries, and it builds no
+meet flat only to compare it with None."""
 
 import argparse
 import ast
@@ -183,6 +184,49 @@ def test_unread_private_name_is_detected(tmp_path):
     with open(package / "flats.py", "a") as out:
         out.write("\n\ndef _helper(x):\n    return _helper(x - 1) if x else 0\n")
     assert _unread_private_names(tmp_path) == ["_helper"]
+
+
+def _meets_compared_with_none(root: Path) -> list[tuple[str, int]]:
+    """(module, line) of each ``meet(...) is None`` or ``is not None`` in
+    the package: such a test reads only whether the flats meet, which
+    ``_meet_dim`` answers from the same system without building the meet."""
+    found = []
+    for path in sorted((root / "src" / "orthokernel").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            if (
+                any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(isinstance(s, ast.Constant) and s.value is None for s in sides)
+                and any(
+                    isinstance(s, ast.Call)
+                    and ast.unparse(s.func).rpartition(".")[2] == "meet"
+                    for s in sides
+                )
+            ):
+                found.append((path.stem, node.lineno))
+    return found
+
+
+def test_no_meet_is_built_to_test_non_emptiness():
+    assert _meets_compared_with_none(PACKAGE_DIR.parents[1]) == []
+
+
+def test_meet_compared_with_none_is_detected(tmp_path):
+    package = tmp_path / "src" / "orthokernel"
+    package.mkdir(parents=True)
+    for path in PACKAGE_DIR.glob("*.py"):
+        (package / path.name).write_text(path.read_text())
+    with open(package / "properties.py", "a") as out:
+        out.write(
+            "\n\ndef _disjoint(a, b):\n    return meet(a, b) is None"
+            "\n\n\ndef _meets(a, b):\n    return None is not flats.meet(a, b)\n"
+        )
+    lines = len((package / "properties.py").read_text().splitlines())
+    assert _meets_compared_with_none(tmp_path) == [
+        ("properties", lines - 4), ("properties", lines),
+    ]
 
 
 # the boundaries where the package turns its own errors into an outcome:

@@ -284,6 +284,18 @@ def test_typed_params_validation():
         TypedPerpParams(1, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((0.5, 1, 2), "m"), ((True, 2, 2), "m"), ((0, 1.0, 2), "k1"),
+     ((0, 1, False), "k2"), ((0, 1, "2"), "k2")],
+)
+def test_typed_params_take_only_ints(args, name):
+    # a float would fail later inside make_perp_pair, and a bool would run
+    # as 0 or 1 and serialise as true or false
+    with pytest.raises(InputError, match=f"^{name} must be an int$"):
+        TypedPerpParams(*args)
+
+
 # ---------------------------------------------------------------------------
 # reflections
 
@@ -329,6 +341,17 @@ def test_noncommuting_reflections_match_direct_products(q2):
     assert not reflections_commute(
         line(q2, (0, 0), (1, 0)), line(q2, (0, 0), (1, 1))
     )
+
+
+def test_composites_that_differ_only_below_row_0_do_not_commute(q3):
+    # both reflections fix e0's row, so the composites agree on row 0; the
+    # row-by-row comparison must still reach the rows where they differ
+    a, b = line(q3, (0, 0, 0), (0, 1, 0)), line(q3, (0, 0, 0), (0, 1, 1))
+    ra, rb = rational_reflection(a), rational_reflection(b)
+    ab, ba = mat_mul(ra.matrix, rb.matrix), mat_mul(rb.matrix, ra.matrix)
+    assert ab[0] == ba[0] and ab != ba
+    assert not reflections_commute(a, b)
+    assert not reflections_commute(b, a)
 
 
 def test_reflections_commute_calls_the_traced_kernels(q3, monkeypatch):

@@ -77,9 +77,57 @@ def test_run_property_rejects_bad_trials():
         run_property("P-SYM", small_cfg(), trials=0)
 
 
+@pytest.mark.parametrize("trials", [True, 2.5, 10.0, "10"])
+def test_run_suite_rejects_trials_that_are_not_ints(trials):
+    # True would run one trial and report "trials": true
+    with pytest.raises(InputError, match="^trials must be an int$"):
+        run_suite(small_cfg(), ["P-SYM"], trials)
+
+
+@pytest.mark.parametrize("jobs", [True, 1.5, 2.0])
+def test_run_suite_rejects_jobs_that_are_not_ints(jobs):
+    with pytest.raises(InputError, match="^jobs must be an int$"):
+        run_suite(small_cfg(), ["P-SYM"], 10, jobs=jobs)
+
+
 def test_run_property_rejects_tiny_dimension():
     with pytest.raises(InputError):
         run_property("P-SYM", small_cfg(dim=1), trials=5)
+
+
+# ---------------------------------------------------------------------------
+# what the laws build
+
+
+def _meets_built(monkeypatch, property_id: str) -> int:
+    """Meet flats the law builds over 50 trials at dims 3-6 under each
+    named form, seed 11: 600 trials."""
+    built = 0
+    real = props.meet
+
+    def counted(x, y):
+        nonlocal built
+        built += 1
+        return real(x, y)
+
+    monkeypatch.setattr(props, "meet", counted)
+    for n in range(3, 7):
+        for report in run_suite(GenConfig(dim=n, seed=11), [property_id], 50):
+            assert report.violations == 0
+    return built
+
+
+@pytest.mark.parametrize("property_id", ["P-MEET-NONEMPTY", "P-AXO-b", "P-PAR", "P-REFL"])
+def test_a_non_emptiness_test_builds_no_meet(monkeypatch, property_id):
+    # these laws only ask whether two flats meet, which the meet's
+    # dimension answers
+    assert _meets_built(monkeypatch, property_id) == 0
+
+
+def test_uniqueness_builds_one_meet_per_trial(monkeypatch):
+    # the complement's own meet with b; a random candidate that fails the
+    # relation has its meet never built
+    assert _meets_built(monkeypatch, "P-UNIQ") == 600
 
 
 # ---------------------------------------------------------------------------
